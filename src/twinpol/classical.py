@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, KickPulse, Trajectory
-from .errors import IntegrationError, ModelError
-from .integrators import integrate
+from .errors import ModelError
+from .integrators import check_step, propagate
 from .model import MolecularModel, mu_squared_matrix
-
-NORM_TOL = 1e-6
 
 
 @dataclass
@@ -51,12 +49,18 @@ def _expectation(psi: np.ndarray, op: np.ndarray) -> float:
 def classical_total_energy(state: ClassicalState, model: MolecularModel,
                            cav: CavityParams) -> float:
     """<H_mol + g sqrt(2 w_c) q mu + (g^2/w_c) mu^2> + (p^2 + w_c^2 q^2)/2."""
-    psi = state.schroedinger_coeffs(model.energies)
+    mu2 = mu_squared_matrix(model) if cav.include_dse else None
+    return _total_energy(state.schroedinger_coeffs(model.energies), state.q, state.p,
+                         model, mu2, cav)
+
+
+def _total_energy(psi: np.ndarray, q: float, p: float, model: MolecularModel,
+                  mu2: np.ndarray | None, cav: CavityParams) -> float:
     e = float(np.sum(model.energies * np.abs(psi) ** 2))
-    e += cav.g * math.sqrt(2.0 * cav.omega_c) * state.q * _expectation(psi, model.dipole)
+    e += cav.g * math.sqrt(2.0 * cav.omega_c) * q * _expectation(psi, model.dipole)
     if cav.include_dse:
-        e += cav.dse_prefactor * _expectation(psi, mu_squared_matrix(model))
-    e += 0.5 * (state.p**2 + cav.omega_c**2 * state.q**2)
+        e += cav.dse_prefactor * _expectation(psi, mu2)
+    e += 0.5 * (p**2 + cav.omega_c**2 * q**2)
     return e
 
 
@@ -71,12 +75,7 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
     n = model.n_states
     if not 0 <= init_state < n:
         raise ModelError(f"init_state {init_state} outside 0..{n - 1}")
-    de_max = float(model.energies.max() - model.energies.min())
-    if dt * (de_max + cav.omega_c) >= 0.1:
-        raise ModelError(
-            f"dt={dt} too coarse for the fastest phase; need "
-            f"dt < {0.1 / (de_max + cav.omega_c):.3g}"
-        )
+    check_step(dt, model.energies, cav.omega_c)
 
     energies = model.energies
     mu = model.dipole
@@ -101,81 +100,18 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
         dy[n + 1] = -wc2 * q - g_fac * float(np.vdot(psi, mu_psi).real)
         return dy
 
-    n_steps = int(round(t_end / dt))
-    n_rec = n_steps // record_stride + 1
-    times = np.empty(n_rec)
-    dipole = np.empty(n_rec)
-    pops = np.empty((n_rec, n))
-    q_ser = np.empty(n_rec)
-    p_ser = np.empty(n_rec)
-    energy = np.empty(n_rec)
-    rec = {"i": 0, "norm_drift": 0.0}
-
-    def observer(t, y):
-        i = rec["i"]
-        c = y[:n]
+    def observe(t, y):
         q = y[n].real
         p = y[n + 1].real
-        psi = np.exp(-1j * energies * t) * c
-        times[i] = t
-        dipole[i] = np.vdot(psi, mu @ psi).real
-        pops[i] = np.abs(c) ** 2
-        q_ser[i] = q
-        p_ser[i] = p
-        energy[i] = classical_total_energy(ClassicalState(c, q, p, t), model, cav)
-        rec["norm_drift"] = max(rec["norm_drift"], abs(float(np.sum(pops[i])) - 1.0))
-        rec["i"] += 1
+        psi = np.exp(-1j * energies * t) * y[:n]
+        return (np.vdot(psi, mu @ psi).real, _total_energy(psi, q, p, model, mu2, cav),
+                q, p)
 
     y0 = np.zeros(n + 2, complex)
     y0[init_state] = 1.0
-    integrate(rhs, y0, 0.0, dt, n_steps, observer, record_stride)
-
-    if rec["norm_drift"] > NORM_TOL:
-        raise IntegrationError(
-            f"norm drift {rec['norm_drift']:.2e} exceeds {NORM_TOL}; reduce dt"
-        )
-    _check_linear_response(times, pops, init_state, pulse)
-
-    traj = Trajectory(
-        kind="classical", times=times, dipole=dipole, populations=pops,
-        energy=energy, pop_labels=[model.label_str(k) for k in range(n)],
-        q_series=q_ser, p_series=p_ser,
-        meta={
-            "dt": dt, "t_end": n_steps * dt, "record_stride": record_stride,
-            "init_state": init_state, "pulse_support_end": pulse.support_end,
-            "pulse_t0": pulse.t0, "pulse_sigma": pulse.sigma,
-            "norm_drift": rec["norm_drift"],
-            "omega_c": cav.omega_c, "g": cav.g, "include_dse": cav.include_dse,
-        },
+    return propagate(
+        rhs, y0, observe, ("dipole", "energy", "q_series", "p_series"),
+        kind="classical", pop_labels=[model.label_str(k) for k in range(n)],
+        init_col=init_state, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
+        record_stride=record_stride, meta={"init_state": init_state},
     )
-    traj.meta["energy_drift_post_pulse"] = post_pulse_energy_drift(traj)
-    return traj
-
-
-def post_pulse_energy_drift(traj: Trajectory) -> float:
-    """Relative spread of total energy after the pulse support.
-
-    Normalized by max(|mean energy|, photon quantum): ground-state runs have
-    total energy near zero, so the photon quantum sets the physical scale.
-    """
-    mask = traj.post_pulse_mask()
-    e = traj.energy[mask]
-    if e.size < 2:
-        return 0.0
-    scale = max(abs(float(np.mean(e))), float(traj.meta.get("omega_c", 0.0)), 1e-30)
-    return float(e.max() - e.min()) / scale
-
-
-def _check_linear_response(times, pops, init_entry, pulse: KickPulse):
-    if pulse.amplitude == 0.0 or not math.isfinite(pulse.max_excitation):
-        return
-    after = np.searchsorted(times, pulse.support_end)
-    if after >= times.size:
-        return
-    excited = 1.0 - pops[after, init_entry]
-    if excited > pulse.max_excitation:
-        raise IntegrationError(
-            f"post-kick excited population {excited:.3e} exceeds the pulse "
-            f"linear-response bound {pulse.max_excitation}; lower the amplitude "
-            "or raise KickPulse.max_excitation"
-        )

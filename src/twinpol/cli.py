@@ -68,13 +68,17 @@ class RunConfig:
 
     def __init__(self, resolved: dict):
         self.raw = resolved
+        self._model: MolecularModel | None = None
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
-        return cls(_resolve(parser))
+        resolved, model = _resolve(parser)
+        config = cls(resolved)
+        config._model = model      # built once, while validating
+        return config
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "RunConfig":
@@ -83,12 +87,14 @@ class RunConfig:
     # -- builders ---------------------------------------------------------
 
     def build_model(self) -> MolecularModel:
-        parser = configparser.ConfigParser()
-        kind = self.raw["model_kind"]
-        parser.add_section(kind)
-        for key, val in self.raw[kind].items():
-            parser.set(kind, key, str(val))
-        return model_from_config(parser)
+        if self._model is None:
+            parser = configparser.ConfigParser()
+            kind = self.raw["model_kind"]
+            parser.add_section(kind)
+            for key, val in self.raw[kind].items():
+                parser.set(kind, key, str(val))
+            self._model = model_from_config(parser)
+        return self._model
 
     def cavity(self, g: float | None = None) -> CavityParams:
         sec = self.raw["cavity"]
@@ -115,8 +121,10 @@ class RunConfig:
         return self.raw["cavity"].get("g_sweep") or [self.raw["cavity"]["g"]]
 
 
-def _resolve(parser: configparser.ConfigParser) -> dict:
-    """Validate sections/keys and normalize every value (defaults echoed)."""
+def _resolve(parser: configparser.ConfigParser) -> tuple[dict, MolecularModel]:
+    """Validate sections/keys and normalize every value (defaults echoed).
+
+    Returns the resolved dict and the model built to validate it."""
     known_sections = {"three_level", "morse", "thermal", "cavity", "protocol", "output"}
     for sec in parser.sections():
         if sec not in known_sections:
@@ -194,7 +202,7 @@ def _resolve(parser: configparser.ConfigParser) -> dict:
             out["thermal"]["v"] = int(sec["v"])
 
     _validate_initial(out, model)
-    return out
+    return out, model
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -219,6 +227,9 @@ def _validate_initial(resolved: dict, model: MolecularModel):
     if framework == "thermo_limit":
         if initial not in ("thermal", "symmetric"):
             raise ConfigError("thermo_limit takes initial = thermal or symmetric")
+        if initial == "symmetric" and resolved["protocol"]["r0"] != 0.5:
+            raise ConfigError("initial = symmetric fixes r0 = 0.5: every molecule is "
+                              "half in psi_0; drop r0 or set it to 0.5")
         return
     if initial in ("ground", "thermal"):
         if initial == "thermal" and "thermal" not in resolved:

@@ -1,4 +1,5 @@
-"""Fixed-step classic Runge-Kutta engine shared by both propagators.
+"""Fixed-step classic Runge-Kutta engine and the recording core shared by both
+propagators.
 
 Accuracy is certified by dt/2 re-run agreement rather than adaptivity; the
 step size must already resolve the fastest interaction-picture phase.
@@ -6,9 +7,15 @@ step size must already resolve the fastest interaction-picture phase.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
+
+from .cavity import CavityParams, KickPulse, Trajectory
+from .errors import IntegrationError, ModelError
+
+NORM_TOL = 1e-6
 
 
 def rk4_step(rhs: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -36,3 +43,94 @@ def integrate(rhs: Callable, y0: np.ndarray, t0: float, dt: float, n_steps: int,
         if observer is not None and step % observe_every == 0:
             observer(t, y)
     return y
+
+
+def check_step(dt: float, phase_freqs: np.ndarray, omega_c: float):
+    """Raise ModelError unless dt resolves the fastest interaction-picture phase."""
+    de_max = float(phase_freqs.max() - phase_freqs.min())
+    if dt * (de_max + omega_c) >= 0.1:
+        raise ModelError(
+            f"dt={dt} too coarse for the fastest phase; need "
+            f"dt < {0.1 / (de_max + omega_c):.3g}"
+        )
+
+
+def propagate(rhs: Callable, y0: np.ndarray, observe: Callable, series: tuple[str, ...],
+              *, kind: str, pop_labels: list[str], init_col: int, pulse: KickPulse,
+              cav: CavityParams, t_end: float, dt: float, record_stride: int,
+              meta: dict) -> Trajectory:
+    """Integrate from t = 0 and record a Trajectory every record_stride steps.
+
+    y[:len(pop_labels)] are the interaction-picture amplitudes, whose squared
+    moduli are the recorded populations.  observe(t, y) returns one value per
+    name in series, each a Trajectory field.  meta adds the propagator's own
+    keys after dt, t_end and record_stride.  Raises IntegrationError when the
+    norm drifts beyond NORM_TOL (reduce dt) or when the kick exceeds the
+    pulse's linear-response bound.
+    """
+    n_amp = len(pop_labels)
+    n_steps = int(round(t_end / dt))
+    n_rec = n_steps // record_stride + 1
+    times = np.empty(n_rec)
+    pops = np.empty((n_rec, n_amp))
+    values = np.empty((len(series), n_rec))
+    rec = {"i": 0, "norm_drift": 0.0}
+
+    def observer(t, y):
+        i = rec["i"]
+        times[i] = t
+        pops[i] = np.abs(y[:n_amp]) ** 2
+        values[:, i] = observe(t, y)
+        rec["norm_drift"] = max(rec["norm_drift"], abs(float(np.sum(pops[i])) - 1.0))
+        rec["i"] += 1
+
+    integrate(rhs, y0, 0.0, dt, n_steps, observer, record_stride)
+
+    if rec["norm_drift"] > NORM_TOL:
+        raise IntegrationError(
+            f"norm drift {rec['norm_drift']:.2e} exceeds {NORM_TOL}; reduce dt"
+        )
+    _check_linear_response(times, pops, init_col, pulse)
+
+    traj = Trajectory(
+        kind=kind, times=times, populations=pops, pop_labels=pop_labels,
+        **dict(zip(series, values)),
+        meta={
+            "dt": dt, "t_end": n_steps * dt, "record_stride": record_stride,
+            **meta, "pulse_support_end": pulse.support_end,
+            "pulse_t0": pulse.t0, "pulse_sigma": pulse.sigma,
+            "norm_drift": rec["norm_drift"],
+            "omega_c": cav.omega_c, "g": cav.g, "include_dse": cav.include_dse,
+        },
+    )
+    traj.meta["energy_drift_post_pulse"] = post_pulse_energy_drift(traj)
+    return traj
+
+
+def post_pulse_energy_drift(traj: Trajectory) -> float:
+    """Relative spread of total energy after the pulse support.
+
+    Normalized by max(|mean energy|, photon quantum): ground-state runs have
+    total energy near zero, so the photon quantum sets the physical scale.
+    """
+    mask = traj.post_pulse_mask()
+    e = traj.energy[mask]
+    if e.size < 2:
+        return 0.0
+    scale = max(abs(float(np.mean(e))), float(traj.meta.get("omega_c", 0.0)), 1e-30)
+    return float(e.max() - e.min()) / scale
+
+
+def _check_linear_response(times, pops, init_col, pulse: KickPulse):
+    if pulse.amplitude == 0.0 or not math.isfinite(pulse.max_excitation):
+        return
+    after = np.searchsorted(times, pulse.support_end)
+    if after >= times.size:
+        return
+    excited = 1.0 - pops[after, init_col]
+    if excited > pulse.max_excitation:
+        raise IntegrationError(
+            f"post-kick excited population {excited:.3e} exceeds the pulse "
+            f"linear-response bound {pulse.max_excitation}; lower the amplitude "
+            "or raise KickPulse.max_excitation"
+        )

@@ -10,6 +10,7 @@ g / sqrt(n_mol) throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 from .cavity import CavityParams
 from .errors import BasisSizeError, ModelError
 from .model import MolecularModel
-from .quantum import PolaritonSolution, diagonalize_polaritons
+from .quantum import PolaritonSolution, diagonalize_polaritons, product_hamiltonian
 from .spectra import Spectrum, make_stick_spectrum
 
 
@@ -181,7 +182,7 @@ def thermodynamic_limit_spectrum(r0: float, branch: str, g: float, mu: float,
     analytic_symmetric_spectrum: its binomial sector weights concentrate
     n0/N on 1/2 with relative width 1/(2 sqrt(N)), so both branches land on
     the thermal r0 = 1/2 offset.  Every molecule of the symmetric state is
-    half in psi_0, so that case ignores r0.
+    half in psi_0, so that case uses and records r0 = 1/2 whatever r0 is passed.
     """
     if not 0.0 <= r0 <= 1.0:
         raise ModelError("r0 must lie in [0, 1]")
@@ -198,7 +199,8 @@ def thermodynamic_limit_spectrum(r0: float, branch: str, g: float, mu: float,
         br.append("P")
         mech.append("dark")
     elif branch == "symmetric":
-        off = g * math.sqrt(0.5) * mu
+        r0 = 0.5
+        off = g * math.sqrt(r0) * mu
         for center, b in ((omega02, "R"), (omega12, "P")):
             for sign in (-1.0, 1.0):
                 pos.append(center + sign * off)
@@ -218,27 +220,11 @@ def thermodynamic_limit_spectrum(r0: float, branch: str, g: float, mu: float,
 MAX_N_MOL = 8
 
 
-def _kron_chain(ops: list[np.ndarray]) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def _molecular_operators(model: MolecularModel, n_mol: int) -> tuple[np.ndarray, np.ndarray]:
-    """Total H_mol and total dipole over the n_mol-fold product space."""
-    n = model.n_states
-    eye = np.eye(n)
-    h_tot = np.zeros((n**n_mol, n**n_mol))
-    mu_tot = np.zeros_like(h_tot)
-    for site in range(n_mol):
-        ops_h = [eye] * n_mol
-        ops_m = [eye] * n_mol
-        ops_h[site] = np.diag(model.energies)
-        ops_m[site] = model.dipole
-        h_tot += _kron_chain(ops_h)
-        mu_tot += _kron_chain(ops_m)
-    return h_tot, mu_tot
+def _site_sum(op: np.ndarray, n_mol: int) -> np.ndarray:
+    """Sum over sites of op acting on one molecule of the n_mol-fold product space."""
+    n = op.shape[0]
+    return sum(np.kron(np.kron(np.eye(n**site), op), np.eye(n**(n_mol - 1 - site)))
+               for site in range(n_mol))
 
 
 def many_molecule_labels(model: MolecularModel, n_mol: int,
@@ -260,20 +246,10 @@ def build_many_molecule_hamiltonian(model: MolecularModel, cav: CavityParams,
     if n_mol > MAX_N_MOL:
         raise BasisSizeError(f"n_mol={n_mol} exceeds the product-basis limit {MAX_N_MOL}")
     n_fock = cav.n_fock_max if n_fock_max is None else n_fock_max
-    h_mol, mu_tot = _molecular_operators(model, n_mol)
-    dim_mol = h_mol.shape[0]
-    n_ph = n_fock + 1
-    eye_ph = np.eye(n_ph)
-    eye_mol = np.eye(dim_mol)
-    lad = np.zeros((n_ph, n_ph))
-    for n in range(n_ph - 1):
-        lad[n + 1, n] = lad[n, n + 1] = math.sqrt(n + 1)
-    g_eff = cav.g / math.sqrt(n_mol)
-    h = np.kron(eye_ph, h_mol)
-    h += np.kron(np.diag(np.arange(n_ph) * cav.omega_c), eye_mol)
-    h += g_eff * np.kron(lad, mu_tot)
-    if cav.include_dse:
-        h += (g_eff**2 / cav.omega_c) * np.kron(eye_ph, mu_tot @ mu_tot)
+    mu_tot = _site_sum(model.dipole, n_mol)
+    h = product_hamiltonian(_site_sum(np.diag(model.energies), n_mol), mu_tot,
+                            mu_tot @ mu_tot if cav.include_dse else None,
+                            cav.omega_c, cav.g / math.sqrt(n_mol), n_fock)
     return h, many_molecule_labels(model, n_mol, n_fock)
 
 
@@ -337,14 +313,13 @@ def brute_force_spectrum(model: MolecularModel, cav: CavityParams, n_mol: int,
     h, labels = build_many_molecule_hamiltonian(model, cav, n_mol, n_fock_max)
     sol = diagonalize_polaritons(h)
     n_fock = cav.n_fock_max if n_fock_max is None else n_fock_max
-    _, mu_tot = _molecular_operators(model, n_mol)
-    mu_op = np.kron(np.eye(n_fock + 1), mu_tot)
+    mu_op = np.kron(np.eye(n_fock + 1), _site_sum(model.dipole, n_mol))
     label_index = {lab: i for i, lab in enumerate(labels)}
 
     if symmetric:
         single = np.zeros(model.n_states)
         single[0] = single[1] = 1.0 / math.sqrt(2.0)
-        chi_mol = _kron_chain([single] * n_mol)
+        chi_mol = functools.reduce(np.kron, [single] * n_mol)
         chi = np.zeros(len(labels))
         chi[: chi_mol.size] = chi_mol          # photon vacuum block comes first
         spec = spectrum_from_state(sol, mu_op, chi, degeneracy_tol)

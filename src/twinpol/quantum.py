@@ -16,13 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, KickPulse, Trajectory
-from .classical import post_pulse_energy_drift
-from .errors import ConvergenceError, IntegrationError, ModelError
-from .integrators import integrate
+from .errors import ConvergenceError, ModelError
+from .integrators import check_step, propagate
 from .model import MolecularModel, ThermalWeights, mu_squared_matrix
 from .spectra import Spectrum, make_stick_spectrum
-
-NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,9 +54,52 @@ class ProductBasis:
         ns = np.array([n for _, n in self.entries])
         return ks, ns
 
+    @property
+    def n_fock_max(self) -> int:
+        return max(n for _, n in self.entries)
+
+    def restrict(self, op: np.ndarray, dim_mol: int) -> np.ndarray:
+        """Rows and columns of a photon-major full-space operator, in basis order."""
+        ks, ns = self.arrays()
+        idx = ns * dim_mol + ks
+        return op[np.ix_(idx, idx)]
+
     def label(self, i: int, model: MolecularModel) -> str:
         k, n = self.entries[i]
         return f"{model.label_str(k)};N{n}"
+
+
+def photon_ladder(n_fock_max: int) -> np.ndarray:
+    """a + a^dag on the Fock states 0..n_fock_max."""
+    op = np.zeros((n_fock_max + 1, n_fock_max + 1))
+    n = np.arange(n_fock_max)
+    op[n, n + 1] = op[n + 1, n] = np.sqrt(n + 1.0)
+    return op
+
+
+def photon_ladder_squared(n_fock_max: int) -> np.ndarray:
+    """(a + a^dag)^2 = a^dag a^dag + a a + 2 a^dag a + 1 with exact matrix
+    elements, not the square of the truncated ladder."""
+    op = np.diag(2.0 * np.arange(n_fock_max + 1) + 1.0)
+    n = np.arange(n_fock_max - 1)
+    op[n, n + 2] = op[n + 2, n] = np.sqrt((n + 1.0) * (n + 2.0))
+    return op
+
+
+def product_hamiltonian(h_mol: np.ndarray, mu: np.ndarray, mu2: np.ndarray | None,
+                        omega_c: float, g: float, n_fock_max: int) -> np.ndarray:
+    """H = 1 x H_mol + w_c N x 1 + g (a + a^dag) x mu + (g^2/w_c) 1 x mu^2.
+
+    Photon-major ordering: N * dim(H_mol) + k indexes |k, N>.  mu2 = None
+    leaves out the self-energy term.
+    """
+    eye_ph = np.eye(n_fock_max + 1)
+    h = np.kron(eye_ph, h_mol)
+    h += np.kron(np.diag(np.arange(n_fock_max + 1) * omega_c), np.eye(h_mol.shape[0]))
+    h += np.kron(g * photon_ladder(n_fock_max), mu)
+    if mu2 is not None:
+        h += np.kron(eye_ph, (g**2 / omega_c) * mu2)
+    return h
 
 
 def assemble_hamiltonian(model: MolecularModel, cav: CavityParams,
@@ -69,54 +109,35 @@ def assemble_hamiltonian(model: MolecularModel, cav: CavityParams,
     The dipole ladder factors connect N' = N +- 1; the self-energy term is
     diagonal in photon number and included only when cav.include_dse.
     """
-    ks, ns = basis.arrays()
-    if ks.max() >= model.n_states:
+    if basis.arrays()[0].max() >= model.n_states:
         raise ModelError("basis references molecular states outside the model")
-    h = np.diag(model.energies[ks] + ns * cav.omega_c)
-    up = ns[:, None] == ns[None, :] + 1       # N' = N + 1: creation, sqrt(N+1)
-    down = ns[:, None] == ns[None, :] - 1     # N' = N - 1: annihilation, sqrt(N)
-    lad = np.zeros((basis.size, basis.size))
-    lad[up] = np.sqrt(ns[None, :] + 1.0 + 0.0 * ns[:, None])[up]
-    lad[down] = np.sqrt(0.0 * ns[:, None] + ns[None, :])[down]
-    h += cav.g * lad * model.dipole[np.ix_(ks, ks)]
-    if cav.include_dse:
-        same = ns[:, None] == ns[None, :]
-        h += cav.dse_prefactor * same * mu_squared_matrix(model)[np.ix_(ks, ks)]
-    return h
+    mu2 = mu_squared_matrix(model) if cav.include_dse else None
+    h = product_hamiltonian(np.diag(model.energies), model.dipole, mu2,
+                            cav.omega_c, cav.g, basis.n_fock_max)
+    return basis.restrict(h, model.n_states)
 
 
 def mu_operator(model: MolecularModel, basis: ProductBasis) -> np.ndarray:
     """mu x identity on the photon space."""
-    ks, ns = basis.arrays()
-    same = ns[:, None] == ns[None, :]
-    return same * model.dipole[np.ix_(ks, ks)]
+    return basis.restrict(np.kron(np.eye(basis.n_fock_max + 1), model.dipole),
+                          model.n_states)
+
+
+def _photon_operator(photon_op, basis: ProductBasis) -> np.ndarray:
+    """photon_op(N_max) x identity on the molecular states, restricted to basis."""
+    dim_mol = int(basis.arrays()[0].max()) + 1
+    return basis.restrict(np.kron(photon_op(basis.n_fock_max), np.eye(dim_mol)), dim_mol)
 
 
 def q_operator(cav: CavityParams, basis: ProductBasis) -> np.ndarray:
     """q = (a^dag + a) / sqrt(2 w_c) on the product basis."""
-    ks, ns = basis.arrays()
-    same_k = ks[:, None] == ks[None, :]
-    op = np.zeros((basis.size, basis.size))
-    up = same_k & (ns[:, None] == ns[None, :] + 1)
-    down = same_k & (ns[:, None] == ns[None, :] - 1)
-    op[up] = np.sqrt(ns[None, :] + 1.0 + 0.0 * ns[:, None])[up]
-    op[down] = np.sqrt(0.0 * ns[:, None] + ns[None, :])[down]
-    return op / math.sqrt(2.0 * cav.omega_c)
+    return _photon_operator(photon_ladder, basis) / math.sqrt(2.0 * cav.omega_c)
 
 
 def q2_operator(cav: CavityParams, basis: ProductBasis) -> np.ndarray:
     """q^2 = (a^dag a^dag + a a + 2 a^dag a + 1) / (2 w_c), exact ladder
     matrix elements (not the square of the truncated q matrix)."""
-    ks, ns = basis.arrays()
-    same_k = ks[:, None] == ks[None, :]
-    op = np.zeros((basis.size, basis.size))
-    diag = same_k & (ns[:, None] == ns[None, :])
-    op[diag] = (2.0 * ns[None, :] + 1.0 + 0.0 * ns[:, None])[diag]
-    up2 = same_k & (ns[:, None] == ns[None, :] + 2)
-    dn2 = same_k & (ns[:, None] == ns[None, :] - 2)
-    op[up2] = np.sqrt((ns[None, :] + 1.0) * (ns[None, :] + 2.0) + 0.0 * ns[:, None])[up2]
-    op[dn2] = np.sqrt((ns[None, :] - 1.0) * (ns[None, :] + 0.0) + 0.0 * ns[:, None])[dn2]
-    return op / (2.0 * cav.omega_c)
+    return _photon_operator(photon_ladder_squared, basis) / (2.0 * cav.omega_c)
 
 
 @dataclass(frozen=True)
@@ -258,12 +279,7 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
         raise ModelError(f"initial entry {init} not in the basis")
     ks, ns = basis.arrays()
     eps = model.energies[ks] + ns * cav.omega_c
-    de_max = float(eps.max() - eps.min())
-    if dt * (de_max + cav.omega_c) >= 0.1:
-        raise ModelError(
-            f"dt={dt} too coarse for the fastest phase; need "
-            f"dt < {0.1 / (de_max + cav.omega_c):.3g}"
-        )
+    check_step(dt, eps, cav.omega_c)
 
     h = assemble_hamiltonian(model, cav, basis)
     v_int = h - np.diag(eps)          # interaction part (dipole + optional dse)
@@ -280,67 +296,18 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
             w_psi = w_psi + f * (mu @ psi)
         return -1j * phase * w_psi
 
-    n_steps = int(round(t_end / dt))
-    n_rec = n_steps // record_stride + 1
-    size = basis.size
-    times = np.empty(n_rec)
-    dipole = np.empty(n_rec)
-    pops = np.empty((n_rec, size))
-    q_ser = np.empty(n_rec)
-    q2_ser = np.empty(n_rec)
-    energy = np.empty(n_rec)
-    rec = {"i": 0, "norm_drift": 0.0}
-
-    def observer(t, c):
-        i = rec["i"]
+    def observe(t, c):
         psi = np.exp(-1j * eps * t) * c
-        times[i] = t
-        dipole[i] = np.vdot(psi, mu @ psi).real
-        pops[i] = np.abs(c) ** 2
-        q_ser[i] = np.vdot(psi, q_op @ psi).real
-        q2_ser[i] = np.vdot(psi, q2_op @ psi).real
-        energy[i] = np.vdot(psi, h @ psi).real
-        rec["norm_drift"] = max(rec["norm_drift"], abs(float(np.sum(pops[i])) - 1.0))
-        rec["i"] += 1
+        return (np.vdot(psi, mu @ psi).real, np.vdot(psi, h @ psi).real,
+                np.vdot(psi, q_op @ psi).real, np.vdot(psi, q2_op @ psi).real)
 
-    c0 = np.zeros(size, complex)
-    c0[basis.index(*init)] = 1.0
-    integrate(rhs, c0, 0.0, dt, n_steps, observer, record_stride)
-
-    if rec["norm_drift"] > NORM_TOL:
-        raise IntegrationError(
-            f"norm drift {rec['norm_drift']:.2e} exceeds {NORM_TOL}; reduce dt"
-        )
-    _check_linear_response(times, pops, basis.index(*init), pulse)
-
-    traj = Trajectory(
-        kind="quantum", times=times, dipole=dipole, populations=pops,
-        energy=energy,
-        pop_labels=[basis.label(i, model) for i in range(size)],
-        q_expect=q_ser, q2_expect=q2_ser,
-        meta={
-            "dt": dt, "t_end": n_steps * dt, "record_stride": record_stride,
-            "init": init, "pulse_support_end": pulse.support_end,
-            "pulse_t0": pulse.t0, "pulse_sigma": pulse.sigma,
-            "norm_drift": rec["norm_drift"],
-            "omega_c": cav.omega_c, "g": cav.g, "include_dse": cav.include_dse,
-            "n_fock_max": cav.n_fock_max,
-        },
+    i0 = basis.index(*init)
+    c0 = np.zeros(basis.size, complex)
+    c0[i0] = 1.0
+    return propagate(
+        rhs, c0, observe, ("dipole", "energy", "q_expect", "q2_expect"),
+        kind="quantum", pop_labels=[basis.label(i, model) for i in range(basis.size)],
+        init_col=i0, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
+        record_stride=record_stride,
+        meta={"init": init, "n_fock_max": cav.n_fock_max},
     )
-    traj.meta["energy_drift_post_pulse"] = post_pulse_energy_drift(traj)
-    return traj
-
-
-def _check_linear_response(times, pops, init_col, pulse: KickPulse):
-    if pulse.amplitude == 0.0 or not math.isfinite(pulse.max_excitation):
-        return
-    after = np.searchsorted(times, pulse.support_end)
-    if after >= times.size:
-        return
-    excited = 1.0 - pops[after, init_col]
-    if excited > pulse.max_excitation:
-        raise IntegrationError(
-            f"post-kick excited population {excited:.3e} exceeds the pulse "
-            f"linear-response bound {pulse.max_excitation}; lower the amplitude "
-            "or raise KickPulse.max_excitation"
-        )

@@ -70,13 +70,14 @@ class Spectrum:
             else:
                 header = ["omega_au", "omega_cm1", "intensity"]
             fh.write(",".join(header) + "\n")
+            omega_cm1 = self.omega_cm1
             for i in range(self.omega.size):
                 if self.kind == "sticks":
-                    row = [f"{self.omega_cm1[i]:.17g}", f"{self.omega[i]:.17g}",
+                    row = [f"{omega_cm1[i]:.17g}", f"{self.omega[i]:.17g}",
                            f"{self.intensity[i]:.17g}"]
                     row += [str(col[i]) for col in stick_cols.values()]
                 else:
-                    row = [f"{self.omega[i]:.17g}", f"{self.omega_cm1[i]:.17g}",
+                    row = [f"{self.omega[i]:.17g}", f"{omega_cm1[i]:.17g}",
                            f"{self.intensity[i]:.17g}"]
                 fh.write(",".join(row) + "\n")
 

@@ -30,6 +30,8 @@ from twinpol import (CavityParams, KickPulse, ManyMolConfig, MorseParams,
                      thermodynamic_limit_spectrum)
 from twinpol.spectra import Spectrum
 
+from helpers import cluster
+
 W02, W12, G, WC, MU = 10e-3, 8e-3, 2e-4, 1e-2, 1.0
 R_WINDOW = (9.5e-3, 10.5e-3)
 P_WINDOW = (7.5e-3, 8.5e-3)
@@ -218,15 +220,6 @@ def test_criterion_04_static_td_equivalence(model, cav, static_solution):
     _report(4, "static vs time-dependent quantum equivalence", checks)
 
 
-def _cluster(spec, center, window=4e-5, floor_rel=0.002):
-    floor = floor_rel * spec.intensity.max()
-    m = (np.abs(spec.omega - center) < window) & (spec.intensity > floor)
-    if not m.any():
-        return None, 0.0
-    w = spec.intensity[m]
-    return float(np.average(spec.omega[m], weights=w)), float(w.sum())
-
-
 def test_criterion_05_thermal_suppression(model):
     """Brute-force N = 4, n0 = 2 numbers plus the N <= 5 analytic oracle."""
     t0 = time.perf_counter()
@@ -235,18 +228,18 @@ def test_criterion_05_thermal_suppression(model):
 
     bf = brute_force_spectrum(model, cav5, 4, n0=2)
     r_off = G * MU * math.sqrt(2 / 4)
-    lo_c, lo_s = _cluster(bf, W02 - r_off)
-    hi_c, hi_s = _cluster(bf, W02 + r_off)
+    lo_c, lo_s = cluster(bf, W02 - r_off, window=4e-5)
+    hi_c, hi_s = cluster(bf, W02 + r_off, window=4e-5)
     split = hi_c - lo_c
     checks.append((abs(split - 2 * r_off) / (2 * r_off) < 0.02,
                    f"R splitting {split:.4e} vs 2g sqrt(1/2) ({abs(split - 2 * r_off) / (2 * r_off):.2%})"))
     tp_off = G * MU * math.sqrt(3 / 4)
-    tp_lo = _cluster(bf, W12 - tp_off)
-    tp_hi = _cluster(bf, W12 + tp_off)
+    tp_lo = cluster(bf, W12 - tp_off, window=4e-5)
+    tp_hi = cluster(bf, W12 + tp_off, window=4e-5)
     for c, _ in (tp_lo, tp_hi):
         checks.append((c is not None and abs(abs(c - W12) - tp_off) / tp_off < 0.02,
                        f"TP stick at offset {abs(c - W12):.4e} vs g sqrt(3/4)"))
-    dark_c, dark_s = _cluster(bf, W12)
+    dark_c, dark_s = cluster(bf, W12, window=4e-5)
     twin_side = 0.5 * (tp_lo[1] + tp_hi[1])
     ratio = dark_s / twin_side
     checks.append((abs(ratio - 4.0) / 4.0 < 0.02,
@@ -269,14 +262,14 @@ def test_criterion_05_thermal_suppression(model):
                 pair_mask = np.abs(np.abs(ana.omega - center) - off) < 1e-12
                 if pair_mask.any() and off > 0:
                     a_pair = ana.intensity[pair_mask].sum()
-                    lo = _cluster(bf_n, center - off)
-                    hi = _cluster(bf_n, center + off)
+                    lo = cluster(bf_n, center - off, window=4e-5)
+                    hi = cluster(bf_n, center + off, window=4e-5)
                     worst = max(worst, abs((hi[0] - lo[0]) - 2 * off) / (2 * off))
                     worst = max(worst, abs((lo[1] + hi[1]) - a_pair) / total)
                     worst = max(worst, abs(lo[0] - (center - off)) / (center - off))
             dark_mask = np.array(ana.meta["mechanism"]) == "dark"
             if dark_mask.any() and ana.intensity[dark_mask].sum() > 0:
-                c, s = _cluster(bf_n, W12)
+                c, s = cluster(bf_n, W12, window=4e-5)
                 worst = max(worst, abs(s - ana.intensity[dark_mask].sum()) / total)
                 worst = max(worst, abs(c - W12) / W12)
     checks.append((worst < 0.02, f"analytic vs brute force N<=5: worst {worst:.2%}"))
@@ -307,7 +300,7 @@ def test_criterion_06_symmetric_persistence(model):
     b_total = bf.intensity[bf.intensity > floor].sum()
     worst_pos, worst_int = 0.0, 0.0
     for w_a, i_a in zip(ana.omega, ana.intensity):
-        c, s = _cluster(bf, w_a)
+        c, s = cluster(bf, w_a, window=4e-5)
         assert c is not None, f"no brute-force stick near {w_a}"
         worst_pos = max(worst_pos, abs(c - w_a) / w_a)
         worst_int = max(worst_int, abs(s / b_total - i_a / ana.intensity.sum()))

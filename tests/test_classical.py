@@ -3,7 +3,7 @@ import pytest
 
 from twinpol import (CavityParams, IntegrationError, KickPulse, ModelError,
                      classical_total_energy, detect_peaks, dipole_spectrum,
-                     measure_splitting, propagate_classical)
+                     measure_splitting, propagate_classical, propagate_quantum)
 from twinpol.classical import ClassicalState
 from twinpol.integrators import integrate
 
@@ -119,9 +119,19 @@ def test_time_reversal(model3, cav, pulse):
     assert np.max(np.abs(y_back - y0)) < 1e-6
 
 
-def test_dt_precondition(model3, cav, pulse):
+# both light models from their ground state; the guards are shared
+FROM_GROUND = {
+    "classical": lambda model, cav, pulse, **kw: propagate_classical(
+        model, cav, pulse, 0, **kw),
+    "quantum": lambda model, cav, pulse, **kw: propagate_quantum(
+        model, cav, pulse, (0, 0), **kw),
+}
+
+
+@pytest.mark.parametrize("light", FROM_GROUND)
+def test_dt_precondition(model3, cav, pulse, light):
     with pytest.raises(ModelError, match="dt"):
-        propagate_classical(model3, cav, pulse, 0, t_end=100.0, dt=10.0)
+        FROM_GROUND[light](model3, cav, pulse, t_end=100.0, dt=10.0)
 
 
 def test_invalid_initial_state(model3, cav, pulse):
@@ -129,10 +139,11 @@ def test_invalid_initial_state(model3, cav, pulse):
         propagate_classical(model3, cav, pulse, 5, t_end=100.0, dt=1.0)
 
 
-def test_linear_response_guard(model3, cav):
+@pytest.mark.parametrize("light", FROM_GROUND)
+def test_linear_response_guard(model3, cav, light):
     strong = KickPulse(amplitude=0.05)
     with pytest.raises(IntegrationError, match="linear-response"):
-        propagate_classical(model3, cav, strong, 0, t_end=500.0, dt=1.0)
+        FROM_GROUND[light](model3, cav, strong, t_end=500.0, dt=1.0)
 
 
 def test_trajectory_csv_roundtrip(classical_p_traj, tmp_path):

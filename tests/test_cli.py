@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import twinpol.cli
 from twinpol.cli import RunConfig, main, run
 from twinpol.errors import ConfigError
 
@@ -172,6 +173,33 @@ r0 = 0.5
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "tl")]) == 0
     rows = (tmp_path / "tl" / "sticks.csv").read_text().splitlines()
     assert len(rows) == 4    # dark stick plus the split resonant doublet
+
+
+def test_thermo_limit_symmetric_rejects_r0(tmp_path, capsys):
+    body = THREE_LEVEL_HEADER + """
+[protocol]
+framework = thermo_limit
+initial = symmetric
+"""
+    assert main(["run", str(write(tmp_path, body + "r0 = 0.2\n")),
+                 "--out-dir", str(tmp_path / "bad")]) == 2
+    assert "r0" in capsys.readouterr().err
+    assert main(["run", str(write(tmp_path, body, "ok.cfg")),
+                 "--out-dir", str(tmp_path / "ok")]) == 0
+
+
+def test_run_builds_model_once(tmp_path, monkeypatch):
+    calls = []
+    build = twinpol.cli.model_from_config
+
+    def counted(parser):
+        calls.append(1)
+        return build(parser)
+
+    monkeypatch.setattr(twinpol.cli, "model_from_config", counted)
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_static\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 def test_export_model(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from twinpol import (BasisSizeError, CavityParams, ManifoldBasis, ManyMolConfig,
                      brute_force_spectrum, build_many_molecule_hamiltonian,
                      thermodynamic_limit_spectrum)
 from twinpol.manymol import helmert_rows
+
+from helpers import cluster
 
 W02, W12, MU = 10e-3, 8e-3, 1.0
 
@@ -121,6 +124,10 @@ def test_thermo_limit_symmetric():
     assert np.array_equal(spec.omega,
                           np.sort([W02 - off, W02 + off, W12 - off, W12 + off]))
     assert np.array_equal(spec.intensity, np.full(4, MU**2 / 2))
+    # the symmetric state fixes r0 = 1/2 and says so, whatever r0 is passed
+    other = thermodynamic_limit_spectrum(0.2, "symmetric", 2e-4, MU, W02, W12)
+    assert np.array_equal(other.omega, spec.omega)
+    assert other.meta["r0"] == 0.5
     with pytest.raises(ModelError):
         thermodynamic_limit_spectrum(0.5, "bogus", 2e-4, MU, W02, W12)
     with pytest.raises(ModelError):
@@ -128,10 +135,11 @@ def test_thermo_limit_symmetric():
 
 
 def test_single_molecule_hamiltonian_reduction(model3, cav):
-    h_many, labels = build_many_molecule_hamiltonian(model3, cav, 1)
     basis = ProductBasis.full(model3, cav.n_fock_max)
-    h_one = assemble_hamiltonian(model3, cav, basis)
-    assert np.allclose(h_many, h_one, atol=1e-15)
+    for dse in (False, True):
+        cav_d = dataclasses.replace(cav, include_dse=dse)
+        h_many, labels = build_many_molecule_hamiltonian(model3, cav_d, 1)
+        assert np.array_equal(h_many, assemble_hamiltonian(model3, cav_d, basis))
     assert labels[0] == ((0,), 0)
 
 
@@ -149,15 +157,6 @@ def test_size_guard(model3, cav):
         build_many_molecule_hamiltonian(model3, cav, 9)
 
 
-def _cluster(spec, center, window=4e-5, floor_rel=0.002):
-    floor = floor_rel * spec.intensity.max()
-    m = (np.abs(spec.omega - center) < window) & (spec.intensity > floor)
-    if not m.any():
-        return None, 0.0
-    w = spec.intensity[m]
-    return float(np.average(spec.omega[m], weights=w)), float(w.sum())
-
-
 def test_thermal_brute_force_matches_analytic(model3, cav):
     # N = 3 spot check of the oracle equivalence (full sweep in acceptance)
     n_mol, n0, g = 3, 1, cav.g
@@ -167,8 +166,8 @@ def test_thermal_brute_force_matches_analytic(model3, cav):
     assert total_b == pytest.approx(total_a, rel=0.01)
     for center, off in ((W02, g * math.sqrt(n0 / n_mol)),
                         (W12, g * math.sqrt((n0 + 1) / n_mol))):
-        lo_c, lo_s = _cluster(bf, center - off)
-        hi_c, hi_s = _cluster(bf, center + off)
+        lo_c, lo_s = cluster(bf, center - off, window=4e-5)
+        hi_c, hi_s = cluster(bf, center + off, window=4e-5)
         assert abs((hi_c - lo_c) - 2 * off) < 0.02 * 2 * off
         a_pair = ana.intensity[np.abs(np.abs(ana.omega - center) - off) < 1e-12].sum()
         assert abs((lo_s + hi_s) - a_pair) / total_a < 0.02
@@ -184,7 +183,7 @@ def test_symmetric_brute_force_matches_analytic(model3, cav, n_mol):
     floor = 0.02 * bf.intensity.max()
     b_total = bf.intensity[bf.intensity > floor].sum()
     for w_a, i_a in zip(ana.omega, ana.intensity):
-        c, s = _cluster(bf, w_a, window=1e-5)
+        c, s = cluster(bf, w_a, window=1e-5)
         assert c is not None, f"no brute-force stick near {w_a}"
         assert abs(c - w_a) < 8e-6
         assert abs(s / b_total - i_a / ana.intensity.sum()) < 0.02

@@ -8,7 +8,7 @@ from twinpol import (CavityParams, KickPulse, ModelError, ProductBasis,
                      detect_peaks, dipole_spectrum, dominant_eigenstate,
                      photon_observables, propagate_quantum,
                      static_stick_spectrum)
-from twinpol.quantum import QuantumState, q2_operator
+from twinpol.quantum import QuantumState, mu_operator, q2_operator, q_operator
 
 RESONANT_BLOCK = ((0, 0), (2, 0), (0, 1))
 
@@ -51,6 +51,22 @@ def test_hamiltonian_dse_elements(model3):
     assert h[basis.index(0, 0), basis.index(0, 0)] == pytest.approx(pref * 1.0)
     assert h[basis.index(2, 0), basis.index(2, 0)] == pytest.approx(
         10e-3 + pref * 2.0)
+
+
+@pytest.mark.parametrize("dse", [False, True])
+@pytest.mark.parametrize("entries", [RESONANT_BLOCK, ((2, 1), (0, 0), (1, 2), (0, 2))],
+                         ids=["resonant_block", "non_contiguous"])
+def test_restricted_operators_are_full_sub_blocks(model3, entries, dse):
+    cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=dse, n_fock_max=2)
+    full = ProductBasis.full(model3, cav.n_fock_max)
+    sub = ProductBasis(entries)
+    rows = [full.index(k, n) for k, n in entries]
+    idx = np.ix_(rows, rows)
+    assert np.array_equal(assemble_hamiltonian(model3, cav, sub),
+                          assemble_hamiltonian(model3, cav, full)[idx])
+    assert np.array_equal(mu_operator(model3, sub), mu_operator(model3, full)[idx])
+    assert np.array_equal(q_operator(cav, sub), q_operator(cav, full)[idx])
+    assert np.array_equal(q2_operator(cav, sub), q2_operator(cav, full)[idx])
 
 
 def test_resonant_block_eigenpairs(model3, cav):

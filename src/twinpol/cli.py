@@ -46,8 +46,8 @@ from .manymol import (ManyMolConfig, analytic_nonsymmetric_spectrum,
                       thermodynamic_limit_spectrum)
 from .model import (MolecularModel, boltzmann_weights, model_from_config,
                     parse_quantity, thermal_from_config)
-from .quantum import (ProductBasis, assemble_hamiltonian, diagonalize_polaritons,
-                      dominant_eigenstate, propagate_quantum,
+from .quantum import (PolaritonSolution, ProductBasis, assemble_hamiltonian,
+                      diagonalize_polaritons, dominant_eigenstate, propagate_quantum,
                       static_stick_spectrum, thermal_initial_states)
 from .spectra import detect_peaks, dipole_spectrum, fit_through_origin
 
@@ -273,11 +273,13 @@ def run(config: RunConfig, out_dir: Path, plot_data: bool = False) -> dict:
     g_values = config.g_values
     if len(g_values) > 1:
         return _run_sweep(config, out_dir, g_values, plot_data)
-    return _run_single(config, out_dir, g_values[0], plot_data)
+    return _run_single(config, out_dir, g_values[0], plot_data)[0]
 
 
 def _run_single(config: RunConfig, out_dir: Path, g: float,
-                plot_data: bool = False) -> dict:
+                plot_data: bool = False) -> tuple[dict, PolaritonSolution | None]:
+    """Run one coupling; returns the manifest and the polariton solution of
+    the full basis when the run diagonalized it."""
     model = config.build_model()
     cav = config.cavity(g)
     proto = config.raw["protocol"]
@@ -285,6 +287,7 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
     outputs: list[str] = []
     checks: dict = {}
     plots: list[tuple[str, object]] = []
+    sol = None
 
     if framework in ("classical", "quantum_td"):
         init = _initial_state_index(proto["initial"], model)
@@ -309,7 +312,8 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
         outputs.append("peaks.json")
         checks = {"norm_drift": traj.meta["norm_drift"],
                   "energy_drift_post_pulse": traj.meta["energy_drift_post_pulse"],
-                  "bin_width": spec.meta["bin_width"]}
+                  "bin_width": spec.meta["bin_width"],
+                  "rk4_steps": traj.meta["rk4_steps"]}
 
     elif framework == "quantum_static":
         basis = ProductBasis.full(model, cav.n_fock_max)
@@ -362,7 +366,7 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
         "checks": checks,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    return manifest
+    return manifest, sol
 
 
 def _static_initial(config: RunConfig, model, basis, sol):
@@ -417,14 +421,14 @@ def _run_sweep(config: RunConfig, out_dir: Path, g_values: list[float],
     w12 = model.transition_frequency(1, 2)
     quarter = abs(w02 - w12) / 4.0
     rows = []
-    manifests = []
     for i, g in enumerate(g_values):
         child_dir = out_dir / f"g_{i:03d}"
         child_dir.mkdir(parents=True, exist_ok=True)
-        manifests.append(_run_single(config, child_dir, g, plot_data))
+        _, sol = _run_single(config, child_dir, g, plot_data)
         cav = config.cavity(g)
         basis = ProductBasis.full(model, cav.n_fock_max)
-        sol = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis))
+        if sol is None:
+            sol = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis))
         r_split = _stick_splitting(sol, model, basis, (0, 0), (w02 - quarter, w02 + quarter))
         p_split = _stick_splitting(sol, model, basis, (1, 0), (w12 - quarter, w12 + quarter))
         rows.append((g, r_split, p_split))

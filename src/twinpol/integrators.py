@@ -1,8 +1,11 @@
 """Fixed-step classic Runge-Kutta engine and the recording core shared by both
 propagators.
 
-Accuracy is certified by dt/2 re-run agreement rather than adaptivity; the
-step size must already resolve the fastest interaction-picture phase.
+A propagator whose Hamiltonian stops depending on time once the kick is over
+may hand propagate() an exact tail; RK4 then runs only to the first record at
+or after the pulse support.  Accuracy of the RK4 part is certified by dt/2
+re-run agreement rather than adaptivity; the step size must already resolve
+the fastest interaction-picture phase.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from .cavity import CavityParams, KickPulse, Trajectory
 from .errors import IntegrationError, ModelError
 
 NORM_TOL = 1e-6
+# complex bytes per exact-tail chunk: records per chunk = this // (16 * amplitudes)
+TAIL_CHUNK_BYTES = 1 << 19
 
 
 def rk4_step(rhs: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -58,33 +63,51 @@ def check_step(dt: float, phase_freqs: np.ndarray, omega_c: float):
 def propagate(rhs: Callable, y0: np.ndarray, observe: Callable, series: tuple[str, ...],
               *, kind: str, pop_labels: list[str], init_col: int, pulse: KickPulse,
               cav: CavityParams, t_end: float, dt: float, record_stride: int,
-              meta: dict) -> Trajectory:
+              meta: dict, tail: Callable | None = None) -> Trajectory:
     """Integrate from t = 0 and record a Trajectory every record_stride steps.
 
     y[:len(pop_labels)] are the interaction-picture amplitudes, whose squared
     moduli are the recorded populations.  observe(t, y) returns one value per
     name in series, each a Trajectory field.  meta adds the propagator's own
-    keys after dt, t_end and record_stride.  Raises IntegrationError when the
-    norm drifts beyond NORM_TOL (reduce dt) or when the kick exceeds the
-    pulse's linear-response bound.
+    keys after dt, t_end and record_stride.
+
+    tail(t_s, y_s, times) -> (pops, values), when given, must continue the
+    run exactly from state y_s at t_s, the first record time at or after
+    pulse.support_end: pops has one row and values one column per time.
+    RK4 then stops at t_s (zero steps without a kick) and the tail fills the
+    records from t_s on, in chunks of about TAIL_CHUNK_BYTES per complex
+    state array.
+
+    Raises IntegrationError when the norm drifts beyond NORM_TOL (reduce dt)
+    or when the kick exceeds the pulse's linear-response bound.
     """
     n_amp = len(pop_labels)
     n_steps = int(round(t_end / dt))
     n_rec = n_steps // record_stride + 1
-    times = np.empty(n_rec)
+    times = np.arange(n_rec) * record_stride * dt    # step * dt, as integrate has it
     pops = np.empty((n_rec, n_amp))
     values = np.empty((len(series), n_rec))
+    n_obs = n_rec if tail is None else int(np.searchsorted(times, pulse.support_end))
+    n_rk4 = n_steps if n_obs == n_rec else n_obs * record_stride
     rec = {"i": 0, "norm_drift": 0.0}
 
     def observer(t, y):
         i = rec["i"]
-        times[i] = t
+        if i == n_obs:        # the tail records the switch time itself
+            return
         pops[i] = np.abs(y[:n_amp]) ** 2
         values[:, i] = observe(t, y)
         rec["norm_drift"] = max(rec["norm_drift"], abs(float(np.sum(pops[i])) - 1.0))
         rec["i"] += 1
 
-    integrate(rhs, y0, 0.0, dt, n_steps, observer, record_stride)
+    y_s = integrate(rhs, y0, 0.0, dt, n_rk4, observer, record_stride)
+    if n_obs < n_rec:
+        chunk = max(1, TAIL_CHUNK_BYTES // (16 * n_amp))
+        for lo in range(n_obs, n_rec, chunk):
+            hi = min(lo + chunk, n_rec)
+            pops[lo:hi], values[:, lo:hi] = tail(times[n_obs], y_s, times[lo:hi])
+        drift = float(np.max(np.abs(pops[n_obs:].sum(axis=1) - 1.0)))
+        rec["norm_drift"] = max(rec["norm_drift"], drift)
 
     if rec["norm_drift"] > NORM_TOL:
         raise IntegrationError(
@@ -99,6 +122,8 @@ def propagate(rhs: Callable, y0: np.ndarray, observe: Callable, series: tuple[st
             "dt": dt, "t_end": n_steps * dt, "record_stride": record_stride,
             **meta, "pulse_support_end": pulse.support_end,
             "pulse_t0": pulse.t0, "pulse_sigma": pulse.sigma,
+            "method": "rk4" if tail is None else "exact",
+            "rk4_steps": n_rk4, "exact_records": n_rec - n_obs,
             "norm_drift": rec["norm_drift"],
             "omega_c": cav.omega_c, "g": cav.g, "include_dse": cav.include_dse,
         },

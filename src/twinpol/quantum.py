@@ -5,7 +5,8 @@ States live in the |molecular eigenstate k> x |Fock N> product basis.  The
 static route diagonalizes H and reads stick intensities |<i|mu|f>|^2 off the
 eigenvectors; the time-dependent route integrates the interaction-picture
 coefficients C_{k,N}(t) (phases e^{-i(E_k + N w_c) t}) with the shared RK4
-engine and Fourier-transforms <mu(t)>.
+engine while the kick lasts, propagates exactly in the eigenbasis of H after
+it, and Fourier-transforms <mu(t)>.
 """
 
 from __future__ import annotations
@@ -265,15 +266,42 @@ def photon_observables(state: QuantumState, cav: CavityParams,
     return (float(np.vdot(psi, q @ psi).real), float(np.vdot(psi, q2 @ psi).real))
 
 
+def real_matmul(op: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """op @ z for a real matrix op and a complex vector or matrix z.
+
+    A mixed product makes numpy copy op as complex; here the real and
+    imaginary parts of z, viewed as interleaved real columns, meet op in one
+    real product, and op is not copied.
+    """
+    z = np.ascontiguousarray(z)
+    parts = z.view(np.float64).reshape(z.shape[0], -1)
+    return (op @ parts).view(np.complex128).reshape(z.shape)
+
+
+def _expectations(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi|op|psi> for a real symmetric op: a number for a state vector,
+    one per column for a matrix of states."""
+    op_psi = real_matmul(op, psi)
+    return (np.einsum("i...,i...->...", psi.real, op_psi.real)
+            + np.einsum("i...,i...->...", psi.imag, op_psi.imag))
+
+
 def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse,
                       init: tuple[int, int], t_end: float, dt: float,
                       record_stride: int = 1,
-                      basis: ProductBasis | None = None) -> Trajectory:
+                      basis: ProductBasis | None = None, *,
+                      method: str = "exact") -> Trajectory:
     """Integrate d|Psi>/dt = -i (H + f(t) mu) |Psi> from |psi_init, N_init>.
 
     Returns the trajectory of <mu(t)>, per-product-state populations, total
-    energy <H>, and the photon observables <q>, <q^2>.
+    energy <H>, and the photon observables <q>, <q^2>.  method = "exact"
+    runs RK4 only to the first record at or after pulse.support_end (no step
+    without a kick) and from there on uses Psi(t) = V e^{-i L (t - t_s)} V^T
+    Psi(t_s), with H = V L V^T; method = "rk4" steps RK4 to t_end, the
+    oracle the exact route is tested against.
     """
+    if method not in ("exact", "rk4"):
+        raise ModelError(f"method must be 'exact' or 'rk4', got {method!r}")
     basis = basis or ProductBasis.full(model, cav.n_fock_max)
     if init not in basis.entries:
         raise ModelError(f"initial entry {init} not in the basis")
@@ -282,7 +310,10 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     check_step(dt, eps, cav.omega_c)
 
     h = assemble_hamiltonian(model, cav, basis)
-    v_int = h - np.diag(eps)          # interaction part (dipole + optional dse)
+    # interaction part (dipole + optional dse), needed only where RK4 steps
+    v_int = h - np.diag(eps) if method == "rk4" or pulse.support_end > 0.0 else None
+    sol = diagonalize_polaritons(h) if method == "exact" else None
+    del h     # mu, q and q^2 are built after H is gone: one large matrix fewer at peak
     mu = mu_operator(model, basis)
     q_op = q_operator(cav, basis)
     q2_op = q2_operator(cav, basis)
@@ -290,16 +321,33 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     def rhs(t, c):
         phase = np.exp(1j * eps * t)
         psi = np.conj(phase) * c
-        w_psi = v_int @ psi
+        w_psi = real_matmul(v_int, psi)
         f = pulse(t)
         if f != 0.0:
-            w_psi = w_psi + f * (mu @ psi)
+            w_psi = w_psi + f * real_matmul(mu, psi)
         return -1j * phase * w_psi
 
     def observe(t, c):
         psi = np.exp(-1j * eps * t) * c
-        return (np.vdot(psi, mu @ psi).real, np.vdot(psi, h @ psi).real,
-                np.vdot(psi, q_op @ psi).real, np.vdot(psi, q2_op @ psi).real)
+        energy = np.sum(eps * np.abs(psi) ** 2) + _expectations(v_int, psi)
+        return (_expectations(mu, psi), energy,
+                _expectations(q_op, psi), _expectations(q2_op, psi))
+
+    def tail(t_s, c_s, times):
+        lam, vecs = sol.eigenvalues, sol.eigenvectors
+        a = real_matmul(vecs.T, np.exp(-1j * eps * t_s) * c_s)
+        # in place: at most two state-by-time arrays live at once
+        phases = np.outer(-1j * lam, times - t_s)
+        np.exp(phases, out=phases)
+        phases *= a[:, None]
+        psi = real_matmul(vecs, phases)
+        del phases
+        pops = psi.real ** 2
+        pops += psi.imag ** 2
+        energy = np.full(times.size, np.sum(lam * np.abs(a) ** 2))
+        values = (_expectations(mu, psi), energy,
+                  _expectations(q_op, psi), _expectations(q2_op, psi))
+        return pops.T, values
 
     i0 = basis.index(*init)
     c0 = np.zeros(basis.size, complex)
@@ -308,6 +356,6 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
         rhs, c0, observe, ("dipole", "energy", "q_expect", "q2_expect"),
         kind="quantum", pop_labels=[basis.label(i, model) for i in range(basis.size)],
         init_col=i0, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
-        record_stride=record_stride,
+        record_stride=record_stride, tail=None if sol is None else tail,
         meta={"init": init, "n_fock_max": cav.n_fock_max},
     )

@@ -109,10 +109,12 @@ record_stride = 10
     assert header.startswith("t,mu,q_expect,q2_expect,p_psi0;N0")
     peaks = json.loads((tmp_path / "o" / "peaks.json").read_text())
     assert "bin_width_au" in peaks
+    # RK4 runs to the first record at or after the kick's support end (60.6 au)
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["checks"]["rk4_steps"] == 70
 
 
-def test_g_sweep_table_and_fit(tmp_path):
-    cfg = write(tmp_path, """\
+SWEEP = """\
 [three_level]
 e1 = 2e-3 au
 e2 = 10e-3 au
@@ -125,7 +127,11 @@ dse = off
 [protocol]
 framework = quantum_static
 initial = ground
-""")
+"""
+
+
+def test_g_sweep_table_and_fit(tmp_path):
+    cfg = write(tmp_path, SWEEP)
     assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 0
     table = (tmp_path / "sw" / "sweep_table.csv").read_text().splitlines()
     assert table[0] == "g,r_splitting,p_splitting"
@@ -134,6 +140,20 @@ initial = ground
     assert summary["fit"]["slope_r"] == pytest.approx(2.0, rel=0.01)
     assert summary["fit"]["r2_r"] > 0.999
     assert (tmp_path / "sw" / "g_003" / "sticks.csv").exists()
+
+
+def test_sweep_diagonalizes_each_coupling_once(tmp_path, monkeypatch):
+    calls = []
+    diagonalize = twinpol.cli.diagonalize_polaritons
+
+    def counted(h):
+        calls.append(1)
+        return diagonalize(h)
+
+    monkeypatch.setattr(twinpol.cli, "diagonalize_polaritons", counted)
+    assert main(["sweep", str(write(tmp_path, SWEEP)),
+                 "--out-dir", str(tmp_path / "sw")]) == 0
+    assert len(calls) == 4
 
 
 def test_manymol_frameworks(tmp_path):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import twinpol.integrators
 from twinpol import (CavityParams, KickPulse, ModelError, ProductBasis,
-                     assemble_hamiltonian, diagonalize_polaritons,
+                     assemble_hamiltonian, cm1_to_au, diagonalize_polaritons,
                      detect_peaks, dipole_spectrum, dominant_eigenstate,
                      photon_observables, propagate_quantum,
                      static_stick_spectrum)
-from twinpol.quantum import QuantumState, mu_operator, q2_operator, q_operator
+from twinpol.quantum import (QuantumState, mu_operator, q2_operator, q_operator,
+                             real_matmul)
 
 RESONANT_BLOCK = ((0, 0), (2, 0), (0, 1))
 
@@ -190,6 +192,68 @@ def test_norm_and_energy_conservation(quantum_p_traj):
     assert quantum_p_traj.meta["energy_drift_post_pulse"] < 1e-7
 
 
+def _largest_differences(a, b):
+    return (np.max(np.abs(a.dipole - b.dipole)),
+            np.max(np.abs(a.populations - b.populations)),
+            np.max(np.abs(a.q2_expect - b.q2_expect)))
+
+
+@pytest.mark.parametrize("pulse", [KickPulse(), KickPulse.off()], ids=["kicked", "unkicked"])
+def test_exact_propagator_matches_rk4(model3, cav, pulse):
+    grid = dict(t_end=6e4, dt=1.0, record_stride=8)
+    exact = propagate_quantum(model3, cav, pulse, (1, 0), **grid)
+    rk4 = propagate_quantum(model3, cav, pulse, (1, 0), **grid, method="rk4")
+    d_mu, d_pop, d_q2 = _largest_differences(exact, rk4)
+    assert d_mu <= 1e-10
+    assert d_pop <= 1e-10
+    assert d_q2 <= 1e-8
+    assert np.array_equal(exact.times, rk4.times)
+    assert rk4.meta["norm_drift"] < 1e-8
+    assert rk4.meta["energy_drift_post_pulse"] < 1e-7
+    # RK4 stops at the first record at or after the pulse support
+    kick_steps = 8 * math.ceil(pulse.support_end / 8.0)
+    assert (exact.meta["method"], exact.meta["rk4_steps"]) == ("exact", kick_steps)
+    assert exact.meta["exact_records"] == exact.times.size - kick_steps // 8
+    assert (rk4.meta["method"], rk4.meta["rk4_steps"], rk4.meta["exact_records"]) == (
+        "rk4", 60000, 0)
+
+
+def test_exact_propagator_matches_rk4_hcl(hcl_model):
+    cav = CavityParams(omega_c=cm1_to_au(2906.46), g=cm1_to_au(400.0),
+                       include_dse=True, n_fock_max=2)
+    init = (hcl_model.state_index(v=0, J=2, M=0), 0)
+    grid = dict(t_end=200.0, dt=1.0, record_stride=4)
+    exact = propagate_quantum(hcl_model, cav, KickPulse.off(), init, **grid)
+    rk4 = propagate_quantum(hcl_model, cav, KickPulse.off(), init, **grid, method="rk4")
+    d_mu, d_pop, d_q2 = _largest_differences(exact, rk4)
+    assert d_mu <= 1e-10
+    assert d_pop <= 1e-10
+    assert d_q2 <= 1e-8
+    assert exact.meta["rk4_steps"] == 0
+    assert np.max(np.abs(exact.q_expect)) < 1e-12
+
+
+def test_exact_tail_chunks_are_invisible(model3, cav, pulse, monkeypatch):
+    args = (model3, cav, pulse, (1, 0))
+    grid = dict(t_end=2e3, dt=1.0, record_stride=8)
+    whole = propagate_quantum(*args, **grid)
+    # 7 records per chunk: the 243 tail records span 35 chunks, the last partial
+    monkeypatch.setattr(twinpol.integrators, "TAIL_CHUNK_BYTES", 16 * 9 * 7)
+    chunked = propagate_quantum(*args, **grid)
+    assert whole.meta["exact_records"] == 243
+    for name in ("times", "dipole", "populations", "energy", "q_expect", "q2_expect"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
+
+
+def test_real_matmul_matches_complex_product():
+    rng = np.random.default_rng(3)
+    op = rng.normal(size=(5, 5))
+    for shape in ((5,), (5, 4)):
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.allclose(real_matmul(op, z), op @ z, rtol=0, atol=1e-14)
+        assert np.allclose(real_matmul(op.T, z), op.T @ z, rtol=0, atol=1e-14)
+
+
 def test_static_td_equivalence_moderate(model3, cav, quantum_p_traj):
     # every strong TD peak sits within one bin of a static stick
     basis = ProductBasis.full(model3, 2)
@@ -248,6 +312,8 @@ def test_kick_free_offresonant_run_has_dark_field(model3, cav):
 def test_init_not_in_basis(model3, cav, pulse):
     with pytest.raises(ModelError):
         propagate_quantum(model3, cav, pulse, (0, 5), t_end=100.0, dt=1.0)
+    with pytest.raises(ModelError, match="method"):
+        propagate_quantum(model3, cav, pulse, (0, 0), t_end=100.0, dt=1.0, method="euler")
 
 
 def test_basis_model_mismatch(model3, cav):

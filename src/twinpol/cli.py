@@ -44,8 +44,8 @@ from .errors import ConfigError, TwinpolError
 from .manymol import (ManyMolConfig, analytic_nonsymmetric_spectrum,
                       analytic_symmetric_spectrum, brute_force_spectrum,
                       thermodynamic_limit_spectrum)
-from .model import (MolecularModel, boltzmann_weights, model_from_config,
-                    parse_quantity, thermal_from_config)
+from .model import (MolecularModel, ThermalWeights, _reject_unknown, boltzmann_weights,
+                    model_from_config, parse_quantity)
 from .quantum import (PolaritonSolution, ProductBasis, assemble_hamiltonian,
                       diagonalize_polaritons, dominant_eigenstate, propagate_quantum,
                       static_stick_spectrum, thermal_initial_states)
@@ -195,14 +195,24 @@ def _resolve(parser: configparser.ConfigParser) -> tuple[dict, MolecularModel]:
 
     if parser.has_section("thermal"):
         sec = parser["thermal"]
-        thermal_from_config(parser, model)   # validates
+        _reject_unknown(sec, {"temperature", "v"}, "thermal")
         out["thermal"] = {"temperature": parse_quantity(sec.get("temperature", "300 K"),
                                                         "temperature")}
         if "v" in sec:
             out["thermal"]["v"] = int(sec["v"])
+        _thermal_weights(out["thermal"], model)     # validates
 
     _validate_initial(out, model)
     return out, model
+
+
+def _thermal_weights(thermal: dict, model: MolecularModel) -> ThermalWeights:
+    """Boltzmann weights of a resolved [thermal] section, over the states of
+    vibrational level v when v is given."""
+    subset = None
+    if "v" in thermal:
+        subset = [k for k, lab in enumerate(model.labels) if lab.get("v") == thermal["v"]]
+    return boltzmann_weights(model, thermal["temperature"], subset)
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -374,12 +384,7 @@ def _static_initial(config: RunConfig, model, basis, sol):
     if proto["initial"] == "ground":
         return [(dominant_eigenstate(sol, basis, (0, 0)), 1.0)]
     if proto["initial"] == "thermal":
-        thermal = config.raw["thermal"]
-        subset = None
-        if "v" in thermal:
-            subset = [k for k, lab in enumerate(model.labels)
-                      if lab.get("v") == thermal["v"]]
-        weights = boltzmann_weights(model, thermal["temperature"], subset)
+        weights = _thermal_weights(config.raw["thermal"], model)
         return thermal_initial_states(sol, basis, weights, weight_cutoff=1e-4)
     k = _initial_state_index(proto["initial"], model)
     return [(dominant_eigenstate(sol, basis, (k, 0)), 1.0)]

@@ -5,7 +5,9 @@ Two routes to the same physics: a brute-force product-basis Hamiltonian
 spectra derived from the degenerate first-excited-manifold blocks, where the
 bright symmetric combination of singly-excited strings couples to the photon
 while the orthogonal dark combinations do not.  The coupling is scaled as
-g / sqrt(n_mol) throughout.
+g / sqrt(n_mol) throughout.  H and mu commute with molecule permutations, so
+the brute-force route needs one initial vector per run: a representative
+occupation string stands for all C(n_mol, n0) of them.
 """
 
 from __future__ import annotations
@@ -253,15 +255,6 @@ def build_many_molecule_hamiltonian(model: MolecularModel, cav: CavityParams,
     return h, many_molecule_labels(model, n_mol, n_fock)
 
 
-def _group_manifolds(evals: np.ndarray, tol: float) -> list[np.ndarray]:
-    groups, start = [], 0
-    for i in range(1, evals.size + 1):
-        if i == evals.size or evals[i] - evals[i - 1] > tol:
-            groups.append(np.arange(start, i))
-            start = i
-    return groups
-
-
 def spectrum_from_state(sol: PolaritonSolution, mu_op: np.ndarray, chi: np.ndarray,
                         degeneracy_tol: float = 1e-7,
                         min_rel_intensity: float = 1e-9) -> Spectrum:
@@ -272,24 +265,22 @@ def spectrum_from_state(sol: PolaritonSolution, mu_op: np.ndarray, chi: np.ndarr
     incoherently:  I(E_F - E_I) = sum_{f in F} |<f| mu |P_I chi>|^2.
     Reduces to the usual |<i|mu|f>|^2 sticks when chi is an eigenstate.
     """
-    coeffs = sol.eigenvectors.T @ chi
-    manifolds = _group_manifolds(sol.eigenvalues, degeneracy_tol)
-    mean_e = [float(sol.eigenvalues[m].mean()) for m in manifolds]
-    pos, inten = [], []
-    for mi, idx_i in enumerate(manifolds):
-        weight = float(np.sum(np.abs(coeffs[idx_i]) ** 2))
-        if weight < 1e-14:
-            continue
-        chi_i = sol.eigenvectors[:, idx_i] @ coeffs[idx_i]
-        amps = sol.eigenvectors.T @ (mu_op @ chi_i)
-        for mf, idx_f in enumerate(manifolds):
-            if mean_e[mf] <= mean_e[mi] + degeneracy_tol:
-                continue
-            strength = float(np.sum(amps[idx_f] ** 2))
-            if strength > 0.0:
-                pos.append(mean_e[mf] - mean_e[mi])
-                inten.append(strength)
-    spec = make_stick_spectrum(pos, inten, merge_tol=degeneracy_tol,
+    evals, vecs = sol.eigenvalues, sol.eigenvectors
+    coeffs = vecs.T @ chi
+    starts = np.flatnonzero(np.r_[True, np.diff(evals) > degeneracy_tol])
+    ends = np.r_[starts[1:], evals.size]
+    mean_e = np.add.reduceat(evals, starts) / (ends - starts)
+    weights = np.add.reduceat(coeffs**2, starts)
+    pos, inten = [np.zeros(0)], [np.zeros(0)]     # a zero chi gives no sticks
+    for mi in np.flatnonzero(weights >= 1e-14):
+        idx_i = slice(starts[mi], ends[mi])
+        amps = vecs.T @ (mu_op @ (vecs[:, idx_i] @ coeffs[idx_i]))
+        strength = np.add.reduceat(amps**2, starts)
+        final = (mean_e > mean_e[mi] + degeneracy_tol) & (strength > 0.0)
+        pos.append(mean_e[final] - mean_e[mi])
+        inten.append(strength[final])
+    spec = make_stick_spectrum(np.concatenate(pos), np.concatenate(inten),
+                               merge_tol=degeneracy_tol,
                                meta={"framework": "manymol_bruteforce"})
     if spec.intensity.size:
         floor = min_rel_intensity * spec.intensity.max()
@@ -304,40 +295,30 @@ def brute_force_spectrum(model: MolecularModel, cav: CavityParams, n_mol: int,
                          degeneracy_tol: float = 1e-7) -> Spectrum:
     """Stick spectrum from full diagonalization of the product-basis H.
 
-    Thermal case (n0 given): incoherent sum over every occupation string with
-    n0 ground-state molecules, weight 1 per string, matching the counting of
-    analytic_nonsymmetric_spectrum.  Symmetric case: the coherent
-    ((psi_0 + psi_1)/sqrt(2))^(x n_mol) x |0> initial vector.
+    Thermal case (n0 given): the incoherent sum over every occupation string
+    with n0 ground-state molecules, weight 1 per string, matching the
+    counting of analytic_nonsymmetric_spectrum.  H and mu commute with
+    molecule permutations, so every string gives the same sticks; the sum is
+    computed exactly as the representative string psi_0^(x n0) x
+    psi_1^(x (n_mol - n0)) x |0> times C(n_mol, n0).  Symmetric case: the
+    coherent ((psi_0 + psi_1)/sqrt(2))^(x n_mol) x |0> initial vector.
     """
     cfg = ManyMolConfig.from_model(model, cav.g, n_mol, n0=n0, symmetric=symmetric)
-    h, labels = build_many_molecule_hamiltonian(model, cav, n_mol, n_fock_max)
+    h, _ = build_many_molecule_hamiltonian(model, cav, n_mol, n_fock_max)
     sol = diagonalize_polaritons(h)
     n_fock = cav.n_fock_max if n_fock_max is None else n_fock_max
     mu_op = np.kron(np.eye(n_fock + 1), _site_sum(model.dipole, n_mol))
-    label_index = {lab: i for i, lab in enumerate(labels)}
 
+    psi = np.eye(model.n_states)
     if symmetric:
-        single = np.zeros(model.n_states)
-        single[0] = single[1] = 1.0 / math.sqrt(2.0)
-        chi_mol = functools.reduce(np.kron, [single] * n_mol)
-        chi = np.zeros(len(labels))
-        chi[: chi_mol.size] = chi_mol          # photon vacuum block comes first
-        spec = spectrum_from_state(sol, mu_op, chi, degeneracy_tol)
+        sites, n_strings = [(psi[0] + psi[1]) / math.sqrt(2.0)] * n_mol, 1
     else:
-        pos_accum: list[float] = []
-        int_accum: list[float] = []
-        # bare occupation strings, weight 1 each; the manifold projection in
-        # spectrum_from_state keeps the degenerate ground strings coherent
-        # exactly as the physical nonsymmetric initial state requires
-        for zeros in itertools.combinations(range(n_mol), n0):
-            occ = tuple(0 if site in zeros else 1 for site in range(n_mol))
-            chi = np.zeros(len(labels))
-            chi[label_index[(occ, 0)]] = 1.0
-            part = spectrum_from_state(sol, mu_op, chi, degeneracy_tol)
-            pos_accum += list(part.omega)
-            int_accum += list(part.intensity)
-        spec = make_stick_spectrum(pos_accum, int_accum, merge_tol=degeneracy_tol,
-                                   meta={"framework": "manymol_bruteforce"})
+        sites, n_strings = [psi[0]] * n0 + [psi[1]] * (n_mol - n0), math.comb(n_mol, n0)
+    chi_mol = functools.reduce(np.kron, sites)
+    chi = np.zeros(h.shape[0])
+    chi[: chi_mol.size] = chi_mol              # photon vacuum block comes first
+    spec = spectrum_from_state(sol, mu_op, chi, degeneracy_tol)
+    spec.intensity *= n_strings
     spec.meta.update({"n_mol": n_mol, "n0": n0, "symmetric": symmetric,
                       "g": cav.g, "include_dse": cav.include_dse})
     return classify_sticks(spec, cfg)

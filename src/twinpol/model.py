@@ -468,21 +468,6 @@ def model_from_config(parser: configparser.ConfigParser) -> MolecularModel:
     return build_morse_rovib(params, grid)
 
 
-def thermal_from_config(parser: configparser.ConfigParser,
-                        model: MolecularModel) -> ThermalWeights | None:
-    """Read the optional [thermal] section (temperature plus state filter)."""
-    if not parser.has_section("thermal"):
-        return None
-    sec = parser["thermal"]
-    _reject_unknown(sec, {"temperature", "v"}, "thermal")
-    temperature = parse_quantity(sec.get("temperature", "300 K"), "temperature")
-    subset = None
-    if "v" in sec:
-        v_sel = sec.getint("v")
-        subset = [k for k, lab in enumerate(model.labels) if lab.get("v") == v_sel]
-    return boltzmann_weights(model, temperature, subset)
-
-
 def _reject_unknown(section, known: set, name: str):
     for key in section:
         if key not in known:

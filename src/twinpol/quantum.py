@@ -212,23 +212,21 @@ def static_stick_spectrum(sol: PolaritonSolution, model: MolecularModel,
     if abs(wsum - 1.0) > 1e-8:
         raise ModelError(f"initial-state weights must sum to 1, got {wsum}")
     mu = mu_operator(model, basis)
+    labels = [basis.label(int(k), model)
+              for k in np.argmax(np.abs(sol.eigenvectors), axis=0)]
     positions, intensities, labels_i, labels_f = [], [], [], []
     for i, w in initial:
         amps = sol.eigenvectors.T @ (mu @ sol.eigenvectors[:, i])
         omegas = sol.eigenvalues - sol.eigenvalues[i]
-        lab_i = basis.label(int(np.argmax(np.abs(sol.eigenvectors[:, i]))), model)
-        for f in range(sol.size):
-            if omegas[f] <= merge_tol:
-                continue
-            inten = w * amps[f] ** 2
-            if inten == 0.0:
-                continue
-            positions.append(omegas[f])
-            intensities.append(inten)
-            labels_i.append(lab_i)
-            labels_f.append(basis.label(int(np.argmax(np.abs(sol.eigenvectors[:, f]))), model))
+        inten = w * amps**2
+        final = np.flatnonzero((omegas > merge_tol) & (inten != 0.0))
+        positions.append(omegas[final])
+        intensities.append(inten[final])
+        labels_i += [labels[i]] * final.size
+        labels_f += [labels[f] for f in final]
     return make_stick_spectrum(
-        positions, intensities, merge_tol=merge_tol, min_intensity=min_intensity,
+        np.concatenate(positions), np.concatenate(intensities),
+        merge_tol=merge_tol, min_intensity=min_intensity,
         labels_i=labels_i, labels_f=labels_f,
         meta={"framework": "quantum_static"},
     )

@@ -54,6 +54,35 @@ def test_unknown_initial_names_valid_labels(tmp_path, capsys):
     assert "psi_3" in err and "psi0" in err
 
 
+def test_unknown_thermal_key_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + """
+[thermal]
+temperature = 300 K
+tempreature = 10 K
+
+[protocol]
+framework = quantum_static
+initial = thermal
+""")
+    assert main(["validate", str(cfg)]) == 2
+    assert "[thermal] has unknown key 'tempreature'" in capsys.readouterr().err
+
+
+def test_thermal_empty_state_subset_is_config_error(tmp_path, capsys):
+    # the 3-level model has no vibrational quantum number, so v = 1 selects
+    # no state to weight
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + """
+[thermal]
+v = 1
+
+[protocol]
+framework = quantum_static
+initial = thermal
+""")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "subset is empty" in capsys.readouterr().err
+
+
 def test_sweep_requires_g_list(tmp_path, capsys):
     cfg = write(tmp_path, THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_static\n")
     assert main(["sweep", str(cfg)]) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twinpol.manymol
 from twinpol import (BasisSizeError, CavityParams, ManifoldBasis, ManyMolConfig,
                      ModelError, ProductBasis, analytic_nonsymmetric_spectrum,
                      analytic_symmetric_spectrum, assemble_hamiltonian,
                      brute_force_spectrum, build_many_molecule_hamiltonian,
-                     thermodynamic_limit_spectrum)
-from twinpol.manymol import helmert_rows
+                     diagonalize_polaritons, dominant_eigenstate, spectrum_from_state,
+                     static_stick_spectrum, thermodynamic_limit_spectrum)
+from twinpol.manymol import _site_sum, helmert_rows
+from twinpol.quantum import mu_operator
+from twinpol.spectra import make_stick_spectrum
 
 from helpers import cluster
 
@@ -192,3 +197,55 @@ def test_symmetric_brute_force_matches_analytic(model3, cav, n_mol):
 def test_dark_states_absent_in_symmetric_case():
     spec = analytic_symmetric_spectrum(cfg_symmetric(4))
     assert "dark" not in spec.meta["mechanism"]
+
+
+@pytest.mark.parametrize("n_mol, n0", [(3, 1), (4, 2), (5, 2)])
+def test_thermal_string_sum_matches_brute_force(model3, cav, n_mol, n0):
+    # oracle: the incoherent sum over every occupation string, merged once
+    h, labels = build_many_molecule_hamiltonian(model3, cav, n_mol)
+    sol = diagonalize_polaritons(h)
+    mu_op = np.kron(np.eye(cav.n_fock_max + 1), _site_sum(model3.dipole, n_mol))
+    pos, inten = [], []
+    for zeros in itertools.combinations(range(n_mol), n0):
+        occ = tuple(0 if site in zeros else 1 for site in range(n_mol))
+        chi = np.zeros(len(labels))
+        chi[labels.index((occ, 0))] = 1.0
+        part = spectrum_from_state(sol, mu_op, chi)
+        pos += list(part.omega)
+        inten += list(part.intensity)
+    oracle = make_stick_spectrum(pos, inten, merge_tol=1e-7)
+    bf = brute_force_spectrum(model3, cav, n_mol, n0=n0)
+    assert bf.omega.size == oracle.omega.size
+    assert np.abs(bf.omega - oracle.omega).max() <= 1e-15
+    assert np.abs(bf.intensity - oracle.intensity).max() <= 1e-10 * oracle.intensity.max()
+
+
+def test_thermal_brute_force_uses_one_initial_vector(model3, cav, monkeypatch):
+    calls = []
+    inner = twinpol.manymol.spectrum_from_state
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(twinpol.manymol, "spectrum_from_state", counted)
+    brute_force_spectrum(model3, cav, 4, n0=2)
+    assert len(calls) == 1
+
+
+def test_spectrum_from_eigenstate_matches_static_sticks(model3, cav):
+    # for chi an eigenstate the manifold sums reduce to |<i|mu|f>|^2 sticks
+    cav_d = dataclasses.replace(cav, include_dse=True)
+    basis = ProductBasis.full(model3, cav_d.n_fock_max)
+    sol = diagonalize_polaritons(assemble_hamiltonian(model3, cav_d, basis))
+    mu_op = mu_operator(model3, basis)
+    for entry in ((0, 0), (1, 0)):
+        i = dominant_eigenstate(sol, basis, entry)
+        ref = static_stick_spectrum(sol, model3, basis, [(i, 1.0)])
+        ref_keep = ref.intensity > 1e-9 * ref.intensity.max()
+        spec = spectrum_from_state(sol, mu_op, sol.eigenvectors[:, i])
+        keep = spec.intensity > 1e-9 * spec.intensity.max()
+        assert keep.sum() == ref_keep.sum() > 0
+        assert np.abs(spec.omega[keep] - ref.omega[ref_keep]).max() <= 1e-15
+        rel = np.abs(spec.intensity[keep] - ref.intensity[ref_keep]) / ref.intensity[ref_keep]
+        assert rel.max() <= 1e-12

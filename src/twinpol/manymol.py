@@ -263,7 +263,11 @@ def spectrum_from_state(sol: PolaritonSolution, mu_op: np.ndarray, chi: np.ndarr
     Eigenstates are grouped into degenerate manifolds; within each initial
     manifold the projection of chi interferes coherently, across manifolds
     incoherently:  I(E_F - E_I) = sum_{f in F} |<f| mu |P_I chi>|^2.
-    Reduces to the usual |<i|mu|f>|^2 sticks when chi is an eigenstate.
+    Each manifold sits at the energy of the vector it carries,
+    E_I = <chi|P_I H P_I|chi> / <chi|P_I|chi> and E_F the same for
+    mu P_I chi, so positions do not depend on the basis LAPACK picks inside
+    a manifold.  Reduces to the usual |<i|mu|f>|^2 sticks when chi is an
+    eigenstate.
     """
     evals, vecs = sol.eigenvalues, sol.eigenvectors
     coeffs = vecs.T @ chi
@@ -271,13 +275,15 @@ def spectrum_from_state(sol: PolaritonSolution, mu_op: np.ndarray, chi: np.ndarr
     ends = np.r_[starts[1:], evals.size]
     mean_e = np.add.reduceat(evals, starts) / (ends - starts)
     weights = np.add.reduceat(coeffs**2, starts)
+    e_init = np.add.reduceat(coeffs**2 * evals, starts)
     pos, inten = [np.zeros(0)], [np.zeros(0)]     # a zero chi gives no sticks
     for mi in np.flatnonzero(weights >= 1e-14):
         idx_i = slice(starts[mi], ends[mi])
-        amps = vecs.T @ (mu_op @ (vecs[:, idx_i] @ coeffs[idx_i]))
-        strength = np.add.reduceat(amps**2, starts)
+        amps2 = (vecs.T @ (mu_op @ (vecs[:, idx_i] @ coeffs[idx_i])))**2
+        strength = np.add.reduceat(amps2, starts)
         final = (mean_e > mean_e[mi] + degeneracy_tol) & (strength > 0.0)
-        pos.append(mean_e[final] - mean_e[mi])
+        e_final = np.add.reduceat(amps2 * evals, starts)[final] / strength[final]
+        pos.append(e_final - e_init[mi] / weights[mi])
         inten.append(strength[final])
     spec = make_stick_spectrum(np.concatenate(pos), np.concatenate(inten),
                                merge_tol=degeneracy_tol,

@@ -342,6 +342,7 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
         _write_manymol(spec, out_dir / "sticks.csv", proto)
         outputs.append("sticks.csv")
         plots.append(("sticks", spec))
+        checks = {key: spec.meta[key] for key in ("basis_size", "product_basis_size")}
 
     elif framework == "manymol_analytic":
         cfg = ManyMolConfig.from_model(

@@ -1,13 +1,21 @@
 """Many-emitter engine for the 3-level system.
 
-Two routes to the same physics: a brute-force product-basis Hamiltonian
-(all matrix elements kept) for small molecule counts, and closed-form stick
-spectra derived from the degenerate first-excited-manifold blocks, where the
-bright symmetric combination of singly-excited strings couples to the photon
-while the orthogonal dark combinations do not.  The coupling is scaled as
-g / sqrt(n_mol) throughout.  H and mu commute with molecule permutations, so
-the brute-force route needs one initial vector per run: a representative
-occupation string stands for all C(n_mol, n0) of them.
+Two routes to the same physics: a brute-force Hamiltonian (all matrix
+elements kept), and closed-form stick spectra derived from the degenerate
+first-excited-manifold blocks, where the bright symmetric combination of
+singly-excited strings couples to the photon while the orthogonal dark
+combinations do not.  The coupling is scaled as g / sqrt(n_mol) throughout.
+
+H and mu commute with molecule permutations, so the brute-force route needs
+one initial vector per run (a representative occupation string stands for
+all C(n_mol, n0) of them), and that vector never leaves the symmetric
+subspace of the permutations that fix it.  The engine diagonalizes H there,
+on one bosonic occupation basis per group of interchangeable molecules
+(collective_operator; Shammah et al., Phys. Rev. A 98, 063815 (2018)):
+C(n0+2, 2) C(n_mol-n0+2, 2) (n_fock+1) states for a thermal string and
+C(n_mol+2, 2) (n_fock+1) for the symmetric state, against 3^n_mol (n_fock+1)
+in the product basis.  The product basis, built by the same
+collective_operator with one molecule per group, stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -217,16 +225,86 @@ def thermodynamic_limit_spectrum(r0: float, branch: str, g: float, mu: float,
     )
 
 
-# -- brute-force product basis ---------------------------------------------
+# -- brute force on permutation-symmetric occupation bases -----------------
 
-MAX_N_MOL = 8
+MEMORY_BUDGET = 4 * 2**30
 
 
-def _site_sum(op: np.ndarray, n_mol: int) -> np.ndarray:
-    """Sum over sites of op acting on one molecule of the n_mol-fold product space."""
-    n = op.shape[0]
-    return sum(np.kron(np.kron(np.eye(n**site), op), np.eye(n**(n_mol - 1 - site)))
-               for site in range(n_mol))
+def _check_memory(dim: int, include_dse: bool):
+    """Refuse, before anything is allocated, a many-molecule run whose dense
+    matrices would not fit in MEMORY_BUDGET bytes.
+
+    A run on a dim-state basis holds H, its eigenvectors, mu and, with the
+    self-energy, mu^2 as dim x dim float64 arrays; eigh adds its copy of the
+    input and LAPACK syevd's workspace of 1 + 6 dim + 2 dim^2 doubles.  The
+    4 GiB budget admits thermal N = 12 (2352 states, about 0.3 GB) and
+    symmetric N = 50 (3978 states, about 0.9 GB) on the occupation bases,
+    keeps the product basis as the oracle up to N = 7 (6561 states,
+    2.4 GB), and refuses it at N = 8 (19,683 states, 19 GB).
+    """
+    need = 8 * ((6 + include_dse) * dim**2 + 6 * dim + 1)
+    if need > MEMORY_BUDGET:
+        raise BasisSizeError(
+            f"{dim}-state many-molecule basis needs about {need / 2**30:.3g} GiB of "
+            f"dense matrices, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
+
+
+def occupation_basis(m: int, n_levels: int) -> list[tuple[int, ...]]:
+    """Occupation vectors (n_0, ..., n_{L-1}) of m molecules over n_levels
+    levels in descending lexicographic order: one molecule lists its levels
+    in order, so a one-molecule group is the molecule's own basis."""
+    if n_levels == 1:
+        return [(m,)]
+    return [(k,) + rest for k in range(m, -1, -1)
+            for rest in occupation_basis(m - k, n_levels - 1)]
+
+
+def _group_operator(op: np.ndarray, m: int) -> np.ndarray:
+    """sum_kl op_kl b_k^dag b_l on the occupation basis of m molecules."""
+    occ = occupation_basis(m, op.shape[0])
+    index = {o: i for i, o in enumerate(occ)}
+    out = np.zeros((len(occ), len(occ)))
+    entries = list(zip(*np.nonzero(op)))
+    for i, o in enumerate(occ):
+        for k, l in entries:
+            if k == l:
+                out[i, i] += op[k, k] * o[k]
+            elif o[l]:
+                moved = list(o)
+                moved[l] -= 1
+                moved[k] += 1
+                out[index[tuple(moved)], i] = op[k, l] * math.sqrt(o[l] * (o[k] + 1))
+    return out
+
+
+def collective_operator(op: np.ndarray, groups) -> np.ndarray:
+    """Sum over molecules of the one-molecule operator op, on the Kronecker
+    product of one occupation basis per group of interchangeable molecules.
+
+    A group of m molecules with L levels spans C(m + L - 1, L - 1) occupation
+    vectors, where the site sum acts as sum_kl op_kl b_k^dag b_l: n_k on the
+    diagonal and sqrt(n_l (n_k + 1)) for k != l.  groups = [1] * N is the
+    N-molecule product basis, molecule 0 most significant.
+    """
+    blocks = [_group_operator(op, m) for m in groups]
+    dims = [b.shape[0] for b in blocks]
+    return sum(np.kron(np.kron(np.eye(math.prod(dims[:i])), b),
+                       np.eye(math.prod(dims[i + 1:])))
+               for i, b in enumerate(blocks))
+
+
+def _collective_hamiltonian(model: MolecularModel, cav: CavityParams, groups,
+                            n_fock: int) -> tuple[np.ndarray, np.ndarray]:
+    """H with coupling g/sqrt(N) on the occupation bases of groups, and the
+    molecular total dipole; the memory check comes first."""
+    n = model.n_states
+    dim_mol = math.prod(math.comb(m + n - 1, n - 1) for m in groups)
+    _check_memory(dim_mol * (n_fock + 1), cav.include_dse)
+    mu_tot = collective_operator(model.dipole, groups)
+    h = product_hamiltonian(collective_operator(np.diag(model.energies), groups), mu_tot,
+                            mu_tot @ mu_tot if cav.include_dse else None,
+                            cav.omega_c, cav.g / math.sqrt(sum(groups)), n_fock)
+    return h, mu_tot
 
 
 def many_molecule_labels(model: MolecularModel, n_mol: int,
@@ -242,17 +320,24 @@ def build_many_molecule_hamiltonian(model: MolecularModel, cav: CavityParams,
     """Full product-basis Hamiltonian with coupling g/sqrt(n_mol).
 
     All dipole matrix elements are kept (no degenerate-block approximation);
-    the optional self-energy acts on the total dipole.  Raises BasisSizeError
-    beyond n_mol = 8.
+    the optional self-energy acts on the total dipole.  This is the oracle
+    for brute_force_spectrum's occupation bases.  Raises BasisSizeError when
+    _check_memory refuses the 3^n_mol (n_fock + 1) states, from n_mol = 8
+    on with two or more photon states.
     """
-    if n_mol > MAX_N_MOL:
-        raise BasisSizeError(f"n_mol={n_mol} exceeds the product-basis limit {MAX_N_MOL}")
     n_fock = cav.n_fock_max if n_fock_max is None else n_fock_max
-    mu_tot = _site_sum(model.dipole, n_mol)
-    h = product_hamiltonian(_site_sum(np.diag(model.energies), n_mol), mu_tot,
-                            mu_tot @ mu_tot if cav.include_dse else None,
-                            cav.omega_c, cav.g / math.sqrt(n_mol), n_fock)
+    h, _ = _collective_hamiltonian(model, cav, [1] * n_mol, n_fock)
     return h, many_molecule_labels(model, n_mol, n_fock)
+
+
+def _lower_pair_vector(m: int, amplitudes, n_levels: int) -> np.ndarray:
+    """sum_k amplitudes[k] |k, m - k, 0, ...> on the occupation basis of m
+    molecules: k of them in psi_0 and the other m - k in psi_1."""
+    occ = occupation_basis(m, n_levels)
+    vec = np.zeros(len(occ))
+    for k, amp in enumerate(amplitudes):
+        vec[occ.index((k, m - k) + (0,) * (n_levels - 2))] = amp
+    return vec
 
 
 def spectrum_from_state(sol: PolaritonSolution, mu_op: np.ndarray, chi: np.ndarray,
@@ -299,34 +384,50 @@ def brute_force_spectrum(model: MolecularModel, cav: CavityParams, n_mol: int,
                          n0: int | None = None, symmetric: bool = False,
                          n_fock_max: int | None = None,
                          degeneracy_tol: float = 1e-7) -> Spectrum:
-    """Stick spectrum from full diagonalization of the product-basis H.
+    """Stick spectrum from full diagonalization of H in the exact symmetric
+    subspace of the initial vector.
 
-    Thermal case (n0 given): the incoherent sum over every occupation string
-    with n0 ground-state molecules, weight 1 per string, matching the
-    counting of analytic_nonsymmetric_spectrum.  H and mu commute with
-    molecule permutations, so every string gives the same sticks; the sum is
-    computed exactly as the representative string psi_0^(x n0) x
-    psi_1^(x (n_mol - n0)) x |0> times C(n_mol, n0).  Symmetric case: the
-    coherent ((psi_0 + psi_1)/sqrt(2))^(x n_mol) x |0> initial vector.
+    Brute force: every matrix element is kept, with no degenerate-block
+    approximation.  H and mu commute with molecule permutations, so the
+    initial vector stays in the symmetric subspace of the permutations that
+    fix it, spanned by one occupation basis per group of interchangeable
+    molecules (collective_operator).  Thermal case (n0 given): the
+    incoherent sum over every occupation string with n0 ground-state
+    molecules, weight 1 per string, matching the counting of
+    analytic_nonsymmetric_spectrum; every string gives the same sticks, so
+    it is computed as the representative string |n0, 0, 0> x
+    |0, n_mol - n0, 0> x |0> on groups [n0, n_mol - n0] times C(n_mol, n0).
+    Symmetric case: ((psi_0 + psi_1)/sqrt(2))^(x n_mol) x |0>, which is
+    sum_k sqrt(C(n_mol, k)) 2^(-n_mol/2) |k, n_mol - k, 0> x |0> on the one
+    group [n_mol].  build_many_molecule_hamiltonian's product basis is the
+    test oracle.
     """
     cfg = ManyMolConfig.from_model(model, cav.g, n_mol, n0=n0, symmetric=symmetric)
-    h, _ = build_many_molecule_hamiltonian(model, cav, n_mol, n_fock_max)
-    sol = diagonalize_polaritons(h)
     n_fock = cav.n_fock_max if n_fock_max is None else n_fock_max
-    mu_op = np.kron(np.eye(n_fock + 1), _site_sum(model.dipole, n_mol))
-
-    psi = np.eye(model.n_states)
+    groups = [n_mol] if symmetric else [m for m in (n0, n_mol - n0) if m]
+    h, mu_tot = _collective_hamiltonian(model, cav, groups, n_fock)
+    sol = diagonalize_polaritons(h)
+    del h
+    levels = model.n_states
     if symmetric:
-        sites, n_strings = [(psi[0] + psi[1]) / math.sqrt(2.0)] * n_mol, 1
+        n_strings = 1
+        parts = [_lower_pair_vector(n_mol, [math.sqrt(math.comb(n_mol, k) / 2.0**n_mol)
+                                            for k in range(n_mol + 1)], levels)]
     else:
-        sites, n_strings = [psi[0]] * n0 + [psi[1]] * (n_mol - n0), math.comb(n_mol, n0)
-    chi_mol = functools.reduce(np.kron, sites)
-    chi = np.zeros(h.shape[0])
+        # all n0 of the first group in psi_0, all of the second in psi_1
+        n_strings = math.comb(n_mol, n0)
+        parts = [_lower_pair_vector(m, amps, levels)
+                 for m, amps in ((n0, [0.0] * n0 + [1.0]), (n_mol - n0, [1.0])) if m]
+    mu_op = np.kron(np.eye(n_fock + 1), mu_tot)
+    chi_mol = functools.reduce(np.kron, parts)
+    chi = np.zeros(sol.size)
     chi[: chi_mol.size] = chi_mol              # photon vacuum block comes first
     spec = spectrum_from_state(sol, mu_op, chi, degeneracy_tol)
     spec.intensity *= n_strings
     spec.meta.update({"n_mol": n_mol, "n0": n0, "symmetric": symmetric,
-                      "g": cav.g, "include_dse": cav.include_dse})
+                      "g": cav.g, "include_dse": cav.include_dse,
+                      "basis_size": sol.size,
+                      "product_basis_size": levels**n_mol * (n_fock + 1)})
     return classify_sticks(spec, cfg)
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import twinpol.cli
+import twinpol.manymol
 from twinpol.cli import RunConfig, main, run
 from twinpol.errors import ConfigError
 
@@ -281,3 +282,34 @@ n_mol = 3
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "sc"),
                  "--seedless-check"]) == 0
     assert "determinism check passed" in capsys.readouterr().out
+
+
+def test_manymol_bruteforce_records_basis_sizes(tmp_path):
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + """
+[protocol]
+framework = manymol_bruteforce
+initial = thermal
+n0 = 2
+n_mol = 4
+""")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "bf")]) == 0
+    manifest = json.loads((tmp_path / "bf" / "manifest.json").read_text())
+    # groups [2, 2]: C(4, 2)^2 occupation states; 3^4 strings; 3 photon states each
+    assert manifest["checks"] == {"basis_size": 6 * 6 * 3, "product_basis_size": 81 * 3}
+
+
+def test_manymol_bruteforce_refuses_oversized_basis(tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("operators built before the size check")
+
+    monkeypatch.setattr(twinpol.manymol, "collective_operator", no_build)
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + """
+[protocol]
+framework = manymol_bruteforce
+initial = symmetric
+n_mol = 2000
+""")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "big")]) == 3
+    error = (tmp_path / "big" / "error.txt").read_text()
+    # C(2002, 2) occupation states times 3 photon states
+    assert error.startswith("BasisSizeError: 6009003-state")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -14,13 +15,20 @@ from twinpol import (BasisSizeError, CavityParams, ManifoldBasis, ManyMolConfig,
                      brute_force_spectrum, build_many_molecule_hamiltonian,
                      diagonalize_polaritons, dominant_eigenstate, spectrum_from_state,
                      static_stick_spectrum, thermodynamic_limit_spectrum)
-from twinpol.manymol import _site_sum, helmert_rows
+from twinpol.manymol import _check_memory, collective_operator, helmert_rows
 from twinpol.quantum import mu_operator
 from twinpol.spectra import make_stick_spectrum
 
 from helpers import cluster
 
 W02, W12, MU = 10e-3, 8e-3, 1.0
+
+
+def site_sum(op, n_mol):
+    """Sum over sites of op on one molecule of the n_mol-fold product space."""
+    n = op.shape[0]
+    return sum(np.kron(np.kron(np.eye(n**site), op), np.eye(n**(n_mol - 1 - site)))
+               for site in range(n_mol))
 
 
 def cfg_thermal(n_mol, n0, g=2e-4):
@@ -162,6 +170,35 @@ def test_size_guard(model3, cav):
         build_many_molecule_hamiltonian(model3, cav, 9)
 
 
+def test_memory_budget_admits_reduced_bases():
+    # thermal N = 12, n0 = 6 and symmetric N = 50 on occupation bases pass;
+    # the product basis at N = 8 is refused; 3 photon states throughout
+    _check_memory(math.comb(8, 2) ** 2 * 3, include_dse=True)
+    _check_memory(math.comb(52, 2) * 3, include_dse=True)
+    with pytest.raises(BasisSizeError, match="19683-state"):
+        _check_memory(3**8 * 3, include_dse=False)
+
+
+@pytest.mark.parametrize("n_mol", [1, 2, 3, 4])
+def test_collective_operator_is_product_site_sum(model3, n_mol):
+    for op in (model3.dipole, np.diag(model3.energies)):
+        assert np.array_equal(collective_operator(op, [1] * n_mol), site_sum(op, n_mol))
+
+
+def test_collective_operator_bosonic_elements(model3):
+    # two molecules in one group: |2,0,0>, |1,1,0>, |1,0,1>, |0,2,0>, |0,1,1>, |0,0,2>
+    mu = collective_operator(model3.dipole, [2])
+    assert mu[2, 0] == pytest.approx(math.sqrt(2.0) * MU)      # |2,0,0> -> |1,0,1>
+    assert mu[5, 2] == pytest.approx(math.sqrt(2.0) * MU)      # |1,0,1> -> |0,0,2>
+    assert mu[4, 3] == pytest.approx(math.sqrt(2.0) * MU)      # |0,2,0> -> |0,1,1>
+    assert np.array_equal(np.diag(collective_operator(np.diag(model3.energies), [2])),
+                          [0.0, 2e-3, 10e-3, 4e-3, 12e-3, 20e-3])
+    # a symmetric group spans the permutation-invariant part of the product space
+    full = site_sum(model3.dipole, 2)
+    assert np.allclose(np.sort(np.linalg.eigvalsh(mu)),
+                       np.sort(np.linalg.eigvalsh(full))[[0, 1, 3, 5, 7, 8]], atol=1e-14)
+
+
 def test_thermal_brute_force_matches_analytic(model3, cav):
     # N = 3 spot check of the oracle equivalence (full sweep in acceptance)
     n_mol, n0, g = 3, 1, cav.g
@@ -204,7 +241,7 @@ def test_thermal_string_sum_matches_brute_force(model3, cav, n_mol, n0):
     # oracle: the incoherent sum over every occupation string, merged once
     h, labels = build_many_molecule_hamiltonian(model3, cav, n_mol)
     sol = diagonalize_polaritons(h)
-    mu_op = np.kron(np.eye(cav.n_fock_max + 1), _site_sum(model3.dipole, n_mol))
+    mu_op = np.kron(np.eye(cav.n_fock_max + 1), site_sum(model3.dipole, n_mol))
     pos, inten = [], []
     for zeros in itertools.combinations(range(n_mol), n0):
         occ = tuple(0 if site in zeros else 1 for site in range(n_mol))
@@ -218,6 +255,43 @@ def test_thermal_string_sum_matches_brute_force(model3, cav, n_mol, n0):
     assert bf.omega.size == oracle.omega.size
     assert np.abs(bf.omega - oracle.omega).max() <= 1e-15
     assert np.abs(bf.intensity - oracle.intensity).max() <= 1e-10 * oracle.intensity.max()
+
+
+@pytest.mark.parametrize("dse", [False, True])
+@pytest.mark.parametrize("n_mol", [2, 3, 4, 5])
+def test_symmetric_state_matches_product_basis(model3, cav, n_mol, dse):
+    # oracle: the product basis, with ((psi_0 + psi_1)/sqrt(2)) on every site
+    cav_d = dataclasses.replace(cav, include_dse=dse)
+    h, labels = build_many_molecule_hamiltonian(model3, cav_d, n_mol)
+    sol = diagonalize_polaritons(h)
+    mu_op = np.kron(np.eye(cav.n_fock_max + 1), site_sum(model3.dipole, n_mol))
+    site = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    chi = np.zeros(len(labels))
+    chi[: 3**n_mol] = functools.reduce(np.kron, [site] * n_mol)
+    oracle = spectrum_from_state(sol, mu_op, chi)
+    bf = brute_force_spectrum(model3, cav_d, n_mol, symmetric=True)
+    assert bf.meta["basis_size"] == math.comb(n_mol + 2, 2) * 3 < h.shape[0]
+    assert bf.omega.size == oracle.omega.size
+    assert np.abs(bf.omega - oracle.omega).max() <= 1e-15
+    assert np.abs(bf.intensity - oracle.intensity).max() <= 1e-10 * oracle.intensity.max()
+
+
+def test_thermal_brute_force_beyond_product_basis(model3, cav):
+    # N = 8, n0 = 4: 675 occupation states where the product basis has 19,683;
+    # criterion 5's 2% bounds on the R split and the dark/twin ratio 2 n0
+    n_mol, n0, g = 8, 4, cav.g
+    bf = brute_force_spectrum(model3, cav, n_mol, n0=n0)
+    assert bf.meta["basis_size"] == math.comb(6, 2) ** 2 * 3
+    r_off = g * MU * math.sqrt(n0 / n_mol)
+    lo_c, _ = cluster(bf, W02 - r_off, window=4e-5)
+    hi_c, _ = cluster(bf, W02 + r_off, window=4e-5)
+    assert abs((hi_c - lo_c) - 2 * r_off) / (2 * r_off) < 0.02
+    tp_off = g * MU * math.sqrt((n0 + 1) / n_mol)
+    tp_lo = cluster(bf, W12 - tp_off, window=4e-5)
+    tp_hi = cluster(bf, W12 + tp_off, window=4e-5)
+    _, dark_s = cluster(bf, W12, window=4e-5)
+    ratio = dark_s / (0.5 * (tp_lo[1] + tp_hi[1]))
+    assert abs(ratio - 2 * n0) / (2 * n0) < 0.02
 
 
 def test_thermal_brute_force_uses_one_initial_vector(model3, cav, monkeypatch):

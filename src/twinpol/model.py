@@ -267,31 +267,39 @@ def _sine_dvr_kinetic(n_points: int, length: float, mass: float) -> np.ndarray:
     return pref * t
 
 
-def _solve_radial(params: MorseParams, grid: RadialGrid, j: int,
-                  n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of the effective radial Hamiltonian for one J."""
-    r = grid.points(n_points)
-    mass = params.reduced_mass
-    v_eff = params.potential(r) + j * (j + 1) / (2.0 * mass * r**2)
-    h = _sine_dvr_kinetic(n_points, grid.r_max - grid.r_min, mass)
+def _radial_hamiltonian(params: MorseParams, j: int, kinetic: np.ndarray,
+                        r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Effective radial Hamiltonian for one J on the grid r, and its potential."""
+    v_eff = params.potential(r) + j * (j + 1) / (2.0 * params.reduced_mass * r**2)
+    h = kinetic.copy()
     h[np.diag_indices_from(h)] += v_eff
-    evals, evecs = np.linalg.eigh(h)
-    n_keep = params.v_max + 1
-    evals = evals[:n_keep]
-    evecs = evecs[:, :n_keep]
-    # classically forbidden walls: retained states must live below the edges
-    edge = min(v_eff[0], v_eff[-1])
-    if np.any(evals >= edge):
+    return h, v_eff
+
+
+def _check_bound(evals: np.ndarray, v_eff: np.ndarray, grid: RadialGrid, j: int):
+    """Classically forbidden walls: retained states must live below the edges."""
+    if np.any(evals >= min(v_eff[0], v_eff[-1])):
         raise ConvergenceError(
             f"grid [{grid.r_min}, {grid.r_max}] does not bound the requested "
             f"levels for J={j}; raise r_max or lower v_max"
         )
+
+
+def _solve_radial(params: MorseParams, grid: RadialGrid, j: int,
+                  kinetic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest v_max + 1 eigenpairs of the effective radial Hamiltonian for one J."""
+    h, v_eff = _radial_hamiltonian(params, j, kinetic, grid.points())
+    evals, evecs = np.linalg.eigh(h)
+    n_keep = params.v_max + 1
+    evals = evals[:n_keep]
+    evecs = evecs[:, :n_keep]
+    _check_bound(evals, v_eff, grid, j)
     # deterministic sign: positive lobe at the outermost maximum
     for k in range(n_keep):
         peak = np.argmax(np.abs(evecs[:, k]))
         if evecs[peak, k] < 0:
             evecs[:, k] = -evecs[:, k]
-    return evals, evecs, r
+    return evals, evecs
 
 
 def z_direction_cosine(j: int, jp: int, m: int) -> float:
@@ -321,10 +329,19 @@ def build_morse_rovib(params: MorseParams,
     levels: dict[int, np.ndarray] = {}
     radial: dict[int, np.ndarray] = {}
     r_pts = grid.points()
+    # the kinetic matrix does not depend on J: one build per grid size
+    length, mass = grid.r_max - grid.r_min, params.reduced_mass
+    kinetic = _sine_dvr_kinetic(grid.n_points, length, mass)
+    if check_convergence:
+        r_fine = grid.points(2 * grid.n_points)
+        kinetic_fine = _sine_dvr_kinetic(2 * grid.n_points, length, mass)
     for j in range(params.j_max + 1):
-        evals, evecs, _ = _solve_radial(params, grid, j, grid.n_points)
+        evals, evecs = _solve_radial(params, grid, j, kinetic)
         if check_convergence:
-            evals_fine, _, _ = _solve_radial(params, grid, j, 2 * grid.n_points)
+            # the doubled grid is only compared by eigenvalue
+            h_fine, v_fine = _radial_hamiltonian(params, j, kinetic_fine, r_fine)
+            evals_fine = np.linalg.eigvalsh(h_fine)[:evals.size]
+            _check_bound(evals_fine, v_fine, grid, j)
             drift = np.max(np.abs(evals - evals_fine)) * CM1_PER_HARTREE
             if drift > grid.convergence_tol_cm1:
                 raise ConvergenceError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import Trajectory
+from .cavity import Trajectory, write_csv
 from .errors import AmbiguousPeaksError
 from .units import au_to_cm1
 
@@ -64,22 +64,13 @@ class Spectrum:
                     stick_cols[col] = self.meta[key]
         if extra_columns:
             stick_cols.update(extra_columns)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if self.kind == "sticks":
-                header = ["omega_cm1", "omega_au", "intensity"] + list(stick_cols)
-            else:
-                header = ["omega_au", "omega_cm1", "intensity"]
-            fh.write(",".join(header) + "\n")
-            omega_cm1 = self.omega_cm1
-            for i in range(self.omega.size):
-                if self.kind == "sticks":
-                    row = [f"{omega_cm1[i]:.17g}", f"{self.omega[i]:.17g}",
-                           f"{self.intensity[i]:.17g}"]
-                    row += [str(col[i]) for col in stick_cols.values()]
-                else:
-                    row = [f"{self.omega[i]:.17g}", f"{omega_cm1[i]:.17g}",
-                           f"{self.intensity[i]:.17g}"]
-                fh.write(",".join(row) + "\n")
+        if self.kind == "sticks":
+            write_csv(path, ["omega_cm1", "omega_au", "intensity"] + list(stick_cols),
+                      [self.omega_cm1, self.omega, self.intensity],
+                      list(stick_cols.values()))
+        else:
+            write_csv(path, ["omega_au", "omega_cm1", "intensity"],
+                      [self.omega, self.omega_cm1, self.intensity])
 
 
 def make_stick_spectrum(positions, intensities, meta=None, merge_tol: float = 1e-10,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import twinpol.cavity
 from twinpol import (AmbiguousPeaksError, KickPulse, Spectrum,
                      broaden_sticks, detect_peaks, dipole_spectrum,
                      fit_through_origin, measure_splitting, peaks_from_sticks,
@@ -187,3 +188,31 @@ def test_csv_schema_continuous(tmp_path):
     path = tmp_path / "spec.csv"
     spec.to_csv(path)
     assert path.read_text().splitlines()[0] == "omega_au,omega_cm1,intensity"
+
+
+def test_csv_rows_match_fstring_text(tmp_path, monkeypatch):
+    # the writers format blocks of rows at once (three here, the last one
+    # partial); each cell must read as f"{x:.17g}"
+    monkeypatch.setattr(twinpol.cavity, "CSV_BLOCK_ROWS", 3)
+    edge = np.array([0.0, -0.0, 5e-324, 1e308, 3.0, 1e-3, 0.1 + 0.2, 2.0**60])
+    times = np.arange(edge.size, dtype=float)
+    traj = Trajectory(kind="quantum", times=times, dipole=-edge,
+                      populations=np.column_stack([edge, edge[::-1]]),
+                      energy=edge, pop_labels=["a;N0", "b;N1"],
+                      q_expect=edge, q2_expect=edge)
+    traj.to_csv(tmp_path / "traj.csv")
+    lines = (tmp_path / "traj.csv").read_text().splitlines()
+    assert lines[0] == "t,mu,q_expect,q2_expect,p_a;N0,p_b;N1"
+    assert lines[1:] == [",".join(f"{x:.17g}" for x in row) for row in
+                         zip(times, -edge, edge, edge, edge, edge[::-1])]
+
+    labels = [f"v{k}J{k + 1}" for k in range(edge.size)]
+    spec = Spectrum("sticks", edge, np.abs(edge), {"labels_i": labels})
+    with np.errstate(over="ignore"):       # 1e308 au is inf in cm^-1
+        spec.to_csv(tmp_path / "sticks.csv", extra_columns={"n_mol": [4] * edge.size})
+        cm1 = spec.omega_cm1
+    lines = (tmp_path / "sticks.csv").read_text().splitlines()
+    assert lines[0] == "omega_cm1,omega_au,intensity,label_i,n_mol"
+    assert lines[1:] == [f"{c:.17g},{w:.17g},{i:.17g},{lab},4" for c, w, i, lab in
+                         zip(cm1, edge, np.abs(edge), labels)]
+    assert "-0" in lines[2] and "inf" in lines[4]

@@ -241,14 +241,19 @@ def _validate_initial(resolved: dict, model: MolecularModel):
             raise ConfigError("initial = symmetric fixes r0 = 0.5: every molecule is "
                               "half in psi_0; drop r0 or set it to 0.5")
         return
-    if initial in ("ground", "thermal"):
-        if initial == "thermal" and "thermal" not in resolved:
+    if initial == "thermal":
+        if framework in ("classical", "quantum_td"):
+            raise ConfigError(f"{framework} runs start from one state; initial = thermal "
+                              "is for quantum_static (use ground, psi_k or vVjJmM)")
+        if "thermal" not in resolved:
             raise ConfigError("initial = thermal needs a [thermal] section")
         return
     _initial_state_index(initial, model)    # raises with valid labels listed
 
 
 def _initial_state_index(initial: str, model: MolecularModel) -> int:
+    if initial == "ground":
+        return 0
     m = re.fullmatch(r"psi_(\d+)", initial)
     if m:
         k = int(m.group(1))
@@ -320,10 +325,10 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
         (out_dir / "peaks.json").write_text(
             json.dumps(peaks.to_json_dict(), indent=1, sort_keys=True))
         outputs.append("peaks.json")
-        checks = {"norm_drift": traj.meta["norm_drift"],
-                  "energy_drift_post_pulse": traj.meta["energy_drift_post_pulse"],
-                  "bin_width": spec.meta["bin_width"],
-                  "rk4_steps": traj.meta["rk4_steps"]}
+        checks = {key: traj.meta[key] for key in (
+            "norm_drift", "energy_drift_post_pulse", "method", "rk4_steps",
+            "rhs_evals", "exact_records")}
+        checks.update(bin_width=spec.meta["bin_width"], basis_size=len(traj.pop_labels))
 
     elif framework == "quantum_static":
         basis = ProductBasis.full(model, cav.n_fock_max)
@@ -382,8 +387,6 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
 
 def _static_initial(config: RunConfig, model, basis, sol):
     proto = config.raw["protocol"]
-    if proto["initial"] == "ground":
-        return [(dominant_eigenstate(sol, basis, (0, 0)), 1.0)]
     if proto["initial"] == "thermal":
         weights = _thermal_weights(config.raw["thermal"], model)
         return thermal_initial_states(sol, basis, weights, weight_cutoff=1e-4)

@@ -316,14 +316,13 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     q_op = q_operator(cav, basis)
     q2_op = q2_operator(cav, basis)
 
-    def rhs(t, c):
-        phase = np.exp(1j * eps * t)
-        psi = np.conj(phase) * c
+    def rhs(entry, c):
+        a, b, f = entry           # -i e^{i eps t}, e^{-i eps t}, f(t)
+        psi = b * c
         w_psi = real_matmul(v_int, psi)
-        f = pulse(t)
         if f != 0.0:
             w_psi = w_psi + f * real_matmul(mu, psi)
-        return -1j * phase * w_psi
+        return a * w_psi
 
     def observe(t, c):
         psi = np.exp(-1j * eps * t) * c
@@ -352,7 +351,8 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     c0[i0] = 1.0
     return propagate(
         rhs, c0, observe, ("dipole", "energy", "q_expect", "q2_expect"),
-        kind="quantum", pop_labels=[basis.label(i, model) for i in range(basis.size)],
+        kind="quantum", phase_freqs=eps,
+        pop_labels=[basis.label(i, model) for i in range(basis.size)],
         init_col=i0, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
         record_stride=record_stride, tail=None if sol is None else tail,
         meta={"init": init, "n_fock_max": cav.n_fock_max},

@@ -17,3 +17,113 @@ def cluster(spec, center, window, floor_rel=0.002):
         return None, 0.0
     w = spec.intensity[m]
     return float(np.average(spec.omega[m], weights=w)), float(w.sum())
+
+
+# -- one-vector RK4 stepping: the oracle for the tabled integrator -------------
+#
+# Each rhs evaluates its own phases and pulse at the stage time, and the
+# classical state is one complex vector (C, q, p).  The tabled core must
+# reproduce these trajectories bit for bit.
+
+
+def rk4_step(rhs, t, y, dt):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stepped_series(rhs, y0, n_amp, observe, names, t_end, dt, record_stride):
+    """Trajectory series of an RK4 run from t = 0 to t_end, recorded as
+    integrators.propagate records them."""
+    n_steps = int(round(t_end / dt))
+    rows = []
+    y, t = np.array(y0, copy=True), 0.0
+    for step in range(n_steps + 1):
+        if step:
+            y = rk4_step(rhs, t, y, dt)
+            t = step * dt
+        if step % record_stride == 0:
+            rows.append((np.abs(y[:n_amp]) ** 2, observe(t, y)))
+    series = dict(zip(names, np.array([v for _, v in rows]).T))
+    series["populations"] = np.array([pop for pop, _ in rows])
+    series["times"] = np.arange(len(rows)) * record_stride * dt
+    return series
+
+
+def stepped_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
+    """propagate_classical's series from the one-vector RK4."""
+    import math
+
+    from twinpol.classical import _total_energy
+    from twinpol.model import mu_squared_matrix
+
+    n = model.n_states
+    energies, mu = model.energies, model.dipole
+    mu2 = mu_squared_matrix(model)
+    g_fac = cav.g * math.sqrt(2.0 * cav.omega_c)
+    dse = cav.dse_prefactor
+    wc2 = cav.omega_c**2
+
+    def rhs(t, y):
+        c = y[:n]
+        q = y[n].real
+        phase = np.exp(1j * energies * t)
+        psi = np.conj(phase) * c
+        mu_psi = mu @ psi
+        drive = g_fac * q + pulse(t)
+        w_psi = drive * mu_psi
+        if dse:
+            w_psi = w_psi + dse * (mu2 @ psi)
+        dy = np.empty_like(y)
+        dy[:n] = -1j * phase * w_psi
+        dy[n] = y[n + 1].real
+        dy[n + 1] = -wc2 * q - g_fac * float(np.vdot(psi, mu_psi).real)
+        return dy
+
+    def observe(t, y):
+        q = y[n].real
+        p = y[n + 1].real
+        psi = np.exp(-1j * energies * t) * y[:n]
+        return (np.vdot(psi, mu @ psi).real, _total_energy(psi, q, p, model, mu2, cav),
+                q, p)
+
+    y0 = np.zeros(n + 2, complex)
+    y0[init_state] = 1.0
+    return _stepped_series(rhs, y0, n, observe, ("dipole", "energy", "q_series", "p_series"),
+                           t_end, dt, record_stride)
+
+
+def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
+    """propagate_quantum(method="rk4")'s series from per-stage phases and pulse."""
+    from twinpol.quantum import (ProductBasis, _expectations, assemble_hamiltonian,
+                                 mu_operator, q2_operator, q_operator, real_matmul)
+
+    basis = ProductBasis.full(model, cav.n_fock_max)
+    ks, ns = basis.arrays()
+    eps = model.energies[ks] + ns * cav.omega_c
+    v_int = assemble_hamiltonian(model, cav, basis) - np.diag(eps)
+    mu, q_op, q2_op = (mu_operator(model, basis), q_operator(cav, basis),
+                       q2_operator(cav, basis))
+
+    def rhs(t, c):
+        phase = np.exp(1j * eps * t)
+        psi = np.conj(phase) * c
+        w_psi = real_matmul(v_int, psi)
+        f = pulse(t)
+        if f != 0.0:
+            w_psi = w_psi + f * real_matmul(mu, psi)
+        return -1j * phase * w_psi
+
+    def observe(t, c):
+        psi = np.exp(-1j * eps * t) * c
+        energy = np.sum(eps * np.abs(psi) ** 2) + _expectations(v_int, psi)
+        return (_expectations(mu, psi), energy,
+                _expectations(q_op, psi), _expectations(q2_op, psi))
+
+    c0 = np.zeros(basis.size, complex)
+    c0[basis.index(*init)] = 1.0
+    return _stepped_series(rhs, c0, basis.size, observe,
+                           ("dipole", "energy", "q_expect", "q2_expect"),
+                           t_end, dt, record_stride)

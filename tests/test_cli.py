@@ -3,6 +3,7 @@ import json
 import pytest
 
 import twinpol.cli
+import twinpol.integrators
 import twinpol.manymol
 from twinpol.cli import RunConfig, main, run
 from twinpol.errors import ConfigError
@@ -142,6 +143,46 @@ record_stride = 10
     # RK4 runs to the first record at or after the kick's support end (60.6 au)
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["checks"]["rk4_steps"] == 70
+    # problem sizes: 4 rhs calls per step, the 994 records from 70 au on, 9 amplitudes
+    checks = manifest["checks"]
+    assert (checks["method"], checks["rhs_evals"], checks["exact_records"],
+            checks["basis_size"]) == ("exact", 280, 994, 9)
+
+
+TD_PROTOCOL = """
+[protocol]
+framework = {framework}
+{initial}
+t_end = 400 au
+dt = 1.0 au
+record_stride = 10
+"""
+
+
+@pytest.mark.parametrize("framework", ["classical", "quantum_td"])
+@pytest.mark.parametrize("initial", ["", "initial = ground"], ids=["default", "explicit"])
+def test_td_ground_validates_and_runs_from_psi_0(tmp_path, framework, initial):
+    cfg = write(tmp_path, THREE_LEVEL_HEADER
+                + TD_PROTOCOL.format(framework=framework, initial=initial))
+    psi_0 = write(tmp_path, THREE_LEVEL_HEADER
+                  + TD_PROTOCOL.format(framework=framework, initial="initial = psi_0"),
+                  name="psi_0.cfg")
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "g")]) == 0
+    assert main(["run", str(psi_0), "--out-dir", str(tmp_path / "p")]) == 0
+    for name in ("trajectory.csv", "spectrum.csv", "peaks.json"):
+        assert (tmp_path / "g" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+
+@pytest.mark.parametrize("framework", ["classical", "quantum_td"])
+def test_td_thermal_refused_by_validate_and_run(tmp_path, capsys, framework):
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + "\n[thermal]\ntemperature = 300 K\n"
+                + TD_PROTOCOL.format(framework=framework, initial="initial = thermal"))
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"{framework} runs start from one state") == 2
+    assert not (tmp_path / "t").exists()
 
 
 SWEEP = """\
@@ -282,6 +323,25 @@ n_mol = 3
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "sc"),
                  "--seedless-check"]) == 0
     assert "determinism check passed" in capsys.readouterr().out
+
+
+def test_seedless_check_classical_over_several_chunks(tmp_path, capsys):
+    # 4000 RK4 steps: more than two chunks of tabled phases and pulse values
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + """
+[protocol]
+framework = classical
+initial = psi_1
+t_end = 4000 au
+dt = 1.0 au
+record_stride = 8
+""")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "sc"),
+                 "--seedless-check"]) == 0
+    assert "determinism check passed" in capsys.readouterr().out
+    checks = json.loads((tmp_path / "sc" / "manifest.json").read_text())["checks"]
+    assert (checks["method"], checks["rk4_steps"], checks["rhs_evals"]) == (
+        "rk4", 4000, 16000)
+    assert 4000 > 2 * (twinpol.integrators.TAIL_CHUNK_BYTES // (3 * (16 + 32 * 3)))
 
 
 def test_manymol_bruteforce_records_basis_sizes(tmp_path):

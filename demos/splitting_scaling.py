@@ -8,7 +8,7 @@ tuned by the same knob as the classical primary splitting.
 
 import numpy as np
 
-from twinpol import (CavityParams, ProductBasis, Spectrum, assemble_hamiltonian,
+from twinpol import (CavityParams, ProductBasis, assemble_hamiltonian,
                      build_three_level, diagonalize_polaritons,
                      dominant_eigenstate, fit_through_origin, measure_splitting,
                      peaks_from_sticks, static_stick_spectrum)
@@ -27,8 +27,7 @@ for g in g_values:
         spec = static_stick_spectrum(
             sol, model, basis,
             [(dominant_eigenstate(sol, basis, inits[branch]), 1.0)])
-        strong = spec.intensity > 0.01 * spec.intensity.max()
-        sticks = Spectrum("sticks", spec.omega[strong], spec.intensity[strong], {})
+        sticks = spec.select(spec.intensity > 0.01 * spec.intensity.max())
         table[branch].append(measure_splitting(peaks_from_sticks(sticks),
                                                windows[branch]))
 

@@ -49,7 +49,8 @@ from .model import (MolecularModel, ThermalWeights, _reject_unknown, boltzmann_w
 from .quantum import (PolaritonSolution, ProductBasis, assemble_hamiltonian,
                       diagonalize_polaritons, dominant_eigenstate, propagate_quantum,
                       static_stick_spectrum, thermal_initial_states)
-from .spectra import detect_peaks, dipole_spectrum, fit_through_origin
+from .spectra import (Spectrum, detect_peaks, dipole_spectrum, fit_through_origin,
+                      measure_splitting, peaks_from_sticks)
 
 FRAMEWORKS = ("classical", "quantum_static", "quantum_td",
               "manymol_bruteforce", "manymol_analytic", "thermo_limit")
@@ -130,12 +131,8 @@ def _resolve(parser: configparser.ConfigParser) -> tuple[dict, MolecularModel]:
         if sec not in known_sections:
             raise ConfigError(f"unknown section [{sec}]")
 
-    has_3l = parser.has_section("three_level")
-    has_morse = parser.has_section("morse")
-    if has_3l == has_morse:
-        raise ConfigError("config needs exactly one of [three_level] or [morse]")
-    model_kind = "three_level" if has_3l else "morse"
-    model = model_from_config(parser)   # validates model keys and units
+    model = model_from_config(parser)   # validates model sections, keys and units
+    model_kind = "three_level" if parser.has_section("three_level") else "morse"
 
     out: dict = {"model_kind": model_kind, model_kind: dict(parser[model_kind])}
 
@@ -404,8 +401,6 @@ def _write_plot_data(spec, path):
 
 def _write_manymol(spec, path, proto):
     """Quantum stick schema plus the n_mol, n0, branch, mechanism columns."""
-    from .spectra import Spectrum
-
     n = spec.omega.size
     finite = proto["framework"] != "thermo_limit"
     bare = Spectrum(spec.kind, spec.omega, spec.intensity,
@@ -462,13 +457,10 @@ def _run_sweep(config: RunConfig, out_dir: Path, g_values: list[float],
 
 
 def _stick_splitting(sol, model, basis, init_entry, window):
-    from .spectra import measure_splitting, peaks_from_sticks
     initial = [(dominant_eigenstate(sol, basis, init_entry), 1.0)]
     spec = static_stick_spectrum(sol, model, basis, initial, min_intensity=0.0)
-    strong = spec.intensity > 0.01 * spec.intensity.max()
-    spec = type(spec)("sticks", spec.omega[strong], spec.intensity[strong], spec.meta)
-    return measure_splitting(peaks_from_sticks(spec.in_window(*window)),
-                             window)
+    strong = spec.select(spec.intensity > 0.01 * spec.intensity.max())
+    return measure_splitting(peaks_from_sticks(strong.in_window(*window)), window)
 
 
 # -- entry point -------------------------------------------------------------

@@ -374,9 +374,7 @@ def spectrum_from_state(sol: PolaritonSolution, mu_op: np.ndarray, chi: np.ndarr
                                merge_tol=degeneracy_tol,
                                meta={"framework": "manymol_bruteforce"})
     if spec.intensity.size:
-        floor = min_rel_intensity * spec.intensity.max()
-        keep = spec.intensity > floor
-        spec = Spectrum("sticks", spec.omega[keep], spec.intensity[keep], spec.meta)
+        spec = spec.select(spec.intensity > min_rel_intensity * spec.intensity.max())
     return spec
 
 

@@ -17,6 +17,12 @@ from .errors import AmbiguousPeaksError
 from .units import au_to_cm1
 
 
+# Per-stick columns a stick spectrum may carry in meta, each with its CSV
+# column name.  They follow their sticks through merging and selection.
+STICK_COLUMNS = {"labels_i": "label_i", "labels_f": "label_f",
+                 "branch": "branch", "mechanism": "mechanism"}
+
+
 @dataclass
 class Spectrum:
     """Continuous (grid) or stick representation of intensity vs frequency."""
@@ -35,6 +41,11 @@ class Spectrum:
             raise ValueError("frequency grid must be strictly increasing")
         if np.any(self.intensity < 0):
             raise ValueError("intensities must be nonnegative")
+        if self.kind == "sticks":
+            for key in STICK_COLUMNS:
+                if key in self.meta and len(self.meta[key]) != self.omega.size:
+                    raise ValueError(f"meta[{key!r}] has {len(self.meta[key])} "
+                                     f"entries for {self.omega.size} sticks")
 
     @property
     def omega_cm1(self) -> np.ndarray:
@@ -45,67 +56,61 @@ class Spectrum:
         scale = peak if peak > 0 else 1.0
         return Spectrum(self.kind, self.omega, self.intensity / scale, dict(self.meta))
 
-    def in_window(self, lo: float, hi: float) -> "Spectrum":
-        m = (self.omega >= lo) & (self.omega <= hi)
+    def select(self, mask) -> "Spectrum":
+        """The points where mask holds, with every per-stick column."""
+        keep = np.flatnonzero(mask)
         meta = dict(self.meta)
-        for key in ("labels_i", "labels_f", "branch", "mechanism"):
+        for key in STICK_COLUMNS:
             if key in meta:
-                meta[key] = [v for v, keep in zip(meta[key], m) if keep]
-        return Spectrum(self.kind, self.omega[m], self.intensity[m], meta)
+                meta[key] = [meta[key][i] for i in keep]
+        return Spectrum(self.kind, self.omega[keep], self.intensity[keep], meta)
+
+    def in_window(self, lo: float, hi: float) -> "Spectrum":
+        return self.select((self.omega >= lo) & (self.omega <= hi))
 
     def to_csv(self, path, extra_columns: dict | None = None):
         """Write omega_au, omega_cm1, intensity (+ label/metadata columns)."""
-        stick_cols = {}
-        if self.kind == "sticks":
-            names = {"labels_i": "label_i", "labels_f": "label_f",
-                     "branch": "branch", "mechanism": "mechanism"}
-            for key, col in names.items():
-                if key in self.meta:
-                    stick_cols[col] = self.meta[key]
-        if extra_columns:
-            stick_cols.update(extra_columns)
-        if self.kind == "sticks":
-            write_csv(path, ["omega_cm1", "omega_au", "intensity"] + list(stick_cols),
-                      [self.omega_cm1, self.omega, self.intensity],
-                      list(stick_cols.values()))
-        else:
+        if self.kind != "sticks":
             write_csv(path, ["omega_au", "omega_cm1", "intensity"],
                       [self.omega, self.omega_cm1, self.intensity])
+            return
+        cols = {col: self.meta[key] for key, col in STICK_COLUMNS.items()
+                if key in self.meta}
+        cols.update(extra_columns or {})
+        write_csv(path, ["omega_cm1", "omega_au", "intensity"] + list(cols),
+                  [self.omega_cm1, self.omega, self.intensity], list(cols.values()))
 
 
 def make_stick_spectrum(positions, intensities, meta=None, merge_tol: float = 1e-10,
                         min_intensity: float = 0.0, **per_stick) -> Spectrum:
-    """Sort sticks, merge positions closer than merge_tol, drop tiny ones.
+    """Sort sticks, merge runs of neighbours closer than merge_tol, drop tiny ones.
 
-    per_stick keyword arrays (labels_i, labels_f, branch, mechanism) follow
-    their stick through sorting and keep the dominant entry's value on merge.
+    After a stable sort a new group starts wherever the gap to the previous
+    stick exceeds merge_tol.  Each group becomes one stick carrying the total
+    intensity at the centre sum(p * w) / sum(w), w = max(I, 1e-300).  Centres
+    stay inside their groups and groups lie more than merge_tol apart, so
+    merging the result again changes nothing (short of a gap within one
+    rounding of merge_tol, which a centre off by an ulp can close).
+    per_stick keyword arrays (the keys of STICK_COLUMNS) keep the value of
+    each group's first maximal entry.
     """
     pos = np.asarray(positions, float)
     inten = np.asarray(intensities, float)
     order = np.argsort(pos, kind="stable")
     pos, inten = pos[order], inten[order]
-    cols = {k: [v[i] for i in order] for k, v in per_stick.items() if v is not None}
-
-    out_pos, out_int = [], []
-    out_cols = {k: [] for k in cols}
-    i = 0
-    while i < pos.size:
-        j = i
-        while j + 1 < pos.size and pos[j + 1] - pos[i] <= merge_tol:
-            j += 1
-        group = slice(i, j + 1)
-        total = float(inten[group].sum())
-        if total > min_intensity:
-            center = float(np.average(pos[group], weights=np.maximum(inten[group], 1e-300)))
-            dom = i + int(np.argmax(inten[group]))
-            out_pos.append(center)
-            out_int.append(total)
-            for k in cols:
-                out_cols[k].append(cols[k][dom])
-        i = j + 1
+    opens = np.diff(pos, prepend=-np.inf) > merge_tol
+    starts, group = np.flatnonzero(opens), np.cumsum(opens) - 1
+    total = np.add.reduceat(inten, starts)
+    weight = np.maximum(inten, 1e-300)
+    center = np.add.reduceat(pos * weight, starts) / np.add.reduceat(weight, starts)
+    peak = np.flatnonzero(inten == np.maximum.reduceat(inten, starts)[group])
+    dom = peak[np.diff(group[peak], prepend=-1) > 0]     # first maximum per group
+    keep = total > min_intensity
     meta = dict(meta or {})
-    meta.update(out_cols)
-    return Spectrum("sticks", np.array(out_pos), np.array(out_int), meta)
+    for key, col in per_stick.items():
+        if col is not None:
+            meta[key] = [col[i] for i in order[dom[keep]]]
+    return Spectrum("sticks", center[keep], total[keep], meta)
 
 
 @dataclass
@@ -244,9 +249,9 @@ def thermal_average_spectra(runs: list[tuple[Spectrum, float]]) -> Spectrum:
         return Spectrum("continuous", ref.omega, total, dict(ref.meta))
     pos = np.concatenate([s.omega for s, _ in runs])
     inten = np.concatenate([w * s.intensity for s, w in runs])
-    labels_i = sum((list(s.meta.get("labels_i", [""] * s.omega.size)) for s, _ in runs), [])
-    labels_f = sum((list(s.meta.get("labels_f", [""] * s.omega.size)) for s, _ in runs), [])
-    return make_stick_spectrum(pos, inten, labels_i=labels_i, labels_f=labels_f)
+    cols = {key: [v for s, _ in runs for v in s.meta.get(key, [""] * s.omega.size)]
+            for key in STICK_COLUMNS if any(key in s.meta for s, _ in runs)}
+    return make_stick_spectrum(pos, inten, **cols)
 
 
 def broaden_sticks(sticks: Spectrum, lineshape: str = "lorentzian",

@@ -127,3 +127,30 @@ def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
     return _stepped_series(rhs, c0, basis.size, observe,
                            ("dipole", "energy", "q_expect", "q2_expect"),
                            t_end, dt, record_stride)
+
+
+# -- plain-Python gap merge: the oracle for make_stick_spectrum ----------------
+
+
+def merge_sticks(positions, intensities, labels, merge_tol, min_intensity=0.0):
+    """(centre, total, label) per merged stick, one stick at a time.
+
+    After a stable sort a stick joins the group before it when it lies within
+    merge_tol of that group's last stick.  A group carries its total at
+    sum(p w) / sum(w), w = max(I, 1e-300), and the label of its first
+    maximal stick; groups with total <= min_intensity are dropped.
+    """
+    groups = []
+    for i in sorted(range(len(positions)), key=lambda i: positions[i]):
+        if groups and positions[i] - positions[groups[-1][-1]] <= merge_tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    merged = []
+    for group in groups:
+        total = sum(intensities[i] for i in group)
+        if total > min_intensity:
+            w = [max(intensities[i], 1e-300) for i in group]
+            centre = sum(positions[i] * wi for i, wi in zip(group, w)) / sum(w)
+            merged.append((centre, total, labels[max(group, key=lambda i: intensities[i])]))
+    return merged

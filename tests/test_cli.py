@@ -7,6 +7,9 @@ import twinpol.integrators
 import twinpol.manymol
 from twinpol.cli import RunConfig, main, run
 from twinpol.errors import ConfigError
+from twinpol.quantum import (ProductBasis, assemble_hamiltonian, diagonalize_polaritons,
+                             dominant_eigenstate, static_stick_spectrum)
+from twinpol.spectra import Spectrum, peaks_from_sticks
 
 THREE_LEVEL_HEADER = """\
 [three_level]
@@ -83,6 +86,15 @@ initial = thermal
 """)
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert "subset is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sections", ["[three_level]\n\n[morse]\n", ""],
+                         ids=["both", "neither"])
+def test_model_needs_exactly_one_section(tmp_path, capsys, sections):
+    cfg = write(tmp_path, sections + "\n[protocol]\nframework = quantum_static\n")
+    assert main(["validate", str(cfg)]) == 2
+    assert ("config needs exactly one of [three_level] or [morse]"
+            in capsys.readouterr().err)
 
 
 def test_sweep_requires_g_list(tmp_path, capsys):
@@ -225,6 +237,33 @@ def test_sweep_diagonalizes_each_coupling_once(tmp_path, monkeypatch):
     assert main(["sweep", str(write(tmp_path, SWEEP)),
                  "--out-dir", str(tmp_path / "sw")]) == 0
     assert len(calls) == 4
+
+
+def test_sweep_sticks_keep_their_labels(model3, cav, monkeypatch):
+    # the 1% floor and the window select sticks; each keeps its own labels
+    basis = ProductBasis.full(model3, cav.n_fock_max)
+    sol = diagonalize_polaritons(assemble_hamiltonian(model3, cav, basis))
+    ground = dominant_eigenstate(sol, basis, (0, 0))
+    full = static_stick_spectrum(sol, model3, basis, [(ground, 1.0)])
+    labels = dict(zip(full.omega, zip(full.meta["labels_i"], full.meta["labels_f"])))
+    strong = full.intensity > 0.01 * full.intensity.max()
+    assert 0 < strong.sum() < full.omega.size
+    with pytest.raises(ValueError, match="entries for"):
+        Spectrum("sticks", full.omega[strong], full.intensity[strong], full.meta)
+
+    windowed = []
+
+    def capture(spec):
+        windowed.append(spec)
+        return peaks_from_sticks(spec)
+
+    monkeypatch.setattr(twinpol.cli, "peaks_from_sticks", capture)
+    w02 = model3.transition_frequency(0, 2)
+    twinpol.cli._stick_splitting(sol, model3, basis, (0, 0), (w02 - 5e-4, w02 + 5e-4))
+    (spec,) = windowed
+    assert spec.omega.size == 2
+    assert list(zip(spec.meta["labels_i"], spec.meta["labels_f"])) == [
+        labels[w] for w in spec.omega]
 
 
 def test_manymol_frameworks(tmp_path):

@@ -11,6 +11,8 @@ from twinpol import (AmbiguousPeaksError, KickPulse, Spectrum,
 from twinpol.cavity import Trajectory
 from twinpol.spectra import make_stick_spectrum
 
+from helpers import merge_sticks
+
 
 def synthetic_trajectory(signal, dt=1.0):
     n = signal.size
@@ -173,6 +175,68 @@ def test_stick_merging_tolerance():
     spec = make_stick_spectrum([1.0, 1.0 + 5e-11, 2.0], [1.0, 2.0, 3.0])
     assert spec.omega.size == 2
     assert spec.intensity[0] == pytest.approx(3.0)
+
+
+STICK_LISTS = st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(STICK_LISTS, st.sampled_from([0.0, 0.01, 0.05]), st.sampled_from([0.0, 1.0]))
+def test_stick_merge_matches_gap_reference(sticks, merge_tol, min_intensity):
+    positions, intensities = sticks
+    labels = [str(i) for i in range(len(positions))]
+    spec = make_stick_spectrum(positions, intensities, merge_tol=merge_tol,
+                               min_intensity=min_intensity, labels_i=labels)
+    ref = merge_sticks(positions, intensities, labels, merge_tol, min_intensity)
+    assert spec.omega.size == len(ref)
+    assert spec.meta["labels_i"] == [label for _, _, label in ref]
+    assert np.allclose(spec.intensity, [t for _, t, _ in ref], rtol=1e-12, atol=0.0)
+    assert np.allclose(spec.omega, [c for c, _, _ in ref], rtol=1e-12, atol=1e-15)
+
+
+# Positions on a 2^-8 grid and tolerances at odd multiples of 2^-9 keep every
+# gap at least 2^-9 from merge_tol.  A gap within one rounding of merge_tol is
+# outside the guarantee: a centre may round one ulp past its group and close it.
+@settings(max_examples=200, deadline=None)
+@given(STICK_LISTS, st.sampled_from([1, 3, 13]), st.sampled_from([0.0, 1.0]))
+def test_stick_merge_is_idempotent(sticks, tol_halfsteps, min_intensity):
+    positions, intensities = sticks
+    positions = np.round(np.asarray(positions) * 256.0) / 256.0
+    merge_tol = tol_halfsteps / 512.0
+    labels = [str(i) for i in range(positions.size)]
+    once = make_stick_spectrum(positions, intensities, merge_tol=merge_tol,
+                               min_intensity=min_intensity, labels_i=labels)
+    assert np.all(np.diff(once.omega) > merge_tol)
+    twice = make_stick_spectrum(once.omega, once.intensity, merge_tol=merge_tol,
+                                min_intensity=min_intensity, **once.meta)
+    assert np.array_equal(twice.omega, once.omega)
+    assert np.array_equal(twice.intensity, once.intensity)
+    assert twice.meta["labels_i"] == once.meta["labels_i"]
+
+
+def test_stick_merge_joins_a_chain_longer_than_the_tolerance():
+    # each neighbour lies within tol, the ends do not: one group, where a
+    # group anchored at its first stick would have split off the third
+    tol = 1e-10
+    spec = make_stick_spectrum([1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol], [1.0, 2.0, 1.0],
+                               merge_tol=tol, labels_i=["a", "b", "c"])
+    assert spec.intensity.tolist() == [4.0]
+    assert spec.omega[0] == pytest.approx(1.0 + 0.6 * tol, abs=1e-15)
+    assert spec.meta["labels_i"] == ["b"]
+
+
+def test_stick_columns_follow_select_and_must_match_sticks():
+    spec = make_stick_spectrum([1.0, 2.0, 3.0], [1.0, 0.001, 2.0], labels_i=["a", "b", "c"],
+                               branch=["R", "P", "P"])
+    strong = spec.intensity > 0.01 * spec.intensity.max()
+    kept = spec.select(strong)
+    assert kept.omega.tolist() == [1.0, 3.0]
+    assert kept.meta["labels_i"] == ["a", "c"] and kept.meta["branch"] == ["R", "P"]
+    assert spec.in_window(1.5, 3.5).meta["labels_i"] == ["b", "c"]
+    with pytest.raises(ValueError, match="entries for"):
+        Spectrum("sticks", spec.omega[strong], spec.intensity[strong], spec.meta)
 
 
 def test_fit_through_origin():

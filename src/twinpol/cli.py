@@ -38,14 +38,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cavity import CavityParams, KickPulse
+from .cavity import CavityParams, KickPulse, write_csv
 from .classical import propagate_classical
-from .errors import ConfigError, TwinpolError
+from .errors import ConfigError, ModelError, TwinpolError
 from .manymol import (ManyMolConfig, analytic_nonsymmetric_spectrum,
                       analytic_symmetric_spectrum, brute_force_spectrum,
                       thermodynamic_limit_spectrum)
-from .model import (MolecularModel, ThermalWeights, _reject_unknown, boltzmann_weights,
-                    model_from_config, parse_quantity)
+from .model import (MODEL_SECTIONS, MolecularModel, ThermalWeights, boltzmann_weights,
+                    model_from_config, parse_float, parse_int, parse_quantity,
+                    read_section)
 from .quantum import (PolaritonSolution, ProductBasis, assemble_hamiltonian,
                       diagonalize_polaritons, dominant_eigenstate, propagate_quantum,
                       static_stick_spectrum, thermal_initial_states)
@@ -54,14 +55,65 @@ from .spectra import (Spectrum, detect_peaks, dipole_spectrum, fit_through_origi
 
 FRAMEWORKS = ("classical", "quantum_static", "quantum_td",
               "manymol_bruteforce", "manymol_analytic", "thermo_limit")
+FORMATS = ("csv", "json")
 
-_PROTOCOL_KEYS = {
-    "framework", "initial", "t_end", "dt", "record_stride",
-    "pulse_amplitude", "pulse_t0", "pulse_sigma", "pulse_max_excitation",
-    "damping_tau", "pad_factor", "peak_threshold", "n_mol", "n0", "r0",
+
+def _parse_bool(raw: str, key: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("on", "true", "yes", "1"):
+        return True
+    if low in ("off", "false", "no", "0"):
+        return False
+    raise ConfigError(f"{key}: expected on/off, got {raw!r}")
+
+
+def _choice(options):
+    def parse_choice(raw: str, key: str) -> str:
+        if raw not in options:
+            raise ConfigError(f"unknown {key} {raw!r} (choose from {', '.join(options)})")
+        return raw
+    return parse_choice
+
+
+def _positive(parse):
+    def parse_positive(raw: str, key: str):
+        value = parse(raw, key)
+        if not value > 0:
+            raise ConfigError(f"{key}: must be positive, got {raw!r}")
+        return value
+    return parse_positive
+
+
+def _list_of(parse):
+    def parse_list(raw: str, key: str) -> list:
+        return [parse(item.strip(), key) for item in raw.split(",") if item.strip()]
+    return parse_list
+
+
+# section -> {key: (parser, default text)}: with MODEL_SECTIONS, every section a
+# run config may have.  RunConfig._check checks the ranges no parser checks.
+RUN_SECTIONS = {
+    "thermal": {"temperature": (parse_quantity, "300 K"), "v": (parse_int, None)},
+    "cavity": {
+        "omega_c": (parse_quantity, "1e-2 au"),
+        "g": (parse_quantity, "2e-4 au"),     # the first g_sweep value when only that is given
+        "g_sweep": (_list_of(parse_quantity), None),
+        "dse": (_parse_bool, "on"), "n_fock_max": (parse_int, "2"),
+    },
+    "protocol": {
+        "framework": (_choice(FRAMEWORKS), "quantum_static"), "initial": (None, "ground"),
+        "t_end": (_positive(parse_quantity), "1.6e5 au"),
+        "dt": (_positive(parse_quantity), "1.0 au"),
+        "record_stride": (_positive(parse_int), "8"),
+        "pulse_amplitude": (parse_quantity, "1e-4 au"), "pulse_t0": (parse_quantity, "25.0 au"),
+        "pulse_sigma": (parse_quantity, "5.0 au"), "pulse_max_excitation": (parse_float, "1e-2"),
+        "damping_tau": (_positive(parse_quantity), None),    # None: t_end / 8
+        "pad_factor": (_positive(parse_int), "4"), "peak_threshold": (parse_float, "0.01"),
+        "n_mol": (parse_int, "1"), "n0": (parse_int, None), "r0": (parse_float, "0.5"),
+    },
+    "output": {"directory": (None, "twinpol_out"),
+               "formats": (_list_of(_choice(FORMATS)), "csv,json")},
 }
-_CAVITY_KEYS = {"omega_c", "g", "g_sweep", "dse", "n_fock_max"}
-_OUTPUT_KEYS = {"directory", "formats"}
 
 
 class RunConfig:
@@ -73,28 +125,75 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        """Read and check a config file.  Every run section is parsed by its
+        schema, defaults echoed; the model section keeps its text."""
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
-        resolved, model = _resolve(parser)
-        config = cls(resolved)
+        for name in parser.sections():
+            if name not in MODEL_SECTIONS and name not in RUN_SECTIONS:
+                raise ConfigError(f"unknown section [{name}]")
+        model = model_from_config(parser)
+        kind = "three_level" if parser.has_section("three_level") else "morse"
+        raw: dict = {"model_kind": kind, kind: dict(parser[kind])}
+        for name, schema in RUN_SECTIONS.items():
+            if name != "thermal" or parser.has_section(name):
+                raw[name] = read_section(parser, name, schema)
+        if raw["cavity"]["g_sweep"] and "g" not in parser["cavity"]:
+            raw["cavity"]["g"] = raw["cavity"]["g_sweep"][0]
+        if raw.get("thermal", {}).get("v", 0) is None:     # v is echoed only when given
+            del raw["thermal"]["v"]
+        config = cls(raw)
         config._model = model      # built once, while validating
+        config._check()
         return config
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "RunConfig":
         return cls(manifest["config"])
 
+    def _check(self):
+        """Build what run builds, so that a value out of its range is a config
+        error here rather than a numerical failure in run."""
+        model, proto = self.build_model(), self.raw["protocol"]
+        framework, initial = proto["framework"], proto["initial"]
+        if framework in ("manymol_bruteforce", "manymol_analytic", "thermo_limit"):
+            if initial not in ("thermal", "symmetric"):
+                raise ConfigError(f"initial = {initial!r}: {framework} takes "
+                                  "'thermal' or 'symmetric'")
+            if framework == "thermo_limit" and initial == "symmetric" and proto["r0"] != 0.5:
+                raise ConfigError("initial = symmetric fixes r0 = 0.5: every molecule is "
+                                  "half in psi_0; drop r0 or set it to 0.5")
+        elif initial == "thermal":
+            if framework in ("classical", "quantum_td"):
+                raise ConfigError(f"{framework} runs start from one state; initial = "
+                                  "thermal is for quantum_static (use ground, psi_k or vVjJmM)")
+            if "thermal" not in self.raw:
+                raise ConfigError("initial = thermal needs a [thermal] section")
+        else:
+            _initial_state_index(initial, model)    # raises with valid labels listed
+        if len(self.g_values) > 1 and model.n_states != 3:
+            raise ConfigError("g sweeps with splitting tables support the 3-level model")
+        try:
+            cavities = [self.cavity(g) for g in self.g_values]
+            if framework in ("classical", "quantum_td"):
+                self.pulse()
+                if round(proto["t_end"] / proto["dt"]) < proto["record_stride"]:
+                    raise ConfigError("t_end is shorter than one record_stride of dt steps")
+            elif framework in ("manymol_bruteforce", "manymol_analytic"):
+                self.manymol(cavities[0].g)
+            elif framework == "thermo_limit":
+                self.thermo_limit_sticks(cavities[0].g)
+            if "thermal" in self.raw:
+                _thermal_weights(self.raw["thermal"], model)
+        except ModelError as err:
+            raise ConfigError(str(err)) from None
+
     # -- builders ---------------------------------------------------------
 
     def build_model(self) -> MolecularModel:
         if self._model is None:
-            parser = configparser.ConfigParser()
-            kind = self.raw["model_kind"]
-            parser.add_section(kind)
-            for key, val in self.raw[kind].items():
-                parser.set(kind, key, str(val))
-            self._model = model_from_config(parser)
+            self._model = model_from_config(self.raw)
         return self._model
 
     def cavity(self, g: float | None = None) -> CavityParams:
@@ -113,6 +212,17 @@ class RunConfig:
             sigma=sec["pulse_sigma"], max_excitation=sec["pulse_max_excitation"],
         )
 
+    def manymol(self, g: float) -> ManyMolConfig:
+        sec = self.raw["protocol"]
+        return ManyMolConfig.from_model(self.build_model(), g, sec["n_mol"], n0=sec["n0"],
+                                        symmetric=sec["initial"] == "symmetric")
+
+    def thermo_limit_sticks(self, g: float) -> Spectrum:
+        sec, model = self.raw["protocol"], self.build_model()
+        return thermodynamic_limit_spectrum(
+            sec["r0"], sec["initial"], g, float(model.dipole[0, 2]),
+            model.transition_frequency(0, 2), model.transition_frequency(1, 2))
+
     @property
     def framework(self) -> str:
         return self.raw["protocol"]["framework"]
@@ -122,87 +232,6 @@ class RunConfig:
         return self.raw["cavity"].get("g_sweep") or [self.raw["cavity"]["g"]]
 
 
-def _resolve(parser: configparser.ConfigParser) -> tuple[dict, MolecularModel]:
-    """Validate sections/keys and normalize every value (defaults echoed).
-
-    Returns the resolved dict and the model built to validate it."""
-    known_sections = {"three_level", "morse", "thermal", "cavity", "protocol", "output"}
-    for sec in parser.sections():
-        if sec not in known_sections:
-            raise ConfigError(f"unknown section [{sec}]")
-
-    model = model_from_config(parser)   # validates model sections, keys and units
-    model_kind = "three_level" if parser.has_section("three_level") else "morse"
-
-    out: dict = {"model_kind": model_kind, model_kind: dict(parser[model_kind])}
-
-    cav = parser["cavity"] if parser.has_section("cavity") else {}
-    for key in cav:
-        if key not in _CAVITY_KEYS:
-            raise ConfigError(f"[cavity] has unknown key {key!r}")
-    g_sweep = None
-    if "g_sweep" in cav:
-        items = [s.strip() for s in cav["g_sweep"].split(",") if s.strip()]
-        g_sweep = [parse_quantity(s, "g_sweep") for s in items]
-    out["cavity"] = {
-        "omega_c": parse_quantity(cav.get("omega_c", "1e-2 au"), "omega_c"),
-        "g": parse_quantity(cav.get("g", "2e-4 au"), "g") if "g" in cav or not g_sweep
-             else g_sweep[0],
-        "g_sweep": g_sweep,
-        "dse": _parse_bool(cav.get("dse", "on"), "dse"),
-        "n_fock_max": int(cav.get("n_fock_max", "2")),
-    }
-
-    proto = parser["protocol"] if parser.has_section("protocol") else {}
-    for key in proto:
-        if key not in _PROTOCOL_KEYS:
-            raise ConfigError(f"[protocol] has unknown key {key!r}")
-    framework = proto.get("framework", "quantum_static")
-    if framework not in FRAMEWORKS:
-        raise ConfigError(f"unknown framework {framework!r} "
-                          f"(choose from {', '.join(FRAMEWORKS)})")
-    out["protocol"] = {
-        "framework": framework,
-        "initial": proto.get("initial", "ground"),
-        "t_end": parse_quantity(proto.get("t_end", "1.6e5 au"), "t_end"),
-        "dt": parse_quantity(proto.get("dt", "1.0 au"), "dt"),
-        "record_stride": int(proto.get("record_stride", "8")),
-        "pulse_amplitude": parse_quantity(proto.get("pulse_amplitude", "1e-4 au"),
-                                          "pulse_amplitude"),
-        "pulse_t0": parse_quantity(proto.get("pulse_t0", "25.0 au"), "pulse_t0"),
-        "pulse_sigma": parse_quantity(proto.get("pulse_sigma", "5.0 au"), "pulse_sigma"),
-        "pulse_max_excitation": float(proto.get("pulse_max_excitation", "1e-2")),
-        "damping_tau": parse_quantity(proto["damping_tau"], "damping_tau")
-                       if "damping_tau" in proto else None,
-        "pad_factor": int(proto.get("pad_factor", "4")),
-        "peak_threshold": float(proto.get("peak_threshold", "0.01")),
-        "n_mol": int(proto.get("n_mol", "1")),
-        "n0": int(proto["n0"]) if "n0" in proto else None,
-        "r0": float(proto.get("r0", "0.5")),
-    }
-
-    outp = parser["output"] if parser.has_section("output") else {}
-    for key in outp:
-        if key not in _OUTPUT_KEYS:
-            raise ConfigError(f"[output] has unknown key {key!r}")
-    out["output"] = {
-        "directory": outp.get("directory", "twinpol_out"),
-        "formats": [s.strip() for s in outp.get("formats", "csv,json").split(",")],
-    }
-
-    if parser.has_section("thermal"):
-        sec = parser["thermal"]
-        _reject_unknown(sec, {"temperature", "v"}, "thermal")
-        out["thermal"] = {"temperature": parse_quantity(sec.get("temperature", "300 K"),
-                                                        "temperature")}
-        if "v" in sec:
-            out["thermal"]["v"] = int(sec["v"])
-        _thermal_weights(out["thermal"], model)     # validates
-
-    _validate_initial(out, model)
-    return out, model
-
-
 def _thermal_weights(thermal: dict, model: MolecularModel) -> ThermalWeights:
     """Boltzmann weights of a resolved [thermal] section, over the states of
     vibrational level v when v is given."""
@@ -210,42 +239,6 @@ def _thermal_weights(thermal: dict, model: MolecularModel) -> ThermalWeights:
     if "v" in thermal:
         subset = [k for k, lab in enumerate(model.labels) if lab.get("v") == thermal["v"]]
     return boltzmann_weights(model, thermal["temperature"], subset)
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("on", "true", "yes", "1"):
-        return True
-    if low in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected on/off, got {raw!r}")
-
-
-def _validate_initial(resolved: dict, model: MolecularModel):
-    framework = resolved["protocol"]["framework"]
-    initial = resolved["protocol"]["initial"]
-    if framework in ("manymol_bruteforce", "manymol_analytic"):
-        if initial not in ("thermal", "symmetric"):
-            raise ConfigError(f"initial={initial!r}: many-molecule frameworks take "
-                              "'thermal' (with n0) or 'symmetric'")
-        if initial == "thermal" and resolved["protocol"]["n0"] is None:
-            raise ConfigError("thermal many-molecule runs need n0 in [protocol]")
-        return
-    if framework == "thermo_limit":
-        if initial not in ("thermal", "symmetric"):
-            raise ConfigError("thermo_limit takes initial = thermal or symmetric")
-        if initial == "symmetric" and resolved["protocol"]["r0"] != 0.5:
-            raise ConfigError("initial = symmetric fixes r0 = 0.5: every molecule is "
-                              "half in psi_0; drop r0 or set it to 0.5")
-        return
-    if initial == "thermal":
-        if framework in ("classical", "quantum_td"):
-            raise ConfigError(f"{framework} runs start from one state; initial = thermal "
-                              "is for quantum_static (use ground, psi_k or vVjJmM)")
-        if "thermal" not in resolved:
-            raise ConfigError("initial = thermal needs a [thermal] section")
-        return
-    _initial_state_index(initial, model)    # raises with valid labels listed
 
 
 def _initial_state_index(initial: str, model: MolecularModel) -> int:
@@ -272,11 +265,6 @@ def _initial_state_index(initial: str, model: MolecularModel) -> int:
 
 
 # -- run execution ----------------------------------------------------------
-
-
-def parse_config(path) -> RunConfig:
-    """Read and validate a run config file, with all defaults resolved."""
-    return RunConfig.from_file(path)
 
 
 def run(config: RunConfig, out_dir: Path, plot_data: bool = False) -> dict:
@@ -337,29 +325,18 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
         plots.append(("sticks", spec))
         checks = {"basis_size": basis.size}
 
-    elif framework == "manymol_bruteforce":
-        spec = brute_force_spectrum(
-            model, cav, proto["n_mol"], n0=proto["n0"],
-            symmetric=proto["initial"] == "symmetric")
-        _write_manymol(spec, out_dir / "sticks.csv", proto)
-        outputs.append("sticks.csv")
-        plots.append(("sticks", spec))
-        checks = {key: spec.meta[key] for key in ("basis_size", "product_basis_size")}
-
-    elif framework == "manymol_analytic":
-        cfg = ManyMolConfig.from_model(
-            model, cav.g, proto["n_mol"], n0=proto["n0"],
-            symmetric=proto["initial"] == "symmetric")
-        spec = (analytic_symmetric_spectrum(cfg) if cfg.symmetric
-                else analytic_nonsymmetric_spectrum(cfg))
-        _write_manymol(spec, out_dir / "sticks.csv", proto)
-        outputs.append("sticks.csv")
-        plots.append(("sticks", spec))
-
-    elif framework == "thermo_limit":
-        spec = thermodynamic_limit_spectrum(
-            proto["r0"], proto["initial"], cav.g, float(model.dipole[0, 2]),
-            model.transition_frequency(0, 2), model.transition_frequency(1, 2))
+    else:
+        if framework == "manymol_bruteforce":
+            spec = brute_force_spectrum(
+                model, cav, proto["n_mol"], n0=proto["n0"],
+                symmetric=proto["initial"] == "symmetric")
+            checks = {key: spec.meta[key] for key in ("basis_size", "product_basis_size")}
+        elif framework == "manymol_analytic":
+            cfg = config.manymol(cav.g)
+            spec = (analytic_symmetric_spectrum(cfg) if cfg.symmetric
+                    else analytic_nonsymmetric_spectrum(cfg))
+        else:
+            spec = config.thermo_limit_sticks(cav.g)
         _write_manymol(spec, out_dir / "sticks.csv", proto)
         outputs.append("sticks.csv")
         plots.append(("sticks", spec))
@@ -419,8 +396,6 @@ def _run_sweep(config: RunConfig, out_dir: Path, g_values: list[float],
                plot_data: bool = False) -> dict:
     """Child run per coupling plus a splitting-vs-g table with linear fits."""
     model = config.build_model()
-    if model.n_states != 3:
-        raise ConfigError("g sweeps with splitting tables support the 3-level model")
     w02 = model.transition_frequency(0, 2)
     w12 = model.transition_frequency(1, 2)
     quarter = abs(w02 - w12) / 4.0
@@ -437,13 +412,11 @@ def _run_sweep(config: RunConfig, out_dir: Path, g_values: list[float],
         p_split = _stick_splitting(sol, model, basis, (1, 0), (w12 - quarter, w12 + quarter))
         rows.append((g, r_split, p_split))
 
-    with open(out_dir / "sweep_table.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("g,r_splitting,p_splitting\n")
-        for g, r, p in rows:
-            fh.write(f"{g:.17g},{r:.17g},{p:.17g}\n")
-    gs = np.array([r[0] for r in rows])
-    slope_r, r2_r = fit_through_origin(gs, np.array([r[1] for r in rows]))
-    slope_p, r2_p = fit_through_origin(gs, np.array([r[2] for r in rows]))
+    gs, r_split, p_split = (np.array(col) for col in zip(*rows))
+    write_csv(out_dir / "sweep_table.csv", ["g", "r_splitting", "p_splitting"],
+              [gs, r_split, p_split])
+    slope_r, r2_r = fit_through_origin(gs, r_split)
+    slope_p, r2_p = fit_through_origin(gs, p_split)
     summary = {
         "package_version": __version__,
         "config": config.raw,
@@ -472,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("command", choices=["run", "sweep", "validate", "export-model"])
     ap.add_argument("config", help="path to the run config file")
     ap.add_argument("--out-dir", default=None, help="output directory override")
-    ap.add_argument("--format", default=None, choices=["csv", "json"],
+    ap.add_argument("--format", default=None, choices=FORMATS,
                     help="restrict output formats")
     ap.add_argument("--seedless-check", action="store_true",
                     help="run twice and verify bit-identical outputs")
@@ -511,8 +484,8 @@ def main(argv: list[str] | None = None) -> int:
                     return 3
                 print("determinism check passed")
         manifest = run(config, out_dir, plot_data=args.plot_data)
-        if args.format:
-            _restrict_formats(out_dir, args.format)
+        _restrict_formats(out_dir, [args.format] if args.format
+                          else config.raw["output"]["formats"])
         print(f"run complete; outputs in {out_dir}")
         if "fit" in manifest:
             fit = manifest["fit"]
@@ -529,12 +502,13 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _restrict_formats(out_dir: Path, fmt: str):
-    """Drop csv or json artifacts (the manifest always stays)."""
-    drop = ".json" if fmt == "csv" else ".csv"
-    for path in out_dir.rglob(f"*{drop}"):
-        if path.name != "manifest.json":
-            path.unlink()
+def _restrict_formats(out_dir: Path, keep: list[str]):
+    """Drop the artifacts of every format not kept (the manifest always stays)."""
+    for fmt in FORMATS:
+        if fmt not in keep:
+            for path in out_dir.rglob(f"*.{fmt}"):
+                if path.name != "manifest.json":
+                    path.unlink()
 
 
 def _dirs_identical(a: Path, b: Path) -> bool:

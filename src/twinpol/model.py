@@ -443,49 +443,71 @@ def parse_quantity(raw: str, key: str = "?") -> float:
     return value * _UNIT_FACTORS[unit]
 
 
-def model_from_config(parser: configparser.ConfigParser) -> MolecularModel:
-    """Build a model from [three_level] or [morse] sections of a config."""
-    has_3l = parser.has_section("three_level")
-    has_morse = parser.has_section("morse")
-    if has_3l == has_morse:
+def parse_int(raw: str, key: str = "?") -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+
+
+def parse_float(raw: str, key: str = "?") -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+
+
+# section -> {key: (parser, default text)}; the model sections of a config
+MODEL_SECTIONS = {
+    "three_level": {"e0": (parse_quantity, "0 au"), "e1": (parse_quantity, "2e-3 au"),
+                    "e2": (parse_quantity, "10e-3 au"), "mu02": (parse_quantity, "1.0 au"),
+                    "mu12": (parse_quantity, "1.0 au")},
+    "morse": {
+        "d_e": (parse_quantity, "37209.369 cm-1"), "alpha": (parse_quantity, "0.993099 1/bohr"),
+        "r_e": (parse_quantity, "2.40855 bohr"),
+        "m1": (parse_quantity, "1837.1522 au"), "m2": (parse_quantity, "63744.3019 au"),
+        "v_max": (parse_int, "1"), "j_max": (parse_int, "10"),
+        "dipole_mu0": (parse_quantity, "0.43 au"), "dipole_mu1": (parse_quantity, "0.30 au"),
+        "r_min": (parse_quantity, "1.2 bohr"), "r_max": (parse_quantity, "6.0 bohr"),
+        "n_points": (parse_int, "400"),
+    },
+}
+
+
+def read_section(sections, name: str, schema: dict) -> dict:
+    """Parse section name of a config by its schema {key: (parser, default)}.
+
+    sections is a ConfigParser or a {section: {key: text}} mapping such as a
+    run manifest's.  Unknown keys and malformed values raise ConfigError; an
+    absent section or key takes the default text, and a None default gives
+    None.  A None parser keeps the text.
+    """
+    given = sections[name] if name in sections else {}
+    _reject_unknown(given, schema, name)
+    return {key: text if text is None or parse is None else parse(text, key)
+            for key, (parse, default) in schema.items()
+            for text in [given.get(key, default)]}
+
+
+def model_from_config(sections) -> MolecularModel:
+    """Build a model from the [three_level] or [morse] section of a config, a
+    ConfigParser or a {section: {key: text}} mapping (see read_section)."""
+    kinds = [kind for kind in MODEL_SECTIONS if kind in sections]
+    if len(kinds) != 1:
         raise ConfigError("config needs exactly one of [three_level] or [morse]")
-    if has_3l:
-        sec = parser["three_level"]
-        known = {"e0", "e1", "e2", "mu02", "mu12"}
-        _reject_unknown(sec, known, "three_level")
-        return build_three_level(
-            parse_quantity(sec.get("e0", "0 au"), "e0"),
-            parse_quantity(sec.get("e1", "2e-3 au"), "e1"),
-            parse_quantity(sec.get("e2", "10e-3 au"), "e2"),
-            parse_quantity(sec.get("mu02", "1.0 au"), "mu02"),
-            parse_quantity(sec.get("mu12", "1.0 au"), "mu12"),
-        )
-    sec = parser["morse"]
-    known = {"d_e", "alpha", "r_e", "m1", "m2", "v_max", "j_max",
-             "dipole_mu0", "dipole_mu1", "r_min", "r_max", "n_points"}
-    _reject_unknown(sec, known, "morse")
+    sec = read_section(sections, kinds[0], MODEL_SECTIONS[kinds[0]])
+    if kinds == ["three_level"]:
+        return build_three_level(**sec)
     params = MorseParams(
-        d_e_cm1=parse_quantity(sec.get("d_e", "37209.369 cm-1"), "d_e") * CM1_PER_HARTREE,
-        alpha=parse_quantity(sec.get("alpha", "0.993099 1/bohr"), "alpha"),
-        r_e=parse_quantity(sec.get("r_e", "2.40855 bohr"), "r_e"),
-        m1=parse_quantity(sec.get("m1", "1837.1522 au"), "m1"),
-        m2=parse_quantity(sec.get("m2", "63744.3019 au"), "m2"),
-        v_max=sec.getint("v_max", 1),
-        j_max=sec.getint("j_max", 10),
-        dipole_curve=(
-            parse_quantity(sec.get("dipole_mu0", "0.43 au"), "dipole_mu0"),
-            parse_quantity(sec.get("dipole_mu1", "0.30 au"), "dipole_mu1"),
-        ),
+        d_e_cm1=sec["d_e"] * CM1_PER_HARTREE, alpha=sec["alpha"], r_e=sec["r_e"],
+        m1=sec["m1"], m2=sec["m2"], v_max=sec["v_max"], j_max=sec["j_max"],
+        dipole_curve=(sec["dipole_mu0"], sec["dipole_mu1"]),
     )
-    grid = RadialGrid(
-        r_min=parse_quantity(sec.get("r_min", "1.2 bohr"), "r_min"),
-        r_max=parse_quantity(sec.get("r_max", "6.0 bohr"), "r_max"),
-        n_points=sec.getint("n_points", 400),
-    )
+    grid = RadialGrid(r_min=sec["r_min"], r_max=sec["r_max"], n_points=sec["n_points"])
     return build_morse_rovib(params, grid)
 
 
-def _reject_unknown(section, known: set, name: str):
+def _reject_unknown(section, known, name: str):
     for key in section:
         if key not in known:
             raise ConfigError(f"[{name}] has unknown key {key!r} "

@@ -332,13 +332,16 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
 
     def tail(t_s, c_s, times):
         lam, vecs = sol.eigenvalues, sol.eigenvectors
-        a = real_matmul(vecs.T, np.exp(-1j * eps * t_s) * c_s)
+        psi_s = np.exp(-1j * eps * t_s) * c_s
+        a = real_matmul(vecs.T, psi_s)
         # in place: at most two state-by-time arrays live at once
         phases = np.outer(-1j * lam, times - t_s)
         np.exp(phases, out=phases)
         phases *= a[:, None]
         psi = real_matmul(vecs, phases)
         del phases
+        if times[0] == t_s:     # psi(t_s) itself, not its round trip V V^T psi(t_s)
+            psi[:, 0] = psi_s
         pops = psi.real ** 2
         pops += psi.imag ** 2
         energy = np.full(times.size, np.sum(lam * np.abs(a) ** 2))

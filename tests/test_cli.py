@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ import twinpol.integrators
 import twinpol.manymol
 from twinpol.cli import RunConfig, main, run
 from twinpol.errors import ConfigError
+from twinpol.model import model_from_config
 from twinpol.quantum import (ProductBasis, assemble_hamiltonian, diagonalize_polaritons,
                              dominant_eigenstate, static_stick_spectrum)
 from twinpol.spectra import Spectrum, peaks_from_sticks
@@ -95,6 +97,98 @@ def test_model_needs_exactly_one_section(tmp_path, capsys, sections):
     assert main(["validate", str(cfg)]) == 2
     assert ("config needs exactly one of [three_level] or [morse]"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("section", ["three_level", "morse", "thermal", "cavity",
+                                     "protocol", "output"])
+def test_unknown_key_in_any_section_is_config_error(tmp_path, capsys, section):
+    model = "morse" if section == "morse" else "three_level"
+    cfg = write(tmp_path, "".join(
+        f"[{name}]\n" + ("typo_key = 1\n" if name == section else "") + "\n"
+        for name in (model, "thermal", "cavity", "protocol", "output")))
+    assert main(["validate", str(cfg)]) == 2
+    assert f"[{section}] has unknown key 'typo_key'" in capsys.readouterr().err
+
+
+MORSE_J1 = "[morse]\nj_max = 1\n"
+MANYMOL = "\n[protocol]\nframework = manymol_bruteforce\n"
+
+# (config text, what the diagnostic names); before the schema, the malformed
+# values ended in a traceback and the values out of range passed validate
+BAD_CONFIGS = {
+    "int": (THREE_LEVEL_HEADER + "\n[protocol]\nrecord_stride = eight\n", "record_stride"),
+    "int_morse": ("[morse]\nv_max = one\n", "v_max"),
+    "float": (THREE_LEVEL_HEADER + "\n[protocol]\npeak_threshold = high\n",
+              "peak_threshold"),
+    "bool": (THREE_LEVEL_HEADER.replace("dse = off", "dse = maybe"), "dse"),
+    "quantity": (THREE_LEVEL_HEADER + "\n[protocol]\nt_end = long au\n", "t_end"),
+    "negative_dt": (THREE_LEVEL_HEADER + "\n[protocol]\ndt = -1 au\n",
+                    "dt: must be positive"),
+    "zero_stride": (THREE_LEVEL_HEADER + "\n[protocol]\nrecord_stride = 0\n",
+                    "record_stride: must be positive"),
+    "short_run": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = classical\nt_end = 4 au\n",
+                  "t_end is shorter than one record_stride"),
+    "no_photons": (THREE_LEVEL_HEADER.replace("n_fock_max = 2", "n_fock_max = 0"),
+                   "n_fock_max must be at least 1"),
+    "negative_sigma": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_td\n"
+                       "pulse_sigma = -5 au\n", "sigma must be positive"),
+    "symmetric_with_n0": (THREE_LEVEL_HEADER + MANYMOL + "initial = symmetric\nn0 = 1\n",
+                          "exactly one of n0"),
+    "n0_above_n_mol": (THREE_LEVEL_HEADER + MANYMOL + "initial = thermal\nn_mol = 4\n"
+                       "n0 = 5\n", "n0 must lie in 0..4"),
+    "no_molecules": (THREE_LEVEL_HEADER + MANYMOL + "initial = symmetric\nn_mol = 0\n",
+                     "n_mol must be at least 1"),
+    "thermo_limit_r0": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = thermo_limit\n"
+                        "initial = thermal\nr0 = 2\n", "r0 must lie in [0, 1]"),
+    "morse_manymol": (MORSE_J1 + "\n[protocol]\nframework = manymol_analytic\n"
+                      "initial = symmetric\n", "3-level model"),
+    "morse_sweep": (MORSE_J1 + "\n[cavity]\ng_sweep = 1e-4 au, 2e-4 au\n",
+                    "g sweeps with splitting tables support the 3-level model"),
+    "unknown_format": (THREE_LEVEL_HEADER + "\n[output]\nformats = csv, xml\n",
+                       "unknown formats 'xml'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_config_errors_exit_2_at_validate_and_run(tmp_path, capsys, case):
+    body, named = BAD_CONFIGS[case]
+    cfg = write(tmp_path, body)
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
+    assert named in err[0]
+    assert not (tmp_path / "o" / "error.txt").exists()
+
+
+@pytest.mark.parametrize("config", sorted(Path(__file__).parent.parent.glob("configs/*.cfg")),
+                         ids=lambda path: path.stem)
+def test_shipped_configs_validate(config, capsys):
+    assert main(["validate", str(config)]) == 0
+
+
+def test_manifest_rebuilds_the_morse_model(tmp_path):
+    cfg = write(tmp_path, MORSE_J1 + "d_e = 37000 cm-1\ndipole_mu1 = 0.10 au\n"
+                "\n[protocol]\nframework = quantum_static\n")
+    run(RunConfig.from_file(cfg), tmp_path / "o")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    rebuilt = RunConfig.from_manifest(manifest).build_model()
+    assert rebuilt.content_hash() == manifest["model_hash"]
+    assert manifest["model_hash"] != model_from_config({"morse": {"j_max": "1"}}).content_hash()
+
+
+@pytest.mark.parametrize("formats, flag, kept", [
+    ("", None, ["manifest.json", "peaks.json", "spectrum.csv", "trajectory.csv"]),
+    ("formats = csv", None, ["manifest.json", "spectrum.csv", "trajectory.csv"]),
+    ("formats = json", None, ["manifest.json", "peaks.json"]),
+    ("formats = csv", "json", ["manifest.json", "peaks.json"]),
+], ids=["default", "csv", "json", "flag_wins"])
+def test_output_formats_keep_their_artifacts(tmp_path, formats, flag, kept):
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + f"\n[output]\n{formats}\n"
+                + TD_PROTOCOL.format(framework="classical", initial=""))
+    args = ["run", str(cfg), "--out-dir", str(tmp_path / "o")]
+    assert main(args + (["--format", flag] if flag else [])) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == kept
 
 
 def test_sweep_requires_g_list(tmp_path, capsys):

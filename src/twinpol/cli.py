@@ -78,8 +78,8 @@ def _choice(options):
 def _positive(parse):
     def parse_positive(raw: str, key: str):
         value = parse(raw, key)
-        if not value > 0:
-            raise ConfigError(f"{key}: must be positive, got {raw!r}")
+        if not 0 < value < float("inf"):
+            raise ConfigError(f"{key}: must be positive and finite, got {raw!r}")
         return value
     return parse_positive
 
@@ -112,7 +112,7 @@ RUN_SECTIONS = {
         "n_mol": (parse_int, "1"), "n0": (parse_int, None), "r0": (parse_float, "0.5"),
     },
     "output": {"directory": (None, "twinpol_out"),
-               "formats": (_list_of(_choice(FORMATS)), "csv,json")},
+               "formats": (_list_of(_choice(FORMATS)), "csv,json")},  # see --format
 }
 
 
@@ -198,12 +198,8 @@ class RunConfig:
 
     def cavity(self, g: float | None = None) -> CavityParams:
         sec = self.raw["cavity"]
-        return CavityParams(
-            omega_c=sec["omega_c"],
-            g=sec["g"] if g is None else g,
-            include_dse=sec["dse"],
-            n_fock_max=sec["n_fock_max"],
-        )
+        return CavityParams(omega_c=sec["omega_c"], g=sec["g"] if g is None else g,
+                            include_dse=sec["dse"], n_fock_max=sec["n_fock_max"])
 
     def pulse(self) -> KickPulse:
         sec = self.raw["protocol"]
@@ -219,6 +215,8 @@ class RunConfig:
 
     def thermo_limit_sticks(self, g: float) -> Spectrum:
         sec, model = self.raw["protocol"], self.build_model()
+        if model.n_states != 3:
+            raise ModelError("thermo_limit expects a 3-level model")
         return thermodynamic_limit_spectrum(
             sec["r0"], sec["initial"], g, float(model.dipole[0, 2]),
             model.transition_frequency(0, 2), model.transition_frequency(1, 2))
@@ -484,8 +482,8 @@ def main(argv: list[str] | None = None) -> int:
                     return 3
                 print("determinism check passed")
         manifest = run(config, out_dir, plot_data=args.plot_data)
-        _restrict_formats(out_dir, [args.format] if args.format
-                          else config.raw["output"]["formats"])
+        if args.format:
+            _restrict_formats(out_dir, args.format)
         print(f"run complete; outputs in {out_dir}")
         if "fit" in manifest:
             fit = manifest["fit"]
@@ -502,13 +500,12 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _restrict_formats(out_dir: Path, keep: list[str]):
-    """Drop the artifacts of every format not kept (the manifest always stays)."""
-    for fmt in FORMATS:
-        if fmt not in keep:
-            for path in out_dir.rglob(f"*.{fmt}"):
-                if path.name != "manifest.json":
-                    path.unlink()
+def _restrict_formats(out_dir: Path, fmt: str):
+    """Drop csv or json artifacts (the manifest always stays)."""
+    drop = ".json" if fmt == "csv" else ".csv"
+    for path in out_dir.rglob(f"*{drop}"):
+        if path.name != "manifest.json":
+            path.unlink()
 
 
 def _dirs_identical(a: Path, b: Path) -> bool:

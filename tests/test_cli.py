@@ -124,6 +124,8 @@ BAD_CONFIGS = {
     "quantity": (THREE_LEVEL_HEADER + "\n[protocol]\nt_end = long au\n", "t_end"),
     "negative_dt": (THREE_LEVEL_HEADER + "\n[protocol]\ndt = -1 au\n",
                     "dt: must be positive"),
+    "infinite_t_end": (THREE_LEVEL_HEADER + "\n[protocol]\nt_end = inf au\n",
+                       "t_end: must be positive and finite"),
     "zero_stride": (THREE_LEVEL_HEADER + "\n[protocol]\nrecord_stride = 0\n",
                     "record_stride: must be positive"),
     "short_run": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = classical\nt_end = 4 au\n",
@@ -142,6 +144,8 @@ BAD_CONFIGS = {
                         "initial = thermal\nr0 = 2\n", "r0 must lie in [0, 1]"),
     "morse_manymol": (MORSE_J1 + "\n[protocol]\nframework = manymol_analytic\n"
                       "initial = symmetric\n", "3-level model"),
+    "morse_thermo_limit": (MORSE_J1 + "\n[protocol]\nframework = thermo_limit\n"
+                           "initial = thermal\n", "thermo_limit expects a 3-level model"),
     "morse_sweep": (MORSE_J1 + "\n[cavity]\ng_sweep = 1e-4 au, 2e-4 au\n",
                     "g sweeps with splitting tables support the 3-level model"),
     "unknown_format": (THREE_LEVEL_HEADER + "\n[output]\nformats = csv, xml\n",
@@ -177,18 +181,12 @@ def test_manifest_rebuilds_the_morse_model(tmp_path):
     assert manifest["model_hash"] != model_from_config({"morse": {"j_max": "1"}}).content_hash()
 
 
-@pytest.mark.parametrize("formats, flag, kept", [
-    ("", None, ["manifest.json", "peaks.json", "spectrum.csv", "trajectory.csv"]),
-    ("formats = csv", None, ["manifest.json", "spectrum.csv", "trajectory.csv"]),
-    ("formats = json", None, ["manifest.json", "peaks.json"]),
-    ("formats = csv", "json", ["manifest.json", "peaks.json"]),
-], ids=["default", "csv", "json", "flag_wins"])
-def test_output_formats_keep_their_artifacts(tmp_path, formats, flag, kept):
-    cfg = write(tmp_path, THREE_LEVEL_HEADER + f"\n[output]\n{formats}\n"
-                + TD_PROTOCOL.format(framework="classical", initial=""))
-    args = ["run", str(cfg), "--out-dir", str(tmp_path / "o")]
-    assert main(args + (["--format", flag] if flag else [])) == 0
-    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == kept
+def test_format_flag_keeps_one_format(tmp_path):
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + TD_PROTOCOL.format(framework="classical",
+                                                                  initial=""))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o"), "--format", "json"]) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json",
+                                                                  "peaks.json"]
 
 
 def test_sweep_requires_g_list(tmp_path, capsys):

@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
                 print("determinism check passed")
         manifest = run(config, out_dir, plot_data=args.plot_data)
         if args.format:
-            _restrict_formats(out_dir, args.format)
+            _restrict_formats(out_dir, manifest, args.format)
         print(f"run complete; outputs in {out_dir}")
         if "fit" in manifest:
             fit = manifest["fit"]
@@ -500,12 +500,18 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _restrict_formats(out_dir: Path, fmt: str):
-    """Drop csv or json artifacts (the manifest always stays)."""
+def _restrict_formats(out_dir: Path, manifest: dict, fmt: str):
+    """Drop the run's own csv or json artifacts.  The manifest (a sweep's
+    summary) always stays, and so does every file the run did not write."""
     drop = ".json" if fmt == "csv" else ".csv"
-    for path in out_dir.rglob(f"*{drop}"):
-        if path.name != "manifest.json":
-            path.unlink()
+    # a sweep's summary lists no outputs of its own: its one artifact is the table
+    names = list(manifest.get("outputs", ["sweep_table.csv"]))
+    for child in manifest.get("children", []):
+        child_manifest = json.loads((out_dir / child / "manifest.json").read_text())
+        names += [f"{child}/{name}" for name in child_manifest["outputs"]]
+    for name in names:
+        if name.endswith(drop):
+            (out_dir / name).unlink()
 
 
 def _dirs_identical(a: Path, b: Path) -> bool:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ConvergenceError, ModelError
 from .units import CM1_PER_HARTREE, KB_HARTREE_PER_K, cm1_to_au
@@ -63,16 +64,16 @@ class MolecularModel:
         if not np.allclose(self.dipole, self.dipole.T, atol=1e-12):
             raise ModelError("dipole matrix must be symmetric")
         if self.is_rovib():
-            for i in range(n):
-                for j in range(n):
-                    if self.dipole[i, j] == 0.0:
-                        continue
-                    li, lj = self.labels[i], self.labels[j]
-                    if abs(li["J"] - lj["J"]) != 1 or li["M"] != lj["M"]:
-                        raise ModelError(
-                            f"dipole entry between {li} and {lj} violates the "
-                            "dJ = +-1, dM = 0 selection rule"
-                        )
+            j = np.array([lab["J"] for lab in self.labels])
+            m = np.array([lab["M"] for lab in self.labels])
+            allowed = (np.abs(j[:, None] - j[None, :]) == 1) & (m[:, None] == m[None, :])
+            rows, cols = np.nonzero((self.dipole != 0.0) & ~allowed)
+            if rows.size:
+                li, lj = self.labels[rows[0]], self.labels[cols[0]]
+                raise ModelError(
+                    f"dipole entry between {li} and {lj} violates the "
+                    "dJ = +-1, dM = 0 selection rule"
+                )
 
     def is_rovib(self) -> bool:
         return bool(self.labels) and "v" in self.labels[0]
@@ -250,21 +251,45 @@ def _sine_dvr_kinetic(n_points: int, length: float, mass: float) -> np.ndarray:
 
     Grid points are x_i = a + i*(b-a)/N for i = 1..N-1 with N = n_points + 1
     intervals; spectrally convergent for bound states vanishing at the walls.
+    Off the diagonal an entry depends on i - j and i + j only, so the matrix
+    is a Toeplitz minus a Hankel matrix read from two 1-D tables.
     """
     n_box = n_points + 1
     i = np.arange(1, n_points + 1)
     pref = math.pi**2 / (4.0 * mass * length**2)
-    diff = i[:, None] - i[None, :]
-    summ = i[:, None] + i[None, :]
+    diff = np.arange(1 - n_points, n_points)
+    summ = np.arange(2, 2 * n_points + 1)
     with np.errstate(divide="ignore"):
-        t = (-1.0) ** diff * (
-            1.0 / np.sin(math.pi * diff / (2 * n_box)) ** 2
-            - 1.0 / np.sin(math.pi * summ / (2 * n_box)) ** 2
-        )
+        by_diff = (-1.0) ** diff / np.sin(math.pi * diff / (2 * n_box)) ** 2
+        by_summ = (-1.0) ** summ / np.sin(math.pi * summ / (2 * n_box)) ** 2
+    # row i of a window view starts at table entry i: reversing the diff table
+    # and the rows gives entry (i, j) = by_diff[i - j], the sum view by_summ[i + j]
+    t = (sliding_window_view(by_diff[::-1], n_points)[::-1]
+         - sliding_window_view(by_summ, n_points))
     np.fill_diagonal(
         t, (2.0 * n_box**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * i / n_box) ** 2
     )
-    return pref * t
+    t *= pref
+    return t
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Type-I sine transform along axis 0: X_k = sum_j x_j sin(pi j k / (n + 1))."""
+    zero = np.zeros((1,) + x.shape[1:])
+    odd = np.concatenate([zero, x, zero, -x[::-1]])
+    return -0.5 * np.fft.rfft(odd, axis=0).imag[1:x.shape[0] + 1]
+
+
+def _sine_interpolate(u: np.ndarray, n_fine: int) -> np.ndarray:
+    """DVR columns u carried to the n_fine-point grid of the same box.
+
+    Each column is expanded in the box's sine basis and that series is
+    sampled on the finer grid, so a normalized column stays normalized.
+    """
+    n = u.shape[0]
+    coeffs = np.zeros((n_fine,) + u.shape[1:])
+    coeffs[:n] = math.sqrt(2.0 / (n + 1)) * _dst1(u)
+    return math.sqrt(2.0 / (n_fine + 1)) * _dst1(coeffs)
 
 
 def _radial_hamiltonian(params: MorseParams, j: int, kinetic: np.ndarray,
@@ -286,20 +311,75 @@ def _check_bound(evals: np.ndarray, v_eff: np.ndarray, grid: RadialGrid, j: int)
 
 
 def _solve_radial(params: MorseParams, grid: RadialGrid, j: int,
-                  kinetic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest v_max + 1 eigenpairs of the effective radial Hamiltonian for one J."""
+                  kinetic: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lowest v_max + 1 eigenpairs of the effective radial Hamiltonian for one
+    J, and the next eigenvalue (inf when the grid holds no more)."""
     h, v_eff = _radial_hamiltonian(params, j, kinetic, grid.points())
     evals, evecs = np.linalg.eigh(h)
     n_keep = params.v_max + 1
+    next_level = evals[n_keep] if n_keep < evals.size else math.inf
     evals = evals[:n_keep]
-    evecs = evecs[:, :n_keep]
+    # a copy, so the model does not keep every J's full eigenvector matrix alive
+    evecs = evecs[:, :n_keep].copy()
     _check_bound(evals, v_eff, grid, j)
     # deterministic sign: positive lobe at the outermost maximum
     for k in range(n_keep):
         peak = np.argmax(np.abs(evecs[:, k]))
         if evecs[peak, k] < 0:
             evecs[:, k] = -evecs[:, k]
-    return evals, evecs
+    return evals, evecs, next_level
+
+
+def _certified_drift(h: np.ndarray, wall: float, evals: np.ndarray,
+                     trial: np.ndarray, rho: float) -> float:
+    """Proven bound on max_i |evals_i - lambda_i(h)| over the lowest k =
+    len(evals) eigenvalues of h, proven to lie below wall as well; inf when
+    the trial columns prove less.
+
+    Rayleigh-Ritz on the k trial columns gives pairs (theta_i, y_i), and each
+    interval theta_i +- r_i, r_i = |h y_i - theta_i y_i| / |y_i|, holds an
+    eigenvalue of h.  If h + c Y Y^T - rho I (c > 0) has a Cholesky factor,
+    h + c Y Y^T has no eigenvalue below rho, and Weyl's inequality for that
+    rank-k term leaves at most k eigenvalues of h below rho.  Disjoint
+    intervals below rho then hold exactly lambda_0 .. lambda_{k-1}, one each.
+    """
+    n, eps = h.shape[0], np.finfo(float).eps
+    theta, z = np.linalg.eigh(trial.T @ h @ trial)
+    y = trial @ z
+    norm_h = np.linalg.norm(h)
+    # rounding of h @ y is below n eps |h| |y| <= n eps ||h||_F |y|
+    r = (np.linalg.norm(h @ y - y * theta, axis=0) / np.linalg.norm(y, axis=0)
+         + n * eps * norm_h)
+    top = theta + r
+    if (not math.isfinite(rho) or np.any(theta[1:] - r[1:] <= top[:-1])
+            or top[-1] >= min(wall, rho)):
+        return math.inf
+    a = (2.0 * (rho - theta[0]) * y) @ y.T
+    a += h
+    a[np.diag_indices_from(a)] -= rho
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return math.inf
+    # the factor is exact for a perturbation of a no larger than
+    # (n + 1) eps trace(a) (Demmel), widened for forming a itself
+    if top[-1] >= rho - (n + 1) * eps * (np.trace(a) + 2.0 * norm_h):
+        return math.inf
+    return float(np.max(np.abs(evals - theta) + r))
+
+
+def _check_doubling(h_fine: np.ndarray, v_fine: np.ndarray, evals: np.ndarray,
+                    grid: RadialGrid, j: int):
+    """Full-spectrum grid-doubling check: the doubled grid's lowest levels
+    must be bound and lie within grid.convergence_tol_cm1 of evals."""
+    evals_fine = np.linalg.eigvalsh(h_fine)[:evals.size]
+    _check_bound(evals_fine, v_fine, grid, j)
+    drift = np.max(np.abs(evals - evals_fine)) * CM1_PER_HARTREE
+    if drift > grid.convergence_tol_cm1:
+        raise ConvergenceError(
+            f"radial eigenvalues drift {drift:.2e} cm^-1 on grid "
+            f"doubling (tol {grid.convergence_tol_cm1}); refine the grid"
+        )
 
 
 def z_direction_cosine(j: int, jp: int, m: int) -> float:
@@ -319,8 +399,19 @@ def build_morse_rovib(params: MorseParams,
     Solves the radial equation with the J-dependent centrifugal term on the
     DVR grid, assembles Z-polarized dipole entries
     <v'J'M|mu|vJM> = <v'J'|mu(R)|vJ> * A(J, J', M), and shifts energies so
-    E(v=0, J=0) = 0.  A grid-doubling re-solve guards convergence; drift
-    above grid.convergence_tol_cm1 raises ConvergenceError.
+    E(v=0, J=0) = 0.  A grid-doubling check guards convergence: the lowest
+    v_max + 1 levels of each J on a grid of 2 * n_points points must lie
+    below the wall potential and within grid.convergence_tol_cm1 of the
+    coarse levels, else ConvergenceError.
+
+    The check is first made by _certified_drift at the cost of one Cholesky
+    factorization: the coarse eigenvectors, carried to the doubled grid by
+    their sine series, bound where the doubled grid's exact levels lie, with
+    rho halfway between the coarse levels v_max and v_max + 1.  When that
+    bound is within tolerance the eigvalsh check passes too, up to its own
+    rounding (about 1e-14 hartree); otherwise eigvalsh on the doubled grid
+    decides as before.  So the verdict does not change, and the model comes
+    from the coarse grid alone whichever path decided.
     """
     grid = grid or RadialGrid()
     if params.j_max < 1:
@@ -332,22 +423,19 @@ def build_morse_rovib(params: MorseParams,
     # the kinetic matrix does not depend on J: one build per grid size
     length, mass = grid.r_max - grid.r_min, params.reduced_mass
     kinetic = _sine_dvr_kinetic(grid.n_points, length, mass)
+    n_fine = 2 * grid.n_points
     if check_convergence:
-        r_fine = grid.points(2 * grid.n_points)
-        kinetic_fine = _sine_dvr_kinetic(2 * grid.n_points, length, mass)
+        r_fine = grid.points(n_fine)
+        kinetic_fine = _sine_dvr_kinetic(n_fine, length, mass)
     for j in range(params.j_max + 1):
-        evals, evecs = _solve_radial(params, grid, j, kinetic)
+        evals, evecs, next_level = _solve_radial(params, grid, j, kinetic)
         if check_convergence:
-            # the doubled grid is only compared by eigenvalue
             h_fine, v_fine = _radial_hamiltonian(params, j, kinetic_fine, r_fine)
-            evals_fine = np.linalg.eigvalsh(h_fine)[:evals.size]
-            _check_bound(evals_fine, v_fine, grid, j)
-            drift = np.max(np.abs(evals - evals_fine)) * CM1_PER_HARTREE
-            if drift > grid.convergence_tol_cm1:
-                raise ConvergenceError(
-                    f"radial eigenvalues drift {drift:.2e} cm^-1 on grid "
-                    f"doubling (tol {grid.convergence_tol_cm1}); refine the grid"
-                )
+            bound = _certified_drift(h_fine, min(v_fine[0], v_fine[-1]), evals,
+                                     _sine_interpolate(evecs, n_fine),
+                                     0.5 * (evals[-1] + next_level))
+            if bound * CM1_PER_HARTREE > grid.convergence_tol_cm1:
+                _check_doubling(h_fine, v_fine, evals, grid, j)
         levels[j] = evals
         radial[j] = evecs
 

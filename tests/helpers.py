@@ -154,3 +154,40 @@ def merge_sticks(positions, intensities, labels, merge_tol, min_intensity=0.0):
             centre = sum(positions[i] * wi for i, wi in zip(group, w)) / sum(w)
             merged.append((centre, total, labels[max(group, key=lambda i: intensities[i])]))
     return merged
+
+
+# -- plain 2-D formulas: the oracles for the table-built model pieces ----------
+
+
+def sine_dvr_kinetic(n_points, length, mass):
+    """Sine-DVR kinetic matrix from its 2-D formula in i - j and i + j."""
+    import math
+
+    n_box = n_points + 1
+    i = np.arange(1, n_points + 1)
+    pref = math.pi**2 / (4.0 * mass * length**2)
+    diff = i[:, None] - i[None, :]
+    summ = i[:, None] + i[None, :]
+    with np.errstate(divide="ignore"):
+        t = (-1.0) ** diff * (
+            1.0 / np.sin(math.pi * diff / (2 * n_box)) ** 2
+            - 1.0 / np.sin(math.pi * summ / (2 * n_box)) ** 2
+        )
+    np.fill_diagonal(
+        t, (2.0 * n_box**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * i / n_box) ** 2
+    )
+    return pref * t
+
+
+def first_selection_rule_offender(dipole, labels):
+    """(label, label) of the first nonzero dipole entry, in row-major order,
+    that breaks dJ = +-1, dM = 0; None if there is none."""
+    n = len(labels)
+    for i in range(n):
+        for j in range(n):
+            if dipole[i, j] == 0.0:
+                continue
+            li, lj = labels[i], labels[j]
+            if abs(li["J"] - lj["J"]) != 1 or li["M"] != lj["M"]:
+                return li, lj
+    return None

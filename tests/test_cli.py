@@ -189,6 +189,29 @@ def test_format_flag_keeps_one_format(tmp_path):
                                                                   "peaks.json"]
 
 
+def test_format_flag_keeps_files_the_run_did_not_write(tmp_path):
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_static\n")
+    other = tmp_path / "o" / "other" / "results.csv"
+    other.parent.mkdir(parents=True)
+    other.write_text("kept\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o"), "--format", "json"]) == 0
+    assert other.read_text() == "kept\n"
+    assert not (tmp_path / "o" / "sticks.csv").exists()
+
+
+def test_sweep_format_flag_drops_only_sweep_artifacts(tmp_path):
+    out = tmp_path / "sw"
+    other = out / "g_000" / "notes.csv"
+    other.parent.mkdir(parents=True)
+    other.write_text("kept\n")
+    assert main(["sweep", str(write(tmp_path, SWEEP)), "--out-dir", str(out),
+                 "--format", "json"]) == 0
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv")) == [
+        "g_000/notes.csv"]
+    assert (out / "sweep_summary.json").exists()
+    assert (out / "g_003" / "manifest.json").exists()
+
+
 def test_sweep_requires_g_list(tmp_path, capsys):
     cfg = write(tmp_path, THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_static\n")
     assert main(["sweep", str(cfg)]) == 2

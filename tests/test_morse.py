@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from twinpol import ConvergenceError, MorseParams, RadialGrid, build_morse_rovib
-from twinpol.model import _sine_dvr_kinetic, z_direction_cosine
-from twinpol.units import au_to_cm1
+import twinpol.model
+from helpers import first_selection_rule_offender, sine_dvr_kinetic
+from twinpol import (ConvergenceError, ModelError, MolecularModel, MorseParams, RadialGrid,
+                     build_morse_rovib)
+from twinpol.model import (_certified_drift, _radial_hamiltonian, _sine_dvr_kinetic,
+                           _sine_interpolate, z_direction_cosine)
+from twinpol.units import CM1_PER_HARTREE, au_to_cm1
 
 
 def test_dvr_kinetic_against_box_levels():
@@ -15,6 +19,11 @@ def test_dvr_kinetic_against_box_levels():
     levels = np.linalg.eigvalsh(t)[:5]
     exact = np.array([(k * math.pi / length) ** 2 / (2 * mass) for k in range(1, 6)])
     assert np.allclose(levels, exact, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 400, 800])
+def test_dvr_kinetic_tables_match_2d_formula(n):
+    assert np.array_equal(_sine_dvr_kinetic(n, 4.8, 1782.0), sine_dvr_kinetic(n, 4.8, 1782.0))
 
 
 def test_rotational_constant_value():
@@ -82,10 +91,107 @@ def test_grid_doubling_convergence():
             assert abs(au_to_cm1(a - b)) < 1e-4
 
 
-def test_coarse_grid_raises():
+# -- the grid-doubling certificate against eigvalsh on the doubled grid --------
+
+
+def doubling_case(params, grid, j):
+    """(coarse eigenvalues, coarse eigenvectors, doubled-grid matrix, its wall)
+    for one J, from full eigensolves."""
+    length = grid.r_max - grid.r_min
+    kinetic = _sine_dvr_kinetic(grid.n_points, length, params.reduced_mass)
+    evals, evecs = np.linalg.eigh(_radial_hamiltonian(params, j, kinetic, grid.points())[0])
+    n_fine = 2 * grid.n_points
+    kinetic_fine = _sine_dvr_kinetic(n_fine, length, params.reduced_mass)
+    h_fine, v_fine = _radial_hamiltonian(params, j, kinetic_fine, grid.points(n_fine))
+    return evals, evecs, h_fine, min(v_fine[0], v_fine[-1])
+
+
+def certify(params, grid, j):
+    """(certified bound, eigvalsh drift) of the lowest v_max + 1 levels, hartree."""
+    k = params.v_max + 1
+    evals, evecs, h_fine, wall = doubling_case(params, grid, j)
+    bound = _certified_drift(h_fine, wall, evals[:k],
+                             _sine_interpolate(evecs[:, :k], h_fine.shape[0]),
+                             0.5 * (evals[k - 1] + evals[k]))
+    drift = np.max(np.abs(evals[:k] - np.linalg.eigvalsh(h_fine)[:k]))
+    return bound, drift
+
+
+def count_fallbacks(monkeypatch):
+    calls = []
+    check = twinpol.model._check_doubling
+
+    def counted(*args):
+        calls.append(args[-1])
+        return check(*args)
+
+    monkeypatch.setattr(twinpol.model, "_check_doubling", counted)
+    return calls
+
+
+def test_coarse_grid_raises(monkeypatch):
+    calls = count_fallbacks(monkeypatch)
     params = MorseParams(v_max=1, j_max=1)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="drift"):
         build_morse_rovib(params, RadialGrid(n_points=24))
+    assert calls == [0]      # the certificate proves too little; eigvalsh raises
+
+
+def test_default_grid_is_certified_for_every_j(monkeypatch):
+    calls = count_fallbacks(monkeypatch)
+    params = MorseParams()
+    model = build_morse_rovib(params)
+    assert calls == []
+    unchecked = build_morse_rovib(params, check_convergence=False)
+    assert np.array_equal(model.energies, unchecked.energies)
+    assert np.array_equal(model.dipole, unchecked.dipole)
+    tol = RadialGrid().convergence_tol_cm1 / CM1_PER_HARTREE
+    for j in (0, params.j_max):
+        bound, drift = certify(params, RadialGrid(), j)
+        assert drift <= bound <= tol
+
+
+def test_coarse_grid_falls_back_to_eigvalsh(monkeypatch):
+    params, grid = MorseParams(v_max=1, j_max=1), RadialGrid(n_points=40)
+    bound, drift = certify(params, grid, 0)
+    tol = grid.convergence_tol_cm1 / CM1_PER_HARTREE
+    assert drift <= tol < bound < math.inf
+    calls = count_fallbacks(monkeypatch)
+    build_morse_rovib(params, grid)
+    assert calls == [0, 1]
+
+
+def test_trial_space_without_ground_state_is_not_certified():
+    params, grid = MorseParams(v_max=1), RadialGrid()
+    evals, evecs, h_fine, wall = doubling_case(params, grid, 0)
+    trial = _sine_interpolate(evecs[:, 1:3], h_fine.shape[0])
+    # rho above v = 2: the Ritz pairs are accurate, but v = 0 is a third level below rho
+    assert _certified_drift(h_fine, wall, evals[1:3], trial, 0.5 * (evals[2] + evals[3])) \
+        == math.inf
+    # rho between v = 0 and v = 1, as for the claimed levels evals[:2]
+    assert _certified_drift(h_fine, wall, evals[:2], trial, 0.5 * (evals[1] + evals[2])) \
+        == math.inf
+    # the same call with the true lowest pair certifies
+    full = _sine_interpolate(evecs[:, :2], h_fine.shape[0])
+    assert _certified_drift(h_fine, wall, evals[:2], full, 0.5 * (evals[1] + evals[2])) < 1e-9
+
+
+def test_selection_rule_names_first_offender_in_row_major_order():
+    labels = [{"v": 0, "J": j, "M": m} for j in range(3) for m in range(-j, j + 1)]
+    n = len(labels)
+    dipole = np.zeros((n, n))
+    for i, k in [(0, 2), (2, 7), (1, 3), (0, 6)]:   # allowed, dM = 1, dJ = 0, dJ = 2
+        dipole[i, k] = dipole[k, i] = 0.1
+    first = first_selection_rule_offender(dipole, labels)
+    assert first == (labels[0], labels[6])
+    with pytest.raises(ModelError, match="violates") as err:
+        MolecularModel(energies=np.zeros(n), dipole=dipole.copy(), labels=tuple(labels))
+    assert str(err.value).startswith(f"dipole entry between {first[0]} and {first[1]} ")
+    dipole[0, 6] = dipole[6, 0] = 0.0
+    with pytest.raises(ModelError) as err:
+        MolecularModel(energies=np.zeros(n), dipole=dipole, labels=tuple(labels))
+    assert first_selection_rule_offender(dipole, labels) == (labels[1], labels[3])
+    assert f"between {labels[1]} and {labels[3]} " in str(err.value)
 
 
 def test_m_degeneracy(hcl_model):

@@ -321,7 +321,10 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
         spec.to_csv(out_dir / "sticks.csv")
         outputs.append("sticks.csv")
         plots.append(("sticks", spec))
-        checks = {"basis_size": basis.size}
+        # an initial eigenstate's largest squared amplitude is its overlap
+        # with the basis entry it was picked for (that one exceeds 1/2)
+        checks = {"basis_size": basis.size, "min_dominant_overlap": min(
+            float(np.max(sol.eigenvectors[:, i] ** 2)) for i, _ in initial)}
 
     else:
         if framework == "manymol_bruteforce":

@@ -23,8 +23,9 @@ from .errors import ConfigError, ConvergenceError, ModelError
 from .units import CM1_PER_HARTREE, KB_HARTREE_PER_K, cm1_to_au
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _freeze(a) -> np.ndarray:
+    """A read-only float copy of a; the caller's own array stays writeable."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
@@ -44,8 +45,8 @@ class MolecularModel:
     labels: tuple[dict, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "energies", _freeze(np.asarray(self.energies, float)))
-        object.__setattr__(self, "dipole", _freeze(np.asarray(self.dipole, float)))
+        object.__setattr__(self, "energies", _freeze(self.energies))
+        object.__setattr__(self, "dipole", _freeze(self.dipole))
         object.__setattr__(self, "labels", tuple(dict(l) for l in self.labels))
         self.validate()
 
@@ -222,7 +223,7 @@ class ThermalWeights:
     subset: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _freeze(np.asarray(self.weights, float)))
+        object.__setattr__(self, "weights", _freeze(self.weights))
         if np.any(self.weights < 0):
             raise ModelError("weights must be nonnegative")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:

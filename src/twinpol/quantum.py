@@ -7,6 +7,19 @@ eigenvectors; the time-dependent route integrates the interaction-picture
 coefficients C_{k,N}(t) (phases e^{-i(E_k + N w_c) t}) with the shared RK4
 engine while the kick lasts, propagates exactly in the eigenbasis of H after
 it, and Fourier-transforms <mu(t)>.
+
+H conserves more than energy: the Z-polarized field conserves M, and the
+dipole flips the parity of J (of the 3-level upper state, or of the number
+of molecules in it) together with that of N.  diagonalize_polaritons finds
+these sectors without being told: it splits H into the connected
+components of its nonzero pattern.  A matrix element between two
+components is exactly 0.0, so each component spans an exact invariant
+subspace of the matrix as given, with no tolerance and no labels declared
+by the model.  Every eigenvector is then exactly zero outside its
+component, and the consumers inherit the symmetry unchanged:
+dominant_eigenstate sees only its entry's component, amplitudes between
+components that mu does not couple are exactly 0.0 and drop out of the
+stick spectrum, and the exact tail of propagate_quantum stays exact.
 """
 
 from __future__ import annotations
@@ -153,17 +166,63 @@ class PolaritonSolution:
         return self.eigenvalues.size
 
 
+def _coupled_blocks(h: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of h's nonzero pattern, in
+    order of their smallest index.
+
+    Label propagation: every state takes the smallest label among itself and
+    the states it couples to, then the label of its label, until nothing
+    moves; each component ends up labelled by its smallest index.
+    """
+    rows, cols = np.nonzero(h)
+    rows, cols = np.r_[rows, cols], np.r_[cols, rows]   # either triangle couples
+    label = np.arange(h.shape[0])
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
+    return np.split(order, starts[1:])
+
+
 def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
+    """Eigenpairs of H, one eigh per block of states that H couples.
+
+    Off-block elements of H are exactly zero, so every block spans an exact
+    invariant subspace and no tolerance decides what a block is.  Each
+    eigenvector is exactly zero outside its block, so an eigenstate never
+    mixes states of different conserved quantum numbers (M, parity), which
+    a single eigh over a degenerate pair of blocks would do.  Eigenvalues are
+    in ascending order (a stable sort over the blocks in order of their
+    smallest index); each block's vectors go straight into their sorted
+    columns.
+    """
     if not np.allclose(h, h.T, atol=1e-12):
         raise ModelError("Hamiltonian must be symmetric")
+    blocks = _coupled_blocks(h)
     try:
-        evals, evecs = np.linalg.eigh(h)
+        if len(blocks) == 1:        # eigh's own output: no block copies
+            return PolaritonSolution(*np.linalg.eigh(h))
+        parts = [np.linalg.eigh(h[np.ix_(idx, idx)]) for idx in blocks]
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(
             f"eigensolver failed: {err}; matrix condition ~ "
             f"{np.linalg.cond(h):.3e}"
         ) from err
-    return PolaritonSolution(eigenvalues=evals, eigenvectors=evecs)
+    evals = np.concatenate([w for w, _ in parts])
+    order = np.argsort(evals, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    evecs = np.zeros(h.shape, parts[0][1].dtype)
+    start = 0
+    for idx, (w, v) in zip(blocks, parts):
+        evecs[np.ix_(idx, column[start:start + w.size])] = v
+        start += w.size
+    return PolaritonSolution(eigenvalues=evals[order], eigenvectors=evecs)
 
 
 def dominant_eigenstate(sol: PolaritonSolution, basis: ProductBasis,

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twinpol.cli
@@ -234,6 +235,7 @@ directory = out
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["outputs"] == ["sticks.csv"]
     assert len(manifest["model_hash"]) == 40
+    assert 0.99 < manifest["checks"]["min_dominant_overlap"] <= 1.0
 
 
 def test_manifest_reruns_identically(tmp_path):
@@ -251,6 +253,32 @@ record_stride = 20
     for name in ("trajectory.csv", "spectrum.csv", "peaks.json"):
         assert (tmp_path / "first" / name).read_bytes() == \
                (tmp_path / "second" / name).read_bytes()
+
+
+HCL_CONFIG = Path(__file__).parent.parent / "configs" / "hcl_thermal_cavity.cfg"
+SEED_2006 = (404.3883975704299, 284.27302434251027)    # g (cm^-1), T (K)
+
+
+@pytest.mark.parametrize("g_cm1, temperature", [
+    (400.0, 300.0), SEED_2006, (SEED_2006[0] + 0.0016, SEED_2006[1])],
+    ids=["shipped", "seed_2006", "seed_2006_g_plus_0.0016"])
+def test_hcl_thermal_run_keeps_degenerate_pairs_unmixed(tmp_path, g_cm1, temperature):
+    """Each +-M pair of the HCl H is exactly degenerate.  Diagonalized in one
+    piece, the pair mixed as LAPACK chose: the best overlap of entry
+    v0J4M-1;N0 was 0.499 at the bench's seed-2006 coupling, and the run
+    exited 3."""
+    text = (HCL_CONFIG.read_text().replace("g = 400 cm-1", f"g = {g_cm1!r} cm-1")
+            .replace("temperature = 300 K", f"temperature = {temperature!r} K"))
+    cfg = write(tmp_path, text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["checks"]["min_dominant_overlap"] >= 0.99
+    config = RunConfig.from_file(cfg)
+    model, cav = config.build_model(), config.cavity(config.g_values[0])
+    basis = ProductBasis.full(model, cav.n_fock_max)
+    vecs = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis)).eigenvectors
+    assert min(np.max(vecs[basis.index(k, 0)] ** 2)
+               for k, lab in enumerate(model.labels) if lab["v"] == 0) >= 0.99
 
 
 def test_quantum_td_run_outputs(tmp_path):

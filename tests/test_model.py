@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinpol import (KB_HARTREE_PER_K, ModelError, boltzmann_weights,
-                     build_three_level, mu_squared_matrix)
+from twinpol import (KB_HARTREE_PER_K, ModelError, MolecularModel, ThermalWeights,
+                     boltzmann_weights, build_three_level, mu_squared_matrix)
 from twinpol.model import load_model_config, parse_quantity
 from twinpol.errors import ConfigError
 
@@ -124,6 +124,19 @@ def test_json_roundtrip_and_hash(model3, tmp_path):
     assert np.array_equal(back.dipole, model3.dipole)
     assert back.labels == model3.labels
     assert back.content_hash() == model3.content_hash()
+
+
+def test_frozen_fields_leave_the_callers_arrays_writeable():
+    energies = np.array([0.0, 1e-2])
+    dipole = np.array([[0.0, 1.0], [1.0, 0.0]])
+    weights = np.array([0.75, 0.25])
+    model = MolecularModel(energies, dipole, ({"index": 0}, {"index": 1}))
+    thermal = ThermalWeights(300.0, weights, (0, 1))
+    assert energies.flags.writeable and dipole.flags.writeable and weights.flags.writeable
+    energies[1] = dipole[0, 1] = weights[0] = 0.5
+    assert (model.energies[1], model.dipole[0, 1], thermal.weights[0]) == (1e-2, 1.0, 0.75)
+    for frozen in (model.energies, model.dipole, thermal.weights):
+        assert not frozen.flags.writeable
 
 
 def test_parse_quantity_units():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import twinpol.integrators
-from twinpol import (CavityParams, KickPulse, ModelError, ProductBasis,
-                     assemble_hamiltonian, cm1_to_au, diagonalize_polaritons,
+import twinpol.manymol
+from twinpol import (CavityParams, KickPulse, ModelError, PolaritonSolution, ProductBasis,
+                     assemble_hamiltonian, boltzmann_weights,
+                     build_many_molecule_hamiltonian, cm1_to_au, diagonalize_polaritons,
                      detect_peaks, dipole_spectrum, dominant_eigenstate,
                      photon_observables, propagate_quantum,
-                     static_stick_spectrum)
+                     static_stick_spectrum, thermal_initial_states)
 from twinpol.quantum import (QuantumState, mu_operator, q2_operator, q_operator,
                              real_matmul)
 
@@ -102,6 +104,109 @@ def test_random_symmetric_reconstruction():
     for i in range(6):
         resid = h @ sol.eigenvectors[:, i] - sol.eigenvalues[i] * sol.eigenvectors[:, i]
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(h)
+
+
+HCL_CAVITY = dict(omega_c=cm1_to_au(2906.46), g=cm1_to_au(400.0), include_dse=True,
+                  n_fock_max=2)
+
+
+def _oracle_hamiltonian(name, model3, hcl_model):
+    if name == "hcl":
+        cav = CavityParams(**HCL_CAVITY)
+        return assemble_hamiltonian(hcl_model, cav, ProductBasis.full(hcl_model, 2))
+    cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=name == "three_level_dse",
+                       n_fock_max=2)
+    if name == "thermal_N5_groups":
+        return twinpol.manymol._collective_hamiltonian(model3, cav, [2, 3], 2)[0]
+    if name == "thermal_N5_product":
+        return build_many_molecule_hamiltonian(model3, cav, 5)[0]
+    if name == "scrambled_chains":
+        # a singleton and chains of 7, 20 and 32 states, in shuffled order:
+        # a chain's end learns its label only through the whole chain
+        rng = np.random.default_rng(5)
+        h = np.diag(rng.normal(size=60))
+        for start, size in ((1, 7), (8, 20), (28, 32)):
+            i = np.arange(start, start + size - 1)
+            h[i, i + 1] = h[i + 1, i] = rng.uniform(0.5, 1.0, size - 1)
+        shuffle = rng.permutation(60)
+        return h[np.ix_(shuffle, shuffle)]
+    return assemble_hamiltonian(model3, cav, ProductBasis.full(model3, 2))
+
+
+def _components(h):
+    """Component label of every state of h's nonzero pattern, by breadth-first
+    search."""
+    coupled = (h != 0) | (h.T != 0)
+    label = np.full(h.shape[0], -1)
+    for seed in range(h.shape[0]):
+        if label[seed] >= 0:
+            continue
+        label[seed], todo = seed, [seed]
+        while todo:
+            for j in np.flatnonzero(coupled[todo.pop()] & (label < 0)):
+                label[j] = seed
+                todo.append(j)
+    return label
+
+
+@pytest.mark.parametrize("name, n_blocks", [
+    ("three_level", 2), ("three_level_dse", 2), ("hcl", 50),
+    ("thermal_N5_groups", 2), ("thermal_N5_product", 2), ("scrambled_chains", 4)])
+def test_blocked_eigh_matches_full_eigh(model3, hcl_model, name, n_blocks):
+    h = _oracle_hamiltonian(name, model3, hcl_model)
+    sol = diagonalize_polaritons(h)
+    evals, _ = np.linalg.eigh(h)
+    assert np.max(np.abs(sol.eigenvalues - evals)) <= 1e-14
+    assert np.all(np.diff(sol.eigenvalues) >= 0.0)
+    label = _components(h)
+    assert np.unique(label).size == n_blocks
+    for column in sol.eigenvectors.T:
+        assert np.unique(label[column != 0.0]).size == 1
+    v = sol.eigenvectors
+    assert np.max(np.abs(h @ v - v * sol.eigenvalues)) <= 1e-14 * np.max(np.abs(h))
+    assert np.max(np.abs(v.T @ v - np.eye(h.shape[0]))) <= 1e-13
+
+
+def _cluster_initial_states(sol, basis, weights, weight_cutoff):
+    """thermal_initial_states made independent of the basis eigh picks inside
+    a degenerate cluster: each entry's weight goes to the cluster of
+    eigenvalues (within 1e-10 au) that carries most of it, spread evenly over
+    the cluster's columns."""
+    cluster = np.r_[0, np.cumsum(np.diff(sol.eigenvalues) > 1e-10)]
+    total = {}
+    for k in weights.subset:
+        w = float(weights.weights[k])
+        if w <= weight_cutoff:
+            continue
+        share = np.bincount(cluster, sol.eigenvectors[basis.index(k, 0)] ** 2)
+        c = int(np.argmax(share))
+        assert share[c] > 0.5
+        total[c] = total.get(c, 0.0) + w
+    norm = sum(total.values())
+    return [(int(j), w / norm / np.sum(cluster == c))
+            for c, w in total.items() for j in np.flatnonzero(cluster == c)]
+
+
+def test_blocked_thermal_sticks_match_full_eigh(hcl_model):
+    cav = CavityParams(**HCL_CAVITY)
+    basis = ProductBasis.full(hcl_model, 2)
+    h = assemble_hamiltonian(hcl_model, cav, basis)
+    weights = boltzmann_weights(hcl_model, 300.0, [k for k, lab in enumerate(hcl_model.labels)
+                                                   if lab["v"] == 0])
+    sol = diagonalize_polaritons(h)
+    blocked = static_stick_spectrum(sol, hcl_model, basis,
+                                    thermal_initial_states(sol, basis, weights, 1e-4))
+    full = PolaritonSolution(*np.linalg.eigh(h))
+    oracle = static_stick_spectrum(full, hcl_model, basis,
+                                   _cluster_initial_states(full, basis, weights, 1e-4))
+    top = oracle.intensity.max()
+    strong = [s.select(s.intensity > 1e-12 * top) for s in (blocked, oracle)]
+    assert strong[0].omega.size == strong[1].omega.size
+    assert np.max(np.abs(strong[0].omega - strong[1].omega)) <= 1e-15
+    assert np.max(np.abs(strong[0].intensity - strong[1].intensity)) <= 1e-13 * top
+    assert blocked.intensity.sum() == pytest.approx(oracle.intensity.sum(), rel=1e-12)
+    # a cross-block amplitude is exactly zero, so no rounding-noise stick is left
+    assert blocked.omega.size < oracle.omega.size
 
 
 def test_nonsymmetric_matrix_rejected():

@@ -205,8 +205,6 @@ def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
         raise ModelError("Hamiltonian must be symmetric")
     blocks = _coupled_blocks(h)
     try:
-        if len(blocks) == 1:        # eigh's own output: no block copies
-            return PolaritonSolution(*np.linalg.eigh(h))
         parts = [np.linalg.eigh(h[np.ix_(idx, idx)]) for idx in blocks]
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(

@@ -331,42 +331,84 @@ def _solve_radial(params: MorseParams, grid: RadialGrid, j: int,
     return evals, evecs, next_level
 
 
-def _certified_drift(h: np.ndarray, wall: float, evals: np.ndarray,
-                     trial: np.ndarray, rho: float) -> float:
-    """Proven bound on max_i |evals_i - lambda_i(h)| over the lowest k =
-    len(evals) eigenvalues of h, proven to lie below wall as well; inf when
-    the trial columns prove less.
-
-    Rayleigh-Ritz on the k trial columns gives pairs (theta_i, y_i), and each
-    interval theta_i +- r_i, r_i = |h y_i - theta_i y_i| / |y_i|, holds an
-    eigenvalue of h.  If h + c Y Y^T - rho I (c > 0) has a Cholesky factor,
-    h + c Y Y^T has no eigenvalue below rho, and Weyl's inequality for that
-    rank-k term leaves at most k eigenvalues of h below rho.  Disjoint
-    intervals below rho then hold exactly lambda_0 .. lambda_{k-1}, one each.
-    """
+def _ritz_intervals(h: np.ndarray,
+                    trial: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rayleigh-Ritz pairs (theta_i, y_i) of h on the trial columns and radii
+    r_i = |h y_i - theta_i y_i| / |y_i|, each interval theta_i +- r_i holding
+    an eigenvalue of h; r_i includes the rounding of h @ y."""
     n, eps = h.shape[0], np.finfo(float).eps
     theta, z = np.linalg.eigh(trial.T @ h @ trial)
     y = trial @ z
-    norm_h = np.linalg.norm(h)
     # rounding of h @ y is below n eps |h| |y| <= n eps ||h||_F |y|
     r = (np.linalg.norm(h @ y - y * theta, axis=0) / np.linalg.norm(y, axis=0)
-         + n * eps * norm_h)
-    top = theta + r
-    if (not math.isfinite(rho) or np.any(theta[1:] - r[1:] <= top[:-1])
-            or top[-1] >= min(wall, rho)):
-        return math.inf
+         + n * eps * np.linalg.norm(h))
+    return theta, r, y
+
+
+def _count_floor(h: np.ndarray, theta: np.ndarray, y: np.ndarray, rho: float) -> float:
+    """Proven lower bound on lambda_k(h), k = len(theta) (0-based), by one
+    Cholesky factorization; -inf when it proves nothing.
+
+    If h + c Y Y^T - rho I (c > 0) has a Cholesky factor, h + c Y Y^T has no
+    eigenvalue below rho, and Weyl's inequality for that rank-k term leaves
+    at most k eigenvalues of h below rho.
+    """
+    if not math.isfinite(rho):
+        return -math.inf
+    n, eps = h.shape[0], np.finfo(float).eps
     a = (2.0 * (rho - theta[0]) * y) @ y.T
     a += h
     a[np.diag_indices_from(a)] -= rho
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return math.inf
+        return -math.inf
     # the factor is exact for a perturbation of a no larger than
     # (n + 1) eps trace(a) (Demmel), widened for forming a itself
-    if top[-1] >= rho - (n + 1) * eps * (np.trace(a) + 2.0 * norm_h):
-        return math.inf
-    return float(np.max(np.abs(evals - theta) + r))
+    return float(rho - (n + 1) * eps * (np.trace(a) + 2.0 * np.linalg.norm(h)))
+
+
+def _carried_floor(anchor: tuple[float, np.ndarray] | None, diag: np.ndarray) -> float:
+    """anchor = (floor, diagonal) of a matrix h_0 whose lambda_k is proven to
+    be at least floor, carried to h = h_0 + diag(diag - diagonal): by Weyl,
+    lambda_k(h) >= lambda_k(h_0) + min(diag - diagonal).  -inf without an
+    anchor or when an increment is negative."""
+    if anchor is None:
+        return -math.inf
+    floor, diag_anchor = anchor
+    step = float(np.min(diag - diag_anchor))
+    if step < 0.0:
+        return -math.inf
+    # each difference is within one rounding of the exact one, so (1 - eps) step
+    # is below the exact smallest increment; the sum is stepped down one ulp
+    return float(np.nextafter(floor + (1.0 - np.finfo(float).eps) * step, -math.inf))
+
+
+def _certified_drift(h: np.ndarray, wall: float, evals: np.ndarray, trial: np.ndarray,
+                     rho: float, anchor: tuple[float, np.ndarray] | None = None,
+                     ) -> tuple[float, tuple[float, np.ndarray] | None]:
+    """(bound, anchor): a proven bound on max_i |evals_i - lambda_i(h)| over
+    the lowest k = len(evals) eigenvalues of h, proven to lie below wall as
+    well (inf when the trial columns prove less), and the anchor for the next
+    matrix of the chain.
+
+    The Ritz intervals of the k trial columns (_ritz_intervals), disjoint and
+    below a proven floor on lambda_k(h), hold exactly lambda_0 .. lambda_{k-1},
+    one each.  The floor is the anchor's carried to h (_carried_floor); when
+    that proves too little, one Cholesky with rho (_count_floor) gives h's
+    own floor, and h becomes the anchor.
+    """
+    theta, r, y = _ritz_intervals(h, trial)
+    top, diag = theta + r, h.diagonal().copy()
+    if np.any(theta[1:] - r[1:] <= top[:-1]) or top[-1] >= wall:
+        return math.inf, anchor
+    if top[-1] >= _carried_floor(anchor, diag):
+        if top[-1] >= rho:      # a factorization with rho proves a floor below rho
+            return math.inf, anchor
+        anchor = (_count_floor(h, theta, y, rho), diag)
+        if top[-1] >= anchor[0]:
+            return math.inf, anchor
+    return float(np.max(np.abs(evals - theta) + r)), anchor
 
 
 def _check_doubling(h_fine: np.ndarray, v_fine: np.ndarray, evals: np.ndarray,
@@ -405,14 +447,26 @@ def build_morse_rovib(params: MorseParams,
     below the wall potential and within grid.convergence_tol_cm1 of the
     coarse levels, else ConvergenceError.
 
-    The check is first made by _certified_drift at the cost of one Cholesky
-    factorization: the coarse eigenvectors, carried to the doubled grid by
-    their sine series, bound where the doubled grid's exact levels lie, with
-    rho halfway between the coarse levels v_max and v_max + 1.  When that
-    bound is within tolerance the eigvalsh check passes too, up to its own
-    rounding (about 1e-14 hartree); otherwise eigvalsh on the doubled grid
-    decides as before.  So the verdict does not change, and the model comes
-    from the coarse grid alone whichever path decided.
+    The check is first made by _certified_drift: the coarse eigenvectors,
+    carried to the doubled grid by their sine series, give Ritz intervals
+    that each hold one of the doubled grid's exact levels.  They are the
+    lowest k = v_max + 1 levels once a floor proves lambda_k (0-based) lies
+    above them.  One Cholesky factorization proves such a floor, rho minus a
+    rounding margin, with rho halfway between the coarse levels v_max and
+    v_max + 1.  One factorization serves a run of J: the doubled-grid
+    matrices share their kinetic part exactly, so h_J - h_J0 is diagonal,
+    the centrifugal increment [J(J+1) - J0(J0+1)] / (2 mu r^2).  It is >= 0
+    for J > J0 (and its rounded value too, as rounding is monotone), so by
+    Weyl's inequality lambda_k(h_J) >= lambda_k(h_J0) + min_i of the
+    increment.  Each rounded increment is within one rounding of the exact
+    one, so the floor is carried with (1 - eps) times the smallest rounded
+    increment, and the sum is stepped down one ulp.  A J whose top interval
+    reaches the carried floor is factorized and becomes the new anchor; the
+    default model needs one factorization, at J = 0.  When the bound is
+    within tolerance the eigvalsh check passes too, up to its own rounding
+    (about 1e-14 hartree); otherwise eigvalsh on the doubled grid decides
+    as before.  So the verdict does not change, and the model comes from the
+    coarse grid alone whichever path decided.
     """
     grid = grid or RadialGrid()
     if params.j_max < 1:
@@ -428,13 +482,14 @@ def build_morse_rovib(params: MorseParams,
     if check_convergence:
         r_fine = grid.points(n_fine)
         kinetic_fine = _sine_dvr_kinetic(n_fine, length, mass)
+    anchor = None
     for j in range(params.j_max + 1):
         evals, evecs, next_level = _solve_radial(params, grid, j, kinetic)
         if check_convergence:
             h_fine, v_fine = _radial_hamiltonian(params, j, kinetic_fine, r_fine)
-            bound = _certified_drift(h_fine, min(v_fine[0], v_fine[-1]), evals,
-                                     _sine_interpolate(evecs, n_fine),
-                                     0.5 * (evals[-1] + next_level))
+            bound, anchor = _certified_drift(h_fine, min(v_fine[0], v_fine[-1]), evals,
+                                             _sine_interpolate(evecs, n_fine),
+                                             0.5 * (evals[-1] + next_level), anchor)
             if bound * CM1_PER_HARTREE > grid.convergence_tol_cm1:
                 _check_doubling(h_fine, v_fine, evals, grid, j)
         levels[j] = evals

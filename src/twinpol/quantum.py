@@ -271,20 +271,18 @@ def static_stick_spectrum(sol: PolaritonSolution, model: MolecularModel,
     mu = mu_operator(model, basis)
     labels = [basis.label(int(k), model)
               for k in np.argmax(np.abs(sol.eigenvectors), axis=0)]
-    positions, intensities, labels_i, labels_f = [], [], [], []
-    for i, w in initial:
-        amps = sol.eigenvectors.T @ (mu @ sol.eigenvectors[:, i])
-        omegas = sol.eigenvalues - sol.eigenvalues[i]
-        inten = w * amps**2
-        final = np.flatnonzero((omegas > merge_tol) & (inten != 0.0))
-        positions.append(omegas[final])
-        intensities.append(inten[final])
-        labels_i += [labels[i]] * final.size
-        labels_f += [labels[f] for f in final]
+    start = np.array([i for i, _ in initial], dtype=int)
+    weight = np.array([w for _, w in initial], dtype=float)
+    vecs = sol.eigenvectors
+    # row a holds initial state start[a]; one product gives every amplitude
+    amps = (vecs.T @ (mu @ vecs[:, start])).T
+    omegas = sol.eigenvalues[None, :] - sol.eigenvalues[start, None]
+    inten = weight[:, None] * amps**2
+    rows, final = np.nonzero((omegas > merge_tol) & (inten != 0.0))
     return make_stick_spectrum(
-        np.concatenate(positions), np.concatenate(intensities),
+        omegas[rows, final], inten[rows, final],
         merge_tol=merge_tol, min_intensity=min_intensity,
-        labels_i=labels_i, labels_f=labels_f,
+        labels_i=[labels[start[a]] for a in rows], labels_f=[labels[f] for f in final],
         meta={"framework": "quantum_static"},
     )
 

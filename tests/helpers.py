@@ -191,3 +191,23 @@ def first_selection_rule_offender(dipole, labels):
             if abs(li["J"] - lj["J"]) != 1 or li["M"] != lj["M"]:
                 return li, lj
     return None
+
+
+# -- per-state stick amplitudes: the oracle for the batched static sticks -------
+
+
+def stick_inputs_per_state(sol, mu, labels, initial, merge_tol):
+    """(positions, intensities, initial labels, final labels) of the sticks
+    static_stick_spectrum hands to the merge, two matrix-vector products per
+    initial state."""
+    positions, intensities, labels_i, labels_f = [], [], [], []
+    for i, w in initial:
+        amps = sol.eigenvectors.T @ (mu @ sol.eigenvectors[:, i])
+        omegas = sol.eigenvalues - sol.eigenvalues[i]
+        inten = w * amps**2
+        final = np.flatnonzero((omegas > merge_tol) & (inten != 0.0))
+        positions.append(omegas[final])
+        intensities.append(inten[final])
+        labels_i += [labels[i]] * final.size
+        labels_f += [labels[f] for f in final]
+    return np.concatenate(positions), np.concatenate(intensities), labels_i, labels_f

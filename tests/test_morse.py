@@ -7,8 +7,9 @@ import twinpol.model
 from helpers import first_selection_rule_offender, sine_dvr_kinetic
 from twinpol import (ConvergenceError, ModelError, MolecularModel, MorseParams, RadialGrid,
                      build_morse_rovib)
-from twinpol.model import (_certified_drift, _radial_hamiltonian, _sine_dvr_kinetic,
-                           _sine_interpolate, z_direction_cosine)
+from twinpol.model import (_carried_floor, _certified_drift, _radial_hamiltonian,
+                           _ritz_intervals, _sine_dvr_kinetic, _sine_interpolate,
+                           z_direction_cosine)
 from twinpol.units import CM1_PER_HARTREE, au_to_cm1
 
 
@@ -110,9 +111,9 @@ def certify(params, grid, j):
     """(certified bound, eigvalsh drift) of the lowest v_max + 1 levels, hartree."""
     k = params.v_max + 1
     evals, evecs, h_fine, wall = doubling_case(params, grid, j)
-    bound = _certified_drift(h_fine, wall, evals[:k],
-                             _sine_interpolate(evecs[:, :k], h_fine.shape[0]),
-                             0.5 * (evals[k - 1] + evals[k]))
+    bound, _ = _certified_drift(h_fine, wall, evals[:k],
+                                _sine_interpolate(evecs[:, :k], h_fine.shape[0]),
+                                0.5 * (evals[k - 1] + evals[k]))
     drift = np.max(np.abs(evals[:k] - np.linalg.eigvalsh(h_fine)[:k]))
     return bound, drift
 
@@ -137,14 +138,30 @@ def test_coarse_grid_raises(monkeypatch):
     assert calls == [0]      # the certificate proves too little; eigvalsh raises
 
 
+def count_choleskys(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
 def test_default_grid_is_certified_for_every_j(monkeypatch):
     calls = count_fallbacks(monkeypatch)
+    factorized = count_choleskys(monkeypatch)
     params = MorseParams()
     model = build_morse_rovib(params)
     assert calls == []
+    assert factorized == [(800, 800)]     # one anchor, at J = 0, serves J = 0..10
+    monkeypatch.undo()
     unchecked = build_morse_rovib(params, check_convergence=False)
     assert np.array_equal(model.energies, unchecked.energies)
     assert np.array_equal(model.dipole, unchecked.dipole)
+    assert model.content_hash() == unchecked.content_hash()
     tol = RadialGrid().convergence_tol_cm1 / CM1_PER_HARTREE
     for j in (0, params.j_max):
         bound, drift = certify(params, RadialGrid(), j)
@@ -166,14 +183,67 @@ def test_trial_space_without_ground_state_is_not_certified():
     evals, evecs, h_fine, wall = doubling_case(params, grid, 0)
     trial = _sine_interpolate(evecs[:, 1:3], h_fine.shape[0])
     # rho above v = 2: the Ritz pairs are accurate, but v = 0 is a third level below rho
-    assert _certified_drift(h_fine, wall, evals[1:3], trial, 0.5 * (evals[2] + evals[3])) \
+    assert _certified_drift(h_fine, wall, evals[1:3], trial, 0.5 * (evals[2] + evals[3]))[0] \
         == math.inf
     # rho between v = 0 and v = 1, as for the claimed levels evals[:2]
-    assert _certified_drift(h_fine, wall, evals[:2], trial, 0.5 * (evals[1] + evals[2])) \
+    assert _certified_drift(h_fine, wall, evals[:2], trial, 0.5 * (evals[1] + evals[2]))[0] \
         == math.inf
     # the same call with the true lowest pair certifies
     full = _sine_interpolate(evecs[:, :2], h_fine.shape[0])
-    assert _certified_drift(h_fine, wall, evals[:2], full, 0.5 * (evals[1] + evals[2])) < 1e-9
+    assert _certified_drift(h_fine, wall, evals[:2], full, 0.5 * (evals[1] + evals[2]))[0] \
+        < 1e-9
+
+
+def test_chained_floor_certifies_every_j_up_to_30(monkeypatch):
+    checks = []
+    certified_drift = twinpol.model._certified_drift
+
+    def recorded(h, wall, evals, trial, rho, anchor=None):
+        bound, new_anchor = certified_drift(h, wall, evals, trial, rho, anchor)
+        drift = np.max(np.abs(evals - np.linalg.eigvalsh(h)[:evals.size]))
+        checks.append((drift, bound, new_anchor is not anchor))
+        return bound, new_anchor
+
+    monkeypatch.setattr(twinpol.model, "_certified_drift", recorded)
+    fallbacks = count_fallbacks(monkeypatch)
+    build_morse_rovib(MorseParams(j_max=30))
+    tol = RadialGrid().convergence_tol_cm1 / CM1_PER_HARTREE
+    assert len(checks) == 31 and fallbacks == []
+    for drift, bound, _ in checks:
+        assert drift <= bound <= tol
+    anchored = [j for j, (_, _, new) in enumerate(checks) if new]
+    assert anchored[0] == 0 and len(anchored) > 1
+
+
+def test_carried_floor_refuses_a_negative_increment():
+    diag = np.array([3.0, 2.0, 1.0])
+    assert _carried_floor(None, diag) == -math.inf
+    assert _carried_floor((0.5, diag), diag + [0.0, -1e-12, 0.25]) == -math.inf
+    # the floor grows by the smallest increment, rounded down
+    carried = _carried_floor((0.5, diag), diag + [0.25, 0.125, 0.5])
+    assert 0.5 < carried < 0.625
+    assert _carried_floor((0.5, diag), diag) < 0.5
+
+
+def test_trial_space_without_ground_state_is_not_certified_from_an_anchor():
+    params, grid = MorseParams(v_max=1), RadialGrid()
+    evals0, evecs0, h0, wall0 = doubling_case(params, grid, 0)
+    n_fine = h0.shape[0]
+    bound, anchor = _certified_drift(h0, wall0, evals0[:2],
+                                     _sine_interpolate(evecs0[:, :2], n_fine),
+                                     0.5 * (evals0[1] + evals0[2]))
+    assert bound < 1e-9 and anchor is not None
+    evals, evecs, h1, wall1 = doubling_case(params, grid, 1)
+    rho = 0.5 * (evals[1] + evals[2])
+    # trial v = 1, 2 at J = 1: its top interval is above the carried floor
+    trial = _sine_interpolate(evecs[:, 1:3], n_fine)
+    theta, r, _ = _ritz_intervals(h1, trial)
+    assert theta[-1] + r[-1] >= _carried_floor(anchor, h1.diagonal())
+    assert _certified_drift(h1, wall1, evals[:2], trial, rho, anchor)[0] == math.inf
+    # the true lowest pair at J = 1 is certified by the carried floor alone
+    bound, carried = _certified_drift(h1, wall1, evals[:2],
+                                      _sine_interpolate(evecs[:, :2], n_fine), rho, anchor)
+    assert bound < 1e-9 and carried is anchor
 
 
 def test_selection_rule_names_first_offender_in_row_major_order():

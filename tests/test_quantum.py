@@ -5,6 +5,8 @@ import pytest
 
 import twinpol.integrators
 import twinpol.manymol
+import twinpol.quantum
+from helpers import stick_inputs_per_state
 from twinpol import (CavityParams, KickPulse, ModelError, PolaritonSolution, ProductBasis,
                      assemble_hamiltonian, boltzmann_weights,
                      build_many_molecule_hamiltonian, cm1_to_au, diagonalize_polaritons,
@@ -207,6 +209,35 @@ def test_blocked_thermal_sticks_match_full_eigh(hcl_model):
     assert blocked.intensity.sum() == pytest.approx(oracle.intensity.sum(), rel=1e-12)
     # a cross-block amplitude is exactly zero, so no rounding-noise stick is left
     assert blocked.omega.size < oracle.omega.size
+
+
+@pytest.mark.parametrize("case", ["hcl_thermal", "three_level"])
+def test_batched_stick_amplitudes_match_per_state_loop(model3, cav, hcl_model, case,
+                                                       monkeypatch):
+    if case == "hcl_thermal":
+        model, cav = hcl_model, CavityParams(**HCL_CAVITY)
+        basis = ProductBasis.full(model, 2)
+        sol = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis))
+        weights = boltzmann_weights(model, 300.0, [k for k, lab in enumerate(model.labels)
+                                                   if lab["v"] == 0])
+        initial = thermal_initial_states(sol, basis, weights, 1e-4)
+    else:
+        model, basis = model3, ProductBasis.full(model3, 2)
+        sol = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis))
+        initial = [(dominant_eigenstate(sol, basis, (0, 0)), 0.7),
+                   (dominant_eigenstate(sol, basis, (1, 0)), 0.3)]
+    merged = []
+    monkeypatch.setattr(twinpol.quantum, "make_stick_spectrum",
+                        lambda *args, **kw: merged.append((args, kw)))
+    static_stick_spectrum(sol, model, basis, initial)
+    (omega, inten), kw = merged[0]
+    labels = [basis.label(int(k), model) for k in np.argmax(np.abs(sol.eigenvectors), axis=0)]
+    oracle = stick_inputs_per_state(sol, mu_operator(model, basis), labels, initial,
+                                    kw["merge_tol"])
+    assert omega.size == oracle[0].size > 0
+    assert np.array_equal(omega, oracle[0])
+    assert np.max(np.abs(inten - oracle[1])) <= 1e-15 * oracle[1].max()
+    assert (kw["labels_i"], kw["labels_f"]) == (oracle[2], oracle[3])
 
 
 def test_nonsymmetric_matrix_rejected():

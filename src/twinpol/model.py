@@ -293,13 +293,32 @@ def _sine_interpolate(u: np.ndarray, n_fine: int) -> np.ndarray:
     return math.sqrt(2.0 / (n_fine + 1)) * _dst1(coeffs)
 
 
-def _radial_hamiltonian(params: MorseParams, j: int, kinetic: np.ndarray,
-                        r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Effective radial Hamiltonian for one J on the grid r, and its potential."""
-    v_eff = params.potential(r) + j * (j + 1) / (2.0 * params.reduced_mass * r**2)
+# eigenpairs an anchor J keeps from its full eigh: the Ritz basis of the J above it
+_ANCHOR_PAIRS = 64
+
+
+def _effective_potential(params: MorseParams, j: int, r: np.ndarray) -> np.ndarray:
+    """Morse potential plus the centrifugal term of one J on the grid r."""
+    return params.potential(r) + j * (j + 1) / (2.0 * params.reduced_mass * r**2)
+
+
+def _with_diagonal(kinetic: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The matrix kinetic + diag(v)."""
     h = kinetic.copy()
-    h[np.diag_indices_from(h)] += v_eff
-    return h, v_eff
+    h[np.diag_indices_from(h)] += v
+    return h
+
+
+def _abs_norm(kinetic: np.ndarray, v: np.ndarray) -> float:
+    """|| |kinetic| + diag(|v|) ||_F, an upper bound on ||kinetic + diag(v)||_F.
+
+    Applied as kinetic @ y + v * y, h = kinetic + diag(v) rounds by at most
+    gamma_{n+2} (|kinetic| + diag|v|) |y| entrywise, u = eps / 2 the unit
+    roundoff, so in norm by at most (n + 2) u times this value times |y|.
+    """
+    t = np.abs(kinetic.diagonal())
+    d = t + np.abs(v)
+    return math.sqrt(float(np.vdot(kinetic, kinetic) - t @ t + d @ d))
 
 
 def _check_bound(evals: np.ndarray, v_eff: np.ndarray, grid: RadialGrid, j: int):
@@ -311,18 +330,58 @@ def _check_bound(evals: np.ndarray, v_eff: np.ndarray, grid: RadialGrid, j: int)
         )
 
 
-def _solve_radial(params: MorseParams, grid: RadialGrid, j: int,
-                  kinetic: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lowest v_max + 1 eigenpairs of the effective radial Hamiltonian for one
-    J, and the next eigenvalue (inf when the grid holds no more)."""
-    h, v_eff = _radial_hamiltonian(params, j, kinetic, grid.points())
-    evals, evecs = np.linalg.eigh(h)
-    n_keep = params.v_max + 1
-    next_level = evals[n_keep] if n_keep < evals.size else math.inf
-    evals = evals[:n_keep]
-    # a copy, so the model does not keep every J's full eigenvector matrix alive
-    evecs = evecs[:, :n_keep].copy()
-    _check_bound(evals, v_eff, grid, j)
+def _solve_radial(kinetic: np.ndarray, v: np.ndarray,
+                  n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_pairs eigenpairs of kinetic + diag(v), by one full eigh."""
+    evals, evecs = np.linalg.eigh(_with_diagonal(kinetic, v))
+    # copies, so no J keeps the full eigenvector matrix alive
+    return evals[:n_pairs].copy(), evecs[:, :n_pairs].copy()
+
+
+def _isolated(theta: np.ndarray, r: np.ndarray, ceiling: float) -> bool:
+    """True when the intervals theta_i +- r_i are disjoint and lie below ceiling."""
+    top = theta + r
+    return not np.any(theta[1:] - r[1:] <= top[:-1]) and top[-1] < ceiling
+
+
+def _ritz_step(kinetic: np.ndarray, v: np.ndarray, c: int, anchor: tuple,
+               k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lowest k eigenpairs of h = kinetic + diag(v) by Rayleigh-Ritz on an
+    anchor's eigenvectors; None unless they are proven to be h's lowest k
+    and are as accurate as eigh's.
+
+    anchor = (c0, lam, u, g, floor) of h_0 = kinetic + diag(v_0), where
+    v - v_0 = (c - c0) d: lam and u are h_0's lowest eigenpairs, g =
+    u^T diag(d) u, and floor = (a proven floor on lambda_k(h_0), v_0) for
+    _carried_floor.  Each Ritz pair must leave a residual |h y - theta y|
+    (|y| = 1) within a = n eps _abs_norm, an allowance that also bounds the
+    residual's own rounding ((n + 4) u < n eps), so theta +- (residual + a)
+    holds an eigenvalue of h; the k intervals must be disjoint and lie below
+    the carried floor, so they hold exactly lambda_0 .. lambda_{k-1}.
+    """
+    c0, lam, u, g, floor = anchor
+    small = (c - c0) * g
+    small[np.diag_indices_from(small)] += lam
+    theta, z = np.linalg.eigh(small)
+    theta, y = theta[:k], u @ z[:, :k]
+    y /= np.linalg.norm(y, axis=0)
+    residual = np.linalg.norm(kinetic @ y + v[:, None] * y - y * theta, axis=0)
+    allowance = v.size * np.finfo(float).eps * _abs_norm(kinetic, v)
+    if np.any(residual > allowance) or not _isolated(theta, residual + allowance,
+                                                     _carried_floor(floor, v)):
+        return None
+    return theta, y
+
+
+def _radial_levels(theta: np.ndarray, y: np.ndarray, v: np.ndarray, grid: RadialGrid,
+                   j: int, n_keep: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(evals, evecs, next_level) of one J from its lowest eigenpairs: the
+    lowest n_keep, bound by the walls and signed, and the next eigenvalue
+    (inf when there is none)."""
+    next_level = theta[n_keep] if n_keep < theta.size else math.inf
+    evals = theta[:n_keep]
+    evecs = y[:, :n_keep].copy()
+    _check_bound(evals, v, grid, j)
     # deterministic sign: positive lobe at the outermost maximum
     for k in range(n_keep):
         peak = np.argmax(np.abs(evecs[:, k]))
@@ -331,41 +390,81 @@ def _solve_radial(params: MorseParams, grid: RadialGrid, j: int,
     return evals, evecs, next_level
 
 
-def _ritz_intervals(h: np.ndarray,
+def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
+    """Yields (evals, evecs, next_level) for J = 0 .. j_max in turn: the
+    lowest v_max + 1 eigenpairs of each J's radial Hamiltonian and the next
+    eigenvalue.
+
+    A full eigh at an anchor J keeps its lowest _ANCHOR_PAIRS eigenpairs,
+    and each later J takes its levels from _ritz_step on them.  A J that
+    step refuses is solved by eigh and becomes the anchor.  The anchor's
+    floor is its eigenvalue lambda_{v_max+2} less the allowance a, eigh's
+    own rounding.  Nothing of an anchor outlives the chain.
+    """
+    r = grid.points()
+    n_keep = params.v_max + 1
+    n_pairs = min(max(_ANCHOR_PAIRS, n_keep + 1), r.size)
+    d = 1.0 / (2.0 * params.reduced_mass * r**2)
+    anchor = None
+    for j in range(params.j_max + 1):
+        v = _effective_potential(params, j, r)
+        pairs = None if anchor is None else _ritz_step(kinetic, v, j * (j + 1), anchor,
+                                                       n_keep + 1)
+        if pairs is None:
+            pairs = lam, u = _solve_radial(kinetic, v, n_pairs)
+            if n_keep + 1 < n_pairs:        # lam[n_keep + 1] floors the later pairs
+                floor = lam[n_keep + 1] - r.size * np.finfo(float).eps * _abs_norm(kinetic, v)
+                anchor = (j * (j + 1), lam, u, u.T @ (d[:, None] * u), (floor, v))
+        yield _radial_levels(*pairs, v, grid, j, n_keep)
+
+
+def _ritz_intervals(kinetic: np.ndarray, v: np.ndarray,
                     trial: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rayleigh-Ritz pairs (theta_i, y_i) of h on the trial columns and radii
-    r_i = |h y_i - theta_i y_i| / |y_i|, each interval theta_i +- r_i holding
-    an eigenvalue of h; r_i includes the rounding of h @ y."""
-    n, eps = h.shape[0], np.finfo(float).eps
-    theta, z = np.linalg.eigh(trial.T @ h @ trial)
+    """Rayleigh-Ritz pairs (theta_i, y_i = trial z_i) of h = kinetic + diag(v)
+    on the trial columns and radii r_i, each interval theta_i +- r_i holding
+    an eigenvalue of h.
+
+    h is applied once, as kinetic @ trial + v * trial, and h y_i is that
+    product times z_i.  r_i is |(h trial) z_i - theta_i y_i| / |y_i| plus the
+    rounding of that residual: the n-term sums of h trial, the k-term sums
+    of (h trial) z and of y, and the three elementwise roundings stay below
+    (n + 2k + 4) u _abs_norm || |trial| |z_i| ||, u = eps / 2, which
+    max(n, 2k + 4) eps covers.
+    """
+    n, k = trial.shape
+    h_trial = kinetic @ trial + v[:, None] * trial
+    theta, z = np.linalg.eigh(trial.T @ h_trial)
     y = trial @ z
-    # rounding of h @ y is below n eps |h| |y| <= n eps ||h||_F |y|
-    r = (np.linalg.norm(h @ y - y * theta, axis=0) / np.linalg.norm(y, axis=0)
-         + n * eps * np.linalg.norm(h))
+    rounding = (max(n, 2 * k + 4) * np.finfo(float).eps * _abs_norm(kinetic, v)
+                * np.linalg.norm(np.abs(trial) @ np.abs(z), axis=0))
+    r = (np.linalg.norm(h_trial @ z - y * theta, axis=0) + rounding) / np.linalg.norm(y, axis=0)
     return theta, r, y
 
 
-def _count_floor(h: np.ndarray, theta: np.ndarray, y: np.ndarray, rho: float) -> float:
-    """Proven lower bound on lambda_k(h), k = len(theta) (0-based), by one
-    Cholesky factorization; -inf when it proves nothing.
+def _count_floor(kinetic: np.ndarray, v: np.ndarray, theta: np.ndarray, y: np.ndarray,
+                 rho: float) -> float:
+    """Proven lower bound on lambda_k(h), h = kinetic + diag(v) and k =
+    len(theta) (0-based), by one Cholesky factorization; -inf when it proves
+    nothing.
 
     If h + c Y Y^T - rho I (c > 0) has a Cholesky factor, h + c Y Y^T has no
     eigenvalue below rho, and Weyl's inequality for that rank-k term leaves
-    at most k eigenvalues of h below rho.
+    at most k eigenvalues of h below rho.  That matrix is the only one of h's
+    size this check forms.
     """
     if not math.isfinite(rho):
         return -math.inf
-    n, eps = h.shape[0], np.finfo(float).eps
+    n, eps = v.size, np.finfo(float).eps
     a = (2.0 * (rho - theta[0]) * y) @ y.T
-    a += h
-    a[np.diag_indices_from(a)] -= rho
+    a += kinetic
+    a[np.diag_indices_from(a)] += v - rho
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return -math.inf
     # the factor is exact for a perturbation of a no larger than
     # (n + 1) eps trace(a) (Demmel), widened for forming a itself
-    return float(rho - (n + 1) * eps * (np.trace(a) + 2.0 * np.linalg.norm(h)))
+    return float(rho - (n + 1) * eps * (np.trace(a) + 2.0 * _abs_norm(kinetic, v)))
 
 
 def _carried_floor(anchor: tuple[float, np.ndarray] | None, diag: np.ndarray) -> float:
@@ -384,13 +483,14 @@ def _carried_floor(anchor: tuple[float, np.ndarray] | None, diag: np.ndarray) ->
     return float(np.nextafter(floor + (1.0 - np.finfo(float).eps) * step, -math.inf))
 
 
-def _certified_drift(h: np.ndarray, wall: float, evals: np.ndarray, trial: np.ndarray,
-                     rho: float, anchor: tuple[float, np.ndarray] | None = None,
+def _certified_drift(kinetic: np.ndarray, v: np.ndarray, evals: np.ndarray,
+                     trial: np.ndarray, rho: float,
+                     anchor: tuple[float, np.ndarray] | None = None,
                      ) -> tuple[float, tuple[float, np.ndarray] | None]:
     """(bound, anchor): a proven bound on max_i |evals_i - lambda_i(h)| over
-    the lowest k = len(evals) eigenvalues of h, proven to lie below wall as
-    well (inf when the trial columns prove less), and the anchor for the next
-    matrix of the chain.
+    the lowest k = len(evals) eigenvalues of h = kinetic + diag(v), proven to
+    lie below the wall min(v[0], v[-1]) as well (inf when the trial columns
+    prove less), and the anchor (floor, v) for the next matrix of the chain.
 
     The Ritz intervals of the k trial columns (_ritz_intervals), disjoint and
     below a proven floor on lambda_k(h), hold exactly lambda_0 .. lambda_{k-1},
@@ -398,25 +498,26 @@ def _certified_drift(h: np.ndarray, wall: float, evals: np.ndarray, trial: np.nd
     that proves too little, one Cholesky with rho (_count_floor) gives h's
     own floor, and h becomes the anchor.
     """
-    theta, r, y = _ritz_intervals(h, trial)
-    top, diag = theta + r, h.diagonal().copy()
-    if np.any(theta[1:] - r[1:] <= top[:-1]) or top[-1] >= wall:
+    theta, r, y = _ritz_intervals(kinetic, v, trial)
+    if not _isolated(theta, r, min(v[0], v[-1])):
         return math.inf, anchor
-    if top[-1] >= _carried_floor(anchor, diag):
-        if top[-1] >= rho:      # a factorization with rho proves a floor below rho
+    top = theta[-1] + r[-1]
+    if top >= _carried_floor(anchor, v):
+        if top >= rho:      # a factorization with rho proves a floor below rho
             return math.inf, anchor
-        anchor = (_count_floor(h, theta, y, rho), diag)
-        if top[-1] >= anchor[0]:
+        anchor = (_count_floor(kinetic, v, theta, y, rho), v)
+        if top >= anchor[0]:
             return math.inf, anchor
     return float(np.max(np.abs(evals - theta) + r)), anchor
 
 
-def _check_doubling(h_fine: np.ndarray, v_fine: np.ndarray, evals: np.ndarray,
+def _check_doubling(kinetic: np.ndarray, v: np.ndarray, evals: np.ndarray,
                     grid: RadialGrid, j: int):
-    """Full-spectrum grid-doubling check: the doubled grid's lowest levels
-    must be bound and lie within grid.convergence_tol_cm1 of evals."""
-    evals_fine = np.linalg.eigvalsh(h_fine)[:evals.size]
-    _check_bound(evals_fine, v_fine, grid, j)
+    """Full-spectrum grid-doubling check: the lowest levels of the doubled
+    grid's kinetic + diag(v) must be bound and lie within
+    grid.convergence_tol_cm1 of evals."""
+    evals_fine = np.linalg.eigvalsh(_with_diagonal(kinetic, v))[:evals.size]
+    _check_bound(evals_fine, v, grid, j)
     drift = np.max(np.abs(evals - evals_fine)) * CM1_PER_HARTREE
     if drift > grid.convergence_tol_cm1:
         raise ConvergenceError(
@@ -447,22 +548,43 @@ def build_morse_rovib(params: MorseParams,
     below the wall potential and within grid.convergence_tol_cm1 of the
     coarse levels, else ConvergenceError.
 
-    The check is first made by _certified_drift: the coarse eigenvectors,
-    carried to the doubled grid by their sine series, give Ritz intervals
-    that each hold one of the doubled grid's exact levels.  They are the
-    lowest k = v_max + 1 levels once a floor proves lambda_k (0-based) lies
-    above them.  One Cholesky factorization proves such a floor, rho minus a
-    rounding margin, with rho halfway between the coarse levels v_max and
-    v_max + 1.  One factorization serves a run of J: the doubled-grid
-    matrices share their kinetic part exactly, so h_J - h_J0 is diagonal,
-    the centrifugal increment [J(J+1) - J0(J0+1)] / (2 mu r^2).  It is >= 0
+    Both grids rest on one fact: the radial matrices of all J share their
+    kinetic part exactly, so h_J - h_J0 is diagonal, the centrifugal
+    increment [J(J+1) - J0(J0+1)] D with D = 1 / (2 mu r^2).  It is >= 0
     for J > J0 (and its rounded value too, as rounding is monotone), so by
     Weyl's inequality lambda_k(h_J) >= lambda_k(h_J0) + min_i of the
     increment.  Each rounded increment is within one rounding of the exact
-    one, so the floor is carried with (1 - eps) times the smallest rounded
-    increment, and the sum is stepped down one ulp.  A J whose top interval
-    reaches the carried floor is factorized and becomes the new anchor; the
-    default model needs one factorization, at J = 0.  When the bound is
+    one, so a floor is carried with (1 - eps) times the smallest rounded
+    increment, and the sum is stepped down one ulp (_carried_floor).
+
+    The coarse levels (_radial_chain) take one full eigh at an anchor J
+    (J = 0 first), which keeps its lowest K = 64 eigenpairs (lam, U) and
+    G = U^T D U.  A later J takes the Ritz pairs of h_J on U from the K x K
+    eigh of diag(lam) + [J(J+1) - J0(J0+1)] G, and keeps the lowest
+    k = v_max + 2 when all three checks hold (_ritz_step):
+    - each residual |T y + v_eff y - theta y| is within the allowance
+      a = n eps || |h_J| ||_F, as small as eigh's own, so theta +- (residual
+      + a) holds an eigenvalue of h_J;
+    - these k intervals are disjoint, so they hold k distinct eigenvalues;
+    - the top one lies below the anchor's lam_k - a carried up to J, a floor
+      on lambda_k(h_J) that leaves no room for another eigenvalue below it.
+      So the intervals hold exactly lambda_0 .. lambda_{k-1}, in order.
+    Otherwise _solve_radial's full eigh decides that J, and the J becomes
+    the anchor.  The default model (J <= 10) takes one full eigh; J <= 30
+    takes three, at J = 0, 18 and 26, where the carried floor falls behind
+    the levels.  The levels agree with one eigh per J within 1e-13 hartree.
+
+    The doubling check is first made by _certified_drift: the coarse
+    eigenvectors, carried to the doubled grid by their sine series, give
+    Ritz intervals that each hold one of the doubled grid's exact levels.
+    They are the lowest k = v_max + 1 levels once a floor proves lambda_k
+    (0-based) lies above them.  One Cholesky factorization proves such a
+    floor, rho minus a rounding margin, with rho halfway between the coarse
+    levels v_max and v_max + 1, and the floor carries up in J as above.  A
+    J whose top interval reaches the carried floor is factorized and
+    becomes the new anchor; the default model needs one factorization, at
+    J = 0.  The doubled-grid matrix is applied as kinetic @ y + v ⊙ y and
+    formed only for that factorization or for eigvalsh.  When the bound is
     within tolerance the eigvalsh check passes too, up to its own rounding
     (about 1e-14 hartree); otherwise eigvalsh on the doubled grid decides
     as before.  So the verdict does not change, and the model comes from the
@@ -472,9 +594,6 @@ def build_morse_rovib(params: MorseParams,
     if params.j_max < 1:
         raise ModelError("j_max must be at least 1 for a dipole-active model")
 
-    levels: dict[int, np.ndarray] = {}
-    radial: dict[int, np.ndarray] = {}
-    r_pts = grid.points()
     # the kinetic matrix does not depend on J: one build per grid size
     length, mass = grid.r_max - grid.r_min, params.reduced_mass
     kinetic = _sine_dvr_kinetic(grid.n_points, length, mass)
@@ -482,24 +601,30 @@ def build_morse_rovib(params: MorseParams,
     if check_convergence:
         r_fine = grid.points(n_fine)
         kinetic_fine = _sine_dvr_kinetic(n_fine, length, mass)
+    radial = []
     anchor = None
-    for j in range(params.j_max + 1):
-        evals, evecs, next_level = _solve_radial(params, grid, j, kinetic)
+    for j, (evals, evecs, next_level) in enumerate(_radial_chain(params, grid, kinetic)):
         if check_convergence:
-            h_fine, v_fine = _radial_hamiltonian(params, j, kinetic_fine, r_fine)
-            bound, anchor = _certified_drift(h_fine, min(v_fine[0], v_fine[-1]), evals,
+            v_fine = _effective_potential(params, j, r_fine)
+            bound, anchor = _certified_drift(kinetic_fine, v_fine, evals,
                                              _sine_interpolate(evecs, n_fine),
                                              0.5 * (evals[-1] + next_level), anchor)
             if bound * CM1_PER_HARTREE > grid.convergence_tol_cm1:
-                _check_doubling(h_fine, v_fine, evals, grid, j)
-        levels[j] = evals
-        radial[j] = evecs
+                _check_doubling(kinetic_fine, v_fine, evals, grid, j)
+        radial.append((evals, evecs))
+    return _rovib_model(params, grid, radial)
 
-    mu_r = params.dipole_function(r_pts)
+
+def _rovib_model(params: MorseParams, grid: RadialGrid,
+                 radial: Sequence[tuple[np.ndarray, np.ndarray]]) -> MolecularModel:
+    """The |v, J, M> model from the radial levels and eigenvectors of each J."""
+    levels = [evals for evals, _ in radial]
+    vectors = [evecs for _, evecs in radial]
+    mu_r = params.dipole_function(grid.points())
 
     # radial dipole integrals <v' J'| mu(R) |v J> via DVR quadrature
     def radial_dipole(vp, jp, v, j):
-        return float(radial[jp][:, vp] @ (mu_r * radial[j][:, v]))
+        return float(vectors[jp][:, vp] @ (mu_r * vectors[j][:, v]))
 
     states = [
         (v, j, m)

@@ -22,6 +22,11 @@ from .units import au_to_cm1
 STICK_COLUMNS = {"labels_i": "label_i", "labels_f": "label_f",
                  "branch": "branch", "mechanism": "mechanism"}
 
+# A merged stick takes the per-stick columns of its first entry whose
+# intensity is within this many ulps of the strongest input stick below the
+# group's largest.
+_LABEL_ULPS = 4
+
 
 @dataclass
 class Spectrum:
@@ -92,7 +97,11 @@ def make_stick_spectrum(positions, intensities, meta=None, merge_tol: float = 1e
     merging the result again changes nothing (short of a gap within one
     rounding of merge_tol, which a centre off by an ulp can close).
     per_stick keyword arrays (the keys of STICK_COLUMNS) keep the value of
-    each group's first maximal entry.
+    each group's first entry, in sorted order, whose intensity is within
+    _LABEL_ULPS ulps of the strongest input stick below the group's maximum.
+    Exactly degenerate partners (+-M, say) have intensities equal up to the
+    rounding of their amplitudes, which is absolute, at the scale of the
+    strongest stick; so the label does not follow their last bits.
     """
     pos = np.asarray(positions, float)
     inten = np.asarray(intensities, float)
@@ -103,8 +112,9 @@ def make_stick_spectrum(positions, intensities, meta=None, merge_tol: float = 1e
     total = np.add.reduceat(inten, starts)
     weight = np.maximum(inten, 1e-300)
     center = np.add.reduceat(pos * weight, starts) / np.add.reduceat(weight, starts)
-    peak = np.flatnonzero(inten == np.maximum.reduceat(inten, starts)[group])
-    dom = peak[np.diff(group[peak], prepend=-1) > 0]     # first maximum per group
+    tie = _LABEL_ULPS * np.spacing(np.max(np.abs(inten), initial=0.0))
+    peak = np.flatnonzero(inten >= np.maximum.reduceat(inten, starts)[group] - tie)
+    dom = peak[np.diff(group[peak], prepend=-1) > 0]     # first near-maximum per group
     keep = total > min_intensity
     meta = dict(meta or {})
     for key, col in per_stick.items():

@@ -137,9 +137,13 @@ def merge_sticks(positions, intensities, labels, merge_tol, min_intensity=0.0):
 
     After a stable sort a stick joins the group before it when it lies within
     merge_tol of that group's last stick.  A group carries its total at
-    sum(p w) / sum(w), w = max(I, 1e-300), and the label of its first
-    maximal stick; groups with total <= min_intensity are dropped.
+    sum(p w) / sum(w), w = max(I, 1e-300), and the label of its first stick
+    within _LABEL_ULPS ulps of the strongest stick below its largest
+    intensity; groups with total <= min_intensity are dropped.
     """
+    from twinpol.spectra import _LABEL_ULPS
+
+    tie = _LABEL_ULPS * np.spacing(max((abs(x) for x in intensities), default=0.0))
     groups = []
     for i in sorted(range(len(positions)), key=lambda i: positions[i]):
         if groups and positions[i] - positions[groups[-1][-1]] <= merge_tol:
@@ -152,7 +156,9 @@ def merge_sticks(positions, intensities, labels, merge_tol, min_intensity=0.0):
         if total > min_intensity:
             w = [max(intensities[i], 1e-300) for i in group]
             centre = sum(positions[i] * wi for i, wi in zip(group, w)) / sum(w)
-            merged.append((centre, total, labels[max(group, key=lambda i: intensities[i])]))
+            top = max(intensities[i] for i in group)
+            near = [i for i in group if intensities[i] >= top - tie]
+            merged.append((centre, total, labels[near[0]]))
     return merged
 
 
@@ -211,3 +217,27 @@ def stick_inputs_per_state(sol, mu, labels, initial, merge_tol):
         labels_i += [labels[i]] * final.size
         labels_f += [labels[f] for f in final]
     return np.concatenate(positions), np.concatenate(intensities), labels_i, labels_f
+
+
+# -- one full eigh per J: the oracle for the chained radial levels --------------
+
+
+def morse_model_per_j(params, grid=None):
+    """build_morse_rovib's model, without the doubling check, from one full
+    eigh of the radial Hamiltonian per J."""
+    from twinpol import RadialGrid
+    from twinpol.model import (_effective_potential, _rovib_model, _sine_dvr_kinetic,
+                               _with_diagonal)
+
+    grid = grid or RadialGrid()
+    kinetic = _sine_dvr_kinetic(grid.n_points, grid.r_max - grid.r_min, params.reduced_mass)
+    radial = []
+    for j in range(params.j_max + 1):
+        v_eff = _effective_potential(params, j, grid.points())
+        evals, evecs = np.linalg.eigh(_with_diagonal(kinetic, v_eff))
+        evals, evecs = evals[:params.v_max + 1], evecs[:, :params.v_max + 1].copy()
+        for k in range(params.v_max + 1):
+            if evecs[np.argmax(np.abs(evecs[:, k])), k] < 0:
+                evecs[:, k] = -evecs[:, k]
+        radial.append((evals, evecs))
+    return _rovib_model(params, grid, radial)

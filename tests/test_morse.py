@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import twinpol.model
-from helpers import first_selection_rule_offender, sine_dvr_kinetic
+from helpers import first_selection_rule_offender, morse_model_per_j, sine_dvr_kinetic
 from twinpol import (ConvergenceError, ModelError, MolecularModel, MorseParams, RadialGrid,
                      build_morse_rovib)
-from twinpol.model import (_carried_floor, _certified_drift, _radial_hamiltonian,
+from twinpol.model import (_carried_floor, _certified_drift, _effective_potential,
                            _ritz_intervals, _sine_dvr_kinetic, _sine_interpolate,
-                           z_direction_cosine)
+                           _with_diagonal, z_direction_cosine)
 from twinpol.units import CM1_PER_HARTREE, au_to_cm1
 
 
@@ -96,25 +96,25 @@ def test_grid_doubling_convergence():
 
 
 def doubling_case(params, grid, j):
-    """(coarse eigenvalues, coarse eigenvectors, doubled-grid matrix, its wall)
-    for one J, from full eigensolves."""
+    """(coarse eigenvalues, coarse eigenvectors, doubled-grid kinetic matrix,
+    its effective potential) for one J, from a full eigensolve."""
     length = grid.r_max - grid.r_min
     kinetic = _sine_dvr_kinetic(grid.n_points, length, params.reduced_mass)
-    evals, evecs = np.linalg.eigh(_radial_hamiltonian(params, j, kinetic, grid.points())[0])
+    v_eff = _effective_potential(params, j, grid.points())
+    evals, evecs = np.linalg.eigh(_with_diagonal(kinetic, v_eff))
     n_fine = 2 * grid.n_points
     kinetic_fine = _sine_dvr_kinetic(n_fine, length, params.reduced_mass)
-    h_fine, v_fine = _radial_hamiltonian(params, j, kinetic_fine, grid.points(n_fine))
-    return evals, evecs, h_fine, min(v_fine[0], v_fine[-1])
+    return evals, evecs, kinetic_fine, _effective_potential(params, j, grid.points(n_fine))
 
 
 def certify(params, grid, j):
     """(certified bound, eigvalsh drift) of the lowest v_max + 1 levels, hartree."""
     k = params.v_max + 1
-    evals, evecs, h_fine, wall = doubling_case(params, grid, j)
-    bound, _ = _certified_drift(h_fine, wall, evals[:k],
-                                _sine_interpolate(evecs[:, :k], h_fine.shape[0]),
+    evals, evecs, kinetic, v_fine = doubling_case(params, grid, j)
+    bound, _ = _certified_drift(kinetic, v_fine, evals[:k],
+                                _sine_interpolate(evecs[:, :k], v_fine.size),
                                 0.5 * (evals[k - 1] + evals[k]))
-    drift = np.max(np.abs(evals[:k] - np.linalg.eigvalsh(h_fine)[:k]))
+    drift = np.max(np.abs(evals[:k] - np.linalg.eigvalsh(_with_diagonal(kinetic, v_fine))[:k]))
     return bound, drift
 
 
@@ -150,13 +150,28 @@ def count_choleskys(monkeypatch):
     return calls
 
 
+def count_full_eighs(monkeypatch, n=400):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        if a.shape == (n, n):
+            calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 def test_default_grid_is_certified_for_every_j(monkeypatch):
     calls = count_fallbacks(monkeypatch)
     factorized = count_choleskys(monkeypatch)
+    solved = count_full_eighs(monkeypatch)
     params = MorseParams()
     model = build_morse_rovib(params)
     assert calls == []
     assert factorized == [(800, 800)]     # one anchor, at J = 0, serves J = 0..10
+    assert len(solved) == 1               # so does one coarse eigh
     monkeypatch.undo()
     unchecked = build_morse_rovib(params, check_convergence=False)
     assert np.array_equal(model.energies, unchecked.energies)
@@ -180,27 +195,27 @@ def test_coarse_grid_falls_back_to_eigvalsh(monkeypatch):
 
 def test_trial_space_without_ground_state_is_not_certified():
     params, grid = MorseParams(v_max=1), RadialGrid()
-    evals, evecs, h_fine, wall = doubling_case(params, grid, 0)
-    trial = _sine_interpolate(evecs[:, 1:3], h_fine.shape[0])
+    evals, evecs, kinetic, v_fine = doubling_case(params, grid, 0)
+    trial = _sine_interpolate(evecs[:, 1:3], v_fine.size)
     # rho above v = 2: the Ritz pairs are accurate, but v = 0 is a third level below rho
-    assert _certified_drift(h_fine, wall, evals[1:3], trial, 0.5 * (evals[2] + evals[3]))[0] \
-        == math.inf
+    assert _certified_drift(kinetic, v_fine, evals[1:3], trial,
+                            0.5 * (evals[2] + evals[3]))[0] == math.inf
     # rho between v = 0 and v = 1, as for the claimed levels evals[:2]
-    assert _certified_drift(h_fine, wall, evals[:2], trial, 0.5 * (evals[1] + evals[2]))[0] \
-        == math.inf
+    assert _certified_drift(kinetic, v_fine, evals[:2], trial,
+                            0.5 * (evals[1] + evals[2]))[0] == math.inf
     # the same call with the true lowest pair certifies
-    full = _sine_interpolate(evecs[:, :2], h_fine.shape[0])
-    assert _certified_drift(h_fine, wall, evals[:2], full, 0.5 * (evals[1] + evals[2]))[0] \
-        < 1e-9
+    full = _sine_interpolate(evecs[:, :2], v_fine.size)
+    assert _certified_drift(kinetic, v_fine, evals[:2], full,
+                            0.5 * (evals[1] + evals[2]))[0] < 1e-9
 
 
 def test_chained_floor_certifies_every_j_up_to_30(monkeypatch):
     checks = []
     certified_drift = twinpol.model._certified_drift
 
-    def recorded(h, wall, evals, trial, rho, anchor=None):
-        bound, new_anchor = certified_drift(h, wall, evals, trial, rho, anchor)
-        drift = np.max(np.abs(evals - np.linalg.eigvalsh(h)[:evals.size]))
+    def recorded(kinetic, v, evals, trial, rho, anchor=None):
+        bound, new_anchor = certified_drift(kinetic, v, evals, trial, rho, anchor)
+        drift = np.max(np.abs(evals - np.linalg.eigvalsh(_with_diagonal(kinetic, v))[:evals.size]))
         checks.append((drift, bound, new_anchor is not anchor))
         return bound, new_anchor
 
@@ -227,21 +242,21 @@ def test_carried_floor_refuses_a_negative_increment():
 
 def test_trial_space_without_ground_state_is_not_certified_from_an_anchor():
     params, grid = MorseParams(v_max=1), RadialGrid()
-    evals0, evecs0, h0, wall0 = doubling_case(params, grid, 0)
-    n_fine = h0.shape[0]
-    bound, anchor = _certified_drift(h0, wall0, evals0[:2],
+    evals0, evecs0, kinetic, v0 = doubling_case(params, grid, 0)
+    n_fine = v0.size
+    bound, anchor = _certified_drift(kinetic, v0, evals0[:2],
                                      _sine_interpolate(evecs0[:, :2], n_fine),
                                      0.5 * (evals0[1] + evals0[2]))
     assert bound < 1e-9 and anchor is not None
-    evals, evecs, h1, wall1 = doubling_case(params, grid, 1)
+    evals, evecs, _, v1 = doubling_case(params, grid, 1)
     rho = 0.5 * (evals[1] + evals[2])
     # trial v = 1, 2 at J = 1: its top interval is above the carried floor
     trial = _sine_interpolate(evecs[:, 1:3], n_fine)
-    theta, r, _ = _ritz_intervals(h1, trial)
-    assert theta[-1] + r[-1] >= _carried_floor(anchor, h1.diagonal())
-    assert _certified_drift(h1, wall1, evals[:2], trial, rho, anchor)[0] == math.inf
+    theta, r, _ = _ritz_intervals(kinetic, v1, trial)
+    assert theta[-1] + r[-1] >= _carried_floor(anchor, v1)
+    assert _certified_drift(kinetic, v1, evals[:2], trial, rho, anchor)[0] == math.inf
     # the true lowest pair at J = 1 is certified by the carried floor alone
-    bound, carried = _certified_drift(h1, wall1, evals[:2],
+    bound, carried = _certified_drift(kinetic, v1, evals[:2],
                                       _sine_interpolate(evecs[:, :2], n_fine), rho, anchor)
     assert bound < 1e-9 and carried is anchor
 
@@ -267,3 +282,61 @@ def test_selection_rule_names_first_offender_in_row_major_order():
 def test_m_degeneracy(hcl_model):
     e = [hcl_model.energies[hcl_model.state_index(v=0, J=2, M=m)] for m in (-2, 0, 2)]
     assert np.allclose(e, e[0], atol=1e-14)
+
+
+# -- the chained coarse levels against one full eigh per J ----------------------
+
+
+def record_full_eighs(monkeypatch):
+    """The J of each full coarse eigh a build takes, in order."""
+    solved = []
+    solve, levels = twinpol.model._solve_radial, twinpol.model._radial_levels
+
+    def counted(*args):
+        solved.append(None)
+        return solve(*args)
+
+    def numbered(theta, y, v, grid, j, n_keep):
+        if solved and solved[-1] is None:
+            solved[-1] = j
+        return levels(theta, y, v, grid, j, n_keep)
+
+    monkeypatch.setattr(twinpol.model, "_solve_radial", counted)
+    monkeypatch.setattr(twinpol.model, "_radial_levels", numbered)
+    return solved
+
+
+@pytest.mark.parametrize("j_max", [10, 30])
+def test_chained_levels_match_one_eigh_per_j(monkeypatch, j_max):
+    solved = record_full_eighs(monkeypatch)
+    params = MorseParams(j_max=j_max)
+    model = build_morse_rovib(params)
+    oracle = morse_model_per_j(params)
+    assert solved[0] == 0
+    # J <= 10 rides on the J = 0 anchor; the floor refuses higher J and re-anchors
+    assert (len(solved) == 1) if j_max == 10 else (1 < len(solved) < j_max + 1)
+    assert np.max(np.abs(model.energies - oracle.energies)) <= 1e-13
+    nonzero = oracle.dipole != 0.0
+    assert np.array_equal(model.dipole != 0.0, nonzero)
+    assert np.all(np.abs(model.dipole - oracle.dipole)[nonzero]
+                  <= 1e-10 * np.abs(oracle.dipole[nonzero]))
+
+
+@pytest.mark.parametrize("refusal", ["small_anchor_basis", "no_floor"])
+def test_refused_ritz_step_falls_back_to_eigh_per_j(monkeypatch, refusal):
+    if refusal == "small_anchor_basis":
+        # four pairs cannot carry the three lowest levels to J = 1 within eigh's rounding
+        monkeypatch.setattr(twinpol.model, "_ANCHOR_PAIRS", 4)
+    else:
+        carried_floor = twinpol.model._carried_floor
+
+        def no_coarse_floor(anchor, diag):
+            # the doubled grid (800 points) keeps its floor; the coarse one proves nothing
+            return carried_floor(anchor, diag) if diag.size == 800 else -math.inf
+
+        monkeypatch.setattr(twinpol.model, "_carried_floor", no_coarse_floor)
+    solved = record_full_eighs(monkeypatch)
+    params = MorseParams()
+    model = build_morse_rovib(params)
+    assert solved == list(range(params.j_max + 1))
+    assert model.content_hash() == morse_model_per_j(params).content_hash()

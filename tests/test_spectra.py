@@ -227,6 +227,21 @@ def test_stick_merge_joins_a_chain_longer_than_the_tolerance():
     assert spec.meta["labels_i"] == ["b"]
 
 
+@pytest.mark.parametrize("pair, nudged", [
+    (1.0 / 3.0, np.nextafter(1.0 / 3.0, 0.0)), (1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)),
+    # a weak pair's amplitudes round at the scale of the strongest stick, so
+    # its intensities may differ by far more than their own ulps
+    (1e-20, 1e-20 * (1.0 - 1e-6)), (1e-20, 1e-20 * (1.0 + 1e-6)),
+])
+def test_degenerate_partner_label_ignores_rounding(pair, nudged):
+    # a +-M pair at one frequency, its intensities equal up to rounding
+    for partner in (0, 1):
+        sticks = [1.0, pair, pair]
+        sticks[1 + partner] = nudged
+        spec = make_stick_spectrum([1.0, 2.0, 2.0], sticks, labels_i=["a", "b", "c"])
+        assert spec.meta["labels_i"] == ["a", "b"]
+
+
 def test_stick_columns_follow_select_and_must_match_sticks():
     spec = make_stick_spectrum([1.0, 2.0, 3.0], [1.0, 0.001, 2.0], labels_i=["a", "b", "c"],
                                branch=["R", "P", "P"])

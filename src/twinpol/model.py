@@ -309,16 +309,17 @@ def _with_diagonal(kinetic: np.ndarray, v: np.ndarray) -> np.ndarray:
     return h
 
 
-def _abs_norm(kinetic: np.ndarray, v: np.ndarray) -> float:
-    """|| |kinetic| + diag(|v|) ||_F, an upper bound on ||kinetic + diag(v)||_F.
-
-    Applied as kinetic @ y + v * y, h = kinetic + diag(v) rounds by at most
-    gamma_{n+2} (|kinetic| + diag|v|) |y| entrywise, u = eps / 2 the unit
-    roundoff, so in norm by at most (n + 2) u times this value times |y|.
-    """
+def _abs_norm(kinetic: np.ndarray):
+    """The map v -> || |kinetic| + diag(|v|) ||_F, an upper bound on
+    ||kinetic + diag(v)||_2; the part no J changes is summed here, once."""
     t = np.abs(kinetic.diagonal())
-    d = t + np.abs(v)
-    return math.sqrt(float(np.vdot(kinetic, kinetic) - t @ t + d @ d))
+    off = np.vdot(kinetic, kinetic) - t @ t
+
+    def norm(v: np.ndarray) -> float:
+        d = t + np.abs(v)
+        return math.sqrt(float(off + d @ d))
+
+    return norm
 
 
 def _check_bound(evals: np.ndarray, v_eff: np.ndarray, grid: RadialGrid, j: int):
@@ -330,119 +331,87 @@ def _check_bound(evals: np.ndarray, v_eff: np.ndarray, grid: RadialGrid, j: int)
         )
 
 
-def _solve_radial(kinetic: np.ndarray, v: np.ndarray,
-                  n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n_pairs eigenpairs of kinetic + diag(v), by one full eigh."""
-    evals, evecs = np.linalg.eigh(_with_diagonal(kinetic, v))
-    # copies, so no J keeps the full eigenvector matrix alive
-    return evals[:n_pairs].copy(), evecs[:, :n_pairs].copy()
+def _certify(kinetic: np.ndarray, v: np.ndarray, norm: float, theta: np.ndarray,
+             y: np.ndarray, rho: float, anchor: tuple[float, np.ndarray] | None,
+             ) -> tuple[np.ndarray | None, tuple[float, np.ndarray] | None]:
+    """(radii, anchor): radii r such that theta_i +- r_i hold exactly the lowest
+    k = len(theta) eigenvalues of h = kinetic + diag(v), one each in order,
+    below the wall min(v[0], v[-1]); None when that is not proven.
 
-
-def _isolated(theta: np.ndarray, r: np.ndarray, ceiling: float) -> bool:
-    """True when the intervals theta_i +- r_i are disjoint and lie below ceiling."""
-    top = theta + r
-    return not np.any(theta[1:] - r[1:] <= top[:-1]) and top[-1] < ceiling
-
-
-def _ritz_step(kinetic: np.ndarray, v: np.ndarray, c: int, anchor: tuple,
-               k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lowest k eigenpairs of h = kinetic + diag(v) by Rayleigh-Ritz on an
-    anchor's eigenvectors; None unless they are proven to be h's lowest k
-    and are as accurate as eigh's.
-
-    anchor = (c0, lam, u, g, floor) of h_0 = kinetic + diag(v_0), where
-    v - v_0 = (c - c0) d: lam and u are h_0's lowest eigenpairs, g =
-    u^T diag(d) u, and floor = (a proven floor on lambda_k(h_0), v_0) for
-    _carried_floor.  Each Ritz pair must leave a residual |h y - theta y|
-    (|y| = 1) within a = n eps _abs_norm, an allowance that also bounds the
-    residual's own rounding ((n + 4) u < n eps), so theta +- (residual + a)
-    holds an eigenvalue of h; the k intervals must be disjoint and lie below
-    the carried floor, so they hold exactly lambda_0 .. lambda_{k-1}.
+    y holds unit columns and norm is || |kinetic| + diag(|v|) ||_F (_abs_norm).
+    Applied as kinetic @ y + v y - theta y, the residual of a unit column
+    rounds by at most (n + 4) u norm (u = eps / 2, |theta| <= ||h||_2), so
+    r = residual + n eps norm bounds the exact one and theta_i +- r_i holds an
+    eigenvalue of h.  Disjoint intervals hold k distinct ones; below a proven
+    floor on lambda_k(h) they are lambda_0 .. lambda_{k-1}.  The floor is the
+    anchor (floor, v_0)'s carried to h (_carried_floor), or else one Cholesky
+    at rho (_count_floor), and h becomes the returned anchor.
     """
-    c0, lam, u, g, floor = anchor
-    small = (c - c0) * g
-    small[np.diag_indices_from(small)] += lam
-    theta, z = np.linalg.eigh(small)
-    theta, y = theta[:k], u @ z[:, :k]
-    y /= np.linalg.norm(y, axis=0)
-    residual = np.linalg.norm(kinetic @ y + v[:, None] * y - y * theta, axis=0)
-    allowance = v.size * np.finfo(float).eps * _abs_norm(kinetic, v)
-    if np.any(residual > allowance) or not _isolated(theta, residual + allowance,
-                                                     _carried_floor(floor, v)):
-        return None
-    return theta, y
-
-
-def _radial_levels(theta: np.ndarray, y: np.ndarray, v: np.ndarray, grid: RadialGrid,
-                   j: int, n_keep: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(evals, evecs, next_level) of one J from its lowest eigenpairs: the
-    lowest n_keep, bound by the walls and signed, and the next eigenvalue
-    (inf when there is none)."""
-    next_level = theta[n_keep] if n_keep < theta.size else math.inf
-    evals = theta[:n_keep]
-    evecs = y[:, :n_keep].copy()
-    _check_bound(evals, v, grid, j)
-    # deterministic sign: positive lobe at the outermost maximum
-    for k in range(n_keep):
-        peak = np.argmax(np.abs(evecs[:, k]))
-        if evecs[peak, k] < 0:
-            evecs[:, k] = -evecs[:, k]
-    return evals, evecs, next_level
+    radii = (np.linalg.norm(kinetic @ y + v[:, None] * y - y * theta, axis=0)
+             + v.size * np.finfo(float).eps * norm)
+    top = theta[-1] + radii[-1]
+    if np.any(theta[1:] - radii[1:] <= (theta + radii)[:-1]) or top >= min(v[0], v[-1]):
+        return None, anchor
+    if top >= _carried_floor(anchor, v):
+        if top >= rho:      # a factorization with rho proves a floor below rho
+            return None, anchor
+        anchor = (_count_floor(kinetic, v, norm, theta, y, rho), v)
+        if top >= anchor[0]:
+            return None, anchor
+    return radii, anchor
 
 
 def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
     """Yields (evals, evecs, next_level) for J = 0 .. j_max in turn: the
-    lowest v_max + 1 eigenpairs of each J's radial Hamiltonian and the next
-    eigenvalue.
+    lowest v_max + 1 eigenpairs of each J's radial Hamiltonian, bound by the
+    walls and signed, and the next eigenvalue (inf when there is none).
 
-    A full eigh at an anchor J keeps its lowest _ANCHOR_PAIRS eigenpairs,
-    and each later J takes its levels from _ritz_step on them.  A J that
-    step refuses is solved by eigh and becomes the anchor.  The anchor's
-    floor is its eigenvalue lambda_{v_max+2} less the allowance a, eigh's
-    own rounding.  Nothing of an anchor outlives the chain.
+    A full eigh at an anchor J keeps its lowest _ANCHOR_PAIRS eigenpairs
+    (lam, U) and G = U^T D U, and a later J takes its lowest v_max + 2 Ritz
+    pairs on U from the eigh of diag(lam) + [J(J+1) - J0(J0+1)] G.  They are
+    kept when _certify proves them to eigh's own accuracy; otherwise eigh
+    decides that J, which becomes the anchor.  Nothing of an anchor outlives
+    the chain.
     """
     r = grid.points()
     n_keep = params.v_max + 1
     n_pairs = min(max(_ANCHOR_PAIRS, n_keep + 1), r.size)
     d = 1.0 / (2.0 * params.reduced_mass * r**2)
-    anchor = None
+    abs_norm = _abs_norm(kinetic)
+    basis = anchor = None
     for j in range(params.j_max + 1):
         v = _effective_potential(params, j, r)
-        pairs = None if anchor is None else _ritz_step(kinetic, v, j * (j + 1), anchor,
-                                                       n_keep + 1)
-        if pairs is None:
-            pairs = lam, u = _solve_radial(kinetic, v, n_pairs)
-            if n_keep + 1 < n_pairs:        # lam[n_keep + 1] floors the later pairs
-                floor = lam[n_keep + 1] - r.size * np.finfo(float).eps * _abs_norm(kinetic, v)
-                anchor = (j * (j + 1), lam, u, u.T @ (d[:, None] * u), (floor, v))
-        yield _radial_levels(*pairs, v, grid, j, n_keep)
+        norm = abs_norm(v)
+        allowance = r.size * np.finfo(float).eps * norm
+        radii = None
+        if basis is not None:
+            c0, lam, u, g = basis
+            small = (j * (j + 1) - c0) * g
+            small[np.diag_indices_from(small)] += lam
+            theta, z = np.linalg.eigh(small)
+            y = u @ z[:, :n_keep + 1]
+            y /= np.linalg.norm(y, axis=0)
+            radii, anchor = _certify(kinetic, v, norm, theta[:n_keep + 1], y,
+                                     0.5 * (theta[n_keep] + theta[n_keep + 1]), anchor)
+        if radii is None or np.any(radii > 2.0 * allowance):
+            theta, y = np.linalg.eigh(_with_diagonal(kinetic, v))
+            # copies, so no J keeps the full eigenvector matrix alive
+            theta, y = theta[:n_pairs].copy(), y[:, :n_pairs].copy()
+            if n_keep + 1 < n_pairs:        # theta[n_keep + 1] floors the later pairs
+                basis = (j * (j + 1), theta, y, y.T @ (d[:, None] * y))
+                anchor = (theta[n_keep + 1] - allowance, v)
+        evals, evecs = theta[:n_keep], y[:, :n_keep].copy()
+        _check_bound(evals, v, grid, j)
+        # deterministic sign: positive lobe at the outermost maximum
+        for k in range(n_keep):
+            peak = np.argmax(np.abs(evecs[:, k]))
+            if evecs[peak, k] < 0:
+                evecs[:, k] = -evecs[:, k]
+        yield evals, evecs, theta[n_keep] if n_keep < theta.size else math.inf
 
 
-def _ritz_intervals(kinetic: np.ndarray, v: np.ndarray,
-                    trial: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rayleigh-Ritz pairs (theta_i, y_i = trial z_i) of h = kinetic + diag(v)
-    on the trial columns and radii r_i, each interval theta_i +- r_i holding
-    an eigenvalue of h.
-
-    h is applied once, as kinetic @ trial + v * trial, and h y_i is that
-    product times z_i.  r_i is |(h trial) z_i - theta_i y_i| / |y_i| plus the
-    rounding of that residual: the n-term sums of h trial, the k-term sums
-    of (h trial) z and of y, and the three elementwise roundings stay below
-    (n + 2k + 4) u _abs_norm || |trial| |z_i| ||, u = eps / 2, which
-    max(n, 2k + 4) eps covers.
-    """
-    n, k = trial.shape
-    h_trial = kinetic @ trial + v[:, None] * trial
-    theta, z = np.linalg.eigh(trial.T @ h_trial)
-    y = trial @ z
-    rounding = (max(n, 2 * k + 4) * np.finfo(float).eps * _abs_norm(kinetic, v)
-                * np.linalg.norm(np.abs(trial) @ np.abs(z), axis=0))
-    r = (np.linalg.norm(h_trial @ z - y * theta, axis=0) + rounding) / np.linalg.norm(y, axis=0)
-    return theta, r, y
-
-
-def _count_floor(kinetic: np.ndarray, v: np.ndarray, theta: np.ndarray, y: np.ndarray,
-                 rho: float) -> float:
+def _count_floor(kinetic: np.ndarray, v: np.ndarray, norm: float, theta: np.ndarray,
+                 y: np.ndarray, rho: float) -> float:
     """Proven lower bound on lambda_k(h), h = kinetic + diag(v) and k =
     len(theta) (0-based), by one Cholesky factorization; -inf when it proves
     nothing.
@@ -464,7 +433,7 @@ def _count_floor(kinetic: np.ndarray, v: np.ndarray, theta: np.ndarray, y: np.nd
         return -math.inf
     # the factor is exact for a perturbation of a no larger than
     # (n + 1) eps trace(a) (Demmel), widened for forming a itself
-    return float(rho - (n + 1) * eps * (np.trace(a) + 2.0 * _abs_norm(kinetic, v)))
+    return float(rho - (n + 1) * eps * (np.trace(a) + 2.0 * norm))
 
 
 def _carried_floor(anchor: tuple[float, np.ndarray] | None, diag: np.ndarray) -> float:
@@ -481,34 +450,6 @@ def _carried_floor(anchor: tuple[float, np.ndarray] | None, diag: np.ndarray) ->
     # each difference is within one rounding of the exact one, so (1 - eps) step
     # is below the exact smallest increment; the sum is stepped down one ulp
     return float(np.nextafter(floor + (1.0 - np.finfo(float).eps) * step, -math.inf))
-
-
-def _certified_drift(kinetic: np.ndarray, v: np.ndarray, evals: np.ndarray,
-                     trial: np.ndarray, rho: float,
-                     anchor: tuple[float, np.ndarray] | None = None,
-                     ) -> tuple[float, tuple[float, np.ndarray] | None]:
-    """(bound, anchor): a proven bound on max_i |evals_i - lambda_i(h)| over
-    the lowest k = len(evals) eigenvalues of h = kinetic + diag(v), proven to
-    lie below the wall min(v[0], v[-1]) as well (inf when the trial columns
-    prove less), and the anchor (floor, v) for the next matrix of the chain.
-
-    The Ritz intervals of the k trial columns (_ritz_intervals), disjoint and
-    below a proven floor on lambda_k(h), hold exactly lambda_0 .. lambda_{k-1},
-    one each.  The floor is the anchor's carried to h (_carried_floor); when
-    that proves too little, one Cholesky with rho (_count_floor) gives h's
-    own floor, and h becomes the anchor.
-    """
-    theta, r, y = _ritz_intervals(kinetic, v, trial)
-    if not _isolated(theta, r, min(v[0], v[-1])):
-        return math.inf, anchor
-    top = theta[-1] + r[-1]
-    if top >= _carried_floor(anchor, v):
-        if top >= rho:      # a factorization with rho proves a floor below rho
-            return math.inf, anchor
-        anchor = (_count_floor(kinetic, v, theta, y, rho), v)
-        if top >= anchor[0]:
-            return math.inf, anchor
-    return float(np.max(np.abs(evals - theta) + r)), anchor
 
 
 def _check_doubling(kinetic: np.ndarray, v: np.ndarray, evals: np.ndarray,
@@ -548,47 +489,24 @@ def build_morse_rovib(params: MorseParams,
     below the wall potential and within grid.convergence_tol_cm1 of the
     coarse levels, else ConvergenceError.
 
-    Both grids rest on one fact: the radial matrices of all J share their
-    kinetic part exactly, so h_J - h_J0 is diagonal, the centrifugal
-    increment [J(J+1) - J0(J0+1)] D with D = 1 / (2 mu r^2).  It is >= 0
-    for J > J0 (and its rounded value too, as rounding is monotone), so by
-    Weyl's inequality lambda_k(h_J) >= lambda_k(h_J0) + min_i of the
-    increment.  Each rounded increment is within one rounding of the exact
-    one, so a floor is carried with (1 - eps) times the smallest rounded
-    increment, and the sum is stepped down one ulp (_carried_floor).
-
-    The coarse levels (_radial_chain) take one full eigh at an anchor J
-    (J = 0 first), which keeps its lowest K = 64 eigenpairs (lam, U) and
-    G = U^T D U.  A later J takes the Ritz pairs of h_J on U from the K x K
-    eigh of diag(lam) + [J(J+1) - J0(J0+1)] G, and keeps the lowest
-    k = v_max + 2 when all three checks hold (_ritz_step):
-    - each residual |T y + v_eff y - theta y| is within the allowance
-      a = n eps || |h_J| ||_F, as small as eigh's own, so theta +- (residual
-      + a) holds an eigenvalue of h_J;
-    - these k intervals are disjoint, so they hold k distinct eigenvalues;
-    - the top one lies below the anchor's lam_k - a carried up to J, a floor
-      on lambda_k(h_J) that leaves no room for another eigenvalue below it.
-      So the intervals hold exactly lambda_0 .. lambda_{k-1}, in order.
-    Otherwise _solve_radial's full eigh decides that J, and the J becomes
-    the anchor.  The default model (J <= 10) takes one full eigh; J <= 30
-    takes three, at J = 0, 18 and 26, where the carried floor falls behind
-    the levels.  The levels agree with one eigh per J within 1e-13 hartree.
-
-    The doubling check is first made by _certified_drift: the coarse
-    eigenvectors, carried to the doubled grid by their sine series, give
-    Ritz intervals that each hold one of the doubled grid's exact levels.
-    They are the lowest k = v_max + 1 levels once a floor proves lambda_k
-    (0-based) lies above them.  One Cholesky factorization proves such a
-    floor, rho minus a rounding margin, with rho halfway between the coarse
-    levels v_max and v_max + 1, and the floor carries up in J as above.  A
-    J whose top interval reaches the carried floor is factorized and
-    becomes the new anchor; the default model needs one factorization, at
-    J = 0.  The doubled-grid matrix is applied as kinetic @ y + v ⊙ y and
-    formed only for that factorization or for eigvalsh.  When the bound is
-    within tolerance the eigvalsh check passes too, up to its own rounding
-    (about 1e-14 hartree); otherwise eigvalsh on the doubled grid decides
-    as before.  So the verdict does not change, and the model comes from the
-    coarse grid alone whichever path decided.
+    Both grids take their levels from one certificate (_certify).  The radial
+    matrices h_J = T + diag(v_J) of one grid share T, so h_J - h_J0 is the
+    centrifugal increment, >= 0 for J > J0, and by Weyl lambda_k(h_J) >=
+    lambda_k(h_J0) + its smallest entry (_carried_floor).  Ritz pairs
+    (theta_i, y_i) of h_J hold exactly its lowest k levels when the intervals
+    theta_i +- r_i, r_i = |h_J y_i - theta_i y_i| + n eps || |h_J| ||_F, are
+    disjoint, lie below the wall, and lie below a proven floor on lambda_k:
+    an anchor's carried up in J or, failing that, one Cholesky
+    (_count_floor), which makes J the anchor.  The coarse grid takes the
+    lowest v_max + 2 Ritz pairs on the lowest 64 eigenvectors of an anchor
+    J's full eigh and keeps them when every r_i is within 2 n eps
+    || |h_J| ||_F, eigh's own accuracy; otherwise a full eigh decides, and
+    its lambda_k less n eps || |h_J| ||_F is the floor.  The doubled grid
+    takes the Ritz pairs of the coarse vectors' sine series and passes when
+    max_i |evals_i - theta_i| + r_i is within grid.convergence_tol_cm1;
+    otherwise eigvalsh decides (_check_doubling).  The default model takes
+    one full eigh and one Cholesky of the doubled grid, and J <= 30 still
+    one full eigh; the model comes from the coarse grid alone.
     """
     grid = grid or RadialGrid()
     if params.j_max < 1:
@@ -601,16 +519,21 @@ def build_morse_rovib(params: MorseParams,
     if check_convergence:
         r_fine = grid.points(n_fine)
         kinetic_fine = _sine_dvr_kinetic(n_fine, length, mass)
+        abs_norm = _abs_norm(kinetic_fine)
     radial = []
     anchor = None
     for j, (evals, evecs, next_level) in enumerate(_radial_chain(params, grid, kinetic)):
         if check_convergence:
-            v_fine = _effective_potential(params, j, r_fine)
-            bound, anchor = _certified_drift(kinetic_fine, v_fine, evals,
-                                             _sine_interpolate(evecs, n_fine),
-                                             0.5 * (evals[-1] + next_level), anchor)
-            if bound * CM1_PER_HARTREE > grid.convergence_tol_cm1:
-                _check_doubling(kinetic_fine, v_fine, evals, grid, j)
+            v = _effective_potential(params, j, r_fine)
+            trial = _sine_interpolate(evecs, n_fine)
+            theta, z = np.linalg.eigh(trial.T @ (kinetic_fine @ trial + v[:, None] * trial))
+            y = trial @ z
+            y /= np.linalg.norm(y, axis=0)
+            radii, anchor = _certify(kinetic_fine, v, abs_norm(v), theta, y,
+                                     0.5 * (evals[-1] + next_level), anchor)
+            if (radii is None or np.max(np.abs(evals - theta) + radii) * CM1_PER_HARTREE
+                    > grid.convergence_tol_cm1):
+                _check_doubling(kinetic_fine, v, evals, grid, j)
         radial.append((evals, evecs))
     return _rovib_model(params, grid, radial)
 

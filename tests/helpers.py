@@ -241,3 +241,19 @@ def morse_model_per_j(params, grid=None):
                 evecs[:, k] = -evecs[:, k]
         radial.append((evals, evecs))
     return _rovib_model(params, grid, radial)
+
+
+# -- one stick at a time: the oracle for the blocked broadening ----------------
+
+
+def broadened_per_stick(grid, sticks, lineshape, width):
+    """broaden_sticks's intensity on grid, adding one stick's profile over
+    the whole grid at a time."""
+    total = np.zeros_like(grid)
+    for w0, inten in zip(sticks.omega, sticks.intensity):
+        x = grid - w0
+        if lineshape == "lorentzian":
+            total += inten * (width / np.pi) / (x**2 + width**2)
+        else:
+            total += inten * np.exp(-0.5 * (x / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
+    return total

@@ -151,6 +151,9 @@ BAD_CONFIGS = {
                     "g sweeps with splitting tables support the 3-level model"),
     "unknown_format": (THREE_LEVEL_HEADER + "\n[output]\nformats = csv, xml\n",
                        "unknown formats 'xml'"),
+    # 8 points hold 8 levels, the top ones above the wall, for 9 requested ones
+    "undersized_grid": ("[morse]\nv_max = 8\nn_points = 8\n",
+                        "does not bound the requested levels for J=0"),
 }
 
 

@@ -7,9 +7,9 @@ import twinpol.model
 from helpers import first_selection_rule_offender, morse_model_per_j, sine_dvr_kinetic
 from twinpol import (ConvergenceError, ModelError, MolecularModel, MorseParams, RadialGrid,
                      build_morse_rovib)
-from twinpol.model import (_carried_floor, _certified_drift, _effective_potential,
-                           _ritz_intervals, _sine_dvr_kinetic, _sine_interpolate,
-                           _with_diagonal, z_direction_cosine)
+from twinpol.model import (_abs_norm, _carried_floor, _certify, _effective_potential,
+                           _sine_dvr_kinetic, _sine_interpolate, _with_diagonal,
+                           z_direction_cosine)
 from twinpol.units import CM1_PER_HARTREE, au_to_cm1
 
 
@@ -92,7 +92,39 @@ def test_grid_doubling_convergence():
             assert abs(au_to_cm1(a - b)) < 1e-4
 
 
-# -- the grid-doubling certificate against eigvalsh on the doubled grid --------
+# -- the one certificate of both grids against eigvalsh -------------------------
+
+
+def record_calls(monkeypatch, owner, name, key):
+    """Wraps owner.name so that each call appends key(*args) to the returned
+    list, or nothing when key returns None."""
+    calls = []
+    func = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        entry = key(*args)
+        if entry is not None:
+            calls.append(entry)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def fallbacks(monkeypatch):
+    """The J of each eigvalsh check of the doubled grid."""
+    return record_calls(monkeypatch, twinpol.model, "_check_doubling", lambda *args: args[-1])
+
+
+def factorizations(monkeypatch):
+    """The size of each Cholesky factorization."""
+    return record_calls(monkeypatch, np.linalg, "cholesky", lambda a: a.shape[0])
+
+
+def full_eighs(monkeypatch, n=400):
+    """One entry per eigh of an n x n matrix: the full coarse solves."""
+    return record_calls(monkeypatch, np.linalg, "eigh",
+                        lambda a: a.shape if a.shape == (n, n) else None)
 
 
 def doubling_case(params, grid, j):
@@ -107,70 +139,68 @@ def doubling_case(params, grid, j):
     return evals, evecs, kinetic_fine, _effective_potential(params, j, grid.points(n_fine))
 
 
+def certify_trial(kinetic, v, coarse_vectors, rho, anchor=None):
+    """(theta, radii, anchor) of _certify on the Ritz pairs of the coarse
+    vectors' sine series, as the doubled grid makes them."""
+    trial = _sine_interpolate(coarse_vectors, v.size)
+    theta, z = np.linalg.eigh(trial.T @ (kinetic @ trial + v[:, None] * trial))
+    y = trial @ z
+    y /= np.linalg.norm(y, axis=0)
+    radii, anchor = _certify(kinetic, v, _abs_norm(kinetic)(v), theta, y, rho, anchor)
+    return theta, radii, anchor
+
+
 def certify(params, grid, j):
     """(certified bound, eigvalsh drift) of the lowest v_max + 1 levels, hartree."""
     k = params.v_max + 1
     evals, evecs, kinetic, v_fine = doubling_case(params, grid, j)
-    bound, _ = _certified_drift(kinetic, v_fine, evals[:k],
-                                _sine_interpolate(evecs[:, :k], v_fine.size),
-                                0.5 * (evals[k - 1] + evals[k]))
+    theta, radii, _ = certify_trial(kinetic, v_fine, evecs[:, :k],
+                                    0.5 * (evals[k - 1] + evals[k]))
+    bound = math.inf if radii is None else np.max(np.abs(evals[:k] - theta) + radii)
     drift = np.max(np.abs(evals[:k] - np.linalg.eigvalsh(_with_diagonal(kinetic, v_fine))[:k]))
     return bound, drift
 
 
-def count_fallbacks(monkeypatch):
-    calls = []
-    check = twinpol.model._check_doubling
-
-    def counted(*args):
-        calls.append(args[-1])
-        return check(*args)
-
-    monkeypatch.setattr(twinpol.model, "_check_doubling", counted)
-    return calls
-
-
 def test_coarse_grid_raises(monkeypatch):
-    calls = count_fallbacks(monkeypatch)
+    calls = fallbacks(monkeypatch)
     params = MorseParams(v_max=1, j_max=1)
     with pytest.raises(ConvergenceError, match="drift"):
         build_morse_rovib(params, RadialGrid(n_points=24))
     assert calls == [0]      # the certificate proves too little; eigvalsh raises
 
 
-def count_choleskys(monkeypatch):
-    calls = []
-    cholesky = np.linalg.cholesky
+def test_shifted_coarse_levels_fail_the_doubling_check(monkeypatch):
+    # the true vectors give narrow intervals on the doubled grid, but the
+    # levels they are compared with lie twice the tolerance off
+    chain = twinpol.model._radial_chain
+    shift = 2.0 * RadialGrid().convergence_tol_cm1 / CM1_PER_HARTREE
 
-    def counted(a):
-        calls.append(a.shape)
-        return cholesky(a)
+    def shifted(*args):
+        for evals, evecs, next_level in chain(*args):
+            yield evals + shift, evecs, next_level
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
-    return calls
+    monkeypatch.setattr(twinpol.model, "_radial_chain", shifted)
+    calls = fallbacks(monkeypatch)
+    with pytest.raises(ConvergenceError, match="drift"):
+        build_morse_rovib(MorseParams(v_max=1, j_max=1))
+    assert calls == [0]
 
 
-def count_full_eighs(monkeypatch, n=400):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a):
-        if a.shape == (n, n):
-            calls.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
+def test_undersized_grid_is_not_bound():
+    # 8 points hold 8 levels; the top ones lie above the wall, and no level past
+    # the grid's last is read
+    with pytest.raises(ConvergenceError, match="does not bound the requested levels for J=0"):
+        build_morse_rovib(MorseParams(v_max=7, j_max=1), RadialGrid(n_points=8))
 
 
 def test_default_grid_is_certified_for_every_j(monkeypatch):
-    calls = count_fallbacks(monkeypatch)
-    factorized = count_choleskys(monkeypatch)
-    solved = count_full_eighs(monkeypatch)
+    calls = fallbacks(monkeypatch)
+    factorized = factorizations(monkeypatch)
+    solved = full_eighs(monkeypatch)
     params = MorseParams()
     model = build_morse_rovib(params)
     assert calls == []
-    assert factorized == [(800, 800)]     # one anchor, at J = 0, serves J = 0..10
+    assert factorized == [800]            # one anchor, at J = 0, serves J = 0..10
     assert len(solved) == 1               # so does one coarse eigh
     monkeypatch.undo()
     unchecked = build_morse_rovib(params, check_convergence=False)
@@ -188,7 +218,7 @@ def test_coarse_grid_falls_back_to_eigvalsh(monkeypatch):
     bound, drift = certify(params, grid, 0)
     tol = grid.convergence_tol_cm1 / CM1_PER_HARTREE
     assert drift <= tol < bound < math.inf
-    calls = count_fallbacks(monkeypatch)
+    calls = fallbacks(monkeypatch)
     build_morse_rovib(params, grid)
     assert calls == [0, 1]
 
@@ -196,38 +226,67 @@ def test_coarse_grid_falls_back_to_eigvalsh(monkeypatch):
 def test_trial_space_without_ground_state_is_not_certified():
     params, grid = MorseParams(v_max=1), RadialGrid()
     evals, evecs, kinetic, v_fine = doubling_case(params, grid, 0)
-    trial = _sine_interpolate(evecs[:, 1:3], v_fine.size)
     # rho above v = 2: the Ritz pairs are accurate, but v = 0 is a third level below rho
-    assert _certified_drift(kinetic, v_fine, evals[1:3], trial,
-                            0.5 * (evals[2] + evals[3]))[0] == math.inf
+    theta, radii, anchor = certify_trial(kinetic, v_fine, evecs[:, 1:3],
+                                         0.5 * (evals[2] + evals[3]))
+    assert radii is None and anchor[0] == -math.inf
     # rho between v = 0 and v = 1, as for the claimed levels evals[:2]
-    assert _certified_drift(kinetic, v_fine, evals[:2], trial,
-                            0.5 * (evals[1] + evals[2]))[0] == math.inf
+    rho = 0.5 * (evals[1] + evals[2])
+    assert certify_trial(kinetic, v_fine, evecs[:, 1:3], rho)[1:] == (None, None)
     # the same call with the true lowest pair certifies
-    full = _sine_interpolate(evecs[:, :2], v_fine.size)
-    assert _certified_drift(kinetic, v_fine, evals[:2], full,
-                            0.5 * (evals[1] + evals[2]))[0] < 1e-9
+    theta, radii, anchor = certify_trial(kinetic, v_fine, evecs[:, :2], rho)
+    assert np.max(np.abs(evals[:2] - theta) + radii) < 1e-9 and anchor[0] > theta[-1]
+
+
+def test_certificate_needs_disjoint_intervals_below_the_wall():
+    # h = diag(v): eigenvalues 0, 5, 8, 10, 100, and the wall min(v[0], v[-1]) = 8
+    v = np.array([100.0, 0.0, 5.0, 10.0, 8.0])
+    kinetic, e = np.zeros((5, 5)), np.eye(5)
+    norm = _abs_norm(kinetic)(v)
+    anchor = (7.0, v)                    # a floor on lambda_2 = 8
+    # exact pairs: each radius is the rounding allowance alone
+    radii, kept = _certify(kinetic, v, norm, np.array([0.0, 5.0]), e[:, 1:3], math.inf, anchor)
+    assert np.array_equal(radii, np.full(2, v.size * np.finfo(float).eps * norm))
+    assert kept is anchor
+    # two overlapping intervals about lambda_0 do not prove lambda_1 lies in either
+    y = np.column_stack([e[:, 1], e[:, 1] + 0.01 * e[:, 2]])
+    y /= np.linalg.norm(y, axis=0)
+    radii, kept = _certify(kinetic, v, norm, (y * (v[:, None] * y)).sum(axis=0), y,
+                           math.inf, anchor)
+    assert radii is None and kept is anchor
+    # lambda_2 = 8 is at the wall, so it is not a bound level
+    radii, kept = _certify(kinetic, v, norm, np.array([0.0, 5.0, 8.0]), e[:, [1, 2, 4]],
+                           math.inf, (9.0, v))
+    assert radii is None
 
 
 def test_chained_floor_certifies_every_j_up_to_30(monkeypatch):
+    """Both grids up to J = 30: each certified interval holds its eigvalsh level,
+    one full eigh serves the coarse grid, and coarse and doubled grid alike
+    re-anchor by a Cholesky where the carried floor falls behind."""
     checks = []
-    certified_drift = twinpol.model._certified_drift
+    certify_ = twinpol.model._certify
 
-    def recorded(kinetic, v, evals, trial, rho, anchor=None):
-        bound, new_anchor = certified_drift(kinetic, v, evals, trial, rho, anchor)
-        drift = np.max(np.abs(evals - np.linalg.eigvalsh(_with_diagonal(kinetic, v))[:evals.size]))
-        checks.append((drift, bound, new_anchor is not anchor))
-        return bound, new_anchor
+    def recorded(kinetic, v, norm, theta, y, rho, anchor):
+        radii, new_anchor = certify_(kinetic, v, norm, theta, y, rho, anchor)
+        exact = np.linalg.eigvalsh(_with_diagonal(kinetic, v))[:theta.size]
+        checks.append((v.size, theta, radii, exact, new_anchor is not anchor))
+        return radii, new_anchor
 
-    monkeypatch.setattr(twinpol.model, "_certified_drift", recorded)
-    fallbacks = count_fallbacks(monkeypatch)
+    monkeypatch.setattr(twinpol.model, "_certify", recorded)
+    calls = fallbacks(monkeypatch)
+    solved = full_eighs(monkeypatch)
+    factorized = factorizations(monkeypatch)
     build_morse_rovib(MorseParams(j_max=30))
-    tol = RadialGrid().convergence_tol_cm1 / CM1_PER_HARTREE
-    assert len(checks) == 31 and fallbacks == []
-    for drift, bound, _ in checks:
-        assert drift <= bound <= tol
-    anchored = [j for j, (_, _, new) in enumerate(checks) if new]
+    assert calls == [] and len(solved) == 1
+    coarse = [check for check in checks if check[0] == 400]
+    fine = [check for check in checks if check[0] == 800]
+    assert len(coarse) == 30 and len(fine) == 31
+    for _, theta, radii, exact, _ in checks:
+        assert radii is not None and np.all(np.abs(theta - exact) <= radii)
+    anchored = [j for j, check in enumerate(fine) if check[-1]]
     assert anchored[0] == 0 and len(anchored) > 1
+    assert any(check[-1] for check in coarse) and 400 in factorized
 
 
 def test_carried_floor_refuses_a_negative_increment():
@@ -243,22 +302,17 @@ def test_carried_floor_refuses_a_negative_increment():
 def test_trial_space_without_ground_state_is_not_certified_from_an_anchor():
     params, grid = MorseParams(v_max=1), RadialGrid()
     evals0, evecs0, kinetic, v0 = doubling_case(params, grid, 0)
-    n_fine = v0.size
-    bound, anchor = _certified_drift(kinetic, v0, evals0[:2],
-                                     _sine_interpolate(evecs0[:, :2], n_fine),
-                                     0.5 * (evals0[1] + evals0[2]))
-    assert bound < 1e-9 and anchor is not None
+    _, radii, anchor = certify_trial(kinetic, v0, evecs0[:, :2], 0.5 * (evals0[1] + evals0[2]))
+    assert radii is not None and anchor is not None
     evals, evecs, _, v1 = doubling_case(params, grid, 1)
     rho = 0.5 * (evals[1] + evals[2])
-    # trial v = 1, 2 at J = 1: its top interval is above the carried floor
-    trial = _sine_interpolate(evecs[:, 1:3], n_fine)
-    theta, r, _ = _ritz_intervals(kinetic, v1, trial)
-    assert theta[-1] + r[-1] >= _carried_floor(anchor, v1)
-    assert _certified_drift(kinetic, v1, evals[:2], trial, rho, anchor)[0] == math.inf
+    # trial v = 1, 2 at J = 1: its top level is above the carried floor and rho
+    theta, radii, carried = certify_trial(kinetic, v1, evecs[:, 1:3], rho, anchor)
+    assert theta[-1] >= _carried_floor(anchor, v1) and theta[-1] >= rho
+    assert radii is None and carried is anchor
     # the true lowest pair at J = 1 is certified by the carried floor alone
-    bound, carried = _certified_drift(kinetic, v1, evals[:2],
-                                      _sine_interpolate(evecs[:, :2], n_fine), rho, anchor)
-    assert bound < 1e-9 and carried is anchor
+    theta, radii, carried = certify_trial(kinetic, v1, evecs[:, :2], rho, anchor)
+    assert np.max(np.abs(evals[:2] - theta) + radii) < 1e-9 and carried is anchor
 
 
 def test_selection_rule_names_first_offender_in_row_major_order():
@@ -287,34 +341,15 @@ def test_m_degeneracy(hcl_model):
 # -- the chained coarse levels against one full eigh per J ----------------------
 
 
-def record_full_eighs(monkeypatch):
-    """The J of each full coarse eigh a build takes, in order."""
-    solved = []
-    solve, levels = twinpol.model._solve_radial, twinpol.model._radial_levels
-
-    def counted(*args):
-        solved.append(None)
-        return solve(*args)
-
-    def numbered(theta, y, v, grid, j, n_keep):
-        if solved and solved[-1] is None:
-            solved[-1] = j
-        return levels(theta, y, v, grid, j, n_keep)
-
-    monkeypatch.setattr(twinpol.model, "_solve_radial", counted)
-    monkeypatch.setattr(twinpol.model, "_radial_levels", numbered)
-    return solved
-
-
 @pytest.mark.parametrize("j_max", [10, 30])
 def test_chained_levels_match_one_eigh_per_j(monkeypatch, j_max):
-    solved = record_full_eighs(monkeypatch)
+    solved = full_eighs(monkeypatch)
+    calls = fallbacks(monkeypatch)
     params = MorseParams(j_max=j_max)
     model = build_morse_rovib(params)
+    # one full eigh, at J = 0, carries every J: the floor re-anchors by a Cholesky
+    assert len(solved) == 1 and calls == []
     oracle = morse_model_per_j(params)
-    assert solved[0] == 0
-    # J <= 10 rides on the J = 0 anchor; the floor refuses higher J and re-anchors
-    assert (len(solved) == 1) if j_max == 10 else (1 < len(solved) < j_max + 1)
     assert np.max(np.abs(model.energies - oracle.energies)) <= 1e-13
     nonzero = oracle.dipole != 0.0
     assert np.array_equal(model.dipole != 0.0, nonzero)
@@ -328,15 +363,14 @@ def test_refused_ritz_step_falls_back_to_eigh_per_j(monkeypatch, refusal):
         # four pairs cannot carry the three lowest levels to J = 1 within eigh's rounding
         monkeypatch.setattr(twinpol.model, "_ANCHOR_PAIRS", 4)
     else:
-        carried_floor = twinpol.model._carried_floor
-
-        def no_coarse_floor(anchor, diag):
-            # the doubled grid (800 points) keeps its floor; the coarse one proves nothing
-            return carried_floor(anchor, diag) if diag.size == 800 else -math.inf
-
-        monkeypatch.setattr(twinpol.model, "_carried_floor", no_coarse_floor)
-    solved = record_full_eighs(monkeypatch)
+        # the doubled grid (800 points) keeps its floors; the coarse one proves none
+        for name in ("_carried_floor", "_count_floor"):
+            floor = getattr(twinpol.model, name)
+            monkeypatch.setattr(twinpol.model, name, lambda *args, floor=floor: (
+                floor(*args) if args[1].size == 800 else -math.inf))
+    solved = full_eighs(monkeypatch)
     params = MorseParams()
     model = build_morse_rovib(params)
-    assert solved == list(range(params.j_max + 1))
+    # each J takes at most one full eigh, so j_max + 1 of them means one per J
+    assert len(solved) == params.j_max + 1
     assert model.content_hash() == morse_model_per_j(params).content_hash()

@@ -11,7 +11,7 @@ from twinpol import (AmbiguousPeaksError, KickPulse, Spectrum,
 from twinpol.cavity import Trajectory
 from twinpol.spectra import make_stick_spectrum
 
-from helpers import merge_sticks
+from helpers import broadened_per_stick, merge_sticks
 
 
 def synthetic_trajectory(signal, dt=1.0):
@@ -115,6 +115,25 @@ def test_broaden_single_stick_peak_position():
         spec = broaden_sticks(sticks, shape, width=0.01)
         peak = spec.omega[np.argmax(spec.intensity)]
         assert abs(peak - 0.5) < 2 * spec.meta["bin_width"]
+
+
+@pytest.mark.parametrize("n_sticks", [1, 7, 300])
+@pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+def test_blocked_broadening_matches_per_stick_loop(shape, n_sticks):
+    # 300 sticks split the 2001-point grid into several row blocks, the last one short
+    rng = np.random.default_rng(n_sticks)
+    sticks = make_stick_spectrum(np.sort(rng.uniform(1.0, 1.5, n_sticks)),
+                                 rng.uniform(0.1, 2.0, n_sticks))
+    spec = broaden_sticks(sticks, shape, width=0.02)
+    oracle = broadened_per_stick(spec.omega, sticks, shape, 0.02)
+    assert np.max(np.abs(spec.intensity - oracle)) <= 1e-13 * np.max(oracle)
+
+
+@pytest.mark.parametrize("positions", [[], [0.5, 0.7]], ids=["empty", "sticks"])
+def test_unknown_lineshape_is_refused(positions):
+    sticks = make_stick_spectrum(positions, np.ones(len(positions)))
+    with pytest.raises(ValueError, match="unknown lineshape 'bogus'"):
+        broaden_sticks(sticks, "bogus")
 
 
 def test_gaussian_broadening_preserves_area():

@@ -140,18 +140,31 @@ class Trajectory:
 CSV_BLOCK_ROWS = 64
 
 
+def _all_plus_zero(column: np.ndarray) -> bool:
+    """True for a float column that is +0.0 in every row (-0.0 prints as -0)."""
+    return (column.dtype.kind == "f" and not column.any()
+            and not np.signbit(column).any())
+
+
 def write_csv(path, header, numbers, labels=()):
     """Header line, then one row per record: the numeric columns as %.17g
     (the text of f"{x:.17g}", -0.0 included) followed by the label columns
     as %s.  Each block of CSV_BLOCK_ROWS rows is one % operation over the
     values' .tolist(): 64-row blocks write a 7501 x 13 trajectory as fast as
     one block per file does, without the 9 MB of text and Python floats
-    that one block holds at once."""
-    row = ",".join(["%.17g"] * len(numbers) + ["%s"] * len(labels)) + "\n"
+    that one block holds at once.  A float column that is +0.0 in every row
+    is the literal 0 of the row template, the text %.17g gives it, and is
+    never formatted."""
+    numbers = [np.asarray(c) for c in numbers]
+    zero = [_all_plus_zero(c) for c in numbers]
+    row = ",".join(["0" if z else "%.17g" for z in zero] + ["%s"] * len(labels)) + "\n"
+    formatted = [c for c, z in zip(numbers, zero) if not z]
+    n_rows = len(numbers[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(numbers[0]), CSV_BLOCK_ROWS):
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
             rows = slice(start, start + CSV_BLOCK_ROWS)
-            block = ([np.asarray(c)[rows].tolist() for c in numbers]
+            block = ([c[rows].tolist() for c in formatted]
                      + [list(c[rows]) for c in labels])
-            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+            n_block = min(CSV_BLOCK_ROWS, n_rows - start)
+            fh.write(row * n_block % tuple(itertools.chain.from_iterable(zip(*block))))

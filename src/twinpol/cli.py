@@ -312,6 +312,8 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
             "norm_drift", "energy_drift_post_pulse", "method", "rk4_steps",
             "rhs_evals", "exact_records")}
         checks.update(bin_width=spec.meta["bin_width"], basis_size=len(traj.pop_labels))
+        if traj.meta["method"] == "exact":
+            checks.update({key: traj.meta[key] for key in ("n_blocks", "max_block_dim")})
 
     elif framework == "quantum_static":
         basis = ProductBasis.full(model, cav.n_fock_max)
@@ -324,7 +326,8 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
         # an initial eigenstate's largest squared amplitude is its overlap
         # with the basis entry it was picked for (that one exceeds 1/2)
         checks = {"basis_size": basis.size, "min_dominant_overlap": min(
-            float(np.max(sol.eigenvectors[:, i] ** 2)) for i, _ in initial)}
+            float(np.max(sol.eigenvectors[:, i] ** 2)) for i, _ in initial),
+            **sol.block_sizes()}
 
     else:
         if framework == "manymol_bruteforce":

@@ -136,12 +136,12 @@ def propagate(rhs: Callable, y0, observe: Callable, series: tuple[str, ...],
     each a Trajectory field.  meta adds the propagator's own keys after dt,
     t_end and record_stride.
 
-    tail(t_s, y_s, times) -> (pops, values), when given, must continue the
-    run exactly from state y_s at t_s, the first record time at or after
-    pulse.support_end: pops has one row and values one column per time.
-    RK4 then stops at t_s (zero steps without a kick) and the tail fills the
-    records from t_s on, in chunks of about TAIL_CHUNK_BYTES per complex
-    state array.
+    tail(t_s, y_s), when given, must return records(times) -> (pops, values)
+    that continues the run exactly from state y_s at t_s, the first record
+    time at or after pulse.support_end: pops has one row and values one
+    column per time.  RK4 then stops at t_s (zero steps without a kick), tail
+    is called once, and records fills the records from t_s on, in chunks of
+    about TAIL_CHUNK_BYTES per complex state array.
 
     Raises IntegrationError when the norm drifts beyond NORM_TOL (reduce dt)
     or when the kick exceeds the pulse's linear-response bound.
@@ -168,10 +168,11 @@ def propagate(rhs: Callable, y0, observe: Callable, series: tuple[str, ...],
     y_s = integrate(rhs, y0, 0.0, dt, n_rk4, observer, record_stride,
                     phase_freqs=phase_freqs, pulse=pulse)
     if n_obs < n_rec:
+        records = tail(times[n_obs], y_s)
         chunk = max(1, TAIL_CHUNK_BYTES // (16 * n_amp))
         for lo in range(n_obs, n_rec, chunk):
             hi = min(lo + chunk, n_rec)
-            pops[lo:hi], values[:, lo:hi] = tail(times[n_obs], y_s, times[lo:hi])
+            pops[lo:hi], values[:, lo:hi] = records(times[lo:hi])
         drift = float(np.max(np.abs(pops[n_obs:].sum(axis=1) - 1.0)))
         rec["norm_drift"] = max(rec["norm_drift"], drift)
 

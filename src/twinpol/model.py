@@ -281,16 +281,40 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(odd, axis=0).imag[1:x.shape[0] + 1]
 
 
-def _sine_interpolate(u: np.ndarray, n_fine: int) -> np.ndarray:
-    """DVR columns u carried to the n_fine-point grid of the same box.
+def _sine_interpolate(u: np.ndarray, n_fine: int) -> tuple[np.ndarray, np.ndarray]:
+    """DVR columns u carried to the n_fine-point grid of the same box, and
+    their coefficients c in the box's orthonormal sine basis.
 
-    Each column is expanded in the box's sine basis and that series is
-    sampled on the finer grid, so a normalized column stays normalized.
+    Each column is expanded in that basis and the series is sampled on the
+    finer grid, so a normalized column stays normalized.
     """
     n = u.shape[0]
     coeffs = np.zeros((n_fine,) + u.shape[1:])
     coeffs[:n] = math.sqrt(2.0 / (n + 1)) * _dst1(u)
-    return math.sqrt(2.0 / (n_fine + 1)) * _dst1(coeffs)
+    return math.sqrt(2.0 / (n_fine + 1)) * _dst1(coeffs), coeffs[:n]
+
+
+def _box_levels(n_points: int, length: float, mass: float) -> np.ndarray:
+    """(k pi / length)^2 / (2 mass), k = 1 .. n_points: the eigenvalues of
+    _sine_dvr_kinetic, whose eigenvectors are the box's sine basis."""
+    return (math.pi * np.arange(1, n_points + 1) / length) ** 2 / (2.0 * mass)
+
+
+def _sine_ritz(u: np.ndarray, v: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz pairs (theta, y), y with unit columns, of T + diag(v) on the
+    v.size-point grid, on the sine series of the coarse DVR columns u.
+
+    T is the sine-DVR kinetic matrix of the fine grid and levels its
+    eigenvalues (_box_levels).  The sine basis diagonalizes T, so the
+    projection of T is c^T diag(levels) c from the coefficients c alone, and
+    T itself is applied only to certify the pairs (_certify).
+    """
+    trial, coeffs = _sine_interpolate(u, v.size)
+    theta, z = np.linalg.eigh((coeffs.T * levels[:coeffs.shape[0]]) @ coeffs
+                              + trial.T @ (v[:, None] * trial))
+    y = trial @ z
+    y /= np.linalg.norm(y, axis=0)
+    return theta, y
 
 
 # eigenpairs an anchor J keeps from its full eigh: the Ritz basis of the J above it
@@ -502,7 +526,9 @@ def build_morse_rovib(params: MorseParams,
     J's full eigh and keeps them when every r_i is within 2 n eps
     || |h_J| ||_F, eigh's own accuracy; otherwise a full eigh decides, and
     its lambda_k less n eps || |h_J| ||_F is the floor.  The doubled grid
-    takes the Ritz pairs of the coarse vectors' sine series and passes when
+    takes the Ritz pairs of the coarse vectors' sine series (_sine_ritz: the
+    kinetic part projected in the sine basis that diagonalizes it, so the
+    doubled-grid T is applied once per J, for the residual) and passes when
     max_i |evals_i - theta_i| + r_i is within grid.convergence_tol_cm1;
     otherwise eigvalsh decides (_check_doubling).  The default model takes
     one full eigh and one Cholesky of the doubled grid, and J <= 30 still
@@ -519,16 +545,14 @@ def build_morse_rovib(params: MorseParams,
     if check_convergence:
         r_fine = grid.points(n_fine)
         kinetic_fine = _sine_dvr_kinetic(n_fine, length, mass)
+        levels_fine = _box_levels(n_fine, length, mass)
         abs_norm = _abs_norm(kinetic_fine)
     radial = []
     anchor = None
     for j, (evals, evecs, next_level) in enumerate(_radial_chain(params, grid, kinetic)):
         if check_convergence:
             v = _effective_potential(params, j, r_fine)
-            trial = _sine_interpolate(evecs, n_fine)
-            theta, z = np.linalg.eigh(trial.T @ (kinetic_fine @ trial + v[:, None] * trial))
-            y = trial @ z
-            y /= np.linalg.norm(y, axis=0)
+            theta, y = _sine_ritz(evecs, v, levels_fine)
             radii, anchor = _certify(kinetic_fine, v, abs_norm(v), theta, y,
                                      0.5 * (evals[-1] + next_level), anchor)
             if (radii is None or np.max(np.abs(evals - theta) + radii) * CM1_PER_HARTREE

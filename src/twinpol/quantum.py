@@ -8,6 +8,16 @@ coefficients C_{k,N}(t) (phases e^{-i(E_k + N w_c) t}) with the shared RK4
 engine while the kick lasts, propagates exactly in the eigenbasis of H after
 it, and Fourier-transforms <mu(t)>.
 
+Product-space operators act through their two tensor factors.  On the full
+photon-major basis a state reshapes to the (N_max + 1, n_mol) grid of its
+photon slabs psi_N (with a trailing axis for a matrix of states), and a
+restricted basis scatters its rows into that grid first, so every basis
+takes one code path.  1 x mu is one product of the molecular dipole with
+the grid; <q> and <q^2> contract the (N_max + 1)-square photon ladders with
+the Gram matrix Re <psi_N|psi_N'> of the slabs.  H is the one dense
+product-space matrix: its slabs are placed directly, and its nonzero
+pattern defines the blocks below.
+
 H conserves more than energy: the Z-polarized field conserves M, and the
 dipole flips the parity of J (of the 3-level upper state, or of the number
 of molecules in it) together with that of N.  diagonalize_polaritons finds
@@ -20,12 +30,15 @@ component, and the consumers inherit the symmetry unchanged:
 dominant_eigenstate sees only its entry's component, amplitudes between
 components that mu does not couple are exactly 0.0 and drop out of the
 stick spectrum, and the exact tail of propagate_quantum stays exact.
+PolaritonSolution keeps each block's (rows, columns, vectors), so the stick
+amplitudes and the exact tail work one block at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,6 +91,35 @@ class ProductBasis:
         idx = ns * dim_mol + ks
         return op[np.ix_(idx, idx)]
 
+    @cached_property
+    def _grid(self) -> tuple[tuple[int, int], np.ndarray | None]:
+        """(N_max + 1, max k + 1), the shape of the photon-major grid the
+        basis lives on, and the flat grid index of each entry: None when the
+        basis is that whole grid in order."""
+        ks, ns = self.arrays()
+        shape = (self.n_fock_max + 1, int(ks.max()) + 1)
+        rows = ns * shape[1] + ks
+        if rows.size == shape[0] * shape[1] and np.array_equal(rows, np.arange(rows.size)):
+            rows = None
+        return shape, rows
+
+    def to_grid(self, psi: np.ndarray) -> np.ndarray:
+        """psi, one row per entry, as photon slabs: (N_max + 1, max k + 1)
+        plus psi's trailing axes.  A view on the full basis; a restricted
+        basis scatters its rows into zeros."""
+        shape, rows = self._grid
+        if rows is None:
+            return psi.reshape(shape + psi.shape[1:])
+        grid = np.zeros((shape[0] * shape[1],) + psi.shape[1:], psi.dtype)
+        grid[rows] = psi
+        return grid.reshape(shape + psi.shape[1:])
+
+    def from_grid(self, grid: np.ndarray) -> np.ndarray:
+        """The basis rows of photon slabs, the inverse of to_grid."""
+        flat = grid.reshape((-1,) + grid.shape[2:])
+        rows = self._grid[1]
+        return flat if rows is None else flat[rows]
+
     def label(self, i: int, model: MolecularModel) -> str:
         k, n = self.entries[i]
         return f"{model.label_str(k)};N{n}"
@@ -105,14 +147,23 @@ def product_hamiltonian(h_mol: np.ndarray, mu: np.ndarray, mu2: np.ndarray | Non
     """H = 1 x H_mol + w_c N x 1 + g (a + a^dag) x mu + (g^2/w_c) 1 x mu^2.
 
     Photon-major ordering: N * dim(H_mol) + k indexes |k, N>.  mu2 = None
-    leaves out the self-energy term.
+    leaves out the self-energy term.  Each photon slab is placed directly:
+    H_mol + N w_c (+ the self-energy) on the diagonal slabs, g sqrt(N + 1) mu
+    between N and N + 1; every element is the one the Kronecker sum forms.
     """
-    eye_ph = np.eye(n_fock_max + 1)
-    h = np.kron(eye_ph, h_mol)
-    h += np.kron(np.diag(np.arange(n_fock_max + 1) * omega_c), np.eye(h_mol.shape[0]))
-    h += np.kron(g * photon_ladder(n_fock_max), mu)
-    if mu2 is not None:
-        h += np.kron(eye_ph, (g**2 / omega_c) * mu2)
+    n_ph, dim = n_fock_max + 1, h_mol.shape[0]
+    h = np.zeros((n_ph * dim, n_ph * dim))
+    slabs = h.reshape(n_ph, dim, n_ph, dim)
+    ladder = g * photon_ladder(n_fock_max)
+    dse = None if mu2 is None else (g**2 / omega_c) * mu2
+    for n in range(n_ph):
+        diag = slabs[n, :, n, :]
+        diag += h_mol
+        diag[np.diag_indices(dim)] += n * omega_c
+        if dse is not None:
+            diag += dse
+        if n < n_fock_max:
+            slabs[n + 1, :, n, :] = slabs[n, :, n + 1, :] = ladder[n + 1, n] * mu
     return h
 
 
@@ -121,49 +172,101 @@ def assemble_hamiltonian(model: MolecularModel, cav: CavityParams,
     """H = diag(E_k + N w_c) + g (sqrt(N+1) or sqrt(N)) mu + (g^2/w_c) mu^2.
 
     The dipole ladder factors connect N' = N +- 1; the self-energy term is
-    diagonal in photon number and included only when cav.include_dse.
+    diagonal in photon number and included only when cav.include_dse.  The
+    full basis takes product_hamiltonian as built; a restricted one takes
+    its rows and columns.
     """
     if basis.arrays()[0].max() >= model.n_states:
         raise ModelError("basis references molecular states outside the model")
     mu2 = mu_squared_matrix(model) if cav.include_dse else None
     h = product_hamiltonian(np.diag(model.energies), model.dipole, mu2,
                             cav.omega_c, cav.g, basis.n_fock_max)
+    if basis.size == h.shape[0] and basis._grid[1] is None:
+        return h
     return basis.restrict(h, model.n_states)
 
 
-def mu_operator(model: MolecularModel, basis: ProductBasis) -> np.ndarray:
-    """mu x identity on the photon space."""
-    return basis.restrict(np.kron(np.eye(basis.n_fock_max + 1), model.dipole),
-                          model.n_states)
+def apply_dipole(model: MolecularModel, basis: ProductBasis, psi: np.ndarray) -> np.ndarray:
+    """(1 x mu) psi for psi real or complex, one row per basis entry: one
+    product of the molecular dipole with the photon slabs."""
+    _, mu_x = _dipole_slabs(model.dipole, basis.to_grid(psi))
+    return basis.from_grid(np.moveaxis(mu_x, 0, 1))
 
 
-def _photon_operator(photon_op, basis: ProductBasis) -> np.ndarray:
-    """photon_op(N_max) x identity on the molecular states, restricted to basis."""
-    dim_mol = int(basis.arrays()[0].max()) + 1
-    return basis.restrict(np.kron(photon_op(basis.n_fock_max), np.eye(dim_mol)), dim_mol)
+def _dipole_slabs(dipole: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, (1 x mu) x) for the grid x with its molecular axis first: each
+    (dim_mol, N_max + 1[, T]) and contiguous."""
+    x = np.ascontiguousarray(np.moveaxis(grid, 1, 0))
+    dim = x.shape[0]
+    return x, real_matmul(dipole[:dim, :dim], x)
 
 
-def q_operator(cav: CavityParams, basis: ProductBasis) -> np.ndarray:
-    """q = (a^dag + a) / sqrt(2 w_c) on the product basis."""
-    return _photon_operator(photon_ladder, basis) / math.sqrt(2.0 * cav.omega_c)
+def _re_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re sum conj(x) y over the first two axes of contiguous complex x and y
+    of one shape: a 0-d array, or one value per trailing column."""
+    n = x.shape[0] * x.shape[1]
+    sums = np.einsum("ij,ij->j", x.view(np.float64).reshape(n, -1),
+                     y.view(np.float64).reshape(n, -1))
+    return (sums[0::2] + sums[1::2]).reshape(x.shape[2:])
 
 
-def q2_operator(cav: CavityParams, basis: ProductBasis) -> np.ndarray:
-    """q^2 = (a^dag a^dag + a a + 2 a^dag a + 1) / (2 w_c), exact ladder
-    matrix elements (not the square of the truncated q matrix)."""
-    return _photon_operator(photon_ladder_squared, basis) / (2.0 * cav.omega_c)
+@lru_cache
+def _photon_factors(n_fock_max: int) -> np.ndarray:
+    """a + a^dag and (a + a^dag)^2, the photon factors of q and q^2 up to
+    their 1 / sqrt(2 w_c) and 1 / (2 w_c), stacked; read-only, as it is shared."""
+    factors = np.stack([photon_ladder(n_fock_max), photon_ladder_squared(n_fock_max)])
+    factors.flags.writeable = False
+    return factors
+
+
+def _photon_moments(cav: CavityParams, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(<q>, <q^2>) of complex photon slabs: the photon factors of q and q^2
+    contracted with the slabs' Gram matrix Re <psi_N|psi_N'>."""
+    x = np.ascontiguousarray(grid)
+    parts = x.view(np.float64).reshape(x.shape[0], x.shape[1], -1)
+    gram = np.einsum("nkj,mkj->nmj", parts, parts)
+    gram = (gram[..., 0::2] + gram[..., 1::2]).reshape(gram.shape[:2] + x.shape[2:])
+    # einsum, not a BLAS product: a column's sum must not depend on the column count
+    q, q2 = np.einsum("fnm,nm...->f...", _photon_factors(x.shape[0] - 1), gram)
+    return q / math.sqrt(2.0 * cav.omega_c), q2 / (2.0 * cav.omega_c)
+
+
+def factored_expectations(model: MolecularModel, cav: CavityParams, basis: ProductBasis,
+                          psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(<1 x mu>, <q>, <q^2>) of complex psi, one row per basis entry:
+    numbers for a state vector, one per column for a matrix of states."""
+    grid = basis.to_grid(psi)
+    return (_re_inner(*_dipole_slabs(model.dipole, grid)),) + _photon_moments(cav, grid)
 
 
 @dataclass(frozen=True)
 class PolaritonSolution:
-    """Eigenvalues (ascending) and eigenvector columns of the polariton H."""
+    """Eigenvalues (ascending) and eigenvector columns of the polariton H.
+
+    blocks holds (rows, columns, vectors) per invariant block: the block's
+    basis rows, the columns its eigenvectors take, and those eigenvectors
+    restricted to its rows.  A solution built without them is one block.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
 
     @property
     def size(self) -> int:
         return self.eigenvalues.size
+
+    def block_sizes(self) -> dict:
+        """{"n_blocks", "max_block_dim"}: the number of blocks and the largest."""
+        parts = self.parts()
+        return {"n_blocks": len(parts), "max_block_dim": max(r.size for r, _, _ in parts)}
+
+    def parts(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """blocks, or the whole solution as one block."""
+        if self.blocks:
+            return self.blocks
+        every = np.arange(self.size)
+        return ((every, every, self.eigenvectors),)
 
 
 def _coupled_blocks(h: np.ndarray) -> list[np.ndarray]:
@@ -199,7 +302,7 @@ def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
     a single eigh over a degenerate pair of blocks would do.  Eigenvalues are
     in ascending order (a stable sort over the blocks in order of their
     smallest index); each block's vectors go straight into their sorted
-    columns.
+    columns, and the solution keeps them as its blocks.
     """
     if not np.allclose(h, h.T, atol=1e-12):
         raise ModelError("Hamiltonian must be symmetric")
@@ -216,11 +319,15 @@ def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     evecs = np.zeros(h.shape, parts[0][1].dtype)
+    kept = []
     start = 0
     for idx, (w, v) in zip(blocks, parts):
-        evecs[np.ix_(idx, column[start:start + w.size])] = v
+        cols = column[start:start + w.size]
+        evecs[np.ix_(idx, cols)] = v
+        kept.append((idx, cols, v))
         start += w.size
-    return PolaritonSolution(eigenvalues=evals[order], eigenvectors=evecs)
+    return PolaritonSolution(eigenvalues=evals[order], eigenvectors=evecs,
+                             blocks=tuple(kept))
 
 
 def dominant_eigenstate(sol: PolaritonSolution, basis: ProductBasis,
@@ -268,14 +375,18 @@ def static_stick_spectrum(sol: PolaritonSolution, model: MolecularModel,
     wsum = sum(w for _, w in initial)
     if abs(wsum - 1.0) > 1e-8:
         raise ModelError(f"initial-state weights must sum to 1, got {wsum}")
-    mu = mu_operator(model, basis)
-    labels = [basis.label(int(k), model)
-              for k in np.argmax(np.abs(sol.eigenvectors), axis=0)]
     start = np.array([i for i, _ in initial], dtype=int)
     weight = np.array([w for _, w in initial], dtype=float)
-    vecs = sol.eigenvectors
-    # row a holds initial state start[a]; one product gives every amplitude
-    amps = (vecs.T @ (mu @ vecs[:, start])).T
+    mu_start = apply_dipole(model, basis, sol.eigenvectors[:, start])
+    # one product per block gives the amplitudes of its final states, and
+    # each eigenstate is labelled by its largest entry, found in its block
+    amps = np.zeros((sol.size, start.size))
+    largest = np.empty(sol.size, dtype=int)
+    for rows, cols, v in sol.parts():
+        amps[cols] = v.T @ mu_start[rows]
+        largest[cols] = rows[np.argmax(np.abs(v), axis=0)]
+    labels = [basis.label(int(k), model) for k in largest]
+    amps = amps.T       # row a holds initial state start[a]
     omegas = sol.eigenvalues[None, :] - sol.eigenvalues[start, None]
     inten = weight[:, None] * amps**2
     rows, final = np.nonzero((omegas > merge_tol) & (inten != 0.0))
@@ -314,13 +425,13 @@ def photon_observables(state: QuantumState, cav: CavityParams,
         psi = state.schroedinger_coeffs(model, cav)
     else:
         psi = state.coeffs
-    q = q_operator(cav, state.basis)
-    q2 = q2_operator(cav, state.basis)
-    return (float(np.vdot(psi, q @ psi).real), float(np.vdot(psi, q2 @ psi).real))
+    q, q2 = _photon_moments(cav, state.basis.to_grid(np.asarray(psi, dtype=complex)))
+    return float(q), float(q2)
 
 
 def real_matmul(op: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """op @ z for a real matrix op and a complex vector or matrix z.
+    """op @ z for a real square matrix op and a real or complex array z,
+    op acting on z's first axis.
 
     A mixed product makes numpy copy op as complex; here the real and
     imaginary parts of z, viewed as interleaved real columns, meet op in one
@@ -328,7 +439,7 @@ def real_matmul(op: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     z = np.ascontiguousarray(z)
     parts = z.view(np.float64).reshape(z.shape[0], -1)
-    return (op @ parts).view(np.complex128).reshape(z.shape)
+    return (op @ parts).view(z.dtype).reshape(z.shape)
 
 
 def _expectations(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -337,6 +448,34 @@ def _expectations(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
     op_psi = real_matmul(op, psi)
     return (np.einsum("i...,i...->...", psi.real, op_psi.real)
             + np.einsum("i...,i...->...", psi.imag, op_psi.imag))
+
+
+def _block_evolution(sol: PolaritonSolution, psi: np.ndarray):
+    """(evolve, energy) of the state psi under H = V L V^T: evolve(tau) is
+    V e^{-i L tau} V^T psi, one column per entry of tau, and energy is
+    <psi|H|psi>.
+
+    a = V_b^T psi is formed here, once per block.  evolve builds each block's
+    rows from its own eigenpairs; a block psi does not reach keeps its rows
+    exactly 0.0 and costs nothing.
+    """
+    live = []
+    for rows, cols, v in sol.parts():
+        a = real_matmul(v.T, psi[rows])
+        if a.any():
+            live.append((rows, sol.eigenvalues[cols], v, a))
+
+    def evolve(tau: np.ndarray) -> np.ndarray:
+        out = np.zeros((psi.size, tau.size), complex)
+        for rows, lam, v, a in live:
+            # in place: one block-by-time array besides the output
+            phases = np.outer(-1j * lam, tau)
+            np.exp(phases, out=phases)
+            phases *= a[:, None]
+            out[rows] = real_matmul(v, phases)
+        return out
+
+    return evolve, sum(float(np.sum(lam * np.abs(a) ** 2)) for _, lam, _, a in live)
 
 
 def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse,
@@ -350,8 +489,9 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     energy <H>, and the photon observables <q>, <q^2>.  method = "exact"
     runs RK4 only to the first record at or after pulse.support_end (no step
     without a kick) and from there on uses Psi(t) = V e^{-i L (t - t_s)} V^T
-    Psi(t_s), with H = V L V^T; method = "rk4" steps RK4 to t_end, the
-    oracle the exact route is tested against.
+    Psi(t_s), with H = V L V^T, one block of H at a time; method = "rk4"
+    steps RK4 to t_end, the oracle the exact route is tested against.  An
+    exact run's meta records the block sizes (PolaritonSolution.block_sizes).
     """
     if method not in ("exact", "rk4"):
         raise ModelError(f"method must be 'exact' or 'rk4', got {method!r}")
@@ -366,43 +506,36 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     # interaction part (dipole + optional dse), needed only where RK4 steps
     v_int = h - np.diag(eps) if method == "rk4" or pulse.support_end > 0.0 else None
     sol = diagonalize_polaritons(h) if method == "exact" else None
-    del h     # mu, q and q^2 are built after H is gone: one large matrix fewer at peak
-    mu = mu_operator(model, basis)
-    q_op = q_operator(cav, basis)
-    q2_op = q2_operator(cav, basis)
+    del h     # the run keeps only the blocks and, where RK4 steps, v_int
 
     def rhs(entry, c):
         a, b, f = entry           # -i e^{i eps t}, e^{-i eps t}, f(t)
         psi = b * c
         w_psi = real_matmul(v_int, psi)
         if f != 0.0:
-            w_psi = w_psi + f * real_matmul(mu, psi)
+            w_psi = w_psi + f * apply_dipole(model, basis, psi)
         return a * w_psi
 
     def observe(t, c):
         psi = np.exp(-1j * eps * t) * c
         energy = np.sum(eps * np.abs(psi) ** 2) + _expectations(v_int, psi)
-        return (_expectations(mu, psi), energy,
-                _expectations(q_op, psi), _expectations(q2_op, psi))
+        mu, q, q2 = factored_expectations(model, cav, basis, psi)
+        return mu, energy, q, q2
 
-    def tail(t_s, c_s, times):
-        lam, vecs = sol.eigenvalues, sol.eigenvectors
+    def tail(t_s, c_s):
         psi_s = np.exp(-1j * eps * t_s) * c_s
-        a = real_matmul(vecs.T, psi_s)
-        # in place: at most two state-by-time arrays live at once
-        phases = np.outer(-1j * lam, times - t_s)
-        np.exp(phases, out=phases)
-        phases *= a[:, None]
-        psi = real_matmul(vecs, phases)
-        del phases
-        if times[0] == t_s:     # psi(t_s) itself, not its round trip V V^T psi(t_s)
-            psi[:, 0] = psi_s
-        pops = psi.real ** 2
-        pops += psi.imag ** 2
-        energy = np.full(times.size, np.sum(lam * np.abs(a) ** 2))
-        values = (_expectations(mu, psi), energy,
-                  _expectations(q_op, psi), _expectations(q2_op, psi))
-        return pops.T, values
+        evolve, energy = _block_evolution(sol, psi_s)
+
+        def records(times):
+            psi = evolve(times - t_s)
+            if times[0] == t_s:     # psi(t_s) itself, not its round trip V V^T psi(t_s)
+                psi[:, 0] = psi_s
+            pops = psi.real ** 2
+            pops += psi.imag ** 2
+            mu, q, q2 = factored_expectations(model, cav, basis, psi)
+            return pops.T, (mu, np.full(times.size, energy), q, q2)
+
+        return records
 
     i0 = basis.index(*init)
     c0 = np.zeros(basis.size, complex)
@@ -413,5 +546,6 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
         pop_labels=[basis.label(i, model) for i in range(basis.size)],
         init_col=i0, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
         record_stride=record_stride, tail=None if sol is None else tail,
-        meta={"init": init, "n_fock_max": cav.n_fock_max},
+        meta={"init": init, "n_fock_max": cav.n_fock_max,
+              **({} if sol is None else sol.block_sizes())},
     )

@@ -96,16 +96,19 @@ def stepped_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
 
 
 def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
-    """propagate_quantum(method="rk4")'s series from per-stage phases and pulse."""
-    from twinpol.quantum import (ProductBasis, _expectations, assemble_hamiltonian,
-                                 mu_operator, q2_operator, q_operator, real_matmul)
+    """propagate_quantum(method="rk4")'s series from per-stage phases and pulse.
+
+    The rhs's f mu psi term and the recorded <mu>, <q> and <q^2> use the same
+    factored operators (apply_dipole, factored_expectations) as the
+    propagator, so the two must agree bit for bit; the dense operators below
+    are their oracles in tests/test_quantum.py."""
+    from twinpol.quantum import (ProductBasis, _expectations, apply_dipole,
+                                 assemble_hamiltonian, factored_expectations, real_matmul)
 
     basis = ProductBasis.full(model, cav.n_fock_max)
     ks, ns = basis.arrays()
     eps = model.energies[ks] + ns * cav.omega_c
     v_int = assemble_hamiltonian(model, cav, basis) - np.diag(eps)
-    mu, q_op, q2_op = (mu_operator(model, basis), q_operator(cav, basis),
-                       q2_operator(cav, basis))
 
     def rhs(t, c):
         phase = np.exp(1j * eps * t)
@@ -113,20 +116,68 @@ def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
         w_psi = real_matmul(v_int, psi)
         f = pulse(t)
         if f != 0.0:
-            w_psi = w_psi + f * real_matmul(mu, psi)
+            w_psi = w_psi + f * apply_dipole(model, basis, psi)
         return -1j * phase * w_psi
 
     def observe(t, c):
         psi = np.exp(-1j * eps * t) * c
         energy = np.sum(eps * np.abs(psi) ** 2) + _expectations(v_int, psi)
-        return (_expectations(mu, psi), energy,
-                _expectations(q_op, psi), _expectations(q2_op, psi))
+        mu, q, q2 = factored_expectations(model, cav, basis, psi)
+        return mu, energy, q, q2
 
     c0 = np.zeros(basis.size, complex)
     c0[basis.index(*init)] = 1.0
     return _stepped_series(rhs, c0, basis.size, observe,
                            ("dipole", "energy", "q_expect", "q2_expect"),
                            t_end, dt, record_stride)
+
+
+# -- dense product-space operators: the oracles for the factored ones ----------
+
+
+def kron_hamiltonian(model, cav, basis):
+    """assemble_hamiltonian's H as a Kronecker sum on the full basis, then
+    restricted to basis."""
+    from twinpol.model import mu_squared_matrix
+    from twinpol.quantum import photon_ladder
+
+    eye_ph = np.eye(basis.n_fock_max + 1)
+    h = np.kron(eye_ph, np.diag(model.energies))
+    h += np.kron(np.diag(np.arange(basis.n_fock_max + 1) * cav.omega_c),
+                 np.eye(model.n_states))
+    h += np.kron(cav.g * photon_ladder(basis.n_fock_max), model.dipole)
+    if cav.include_dse:
+        h += np.kron(eye_ph, (cav.g**2 / cav.omega_c) * mu_squared_matrix(model))
+    return basis.restrict(h, model.n_states)
+
+
+def mu_operator(model, basis):
+    """mu x identity on the photon space."""
+    return basis.restrict(np.kron(np.eye(basis.n_fock_max + 1), model.dipole),
+                          model.n_states)
+
+
+def _photon_operator(photon_op, basis):
+    """photon_op(N_max) x identity on the molecular states, restricted to basis."""
+    dim_mol = int(basis.arrays()[0].max()) + 1
+    return basis.restrict(np.kron(photon_op(basis.n_fock_max), np.eye(dim_mol)), dim_mol)
+
+
+def q_operator(cav, basis):
+    """q = (a^dag + a) / sqrt(2 w_c) on the product basis."""
+    import math
+
+    from twinpol.quantum import photon_ladder
+
+    return _photon_operator(photon_ladder, basis) / math.sqrt(2.0 * cav.omega_c)
+
+
+def q2_operator(cav, basis):
+    """q^2 = (a^dag a^dag + a a + 2 a^dag a + 1) / (2 w_c), exact ladder
+    matrix elements (not the square of the truncated q matrix)."""
+    from twinpol.quantum import photon_ladder_squared
+
+    return _photon_operator(photon_ladder_squared, basis) / (2.0 * cav.omega_c)
 
 
 # -- plain-Python gap merge: the oracle for make_stick_spectrum ----------------

@@ -7,6 +7,7 @@ import pytest
 import twinpol.cli
 import twinpol.integrators
 import twinpol.manymol
+import twinpol.quantum
 from twinpol.cli import RunConfig, main, run
 from twinpol.errors import ConfigError
 from twinpol.model import model_from_config
@@ -239,6 +240,8 @@ directory = out
     assert manifest["outputs"] == ["sticks.csv"]
     assert len(manifest["model_hash"]) == 40
     assert 0.99 < manifest["checks"]["min_dominant_overlap"] <= 1.0
+    # two photon-parity blocks, of 5 and 4 states
+    assert (manifest["checks"]["n_blocks"], manifest["checks"]["max_block_dim"]) == (2, 5)
 
 
 def test_manifest_reruns_identically(tmp_path):
@@ -284,6 +287,40 @@ def test_hcl_thermal_run_keeps_degenerate_pairs_unmixed(tmp_path, g_cm1, tempera
                for k, lab in enumerate(model.labels) if lab["v"] == 0) >= 0.99
 
 
+HCL_TD_PROTOCOL = """
+[protocol]
+framework = quantum_td
+initial = v0J2M0
+t_end = 200 au
+dt = 1.0 au
+record_stride = 4
+pulse_amplitude = 0 au
+"""
+
+
+def test_hcl_quantum_runs_build_no_dense_product_operator(tmp_path, monkeypatch):
+    """The quantum routes apply mu, q and q^2 through their tensor factors
+    and place H's slabs directly: no Kronecker product, no restricted copy
+    of a full-space operator, and no dense builder left to call."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense product-space operator built")
+
+    for name in ("mu_operator", "q_operator", "q2_operator"):
+        assert not hasattr(twinpol.quantum, name)
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(ProductBasis, "restrict", refuse)
+    static = HCL_CONFIG.read_text()
+    td = static.split("[thermal]")[0] + "[cavity]" + static.split("[cavity]")[1].split(
+        "[protocol]")[0] + HCL_TD_PROTOCOL
+    for kind, text in (("static", static), ("td", td)):
+        cfg = write(tmp_path, text, f"{kind}.cfg")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / kind)]) == 0
+        checks = json.loads((tmp_path / kind / "manifest.json").read_text())["checks"]
+        assert (checks["n_blocks"], checks["max_block_dim"]) == (50, 34)
+    assert json.loads((tmp_path / "td" / "manifest.json").read_text())["checks"][
+        "method"] == "exact"
+
+
 def test_quantum_td_run_outputs(tmp_path):
     cfg = write(tmp_path, THREE_LEVEL_HEADER + """
 [protocol]
@@ -304,7 +341,8 @@ record_stride = 10
     # problem sizes: 4 rhs calls per step, the 994 records from 70 au on, 9 amplitudes
     checks = manifest["checks"]
     assert (checks["method"], checks["rhs_evals"], checks["exact_records"],
-            checks["basis_size"]) == ("exact", 280, 994, 9)
+            checks["basis_size"], checks["n_blocks"], checks["max_block_dim"]) == (
+                "exact", 280, 994, 9, 2, 5)
 
 
 TD_PROTOCOL = """

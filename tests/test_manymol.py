@@ -16,10 +16,9 @@ from twinpol import (BasisSizeError, CavityParams, ManifoldBasis, ManyMolConfig,
                      diagonalize_polaritons, dominant_eigenstate, spectrum_from_state,
                      static_stick_spectrum, thermodynamic_limit_spectrum)
 from twinpol.manymol import _check_memory, collective_operator, helmert_rows
-from twinpol.quantum import mu_operator
 from twinpol.spectra import make_stick_spectrum
 
-from helpers import cluster
+from helpers import cluster, mu_operator
 
 W02, W12, MU = 10e-3, 8e-3, 1.0
 

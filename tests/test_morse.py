@@ -7,8 +7,9 @@ import twinpol.model
 from helpers import first_selection_rule_offender, morse_model_per_j, sine_dvr_kinetic
 from twinpol import (ConvergenceError, ModelError, MolecularModel, MorseParams, RadialGrid,
                      build_morse_rovib)
-from twinpol.model import (_abs_norm, _carried_floor, _certify, _effective_potential,
-                           _sine_dvr_kinetic, _sine_interpolate, _with_diagonal,
+from twinpol.model import (_abs_norm, _box_levels, _carried_floor, _certify,
+                           _effective_potential, _sine_dvr_kinetic, _sine_interpolate,
+                           _sine_ritz, _with_diagonal,
                            z_direction_cosine)
 from twinpol.units import CM1_PER_HARTREE, au_to_cm1
 
@@ -25,6 +26,27 @@ def test_dvr_kinetic_against_box_levels():
 @pytest.mark.parametrize("n", [8, 400, 800])
 def test_dvr_kinetic_tables_match_2d_formula(n):
     assert np.array_equal(_sine_dvr_kinetic(n, 4.8, 1782.0), sine_dvr_kinetic(n, 4.8, 1782.0))
+
+
+@pytest.mark.parametrize("n", [8, 800])
+def test_box_levels_are_the_kinetic_eigenvalues(n):
+    kinetic = _sine_dvr_kinetic(n, 4.8, 1782.0)
+    levels = _box_levels(n, 4.8, 1782.0)
+    assert np.max(np.abs(levels - np.linalg.eigvalsh(kinetic))) <= 1e-13 * levels[-1]
+
+
+def test_sine_ritz_projects_the_kinetic_matrix_in_the_sine_basis():
+    # the kinetic part from the sine coefficients equals the dense projection
+    params, grid = MorseParams(), RadialGrid()
+    _, evecs, kinetic, v = doubling_case(params, grid, 3)
+    u = evecs[:, :2]
+    theta, y = _sine_ritz(u, v, _box_levels(v.size, grid.r_max - grid.r_min,
+                                            params.reduced_mass))
+    trial, _ = _sine_interpolate(u, v.size)
+    dense, z = np.linalg.eigh(trial.T @ (kinetic @ trial + v[:, None] * trial))
+    assert np.max(np.abs(theta - dense)) <= 1e-13 * abs(dense).max()
+    assert np.allclose(np.abs(np.sum(y * (trial @ z), axis=0)), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(y, axis=0), 1.0, rtol=0, atol=1e-15)
 
 
 def test_rotational_constant_value():
@@ -142,10 +164,7 @@ def doubling_case(params, grid, j):
 def certify_trial(kinetic, v, coarse_vectors, rho, anchor=None):
     """(theta, radii, anchor) of _certify on the Ritz pairs of the coarse
     vectors' sine series, as the doubled grid makes them."""
-    trial = _sine_interpolate(coarse_vectors, v.size)
-    theta, z = np.linalg.eigh(trial.T @ (kinetic @ trial + v[:, None] * trial))
-    y = trial @ z
-    y /= np.linalg.norm(y, axis=0)
+    theta, y = _sine_ritz(coarse_vectors, v, np.linalg.eigvalsh(kinetic))
     radii, anchor = _certify(kinetic, v, _abs_norm(kinetic)(v), theta, y, rho, anchor)
     return theta, radii, anchor
 

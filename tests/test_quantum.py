@@ -6,15 +6,16 @@ import pytest
 import twinpol.integrators
 import twinpol.manymol
 import twinpol.quantum
-from helpers import stick_inputs_per_state
+from helpers import (kron_hamiltonian, mu_operator, q2_operator, q_operator,
+                     stick_inputs_per_state)
 from twinpol import (CavityParams, KickPulse, ModelError, PolaritonSolution, ProductBasis,
                      assemble_hamiltonian, boltzmann_weights,
                      build_many_molecule_hamiltonian, cm1_to_au, diagonalize_polaritons,
                      detect_peaks, dipole_spectrum, dominant_eigenstate,
                      photon_observables, propagate_quantum,
                      static_stick_spectrum, thermal_initial_states)
-from twinpol.quantum import (QuantumState, mu_operator, q2_operator, q_operator,
-                             real_matmul)
+from twinpol.quantum import (QuantumState, _block_evolution, apply_dipole,
+                             factored_expectations, real_matmul)
 
 RESONANT_BLOCK = ((0, 0), (2, 0), (0, 1))
 
@@ -73,6 +74,74 @@ def test_restricted_operators_are_full_sub_blocks(model3, entries, dse):
     assert np.array_equal(mu_operator(model3, sub), mu_operator(model3, full)[idx])
     assert np.array_equal(q_operator(cav, sub), q_operator(cav, full)[idx])
     assert np.array_equal(q2_operator(cav, sub), q2_operator(cav, full)[idx])
+
+
+def _spectral_norm(op):
+    return float(np.max(np.abs(np.linalg.eigvalsh(op))))
+
+
+@pytest.mark.parametrize("dse", [False, True], ids=["dse_off", "dse_on"])
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+@pytest.mark.parametrize("name", ["three_level", "hcl"])
+def test_factored_operators_match_dense_oracles(model3, hcl_model, name, restricted, dse):
+    if name == "hcl":
+        model, cav = hcl_model, CavityParams(**{**HCL_CAVITY, "include_dse": dse})
+    else:
+        model, cav = model3, CavityParams(omega_c=1e-2, g=2e-4, include_dse=dse, n_fock_max=2)
+    full = ProductBasis.full(model, cav.n_fock_max)
+    rng = np.random.default_rng(7)
+    # a restricted basis: a shuffled third of the full one
+    third = rng.permutation(full.size)[:full.size // 3]
+    basis = ProductBasis(tuple(full.entries[i] for i in third)) if restricted else full
+    assert np.array_equal(assemble_hamiltonian(model, cav, basis),
+                          kron_hamiltonian(model, cav, basis))
+    psi = rng.normal(size=(basis.size, 5)) + 1j * rng.normal(size=(basis.size, 5))
+    psi /= np.linalg.norm(psi, axis=0)
+    dense = (mu_operator(model, basis), q_operator(cav, basis), q2_operator(cav, basis))
+    columns = factored_expectations(model, cav, basis, psi)
+    vector = factored_expectations(model, cav, basis, psi[:, 0])
+    for got, one, op in zip(columns, vector, dense):
+        expected = np.einsum("ij,ij->j", psi.conj(), op @ psi).real
+        tol = 1e-14 * _spectral_norm(op)
+        assert got.shape == (5,) and np.ndim(one) == 0
+        assert np.max(np.abs(got - expected)) <= tol
+        assert abs(one - expected[0]) <= tol
+    tol = 1e-14 * _spectral_norm(dense[0])
+    for z in (psi, psi[:, 0], psi.real.copy()):
+        mu_z = apply_dipole(model, basis, z)
+        assert mu_z.dtype == z.dtype and mu_z.shape == z.shape
+        assert np.max(np.abs(mu_z - dense[0] @ z)) <= tol
+
+
+def _hcl_solution(hcl_model):
+    basis = ProductBasis.full(hcl_model, 2)
+    h = assemble_hamiltonian(hcl_model, CavityParams(**HCL_CAVITY), basis)
+    return basis, h, diagonalize_polaritons(h)
+
+
+@pytest.mark.parametrize("spread", ["every_block", "three_blocks"])
+def test_block_evolution_matches_dense_formula(hcl_model, spread):
+    basis, h, sol = _hcl_solution(hcl_model)
+    rng = np.random.default_rng(9)
+    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    reached = np.ones(basis.size, bool)
+    if spread == "three_blocks":
+        entries = [basis.index(hcl_model.state_index(v=v, J=j, M=m), n)
+                   for v, j, m, n in ((0, 2, 0, 0), (0, 1, 1, 0), (1, 3, -2, 1))]
+        blocks = [rows for rows, _, _ in sol.parts() if np.isin(entries, rows).any()]
+        assert len(blocks) == 3
+        reached[:] = False
+        reached[np.concatenate(blocks)] = True
+        psi[~np.isin(np.arange(basis.size), entries)] = 0.0
+    psi /= np.linalg.norm(psi)
+    evolve, energy = _block_evolution(sol, psi)
+    tau = np.linspace(0.0, 5e3, 37)
+    v, lam = sol.eigenvectors, sol.eigenvalues
+    dense = v @ (np.exp(-1j * np.outer(lam, tau)) * (v.T @ psi)[:, None])
+    got = evolve(tau)
+    assert np.max(np.abs(got - dense)) <= 1e-13
+    assert not got[~reached].any()
+    assert energy == pytest.approx(np.vdot(psi, h @ psi).real, rel=1e-13)
 
 
 def test_resonant_block_eigenpairs(model3, cav):
@@ -366,7 +435,8 @@ def test_exact_propagator_matches_rk4_hcl(hcl_model):
     assert d_pop <= 1e-10
     assert d_q2 <= 1e-8
     assert exact.meta["rk4_steps"] == 0
-    assert np.max(np.abs(exact.q_expect)) < 1e-12
+    # mu and q x 1 connect blocks the kick-free state never reaches
+    assert not exact.dipole.any() and not exact.q_expect.any()
 
 
 def test_exact_tail_chunks_are_invisible(model3, cav, pulse, monkeypatch):

@@ -8,7 +8,7 @@ from twinpol import (AmbiguousPeaksError, KickPulse, Spectrum,
                      broaden_sticks, detect_peaks, dipole_spectrum,
                      fit_through_origin, measure_splitting, peaks_from_sticks,
                      propagate_classical, thermal_average_spectra)
-from twinpol.cavity import Trajectory
+from twinpol.cavity import Trajectory, write_csv
 from twinpol.spectra import make_stick_spectrum
 
 from helpers import broadened_per_stick, merge_sticks
@@ -286,6 +286,28 @@ def test_csv_schema_continuous(tmp_path):
     path = tmp_path / "spec.csv"
     spec.to_csv(path)
     assert path.read_text().splitlines()[0] == "omega_au,omega_cm1,intensity"
+
+
+@pytest.mark.parametrize("labels", [False, True], ids=["numbers", "with_labels"])
+def test_zero_columns_match_fstring_text(tmp_path, monkeypatch, labels):
+    # +0.0 columns are literal 0s of the row template; a column with any
+    # -0.0, or an integer one, is formatted as before
+    monkeypatch.setattr(twinpol.cavity, "CSV_BLOCK_ROWS", 3)
+    n = 7
+    one_negative = np.zeros(n)
+    one_negative[4] = -0.0
+    columns = [np.zeros(n), np.arange(n) * 0.5, one_negative, np.full(n, -0.0),
+               np.zeros(n, dtype=int), np.zeros(n)]
+    names = [f"c{k}" for k in range(len(columns))]
+    label_columns = [[f"s{k}%" for k in range(n)]] if labels else []
+    write_csv(tmp_path / "zeros.csv", names + ["label"] * labels, columns, label_columns)
+    lines = (tmp_path / "zeros.csv").read_text().splitlines()
+    n_numbers = len(columns)
+    assert lines[1:] == [",".join([f"{x:.17g}" for x in row[:n_numbers]] + list(row[n_numbers:]))
+                         for row in zip(*columns, *label_columns)]
+    assert lines[5].split(",")[2] == "-0" and lines[1].split(",")[0] == "0"
+    write_csv(tmp_path / "all_zero.csv", ["a", "b"], [np.zeros(n), np.zeros(n)])
+    assert (tmp_path / "all_zero.csv").read_text() == "a,b\n" + "0,0\n" * n
 
 
 def test_csv_rows_match_fstring_text(tmp_path, monkeypatch):

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams
-from .errors import BasisSizeError, ModelError
+from .errors import ModelError
 from .model import MolecularModel
-from .quantum import PolaritonSolution, diagonalize_polaritons, product_hamiltonian
+from .quantum import (PolaritonSolution, _check_memory, diagonalize_polaritons,
+                      product_hamiltonian)
 from .spectra import Spectrum, make_stick_spectrum
 
 
@@ -226,33 +227,6 @@ def thermodynamic_limit_spectrum(r0: float, branch: str, g: float, mu: float,
 
 
 # -- brute force on permutation-symmetric occupation bases -----------------
-
-MEMORY_BUDGET = 4 * 2**30
-
-
-def _check_memory(dim: int, include_dse: bool):
-    """Refuse, before anything is allocated, a many-molecule run whose dense
-    matrices would not fit in MEMORY_BUDGET bytes.
-
-    A run on a dim-state basis holds H, its eigenvectors, mu and, with the
-    self-energy, mu^2 as dim x dim float64 arrays; eigh adds its copy of the
-    input and LAPACK syevd's workspace of 1 + 6 dim + 2 dim^2 doubles.
-    diagonalize_polaritons runs eigh per block of coupled states (two
-    parity blocks here), so the copy and the workspace scale with the
-    largest block, and the block eigenvectors it holds until they are
-    placed take at most dim x largest block: (6 + dse) dim^2 is an upper
-    bound, not an estimate.  The 4 GiB budget admits thermal N = 12 (2352
-    states, about 0.3 GB) and symmetric N = 50 (3978 states, about 0.9 GB)
-    on the occupation bases, keeps the product basis as the oracle up to
-    N = 7 (6561 states, 2.4 GB), and refuses it at N = 8 (19,683 states,
-    19 GB).
-    """
-    need = 8 * ((6 + include_dse) * dim**2 + 6 * dim + 1)
-    if need > MEMORY_BUDGET:
-        raise BasisSizeError(
-            f"{dim}-state many-molecule basis needs about {need / 2**30:.3g} GiB of "
-            f"dense matrices, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
-
 
 def occupation_basis(m: int, n_levels: int) -> list[tuple[int, ...]]:
     """Occupation vectors (n_0, ..., n_{L-1}) of m molecules over n_levels

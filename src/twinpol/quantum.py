@@ -15,8 +15,8 @@ restricted basis scatters its rows into that grid first, so every basis
 takes one code path.  1 x mu is one product of the molecular dipole with
 the grid; <q> and <q^2> contract the (N_max + 1)-square photon ladders with
 the Gram matrix Re <psi_N|psi_N'> of the slabs.  H is the one dense
-product-space matrix: its slabs are placed directly, and its nonzero
-pattern defines the blocks below.
+product-space matrix: its slabs are placed directly, and one scan of its
+nonzero entries checks its symmetry and defines the blocks below.
 
 H conserves more than energy: the Z-polarized field conserves M, and the
 dipole flips the parity of J (of the 3-level upper state, or of the number
@@ -30,8 +30,8 @@ component, and the consumers inherit the symmetry unchanged:
 dominant_eigenstate sees only its entry's component, amplitudes between
 components that mu does not couple are exactly 0.0 and drop out of the
 stick spectrum, and the exact tail of propagate_quantum stays exact.
-PolaritonSolution keeps each block's (rows, columns, vectors), so the stick
-amplitudes and the exact tail work one block at a time.
+PolaritonSolution keeps only the blocks, which the stick amplitudes and the
+exact tail use one at a time; the dense eigenvectors are formed when read.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .cavity import CavityParams, KickPulse, Trajectory
-from .errors import ConvergenceError, ModelError
+from .errors import BasisSizeError, ConvergenceError, ModelError
 from .integrators import check_step, propagate
 from .model import MolecularModel, ThermalWeights, mu_squared_matrix
 from .spectra import Spectrum, make_stick_spectrum
@@ -142,6 +142,38 @@ def photon_ladder_squared(n_fock_max: int) -> np.ndarray:
     return op
 
 
+MEMORY_BUDGET = 4 * 2**30
+
+
+def _check_memory(dim: int, include_dse: bool):
+    """Refuse, before anything is allocated, a run whose dense matrices on a
+    dim-state product basis would not fit in MEMORY_BUDGET bytes.
+
+    Every quantum route holds H (RK4 steps with it turned into its
+    interaction part in place) and diagonalize_polaritons' block
+    eigenvectors, at most dim x largest block, plus, while one block's eigh
+    runs, its copy of the input and LAPACK syevd's workspace of
+    1 + 6 b + 2 b^2 doubles.  A static run also holds the dense
+    eigenvectors, formed after the last eigh; the many-molecule runs add mu
+    on the product basis and, with the self-energy, mu^2.  So
+    (6 + dse) dim^2 + 6 dim + 1 doubles is an upper bound, not an estimate.
+    Before its first eigh, diagonalize_polaritons holds up to ten words per
+    nonzero entry of H, within the bound while at most half of H is nonzero
+    (the 3-level H is 30% nonzero, HCl's 1.2%, the occupation bases' under
+    6%).  The 4 GiB budget admits thermal N = 12 (2352 states, about 0.3 GB)
+    and symmetric N = 50 (3978 states, about 0.9 GB) on the occupation
+    bases, keeps the product basis as the oracle up to N = 7 (6561 states,
+    2.4 GB), and refuses it at N = 8 (19,683 states, 19 GB).  One molecule
+    passes up to about 8,750 product states with the self-energy; HCl at
+    j_max = 50 (15,606 states, 13.6 GB) is refused.
+    """
+    need = 8 * ((6 + include_dse) * dim**2 + 6 * dim + 1)
+    if need > MEMORY_BUDGET:
+        raise BasisSizeError(
+            f"{dim}-state product basis needs about {need / 2**30:.3g} GiB of "
+            f"dense matrices, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
+
+
 def product_hamiltonian(h_mol: np.ndarray, mu: np.ndarray, mu2: np.ndarray | None,
                         omega_c: float, g: float, n_fock_max: int) -> np.ndarray:
     """H = 1 x H_mol + w_c N x 1 + g (a + a^dag) x mu + (g^2/w_c) 1 x mu^2.
@@ -174,10 +206,12 @@ def assemble_hamiltonian(model: MolecularModel, cav: CavityParams,
     The dipole ladder factors connect N' = N +- 1; the self-energy term is
     diagonal in photon number and included only when cav.include_dse.  The
     full basis takes product_hamiltonian as built; a restricted one takes
-    its rows and columns.
+    its rows and columns.  _check_memory first refuses a full basis too
+    large for the dense matrices of a run.
     """
     if basis.arrays()[0].max() >= model.n_states:
         raise ModelError("basis references molecular states outside the model")
+    _check_memory((basis.n_fock_max + 1) * model.n_states, cav.include_dse)
     mu2 = mu_squared_matrix(model) if cav.include_dse else None
     h = product_hamiltonian(np.diag(model.energies), model.dipole, mu2,
                             cav.omega_c, cav.g, basis.n_fock_max)
@@ -241,45 +275,45 @@ def factored_expectations(model: MolecularModel, cav: CavityParams, basis: Produ
 
 @dataclass(frozen=True)
 class PolaritonSolution:
-    """Eigenvalues (ascending) and eigenvector columns of the polariton H.
+    """Eigenvalues (ascending) and eigenvectors of the polariton H, by block.
 
-    blocks holds (rows, columns, vectors) per invariant block: the block's
-    basis rows, the columns its eigenvectors take, and those eigenvectors
-    restricted to its rows.  A solution built without them is one block.
+    blocks holds (rows, columns, vectors) per block: the block's basis rows,
+    the columns its eigenvectors take, and those eigenvectors restricted to
+    its rows.  A dense eigh is one block, ((arange(n), arange(n), V),).
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     @property
     def size(self) -> int:
         return self.eigenvalues.size
 
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Eigenvector columns: the blocks scattered into a read-only matrix."""
+        evecs = np.zeros((self.size, self.size), self.blocks[0][2].dtype)
+        for rows, cols, v in self.blocks:
+            evecs[np.ix_(rows, cols)] = v
+        evecs.flags.writeable = False
+        return evecs
+
     def block_sizes(self) -> dict:
         """{"n_blocks", "max_block_dim"}: the number of blocks and the largest."""
-        parts = self.parts()
-        return {"n_blocks": len(parts), "max_block_dim": max(r.size for r, _, _ in parts)}
-
-    def parts(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """blocks, or the whole solution as one block."""
-        if self.blocks:
-            return self.blocks
-        every = np.arange(self.size)
-        return ((every, every, self.eigenvectors),)
+        sizes = [rows.size for rows, _, _ in self.blocks]
+        return {"n_blocks": len(sizes), "max_block_dim": max(sizes)}
 
 
-def _coupled_blocks(h: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of h's nonzero pattern, in
-    order of their smallest index.
+def _coupled_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the n states that the
+    nonzero entries at (rows, cols) couple, in order of their smallest index.
 
     Label propagation: every state takes the smallest label among itself and
     the states it couples to, then the label of its label, until nothing
     moves; each component ends up labelled by its smallest index.
     """
-    rows, cols = np.nonzero(h)
     rows, cols = np.r_[rows, cols], np.r_[cols, rows]   # either triangle couples
-    label = np.arange(h.shape[0])
+    label = np.arange(n)
     while True:
         low = label.copy()
         np.minimum.at(low, rows, label[cols])
@@ -295,18 +329,20 @@ def _coupled_blocks(h: np.ndarray) -> list[np.ndarray]:
 def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
     """Eigenpairs of H, one eigh per block of states that H couples.
 
-    Off-block elements of H are exactly zero, so every block spans an exact
-    invariant subspace and no tolerance decides what a block is.  Each
-    eigenvector is exactly zero outside its block, so an eigenstate never
-    mixes states of different conserved quantum numbers (M, parity), which
-    a single eigh over a degenerate pair of blocks would do.  Eigenvalues are
-    in ascending order (a stable sort over the blocks in order of their
-    smallest index); each block's vectors go straight into their sorted
-    columns, and the solution keeps them as its blocks.
+    H is scanned once, for its nonzero entries, and symmetry is checked on
+    them alone: where h_ij is 0.0, allclose's |h_ji| <= atol + rtol |h_ji|
+    follows from |h_ji| <= atol, checked at (j, i).  The verdict is thus
+    np.allclose(h, h.T, atol=1e-12)'s, NaN included.  Off-block
+    elements are exactly zero, so every block spans an exact invariant
+    subspace, and each eigenvector is exactly zero outside its block: an
+    eigenstate never mixes conserved quantum numbers (M, parity), which one
+    eigh over a degenerate pair of blocks would do.  Eigenvalues ascend (a
+    stable sort over the blocks in order of their smallest index).
     """
-    if not np.allclose(h, h.T, atol=1e-12):
+    rows, cols = np.nonzero(h)
+    if not np.allclose(h[rows, cols], h[cols, rows], atol=1e-12):
         raise ModelError("Hamiltonian must be symmetric")
-    blocks = _coupled_blocks(h)
+    blocks = _coupled_blocks(h.shape[0], rows, cols)
     try:
         parts = [np.linalg.eigh(h[np.ix_(idx, idx)]) for idx in blocks]
     except np.linalg.LinAlgError as err:
@@ -318,16 +354,9 @@ def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
     order = np.argsort(evals, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    evecs = np.zeros(h.shape, parts[0][1].dtype)
-    kept = []
-    start = 0
-    for idx, (w, v) in zip(blocks, parts):
-        cols = column[start:start + w.size]
-        evecs[np.ix_(idx, cols)] = v
-        kept.append((idx, cols, v))
-        start += w.size
-    return PolaritonSolution(eigenvalues=evals[order], eigenvectors=evecs,
-                             blocks=tuple(kept))
+    columns = np.split(column, np.cumsum([w.size for w, _ in parts])[:-1])
+    return PolaritonSolution(eigenvalues=evals[order],
+                             blocks=tuple(zip(blocks, columns, (v for _, v in parts))))
 
 
 def dominant_eigenstate(sol: PolaritonSolution, basis: ProductBasis,
@@ -382,7 +411,7 @@ def static_stick_spectrum(sol: PolaritonSolution, model: MolecularModel,
     # each eigenstate is labelled by its largest entry, found in its block
     amps = np.zeros((sol.size, start.size))
     largest = np.empty(sol.size, dtype=int)
-    for rows, cols, v in sol.parts():
+    for rows, cols, v in sol.blocks:
         amps[cols] = v.T @ mu_start[rows]
         largest[cols] = rows[np.argmax(np.abs(v), axis=0)]
     labels = [basis.label(int(k), model) for k in largest]
@@ -460,7 +489,7 @@ def _block_evolution(sol: PolaritonSolution, psi: np.ndarray):
     exactly 0.0 and costs nothing.
     """
     live = []
-    for rows, cols, v in sol.parts():
+    for rows, cols, v in sol.blocks:
         a = real_matmul(v.T, psi[rows])
         if a.any():
             live.append((rows, sol.eigenvalues[cols], v, a))
@@ -503,9 +532,9 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     check_step(dt, eps, cav.omega_c)
 
     h = assemble_hamiltonian(model, cav, basis)
-    # interaction part (dipole + optional dse), needed only where RK4 steps
-    v_int = h - np.diag(eps) if method == "rk4" or pulse.support_end > 0.0 else None
     sol = diagonalize_polaritons(h) if method == "exact" else None
+    h[np.diag_indices(basis.size)] -= eps     # in place: the dipole and optional dse part
+    v_int = h if method == "rk4" or pulse.support_end > 0.0 else None   # only RK4 uses it
     del h     # the run keeps only the blocks and, where RK4 steps, v_int
 
     def rhs(entry, c):

@@ -321,6 +321,45 @@ def test_hcl_quantum_runs_build_no_dense_product_operator(tmp_path, monkeypatch)
         "method"] == "exact"
 
 
+@pytest.mark.parametrize("case", ["hcl_vacuum", "three_level_kicked"])
+def test_exact_quantum_td_never_forms_dense_eigenvectors(tmp_path, monkeypatch, case):
+    """The exact tail evolves one block at a time, so reading
+    PolaritonSolution.eigenvectors, which scatters every block into one
+    dense matrix, fails an exact run."""
+    def refuse(self):
+        raise AssertionError("dense eigenvector matrix formed")
+
+    monkeypatch.setattr(twinpol.quantum.PolaritonSolution, "eigenvectors", property(refuse))
+    if case == "hcl_vacuum":
+        static = HCL_CONFIG.read_text()
+        text = static.split("[thermal]")[0] + "[cavity]" + static.split("[cavity]")[1].split(
+            "[protocol]")[0] + HCL_TD_PROTOCOL
+    else:
+        text = THREE_LEVEL_HEADER + TD_PROTOCOL.format(framework="quantum_td",
+                                                       initial="initial = psi_1")
+    cfg = write(tmp_path, text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
+    assert checks["method"] == "exact"
+    assert (checks["rk4_steps"] > 0) == (case == "three_level_kicked")
+
+
+def test_single_molecule_run_refuses_oversized_basis(tmp_path, monkeypatch):
+    """With the budget lowered below the 726-state HCl run's dense matrices,
+    the run exits 3 before the product-space operators are built, and
+    validate, which builds nothing, still passes."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("operators built before the size check")
+
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", 2**20)
+    monkeypatch.setattr(twinpol.quantum, "mu_squared_matrix", no_build)
+    assert main(["validate", str(HCL_CONFIG)]) == 0
+    assert main(["run", str(HCL_CONFIG), "--out-dir", str(tmp_path / "big")]) == 3
+    error = (tmp_path / "big" / "error.txt").read_text()
+    assert error.startswith("BasisSizeError: 726-state")
+    assert not (tmp_path / "big" / "sticks.csv").exists()
+
+
 def test_quantum_td_run_outputs(tmp_path):
     cfg = write(tmp_path, THREE_LEVEL_HEADER + """
 [protocol]

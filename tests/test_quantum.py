@@ -1,20 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twinpol.integrators
 import twinpol.manymol
 import twinpol.quantum
 from helpers import (kron_hamiltonian, mu_operator, q2_operator, q_operator,
                      stick_inputs_per_state)
-from twinpol import (CavityParams, KickPulse, ModelError, PolaritonSolution, ProductBasis,
-                     assemble_hamiltonian, boltzmann_weights,
+from twinpol import (BasisSizeError, CavityParams, KickPulse, ModelError, PolaritonSolution,
+                     ProductBasis, assemble_hamiltonian, boltzmann_weights,
                      build_many_molecule_hamiltonian, cm1_to_au, diagonalize_polaritons,
                      detect_peaks, dipole_spectrum, dominant_eigenstate,
                      photon_observables, propagate_quantum,
                      static_stick_spectrum, thermal_initial_states)
-from twinpol.quantum import (QuantumState, _block_evolution, apply_dipole,
+from twinpol.quantum import (QuantumState, _block_evolution, _check_memory, apply_dipole,
                              factored_expectations, real_matmul)
 
 RESONANT_BLOCK = ((0, 0), (2, 0), (0, 1))
@@ -128,7 +131,7 @@ def test_block_evolution_matches_dense_formula(hcl_model, spread):
     if spread == "three_blocks":
         entries = [basis.index(hcl_model.state_index(v=v, J=j, M=m), n)
                    for v, j, m, n in ((0, 2, 0, 0), (0, 1, 1, 0), (1, 3, -2, 1))]
-        blocks = [rows for rows, _, _ in sol.parts() if np.isin(entries, rows).any()]
+        blocks = [rows for rows, _, _ in sol.blocks if np.isin(entries, rows).any()]
         assert len(blocks) == 3
         reached[:] = False
         reached[np.concatenate(blocks)] = True
@@ -267,7 +270,9 @@ def test_blocked_thermal_sticks_match_full_eigh(hcl_model):
     sol = diagonalize_polaritons(h)
     blocked = static_stick_spectrum(sol, hcl_model, basis,
                                     thermal_initial_states(sol, basis, weights, 1e-4))
-    full = PolaritonSolution(*np.linalg.eigh(h))
+    evals, evecs = np.linalg.eigh(h)
+    every = np.arange(evals.size)
+    full = PolaritonSolution(evals, ((every, every, evecs),))   # a dense eigh is one block
     oracle = static_stick_spectrum(full, hcl_model, basis,
                                    _cluster_initial_states(full, basis, weights, 1e-4))
     top = oracle.intensity.max()
@@ -312,6 +317,114 @@ def test_batched_stick_amplitudes_match_per_state_loop(model3, cav, hcl_model, c
 def test_nonsymmetric_matrix_rejected():
     with pytest.raises(ModelError):
         diagonalize_polaritons(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+# just above allclose's atol: isclose(x, 0) fails, isclose(0, x) passes (rtol |x|)
+ONE_SIDED_EDGE = 1e-12 * (1.0 + 5e-6)
+
+
+@st.composite
+def near_symmetric(draw):
+    """A sparse symmetric matrix of interleaved blocks, then entries of one
+    triangle moved to about the edge of allclose's tolerance against their
+    mirror, or set to values near its atol, and sometimes a NaN on the
+    diagonal."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = sum(sizes)
+    entry = st.one_of(st.just(0.0), st.sampled_from([1e-12, ONE_SIDED_EDGE, -1.0]),
+                      st.floats(-1e3, 1e3))
+    h = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        block = np.reshape(draw(st.lists(entry, min_size=size**2, max_size=size**2)),
+                           (size, size))
+        h[start:start + size, start:start + size] = np.triu(block) + np.triu(block, 1).T
+        start += size
+    order = draw(st.permutations(range(n)))
+    h = h[np.ix_(order, order)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            edge = 1e-12 + 1e-5 * abs(h[j, i])     # allclose's bound against h[j, i]
+            scale = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]))
+            h[i, j] = h[j, i] + draw(st.sampled_from([-1.0, 1.0])) * scale * edge
+        else:
+            h[i, j] = draw(st.sampled_from([0.0, 1e-12, ONE_SIDED_EDGE, 2e-12]))
+    if draw(st.integers(0, 7)) == 0:
+        k = draw(st.integers(0, n - 1))
+        h[k, k] = np.nan
+    return h
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(h=near_symmetric())
+@example(h=np.array([[1.0, ONE_SIDED_EDGE], [0.0, 2.0]]))
+@example(h=np.array([[1.0, 0.0], [ONE_SIDED_EDGE, 2.0]]))
+@example(h=np.array([[1.0, 1e-12], [0.0, 2.0]]))
+@example(h=np.array([[np.nan, 0.0], [0.0, 2.0]]))
+def test_symmetry_check_is_allclose(h):
+    """diagonalize_polaritons compares H with H.T on H's nonzero entries
+    only; its verdict is allclose's over every entry, whichever triangle a
+    one-sided entry is in."""
+    if np.allclose(h, h.T, atol=1e-12):
+        sol = diagonalize_polaritons(h)
+        assert sol.size == h.shape[0]
+    else:
+        with pytest.raises(ModelError, match="symmetric"):
+            diagonalize_polaritons(h)
+
+
+def _scattered_eigenvectors(h):
+    """Eigenvalues and the dense eigenvector matrix of h: one eigh per
+    component of h's nonzero pattern, its vectors placed in the columns a
+    stable sort of all eigenvalues gives them."""
+    label = _components(h)
+    rows = [np.flatnonzero(label == c) for c in np.unique(label)]
+    parts = [np.linalg.eigh(h[np.ix_(r, r)]) for r in rows]
+    evals = np.concatenate([w for w, _ in parts])
+    column = np.argsort(np.argsort(evals, kind="stable"))
+    evecs = np.zeros(h.shape)
+    start = 0
+    for r, (w, v) in zip(rows, parts):
+        evecs[np.ix_(r, column[start:start + w.size])] = v
+        start += w.size
+    return np.sort(evals, kind="stable"), evecs
+
+
+@pytest.mark.parametrize("name", ["three_level", "hcl"])
+def test_solution_keeps_only_blocks(model3, hcl_model, name):
+    h = _oracle_hamiltonian(name, model3, hcl_model)
+    sol = diagonalize_polaritons(h)
+    assert [f.name for f in dataclasses.fields(PolaritonSolution)] == ["eigenvalues", "blocks"]
+    assert not hasattr(sol, "parts")
+    evals, evecs = _scattered_eigenvectors(h)
+    assert np.array_equal(sol.eigenvalues, evals)
+    assert "eigenvectors" not in vars(sol)       # formed on first read only
+    dense = sol.eigenvectors
+    assert np.array_equal(dense, evecs)
+    assert sol.eigenvectors is dense
+    with pytest.raises(ValueError, match="read-only"):
+        dense[0, 0] = 1.0
+
+
+def test_single_molecule_routes_have_a_size_guard(hcl_model, monkeypatch):
+    """assemble_hamiltonian refuses, before any product-space array, a basis
+    whose dense matrices exceed the budget: HCl at j_max = 50 has 15,606
+    product states."""
+    with pytest.raises(BasisSizeError, match="^15606-state"):
+        _check_memory(15606, include_dse=True)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("operators built before the size check")
+
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", 2**20)
+    monkeypatch.setattr(twinpol.quantum, "mu_squared_matrix", no_build)
+    monkeypatch.setattr(twinpol.quantum, "product_hamiltonian", no_build)
+    cav = CavityParams(**HCL_CAVITY)
+    with pytest.raises(BasisSizeError, match="^726-state"):
+        assemble_hamiltonian(hcl_model, cav, ProductBasis.full(hcl_model, 2))
+    with pytest.raises(BasisSizeError, match="^726-state"):
+        propagate_quantum(hcl_model, cav, KickPulse(amplitude=0.0), (0, 0), 10.0, 1.0)
 
 
 def test_restricted_sticks_exact(model3, cav):

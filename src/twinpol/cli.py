@@ -47,7 +47,7 @@ from .manymol import (ManyMolConfig, analytic_nonsymmetric_spectrum,
 from .model import (MODEL_SECTIONS, MolecularModel, ThermalWeights, boltzmann_weights,
                     model_from_config, parse_float, parse_int, parse_quantity,
                     read_section)
-from .quantum import (PolaritonSolution, ProductBasis, assemble_hamiltonian,
+from .quantum import (PolaritonSolution, ProductBasis, _unit_columns, assemble_hamiltonian,
                       diagonalize_polaritons, dominant_eigenstate, propagate_quantum,
                       static_stick_spectrum, thermal_initial_states)
 from .spectra import (Spectrum, detect_peaks, dipole_spectrum, fit_through_origin,
@@ -325,9 +325,9 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
         plots.append(("sticks", spec))
         # an initial eigenstate's largest squared amplitude is its overlap
         # with the basis entry it was picked for (that one exceeds 1/2)
-        checks = {"basis_size": basis.size, "min_dominant_overlap": min(
-            float(np.max(sol.eigenvectors[:, i] ** 2)) for i, _ in initial),
-            **sol.block_sizes()}
+        columns = sol.from_eigenbasis(_unit_columns(sol.size, [i for i, _ in initial]))
+        checks = {"basis_size": basis.size, "min_dominant_overlap": float(
+            np.min(np.max(columns**2, axis=0))), **sol.block_sizes()}
 
     else:
         if framework == "manymol_bruteforce":

@@ -30,8 +30,8 @@ import numpy as np
 from .cavity import CavityParams
 from .errors import ModelError
 from .model import MolecularModel
-from .quantum import (PolaritonSolution, _check_memory, diagonalize_polaritons,
-                      product_hamiltonian)
+from .quantum import (PolaritonSolution, _check_memory, _dipole_slabs,
+                      diagonalize_polaritons, product_hamiltonian)
 from .spectra import Spectrum, make_stick_spectrum
 
 
@@ -331,26 +331,31 @@ def spectrum_from_state(sol: PolaritonSolution, mu_op: np.ndarray, chi: np.ndarr
     E_I = <chi|P_I H P_I|chi> / <chi|P_I|chi> and E_F the same for
     mu P_I chi, so positions do not depend on the basis LAPACK picks inside
     a manifold.  Reduces to the usual |<i|mu|f>|^2 sticks when chi is an
-    eigenstate.
+    eigenstate.  mu_op, the dipole's molecular factor, acts on each of the
+    sol.size // len(mu_op) photon slabs (a product-space mu is one slab), and
+    all L live manifolds I pass through it at once, as n x L columns P_I chi.
     """
-    evals, vecs = sol.eigenvalues, sol.eigenvectors
-    coeffs = vecs.T @ chi
+    evals = sol.eigenvalues
+    coeffs = sol.to_eigenbasis(chi)
     starts = np.flatnonzero(np.r_[True, np.diff(evals) > degeneracy_tol])
     ends = np.r_[starts[1:], evals.size]
     mean_e = np.add.reduceat(evals, starts) / (ends - starts)
     weights = np.add.reduceat(coeffs**2, starts)
     e_init = np.add.reduceat(coeffs**2 * evals, starts)
-    pos, inten = [np.zeros(0)], [np.zeros(0)]     # a zero chi gives no sticks
-    for mi in np.flatnonzero(weights >= 1e-14):
-        idx_i = slice(starts[mi], ends[mi])
-        amps2 = (vecs.T @ (mu_op @ (vecs[:, idx_i] @ coeffs[idx_i])))**2
-        strength = np.add.reduceat(amps2, starts)
-        final = (mean_e > mean_e[mi] + degeneracy_tol) & (strength > 0.0)
-        e_final = np.add.reduceat(amps2 * evals, starts)[final] / strength[final]
-        pos.append(e_final - e_init[mi] / weights[mi])
-        inten.append(strength[final])
-    spec = make_stick_spectrum(np.concatenate(pos), np.concatenate(inten),
-                               merge_tol=degeneracy_tol,
+    live = np.flatnonzero(weights >= 1e-14)
+    # P_I chi, then mu P_I chi: one name, so at most three n x L arrays live
+    x = np.where(np.repeat(np.arange(starts.size), ends - starts)[:, None] == live,
+                 coeffs[:, None], 0.0)
+    x = sol.from_eigenbasis(x).reshape(sol.size // len(mu_op), len(mu_op), live.size)
+    x = np.moveaxis(_dipole_slabs(mu_op, x)[1], 0, 1).reshape(sol.size, live.size)
+    amps2 = sol.to_eigenbasis(x) ** 2
+    strength = np.add.reduceat(amps2, starts).T        # (initial, final) manifold
+    e_final = np.add.reduceat(amps2 * evals[:, None], starts).T
+    final = (mean_e > mean_e[live, None] + degeneracy_tol) & (strength > 0.0)
+    col, fin = np.nonzero(final)
+    spec = make_stick_spectrum(e_final[col, fin] / strength[col, fin]
+                               - e_init[live[col]] / weights[live[col]],
+                               strength[col, fin], merge_tol=degeneracy_tol,
                                meta={"framework": "manymol_bruteforce"})
     if spec.intensity.size:
         spec = spec.select(spec.intensity > min_rel_intensity * spec.intensity.max())
@@ -395,11 +400,10 @@ def brute_force_spectrum(model: MolecularModel, cav: CavityParams, n_mol: int,
         n_strings = math.comb(n_mol, n0)
         parts = [_lower_pair_vector(m, amps, levels)
                  for m, amps in ((n0, [0.0] * n0 + [1.0]), (n_mol - n0, [1.0])) if m]
-    mu_op = np.kron(np.eye(n_fock + 1), mu_tot)
     chi_mol = functools.reduce(np.kron, parts)
     chi = np.zeros(sol.size)
     chi[: chi_mol.size] = chi_mol              # photon vacuum block comes first
-    spec = spectrum_from_state(sol, mu_op, chi, degeneracy_tol)
+    spec = spectrum_from_state(sol, mu_tot, chi, degeneracy_tol)
     spec.intensity *= n_strings
     spec.meta.update({"n_mol": n_mol, "n0": n0, "symmetric": symmetric,
                       "g": cav.g, "include_dse": cav.include_dse,

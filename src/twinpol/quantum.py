@@ -15,8 +15,8 @@ restricted basis scatters its rows into that grid first, so every basis
 takes one code path.  1 x mu is one product of the molecular dipole with
 the grid; <q> and <q^2> contract the (N_max + 1)-square photon ladders with
 the Gram matrix Re <psi_N|psi_N'> of the slabs.  H is the one dense
-product-space matrix: its slabs are placed directly, and one scan of its
-nonzero entries checks its symmetry and defines the blocks below.
+product-space matrix: its slabs are placed directly, on that grid, and one
+scan of its nonzero entries checks its symmetry and defines the blocks.
 
 H conserves more than energy: the Z-polarized field conserves M, and the
 dipole flips the parity of J (of the 3-level upper state, or of the number
@@ -30,8 +30,9 @@ component, and the consumers inherit the symmetry unchanged:
 dominant_eigenstate sees only its entry's component, amplitudes between
 components that mu does not couple are exactly 0.0 and drop out of the
 stick spectrum, and the exact tail of propagate_quantum stays exact.
-PolaritonSolution keeps only the blocks, which the stick amplitudes and the
-exact tail use one at a time; the dense eigenvectors are formed when read.
+PolaritonSolution keeps only the blocks; every reader of the eigenvectors
+goes through its block-wise to_eigenbasis (V^T x) and from_eigenbasis (V c),
+and no route forms the dense eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -153,9 +154,10 @@ def _check_memory(dim: int, include_dse: bool):
     interaction part in place) and diagonalize_polaritons' block
     eigenvectors, at most dim x largest block, plus, while one block's eigh
     runs, its copy of the input and LAPACK syevd's workspace of
-    1 + 6 b + 2 b^2 doubles.  A static run also holds the dense
-    eigenvectors, formed after the last eigh; the many-molecule runs add mu
-    on the product basis and, with the self-energy, mu^2.  So
+    1 + 6 b + 2 b^2 doubles.  No route forms the dense eigenvectors or a
+    product-space mu: a static run adds at most four dim x K arrays for its
+    K <= dim initial states, spectrum_from_state three dim x L for its
+    L <= dim live initial manifolds.  So
     (6 + dse) dim^2 + 6 dim + 1 doubles is an upper bound, not an estimate.
     Before its first eigh, diagonalize_polaritons holds up to ten words per
     nonzero entry of H, within the bound while at most half of H is nonzero
@@ -204,20 +206,19 @@ def assemble_hamiltonian(model: MolecularModel, cav: CavityParams,
     """H = diag(E_k + N w_c) + g (sqrt(N+1) or sqrt(N)) mu + (g^2/w_c) mu^2.
 
     The dipole ladder factors connect N' = N +- 1; the self-energy term is
-    diagonal in photon number and included only when cav.include_dse.  The
-    full basis takes product_hamiltonian as built; a restricted one takes
-    its rows and columns.  _check_memory first refuses a full basis too
+    diagonal in photon number and included only when cav.include_dse.  H is
+    built on the basis's grid (states 0..max k at each N <= N_max), whose
+    rows a restricted basis takes; _check_memory first refuses a grid too
     large for the dense matrices of a run.
     """
-    if basis.arrays()[0].max() >= model.n_states:
+    (n_ph, dim), rows = basis._grid
+    if dim > model.n_states:
         raise ModelError("basis references molecular states outside the model")
-    _check_memory((basis.n_fock_max + 1) * model.n_states, cav.include_dse)
-    mu2 = mu_squared_matrix(model) if cav.include_dse else None
-    h = product_hamiltonian(np.diag(model.energies), model.dipole, mu2,
+    _check_memory(n_ph * dim, cav.include_dse)
+    mu2 = mu_squared_matrix(model)[:dim, :dim] if cav.include_dse else None
+    h = product_hamiltonian(np.diag(model.energies[:dim]), model.dipole[:dim, :dim], mu2,
                             cav.omega_c, cav.g, basis.n_fock_max)
-    if basis.size == h.shape[0] and basis._grid[1] is None:
-        return h
-    return basis.restrict(h, model.n_states)
+    return h if rows is None else h[np.ix_(rows, rows)]
 
 
 def apply_dipole(model: MolecularModel, basis: ProductBasis, psi: np.ndarray) -> np.ndarray:
@@ -289,12 +290,24 @@ class PolaritonSolution:
     def size(self) -> int:
         return self.eigenvalues.size
 
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V^T x, one product per block, for real or complex x (rows: basis entries)."""
+        out = np.zeros(x.shape, np.result_type(x, self.blocks[0][2]))
+        for rows, cols, v in self.blocks:
+            out[cols] = real_matmul(v.T, x[rows])
+        return out
+
+    def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
+        """V c, one product per block, for real or complex c (rows: eigenstates)."""
+        out = np.zeros(c.shape, np.result_type(c, self.blocks[0][2]))
+        for rows, cols, v in self.blocks:
+            out[rows] = real_matmul(v, c[cols])
+        return out
+
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """Eigenvector columns: the blocks scattered into a read-only matrix."""
-        evecs = np.zeros((self.size, self.size), self.blocks[0][2].dtype)
-        for rows, cols, v in self.blocks:
-            evecs[np.ix_(rows, cols)] = v
+        """Eigenvector columns, V times the identity, as a read-only matrix."""
+        evecs = self.from_eigenbasis(np.eye(self.size))
         evecs.flags.writeable = False
         return evecs
 
@@ -359,18 +372,28 @@ def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
                              blocks=tuple(zip(blocks, columns, (v for _, v in parts))))
 
 
+def _unit_columns(size: int, rows) -> np.ndarray:
+    """The columns of the size x size identity at rows."""
+    return (np.arange(size)[:, None] == np.asarray(rows, dtype=int)).astype(float)
+
+
+def _dominant_eigenstates(sol: PolaritonSolution, basis: ProductBasis,
+                          entries: list[tuple[int, int]], min_overlap: float = 0.5) -> list[int]:
+    """dominant_eigenstate of each entry, in one pass over the blocks."""
+    unit = _unit_columns(sol.size, [basis.index(*entry) for entry in entries])
+    overlaps = np.abs(sol.to_eigenbasis(unit)) ** 2     # row entry of V, per column
+    best = np.argmax(overlaps, axis=0)
+    for entry, i, column in zip(entries, best, overlaps.T):
+        if column[i] <= min_overlap:
+            raise ModelError(f"no eigenstate has > {min_overlap} overlap with basis entry "
+                             f"{entry} (best {column[i]:.3f}); states too strongly mixed")
+    return [int(i) for i in best]
+
+
 def dominant_eigenstate(sol: PolaritonSolution, basis: ProductBasis,
                         entry: tuple[int, int], min_overlap: float = 0.5) -> int:
     """Eigenstate with dominant squared overlap on one basis entry."""
-    row = basis.index(*entry)
-    overlaps = np.abs(sol.eigenvectors[row, :]) ** 2
-    best = int(np.argmax(overlaps))
-    if overlaps[best] <= min_overlap:
-        raise ModelError(
-            f"no eigenstate has > {min_overlap} overlap with basis entry {entry} "
-            f"(best {overlaps[best]:.3f}); states too strongly mixed"
-        )
-    return best
+    return _dominant_eigenstates(sol, basis, [entry], min_overlap)[0]
 
 
 def thermal_initial_states(sol: PolaritonSolution, basis: ProductBasis,
@@ -381,14 +404,11 @@ def thermal_initial_states(sol: PolaritonSolution, basis: ProductBasis,
     Each thermally populated molecular state |k> maps to the eigenstate with
     dominant overlap on |k, N=0>; weights are renormalized after the cutoff.
     """
-    pairs = []
-    for k in weights.subset:
-        w = float(weights.weights[k])
-        if w <= weight_cutoff:
-            continue
-        pairs.append((dominant_eigenstate(sol, basis, (k, 0)), w))
-    total = sum(w for _, w in pairs)
-    return [(i, w / total) for i, w in pairs]
+    kept = [(k, float(weights.weights[k])) for k in weights.subset
+            if float(weights.weights[k]) > weight_cutoff]
+    states = _dominant_eigenstates(sol, basis, [(k, 0) for k, _ in kept])
+    total = sum(w for _, w in kept)
+    return [(i, w / total) for i, (_, w) in zip(states, kept)]
 
 
 def static_stick_spectrum(sol: PolaritonSolution, model: MolecularModel,
@@ -406,16 +426,13 @@ def static_stick_spectrum(sol: PolaritonSolution, model: MolecularModel,
         raise ModelError(f"initial-state weights must sum to 1, got {wsum}")
     start = np.array([i for i, _ in initial], dtype=int)
     weight = np.array([w for _, w in initial], dtype=float)
-    mu_start = apply_dipole(model, basis, sol.eigenvectors[:, start])
-    # one product per block gives the amplitudes of its final states, and
+    mu_start = apply_dipole(model, basis, sol.from_eigenbasis(_unit_columns(sol.size, start)))
+    amps = sol.to_eigenbasis(mu_start).T       # row a holds initial state start[a]
     # each eigenstate is labelled by its largest entry, found in its block
-    amps = np.zeros((sol.size, start.size))
     largest = np.empty(sol.size, dtype=int)
     for rows, cols, v in sol.blocks:
-        amps[cols] = v.T @ mu_start[rows]
         largest[cols] = rows[np.argmax(np.abs(v), axis=0)]
     labels = [basis.label(int(k), model) for k in largest]
-    amps = amps.T       # row a holds initial state start[a]
     omegas = sol.eigenvalues[None, :] - sol.eigenvalues[start, None]
     inten = weight[:, None] * amps**2
     rows, final = np.nonzero((omegas > merge_tol) & (inten != 0.0))
@@ -484,15 +501,14 @@ def _block_evolution(sol: PolaritonSolution, psi: np.ndarray):
     V e^{-i L tau} V^T psi, one column per entry of tau, and energy is
     <psi|H|psi>.
 
-    a = V_b^T psi is formed here, once per block.  evolve builds each block's
-    rows from its own eigenpairs; a block psi does not reach keeps its rows
-    exactly 0.0 and costs nothing.
+    a = V^T psi is formed here, once, by sol.to_eigenbasis.  evolve builds
+    each block's rows from its own eigenpairs and its part of a; a block psi
+    does not reach (its part of a exactly 0.0) keeps its rows exactly 0.0
+    and costs nothing.
     """
-    live = []
-    for rows, cols, v in sol.blocks:
-        a = real_matmul(v.T, psi[rows])
-        if a.any():
-            live.append((rows, sol.eigenvalues[cols], v, a))
+    coeffs = sol.to_eigenbasis(psi)
+    live = [(rows, sol.eigenvalues[cols], v, coeffs[cols])
+            for rows, cols, v in sol.blocks if coeffs[cols].any()]
 
     def evolve(tau: np.ndarray) -> np.ndarray:
         out = np.zeros((psi.size, tau.size), complex)

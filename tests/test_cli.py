@@ -344,6 +344,30 @@ def test_exact_quantum_td_never_forms_dense_eigenvectors(tmp_path, monkeypatch, 
     assert (checks["rk4_steps"] > 0) == (case == "three_level_kicked")
 
 
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", "hcl_thermal_cavity.cfg"), ("run", "three_level_static.cfg"),
+    ("run", "many_molecule_thermal.cfg"), ("sweep", "splitting_sweep.cfg"),
+    ("run", "symmetric_bruteforce")])
+def test_no_run_forms_dense_eigenvectors(tmp_path, monkeypatch, command, config):
+    """Every reader of the eigenvectors (initial states, stick amplitudes,
+    the dominant-overlap check, the many-molecule manifolds) goes through
+    the block-wise transforms of PolaritonSolution, never its dense view."""
+    def refuse(self):
+        raise AssertionError("dense eigenvector matrix formed")
+
+    monkeypatch.setattr(twinpol.quantum.PolaritonSolution, "eigenvectors", property(refuse))
+    if config == "symmetric_bruteforce":
+        text = (CONFIG_DIR / "many_molecule_thermal.cfg").read_text()
+        cfg = write(tmp_path, text.replace("initial = thermal", "initial = symmetric")
+                    .replace("n0 = 2\n", ""))
+    else:
+        cfg = CONFIG_DIR / config
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+
+
 def test_single_molecule_run_refuses_oversized_basis(tmp_path, monkeypatch):
     """With the budget lowered below the 726-state HCl run's dense matrices,
     the run exits 3 before the product-space operators are built, and

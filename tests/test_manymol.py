@@ -269,10 +269,13 @@ def test_symmetric_state_matches_product_basis(model3, cav, n_mol, dse):
     chi[: 3**n_mol] = functools.reduce(np.kron, [site] * n_mol)
     oracle = spectrum_from_state(sol, mu_op, chi)
     bf = brute_force_spectrum(model3, cav_d, n_mol, symmetric=True)
+    # the molecular factor of mu, applied to each photon slab
+    factored = spectrum_from_state(sol, site_sum(model3.dipole, n_mol), chi)
     assert bf.meta["basis_size"] == math.comb(n_mol + 2, 2) * 3 < h.shape[0]
-    assert bf.omega.size == oracle.omega.size
-    assert np.abs(bf.omega - oracle.omega).max() <= 1e-15
-    assert np.abs(bf.intensity - oracle.intensity).max() <= 1e-10 * oracle.intensity.max()
+    for spec in (bf, factored):
+        assert spec.omega.size == oracle.omega.size
+        assert np.abs(spec.omega - oracle.omega).max() <= 1e-15
+        assert np.abs(spec.intensity - oracle.intensity).max() <= 1e-10 * oracle.intensity.max()
 
 
 def test_thermal_brute_force_beyond_product_basis(model3, cav):
@@ -304,6 +307,17 @@ def test_thermal_brute_force_uses_one_initial_vector(model3, cav, monkeypatch):
     monkeypatch.setattr(twinpol.manymol, "spectrum_from_state", counted)
     brute_force_spectrum(model3, cav, 4, n0=2)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kwargs", [{"n0": 2}, {"symmetric": True}])
+def test_brute_force_builds_no_product_space_dipole(model3, cav, monkeypatch, kwargs):
+    # mu acts through its molecular factor, slab by slab: no Kronecker
+    # product reaches the size of the basis diagonalized
+    sizes, kron = [], np.kron
+    monkeypatch.setattr(np, "kron", lambda a, b: sizes.append(len(a) * len(b))
+                        or kron(a, b))
+    spec = brute_force_spectrum(model3, cav, 4, **kwargs)
+    assert sizes and max(sizes) < spec.meta["basis_size"]
 
 
 def test_spectrum_from_eigenstate_matches_static_sticks(model3, cav):

@@ -405,6 +405,20 @@ def test_solution_keeps_only_blocks(model3, hcl_model, name):
     assert sol.eigenvectors is dense
     with pytest.raises(ValueError, match="read-only"):
         dense[0, 0] = 1.0
+    # the block-wise transforms: exact rows and columns of V on unit vectors,
+    # V^T x and V c to rounding, and one the inverse of the other
+    unit = np.eye(sol.size)
+    assert np.array_equal(sol.to_eigenbasis(unit), dense.T)
+    assert np.array_equal(sol.from_eigenbasis(unit), dense)
+    assert np.array_equal(sol.to_eigenbasis(unit[:, 3]), dense[3])
+    rng = np.random.default_rng(17)
+    real = rng.standard_normal((sol.size, 4))
+    for x in (real, real + 1j * rng.standard_normal((sol.size, 4)), real[:, 0]):
+        scale = 1e-14 * np.linalg.norm(x)
+        assert sol.to_eigenbasis(x).dtype == sol.from_eigenbasis(x).dtype == x.dtype
+        assert np.abs(sol.to_eigenbasis(x) - dense.T @ x).max() <= scale
+        assert np.abs(sol.from_eigenbasis(x) - dense @ x).max() <= scale
+        assert np.abs(sol.from_eigenbasis(sol.to_eigenbasis(x)) - x).max() <= scale
 
 
 def test_single_molecule_routes_have_a_size_guard(hcl_model, monkeypatch):
@@ -425,6 +439,13 @@ def test_single_molecule_routes_have_a_size_guard(hcl_model, monkeypatch):
         assemble_hamiltonian(hcl_model, cav, ProductBasis.full(hcl_model, 2))
     with pytest.raises(BasisSizeError, match="^726-state"):
         propagate_quantum(hcl_model, cav, KickPulse(amplitude=0.0), (0, 0), 10.0, 1.0)
+    # a restricted basis is sized, and H built, on its own (N_max + 1) x
+    # (max k + 1) grid: here 3 x 6 states, under the budget the full basis is over
+    monkeypatch.undo()
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", 2**20)
+    basis = ProductBasis(((0, 0), (5, 1), (3, 2)))
+    assert np.array_equal(assemble_hamiltonian(hcl_model, cav, basis),
+                          kron_hamiltonian(hcl_model, cav, basis))
 
 
 def test_restricted_sticks_exact(model3, cav):

@@ -47,9 +47,9 @@ from .manymol import (ManyMolConfig, analytic_nonsymmetric_spectrum,
 from .model import (MODEL_SECTIONS, MolecularModel, ThermalWeights, boltzmann_weights,
                     model_from_config, parse_float, parse_int, parse_quantity,
                     read_section)
-from .quantum import (PolaritonSolution, ProductBasis, _unit_columns, assemble_hamiltonian,
-                      diagonalize_polaritons, dominant_eigenstate, propagate_quantum,
-                      static_stick_spectrum, thermal_initial_states)
+from .quantum import (PolaritonSolution, ProductBasis, _unit_columns, dominant_eigenstate,
+                      propagate_quantum, solve_polaritons, static_stick_spectrum,
+                      thermal_initial_states)
 from .spectra import (Spectrum, detect_peaks, dipole_spectrum, fit_through_origin,
                       measure_splitting, peaks_from_sticks)
 
@@ -317,7 +317,7 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
 
     elif framework == "quantum_static":
         basis = ProductBasis.full(model, cav.n_fock_max)
-        sol = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis))
+        sol = solve_polaritons(model, cav, basis)
         initial = _static_initial(config, model, basis, sol)
         spec = static_stick_spectrum(sol, model, basis, initial)
         spec.to_csv(out_dir / "sticks.csv")
@@ -411,7 +411,7 @@ def _run_sweep(config: RunConfig, out_dir: Path, g_values: list[float],
         cav = config.cavity(g)
         basis = ProductBasis.full(model, cav.n_fock_max)
         if sol is None:
-            sol = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis))
+            sol = solve_polaritons(model, cav, basis)
         r_split = _stick_splitting(sol, model, basis, (0, 0), (w02 - quarter, w02 + quarter))
         p_split = _stick_splitting(sol, model, basis, (1, 0), (w12 - quarter, w12 + quarter))
         rows.append((g, r_split, p_split))

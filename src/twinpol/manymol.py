@@ -30,8 +30,8 @@ import numpy as np
 from .cavity import CavityParams
 from .errors import ModelError
 from .model import MolecularModel
-from .quantum import (PolaritonSolution, _check_memory, _dipole_slabs,
-                      diagonalize_polaritons, product_hamiltonian)
+from .quantum import (PolaritonSolution, _check_memory, _dipole_slabs, _solve_factors,
+                      product_hamiltonian)
 from .spectra import Spectrum, make_stick_spectrum
 
 
@@ -272,18 +272,18 @@ def collective_operator(op: np.ndarray, groups) -> np.ndarray:
                for i, b in enumerate(blocks))
 
 
-def _collective_hamiltonian(model: MolecularModel, cav: CavityParams, groups,
-                            n_fock: int) -> tuple[np.ndarray, np.ndarray]:
-    """H with coupling g/sqrt(N) on the occupation bases of groups, and the
-    molecular total dipole; the memory check comes first."""
+def _collective_factors(model: MolecularModel, cav: CavityParams, groups,
+                        n_fock: int) -> tuple:
+    """product_hamiltonian's arguments (coupling g/sqrt(N), mu_tot second) on
+    the occupation bases of groups and Fock states 0..n_fock, memory checked."""
     n = model.n_states
     dim_mol = math.prod(math.comb(m + n - 1, n - 1) for m in groups)
     _check_memory(dim_mol * (n_fock + 1), cav.include_dse)
     mu_tot = collective_operator(model.dipole, groups)
-    h = product_hamiltonian(collective_operator(np.diag(model.energies), groups), mu_tot,
-                            mu_tot @ mu_tot if cav.include_dse else None,
-                            cav.omega_c, cav.g / math.sqrt(sum(groups)), n_fock)
-    return h, mu_tot
+    ns, ks = np.divmod(np.arange(dim_mol * (n_fock + 1)), dim_mol)
+    return (collective_operator(np.diag(model.energies), groups), mu_tot,
+            mu_tot @ mu_tot if cav.include_dse else None,
+            cav.omega_c, cav.g / math.sqrt(sum(groups)), ks, ns)
 
 
 def many_molecule_labels(model: MolecularModel, n_mol: int,
@@ -305,7 +305,7 @@ def build_many_molecule_hamiltonian(model: MolecularModel, cav: CavityParams,
     on with two or more photon states.
     """
     n_fock = cav.n_fock_max if n_fock_max is None else n_fock_max
-    h, _ = _collective_hamiltonian(model, cav, [1] * n_mol, n_fock)
+    h = product_hamiltonian(*_collective_factors(model, cav, [1] * n_mol, n_fock))
     return h, many_molecule_labels(model, n_mol, n_fock)
 
 
@@ -387,9 +387,8 @@ def brute_force_spectrum(model: MolecularModel, cav: CavityParams, n_mol: int,
     cfg = ManyMolConfig.from_model(model, cav.g, n_mol, n0=n0, symmetric=symmetric)
     n_fock = cav.n_fock_max if n_fock_max is None else n_fock_max
     groups = [n_mol] if symmetric else [m for m in (n0, n_mol - n0) if m]
-    h, mu_tot = _collective_hamiltonian(model, cav, groups, n_fock)
-    sol = diagonalize_polaritons(h)
-    del h
+    factors = _collective_factors(model, cav, groups, n_fock)
+    sol, mu_tot = _solve_factors(*factors), factors[1]
     levels = model.n_states
     if symmetric:
         n_strings = 1

@@ -14,15 +14,15 @@ photon slabs psi_N (with a trailing axis for a matrix of states), and a
 restricted basis scatters its rows into that grid first, so every basis
 takes one code path.  1 x mu is one product of the molecular dipole with
 the grid; <q> and <q^2> contract the (N_max + 1)-square photon ladders with
-the Gram matrix Re <psi_N|psi_N'> of the slabs.  H is the one dense
-product-space matrix: its slabs are placed directly, on that grid, and one
-scan of its nonzero entries checks its symmetry and defines the blocks.
+the Gram matrix Re <psi_N|psi_N'> of the slabs.  H is gathered from its
+factors at any entries (product_hamiltonian): the solver forms it block by
+block, and only RK4 steps and assemble_hamiltonian form it dense.
 
 H conserves more than energy: the Z-polarized field conserves M, and the
 dipole flips the parity of J (of the 3-level upper state, or of the number
-of molecules in it) together with that of N.  diagonalize_polaritons finds
-these sectors without being told: it splits H into the connected
-components of its nonzero pattern.  A matrix element between two
+of molecules in it) together with that of N.  The solver finds these
+sectors without being told: it splits H into the connected components of
+its nonzero pattern, read off the factors.  A matrix element between two
 components is exactly 0.0, so each component spans an exact invariant
 subspace of the matrix as given, with no tolerance and no labels declared
 by the model.  Every eigenvector is then exactly zero outside its
@@ -62,6 +62,8 @@ class ProductBasis:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not self.entries or min(min(entry) for entry in self.entries) < 0:
+            raise ModelError("a basis needs entries, each with k >= 0 and N >= 0")
         if len(set(self.entries)) != len(self.entries):
             raise ModelError("basis entries must be unique")
 
@@ -75,7 +77,10 @@ class ProductBasis:
         return len(self.entries)
 
     def index(self, k: int, n: int) -> int:
-        return self.entries.index((k, n))
+        try:
+            return self.entries.index((k, n))
+        except ValueError:
+            raise ModelError(f"entry {(k, n)} not in the basis") from None
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         ks = np.array([k for k, _ in self.entries])
@@ -150,24 +155,21 @@ def _check_memory(dim: int, include_dse: bool):
     """Refuse, before anything is allocated, a run whose dense matrices on a
     dim-state product basis would not fit in MEMORY_BUDGET bytes.
 
-    Every quantum route holds H (RK4 steps with it turned into its
-    interaction part in place) and diagonalize_polaritons' block
-    eigenvectors, at most dim x largest block, plus, while one block's eigh
-    runs, its copy of the input and LAPACK syevd's workspace of
-    1 + 6 b + 2 b^2 doubles.  No route forms the dense eigenvectors or a
-    product-space mu: a static run adds at most four dim x K arrays for its
-    K <= dim initial states, spectrum_from_state three dim x L for its
-    L <= dim live initial manifolds.  So
-    (6 + dse) dim^2 + 6 dim + 1 doubles is an upper bound, not an estimate.
-    Before its first eigh, diagonalize_polaritons holds up to ten words per
-    nonzero entry of H, within the bound while at most half of H is nonzero
-    (the 3-level H is 30% nonzero, HCl's 1.2%, the occupation bases' under
-    6%).  The 4 GiB budget admits thermal N = 12 (2352 states, about 0.3 GB)
-    and symmetric N = 50 (3978 states, about 0.9 GB) on the occupation
-    bases, keeps the product basis as the oracle up to N = 7 (6561 states,
-    2.4 GB), and refuses it at N = 8 (19,683 states, 19 GB).  One molecule
-    passes up to about 8,750 product states with the self-energy; HCl at
-    j_max = 50 (15,606 states, 13.6 GB) is refused.
+    Every quantum route holds the solver's block eigenvectors, at most
+    dim x largest block, plus, while one block's eigh runs, the block's H,
+    its copy and LAPACK syevd's workspace of 1 + 6 b + 2 b^2 doubles.  Only
+    RK4 stepping, assemble_hamiltonian and build_many_molecule_hamiltonian
+    hold a dense H; its gather peaks below four dim^2 arrays.  No route
+    forms the dense eigenvectors or a product-space mu: a static run adds at
+    most four dim x K arrays for its K <= dim initial states,
+    spectrum_from_state three dim x L for its L <= dim live initial
+    manifolds.  So (6 + dse) dim^2 + 6 dim + 1 doubles is an upper bound,
+    not an estimate.  The 4 GiB budget admits thermal N = 12 (2352 states,
+    about 0.3 GB) and symmetric N = 50 (3978 states, about 0.9 GB) on the
+    occupation bases, keeps the product basis as the oracle up to N = 7
+    (6561 states, 2.4 GB), and refuses it at N = 8 (19,683 states, 19 GB).
+    One molecule passes up to about 8,750 product states with the
+    self-energy; HCl at j_max = 50 (15,606 states, 13.6 GB) is refused.
     """
     need = 8 * ((6 + include_dse) * dim**2 + 6 * dim + 1)
     if need > MEMORY_BUDGET:
@@ -176,49 +178,53 @@ def _check_memory(dim: int, include_dse: bool):
             f"dense matrices, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
 
 
-def product_hamiltonian(h_mol: np.ndarray, mu: np.ndarray, mu2: np.ndarray | None,
-                        omega_c: float, g: float, n_fock_max: int) -> np.ndarray:
-    """H = 1 x H_mol + w_c N x 1 + g (a + a^dag) x mu + (g^2/w_c) 1 x mu^2.
+def product_hamiltonian(h_mol: np.ndarray, mu: np.ndarray | None, mu2: np.ndarray | None,
+                        omega_c: float, g: float, ks: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """H = 1 x H_mol + w_c N x 1 + g (a + a^dag) x mu + (g^2/w_c) 1 x mu^2 at
+    the entries |ks[i], ns[i]>, gathered from the factors.
 
-    Photon-major ordering: N * dim(H_mol) + k indexes |k, N>.  mu2 = None
-    leaves out the self-energy term.  Each photon slab is placed directly:
-    H_mol + N w_c (+ the self-energy) on the diagonal slabs, g sqrt(N + 1) mu
-    between N and N + 1; every element is the one the Kronecker sum forms.
+    mu = None leaves out the coupling, mu2 = None the self-energy.  Each
+    element adds its terms in the Kronecker sum's order (H_mol, N w_c, the
+    self-energy; g sqrt(N + 1) mu between N and N + 1), so bit for bit.
     """
-    n_ph, dim = n_fock_max + 1, h_mol.shape[0]
-    h = np.zeros((n_ph * dim, n_ph * dim))
-    slabs = h.reshape(n_ph, dim, n_ph, dim)
-    ladder = g * photon_ladder(n_fock_max)
-    dse = None if mu2 is None else (g**2 / omega_c) * mu2
-    for n in range(n_ph):
-        diag = slabs[n, :, n, :]
-        diag += h_mol
-        diag[np.diag_indices(dim)] += n * omega_c
-        if dse is not None:
-            diag += dse
-        if n < n_fock_max:
-            slabs[n + 1, :, n, :] = slabs[n, :, n + 1, :] = ladder[n + 1, n] * mu
+    ix, same = np.ix_(ks, ks), ns[:, None] == ns
+    h = np.zeros(same.shape)
+    np.add(h, h_mol[ix], out=h, where=same)
+    h[np.diag_indices_from(h)] += ns * omega_c
+    if mu2 is not None:
+        np.add(h, (g**2 / omega_c) * mu2[ix], out=h, where=same)
+    if mu is not None:
+        ladder = photon_ladder(int(ns.max()))[ns[:, None], ns]   # nonzero at |N - M| = 1
+        adjacent = ladder != 0.0
+        ladder *= g
+        ladder *= mu[ix]
+        np.copyto(h, ladder, where=adjacent)
     return h
 
 
-def assemble_hamiltonian(model: MolecularModel, cav: CavityParams,
-                         basis: ProductBasis) -> np.ndarray:
-    """H = diag(E_k + N w_c) + g (sqrt(N+1) or sqrt(N)) mu + (g^2/w_c) mu^2.
-
-    The dipole ladder factors connect N' = N +- 1; the self-energy term is
-    diagonal in photon number and included only when cav.include_dse.  H is
-    built on the basis's grid (states 0..max k at each N <= N_max), whose
-    rows a restricted basis takes; _check_memory first refuses a grid too
-    large for the dense matrices of a run.
-    """
-    (n_ph, dim), rows = basis._grid
+def _model_factors(model: MolecularModel, cav: CavityParams, basis: ProductBasis) -> tuple:
+    """product_hamiltonian's arguments for the basis, after the range and size checks."""
+    n_ph, dim = basis._grid[0]
     if dim > model.n_states:
         raise ModelError("basis references molecular states outside the model")
     _check_memory(n_ph * dim, cav.include_dse)
     mu2 = mu_squared_matrix(model)[:dim, :dim] if cav.include_dse else None
-    h = product_hamiltonian(np.diag(model.energies[:dim]), model.dipole[:dim, :dim], mu2,
-                            cav.omega_c, cav.g, basis.n_fock_max)
-    return h if rows is None else h[np.ix_(rows, rows)]
+    return (np.diag(model.energies[:dim]), model.dipole[:dim, :dim], mu2,
+            cav.omega_c, cav.g) + basis.arrays()
+
+
+def assemble_hamiltonian(model: MolecularModel, cav: CavityParams,
+                         basis: ProductBasis) -> np.ndarray:
+    """The dense H of product_hamiltonian on the basis; the self-energy
+    only when cav.include_dse."""
+    return product_hamiltonian(*_model_factors(model, cav, basis))
+
+
+def solve_polaritons(model: MolecularModel, cav: CavityParams,
+                     basis: ProductBasis) -> PolaritonSolution:
+    """The eigensystem of assemble_hamiltonian's H, solved block by block
+    from its tensor factors: no dense product-space H is formed."""
+    return _solve_factors(*_model_factors(model, cav, basis))
 
 
 def apply_dipole(model: MolecularModel, basis: ProductBasis, psi: np.ndarray) -> np.ndarray:
@@ -340,36 +346,49 @@ def _coupled_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarr
 
 
 def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
-    """Eigenpairs of H, one eigh per block of states that H couples.
-
-    H is scanned once, for its nonzero entries, and symmetry is checked on
-    them alone: where h_ij is 0.0, allclose's |h_ji| <= atol + rtol |h_ji|
-    follows from |h_ji| <= atol, checked at (j, i).  The verdict is thus
-    np.allclose(h, h.T, atol=1e-12)'s, NaN included.  Off-block
-    elements are exactly zero, so every block spans an exact invariant
-    subspace, and each eigenvector is exactly zero outside its block: an
-    eigenstate never mixes conserved quantum numbers (M, parity), which one
-    eigh over a degenerate pair of blocks would do.  Eigenvalues ascend (a
-    stable sort over the blocks in order of their smallest index).
-    """
+    """Eigenpairs of a symmetric H, solved as one photon slab: H_mol = H,
+    no coupling, every N = 0.  Symmetry is checked on H's nonzero entries
+    alone: where h_ij is 0.0, allclose's |h_ji| <= atol + rtol |h_ji|
+    follows from |h_ji| <= atol, checked at (j, i), so the verdict is
+    np.allclose(h, h.T, atol=1e-12)'s, NaN included."""
     rows, cols = np.nonzero(h)
     if not np.allclose(h[rows, cols], h[cols, rows], atol=1e-12):
         raise ModelError("Hamiltonian must be symmetric")
-    blocks = _coupled_blocks(h.shape[0], rows, cols)
-    try:
-        parts = [np.linalg.eigh(h[np.ix_(idx, idx)]) for idx in blocks]
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceError(
-            f"eigensolver failed: {err}; matrix condition ~ "
-            f"{np.linalg.cond(h):.3e}"
-        ) from err
-    evals = np.concatenate([w for w, _ in parts])
+    return _solve_factors(h, None, None, 1.0, 0.0, np.arange(len(h)), np.zeros(len(h), int))
+
+
+def _solve_factors(h_mol, mu, mu2, omega_c, g, ks, ns) -> PolaritonSolution:
+    """Eigenpairs of product_hamiltonian's H at the entries |ks[i], ns[i]>,
+    one eigh per block of the entries it couples: edges within N from the
+    nonzeros of H_mol + (g^2/w_c) mu^2, between N and N + 1 from g mu.
+    H is exactly zero between blocks, so no eigenvector leaves its block or
+    mixes conserved quantum numbers (M, parity), as one eigh over a
+    degenerate pair of blocks would.  Eigenvalues ascend (a stable sort
+    over the blocks in order of their smallest index)."""
+    pos = np.full((int(ns.max()) + 1, h_mol.shape[0]), -1)   # entry index at (N, k)
+    pos[ns, ks] = np.arange(ks.size)
+    k, l = np.nonzero(h_mol if mu2 is None else h_mol + (g**2 / omega_c) * mu2)
+    pairs = [(pos[:, k], pos[:, l])]
+    if mu is not None:
+        k, l = np.nonzero(g * mu)
+        pairs.append((pos[1:, k], pos[:-1, l]))
+    rows, cols = (np.concatenate([p.ravel() for p in side]) for side in zip(*pairs))
+    live = (rows >= 0) & (cols >= 0)
+    parts = []
+    for idx in _coupled_blocks(ks.size, rows[live], cols[live]):
+        h = product_hamiltonian(h_mol, mu, mu2, omega_c, g, ks[idx], ns[idx])
+        try:
+            parts.append((idx, *np.linalg.eigh(h)))
+        except np.linalg.LinAlgError as err:
+            raise ConvergenceError(f"eigensolver failed on a {idx.size}-state block: "
+                                   f"{err}; condition ~ {np.linalg.cond(h):.3e}") from err
+    blocks, values, vecs = zip(*parts)
+    evals = np.concatenate(values)
     order = np.argsort(evals, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    columns = np.split(column, np.cumsum([w.size for w, _ in parts])[:-1])
-    return PolaritonSolution(eigenvalues=evals[order],
-                             blocks=tuple(zip(blocks, columns, (v for _, v in parts))))
+    columns = np.split(column, np.cumsum([w.size for w in values])[:-1])
+    return PolaritonSolution(eigenvalues=evals[order], blocks=tuple(zip(blocks, columns, vecs)))
 
 
 def _unit_columns(size: int, rows) -> np.ndarray:
@@ -541,17 +560,14 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     if method not in ("exact", "rk4"):
         raise ModelError(f"method must be 'exact' or 'rk4', got {method!r}")
     basis = basis or ProductBasis.full(model, cav.n_fock_max)
-    if init not in basis.entries:
-        raise ModelError(f"initial entry {init} not in the basis")
+    i0 = basis.index(*init)
     ks, ns = basis.arrays()
     eps = model.energies[ks] + ns * cav.omega_c
     check_step(dt, eps, cav.omega_c)
 
-    h = assemble_hamiltonian(model, cav, basis)
-    sol = diagonalize_polaritons(h) if method == "exact" else None
-    h[np.diag_indices(basis.size)] -= eps     # in place: the dipole and optional dse part
-    v_int = h if method == "rk4" or pulse.support_end > 0.0 else None   # only RK4 uses it
-    del h     # the run keeps only the blocks and, where RK4 steps, v_int
+    sol = solve_polaritons(model, cav, basis) if method == "exact" else None
+    v_int = (assemble_hamiltonian(model, cav, basis) - np.diag(eps)   # only RK4 steps use it
+             if method == "rk4" or pulse.support_end > 0.0 else None)
 
     def rhs(entry, c):
         a, b, f = entry           # -i e^{i eps t}, e^{-i eps t}, f(t)
@@ -582,7 +598,6 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
 
         return records
 
-    i0 = basis.index(*init)
     c0 = np.zeros(basis.size, complex)
     c0[i0] = 1.0
     return propagate(

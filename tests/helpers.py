@@ -135,19 +135,29 @@ def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
 # -- dense product-space operators: the oracles for the factored ones ----------
 
 
+def kron_sum(h_mol, mu, mu2, omega_c, g, n_fock_max):
+    """1 x H_mol + w_c N x 1 + g (a + a^dag) x mu + (g^2/w_c) 1 x mu^2 as a
+    Kronecker sum on the full photon-major basis; mu2 = None leaves out the
+    self-energy."""
+    from twinpol.quantum import photon_ladder
+
+    eye_ph = np.eye(n_fock_max + 1)
+    h = np.kron(eye_ph, h_mol)
+    h += np.kron(np.diag(np.arange(n_fock_max + 1) * omega_c), np.eye(len(h_mol)))
+    h += np.kron(g * photon_ladder(n_fock_max), mu)
+    if mu2 is not None:
+        h += np.kron(eye_ph, (g**2 / omega_c) * mu2)
+    return h
+
+
 def kron_hamiltonian(model, cav, basis):
     """assemble_hamiltonian's H as a Kronecker sum on the full basis, then
     restricted to basis."""
     from twinpol.model import mu_squared_matrix
-    from twinpol.quantum import photon_ladder
 
-    eye_ph = np.eye(basis.n_fock_max + 1)
-    h = np.kron(eye_ph, np.diag(model.energies))
-    h += np.kron(np.diag(np.arange(basis.n_fock_max + 1) * cav.omega_c),
-                 np.eye(model.n_states))
-    h += np.kron(cav.g * photon_ladder(basis.n_fock_max), model.dipole)
-    if cav.include_dse:
-        h += np.kron(eye_ph, (cav.g**2 / cav.omega_c) * mu_squared_matrix(model))
+    mu2 = mu_squared_matrix(model) if cav.include_dse else None
+    h = kron_sum(np.diag(model.energies), model.dipole, mu2, cav.omega_c, cav.g,
+                 basis.n_fock_max)
     return basis.restrict(h, model.n_states)
 
 

@@ -368,6 +368,43 @@ def test_no_run_forms_dense_eigenvectors(tmp_path, monkeypatch, command, config)
     assert main([command, str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("command, config", [
+    ("run", "hcl_thermal_cavity.cfg"), ("run", "three_level_static.cfg"), ("run", "hcl_td"),
+    ("run", "many_molecule_thermal.cfg"), ("run", "symmetric_bruteforce"),
+    ("sweep", "splitting_sweep.cfg")])
+def test_no_run_forms_a_dense_hamiltonian(tmp_path, monkeypatch, command, config):
+    """Static, sweep, kick-free exact TD and brute-force runs gather H only
+    block by block: product_hamiltonian is never asked for more entries than
+    the largest block (brute force: fewer than the basis)."""
+    largest = [0]
+    build = twinpol.quantum.product_hamiltonian
+
+    def recorded(*args):
+        largest[0] = max(largest[0], len(args[5]))
+        return build(*args)
+
+    monkeypatch.setattr(twinpol.quantum, "product_hamiltonian", recorded)
+    if config == "symmetric_bruteforce":
+        text = (CONFIG_DIR / "many_molecule_thermal.cfg").read_text()
+        cfg = write(tmp_path, text.replace("initial = thermal", "initial = symmetric")
+                    .replace("n0 = 2\n", ""))
+    elif config == "hcl_td":
+        static = HCL_CONFIG.read_text()
+        cfg = write(tmp_path, static.split("[thermal]")[0] + "[cavity]" + static.split(
+            "[cavity]")[1].split("[protocol]")[0] + HCL_TD_PROTOCOL)
+    else:
+        cfg = CONFIG_DIR / config
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    checks = [json.loads(path.read_text())["checks"]
+              for path in (tmp_path / "o").rglob("manifest.json")]
+    assert checks and largest[0] > 0
+    for check in checks:
+        if "max_block_dim" in check:
+            assert largest[0] <= check["max_block_dim"]
+        else:
+            assert largest[0] < check["basis_size"]
+
+
 def test_single_molecule_run_refuses_oversized_basis(tmp_path, monkeypatch):
     """With the budget lowered below the 726-state HCl run's dense matrices,
     the run exits 3 before the product-space operators are built, and
@@ -474,13 +511,13 @@ def test_g_sweep_table_and_fit(tmp_path):
 
 def test_sweep_diagonalizes_each_coupling_once(tmp_path, monkeypatch):
     calls = []
-    diagonalize = twinpol.cli.diagonalize_polaritons
+    solve = twinpol.cli.solve_polaritons
 
-    def counted(h):
+    def counted(*args):
         calls.append(1)
-        return diagonalize(h)
+        return solve(*args)
 
-    monkeypatch.setattr(twinpol.cli, "diagonalize_polaritons", counted)
+    monkeypatch.setattr(twinpol.cli, "solve_polaritons", counted)
     assert main(["sweep", str(write(tmp_path, SWEEP)),
                  "--out-dir", str(tmp_path / "sw")]) == 0
     assert len(calls) == 4

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 import twinpol.integrators
 import twinpol.manymol
 import twinpol.quantum
-from helpers import (kron_hamiltonian, mu_operator, q2_operator, q_operator,
+from helpers import (kron_hamiltonian, kron_sum, mu_operator, q2_operator, q_operator,
                      stick_inputs_per_state)
 from twinpol import (BasisSizeError, CavityParams, KickPulse, ModelError, PolaritonSolution,
                      ProductBasis, assemble_hamiltonian, boltzmann_weights,
@@ -17,8 +19,10 @@ from twinpol import (BasisSizeError, CavityParams, KickPulse, ModelError, Polari
                      detect_peaks, dipole_spectrum, dominant_eigenstate,
                      photon_observables, propagate_quantum,
                      static_stick_spectrum, thermal_initial_states)
-from twinpol.quantum import (QuantumState, _block_evolution, _check_memory, apply_dipole,
-                             factored_expectations, real_matmul)
+from twinpol.model import mu_squared_matrix
+from twinpol.quantum import (QuantumState, _block_evolution, _check_memory, _coupled_blocks,
+                             _solve_factors, apply_dipole, factored_expectations,
+                             product_hamiltonian, real_matmul, solve_polaritons)
 
 RESONANT_BLOCK = ((0, 0), (2, 0), (0, 1))
 
@@ -28,6 +32,26 @@ def test_basis_ordering(model3):
     assert basis.entries == ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1))
     with pytest.raises(ModelError):
         ProductBasis(((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("case, match", [
+    ("negative_k", "each with k >= 0 and N >= 0"), ("negative_N", "each with k >= 0 and N >= 0"),
+    ("empty", "needs entries"), ("absent_index", r"entry \(5, 0\) not in the basis"),
+    ("absent_dominant", r"entry \(5, 0\) not in the basis")])
+def test_basis_rejects_malformed_entries(model3, cav, case, match):
+    """A negative k or N wrapped into the grid (k = -1 gave a wrong 2 x 2 H),
+    and an empty basis or an absent entry failed with a bare ValueError."""
+    basis = ProductBasis.full(model3, 1)
+    calls = {
+        "negative_k": lambda: ProductBasis(((0, 0), (-1, 1))),
+        "negative_N": lambda: ProductBasis(((0, 0), (1, -1))),
+        "empty": lambda: ProductBasis(()),
+        "absent_index": lambda: basis.index(5, 0),
+        "absent_dominant": lambda: dominant_eigenstate(
+            solve_polaritons(model3, cav, basis), basis, (5, 0)),
+    }
+    with pytest.raises(ModelError, match=match):
+        calls[case]()
 
 
 def test_hamiltonian_decoupled_is_diagonal(model3):
@@ -191,7 +215,7 @@ def _oracle_hamiltonian(name, model3, hcl_model):
     cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=name == "three_level_dse",
                        n_fock_max=2)
     if name == "thermal_N5_groups":
-        return twinpol.manymol._collective_hamiltonian(model3, cav, [2, 3], 2)[0]
+        return product_hamiltonian(*twinpol.manymol._collective_factors(model3, cav, [2, 3], 2))
     if name == "thermal_N5_product":
         return build_many_molecule_hamiltonian(model3, cav, 5)[0]
     if name == "scrambled_chains":
@@ -239,6 +263,81 @@ def test_blocked_eigh_matches_full_eigh(model3, hcl_model, name, n_blocks):
     v = sol.eigenvectors
     assert np.max(np.abs(h @ v - v * sol.eigenvalues)) <= 1e-14 * np.max(np.abs(h))
     assert np.max(np.abs(v.T @ v - np.eye(h.shape[0]))) <= 1e-13
+
+
+def _assert_blocks_match_dense(sol, h):
+    """sol's blocks are _coupled_blocks of the nonzero pattern of the dense
+    h, and its eigenpairs those of one np.linalg.eigh per block of h, bit
+    for bit."""
+    blocks = _coupled_blocks(h.shape[0], *np.nonzero(h))
+    parts = [np.linalg.eigh(h[np.ix_(idx, idx)]) for idx in blocks]
+    assert len(sol.blocks) == len(blocks)
+    assert np.array_equal(sol.eigenvalues, np.sort(np.concatenate([w for w, _ in parts])))
+    for (rows, cols, v), idx, (w, vecs) in zip(sol.blocks, blocks, parts):
+        assert np.array_equal(rows, idx)
+        assert np.array_equal(sol.eigenvalues[cols], w)
+        assert np.array_equal(v, vecs)
+
+
+@st.composite
+def _factored_problems(draw):
+    """Diagonal H_mol, a sparse symmetric mu with exact zeros, mu^2 as
+    mu_squared_matrix forms it or None, g = 0 or g > 0, and a unique subset
+    of the (k, N) entries in any order."""
+    n, n_fock = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    value = st.just(0.0) | st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
+    mu = np.triu(np.reshape(draw(st.lists(value, min_size=n * n, max_size=n * n)), (n, n)))
+    mu += np.triu(mu, 1).T
+    mu2 = mu_squared_matrix(SimpleNamespace(dipole=mu)) if draw(st.booleans()) else None
+    h_mol = np.diag(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    omega_c, g = draw(st.floats(0.1, 2.0)), draw(st.just(0.0) | st.floats(0.01, 0.5))
+    entries = draw(st.lists(st.sampled_from([(k, m) for m in range(n_fock + 1)
+                                              for k in range(n)]), min_size=1, unique=True))
+    return (h_mol, mu, mu2, omega_c, g) + tuple(np.array(entries).T), n_fock
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_factored_problems())
+def test_factored_solve_matches_dense_oracle(problem):
+    """The blocks come from the factors' nonzero patterns and each block's H
+    from product_hamiltonian; both must be what the dense Kronecker sum
+    restricted to the entries gives."""
+    factors, n_fock = problem
+    ks, ns = factors[5:]
+    idx = ns * len(factors[0]) + ks
+    dense = kron_sum(*factors[:5], n_fock)[np.ix_(idx, idx)]
+    assert np.array_equal(product_hamiltonian(*factors), dense)
+    _assert_blocks_match_dense(_solve_factors(*factors), dense)
+
+
+@pytest.mark.parametrize("case", ["hcl_dse", "hcl_no_dse", "groups_2_3", "groups_6"])
+def test_factored_solve_matches_dense_oracle_on_the_models(model3, hcl_model, case):
+    if case.startswith("hcl"):
+        cav = CavityParams(**{**HCL_CAVITY, "include_dse": case == "hcl_dse"})
+        basis = ProductBasis.full(hcl_model, 2)
+        sol, dense = (solve_polaritons(hcl_model, cav, basis),
+                      kron_hamiltonian(hcl_model, cav, basis))
+    else:
+        cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=True, n_fock_max=2)
+        groups = [2, 3] if case == "groups_2_3" else [6]
+        factors = twinpol.manymol._collective_factors(model3, cav, groups, 2)
+        sol, dense = _solve_factors(*factors), kron_sum(*factors[:5], 2)
+    _assert_blocks_match_dense(sol, dense)
+
+
+def test_solve_polaritons_peaks_below_one_dense_h(hcl_model):
+    """The solver forms H block by block: on HCl's 726-state basis its
+    allocations peak below one dense 726 x 726 matrix (4.02 MiB)."""
+    cav = CavityParams(**HCL_CAVITY)
+    basis = ProductBasis.full(hcl_model, 2)
+    tracemalloc.start()
+    try:
+        sol = solve_polaritons(hcl_model, cav, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.block_sizes() == {"n_blocks": 50, "max_block_dim": 34}
+    assert peak < 8 * basis.size**2
 
 
 def _cluster_initial_states(sol, basis, weights, weight_cutoff):

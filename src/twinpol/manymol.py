@@ -14,8 +14,9 @@ on one bosonic occupation basis per group of interchangeable molecules
 (collective_operator; Shammah et al., Phys. Rev. A 98, 063815 (2018)):
 C(n0+2, 2) C(n_mol-n0+2, 2) (n_fock+1) states for a thermal string and
 C(n_mol+2, 2) (n_fock+1) for the symmetric state, against 3^n_mol (n_fock+1)
-in the product basis.  The product basis, built by the same
-collective_operator with one molecule per group, stays as the test oracle.
+in the product basis, which stays as the test oracle (collective_operator
+with one molecule per group).  spectrum_from_state forms the sticks by the
+one stick engine, quantum._stick_lines, as static_stick_spectrum does.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 from .cavity import CavityParams
 from .errors import ModelError
 from .model import MolecularModel
-from .quantum import (PolaritonSolution, _check_memory, _dipole_slabs, _solve_factors,
-                      product_hamiltonian)
+from .quantum import (PolaritonSolution, ProductBasis, _check_memory, _solve_factors,
+                      _stick_lines, product_hamiltonian)
 from .spectra import Spectrum, make_stick_spectrum
 
 
@@ -59,10 +60,6 @@ class ManyMolConfig:
             raise ModelError("specify exactly one of n0 (thermal) or symmetric")
         if self.n0 is not None and not 0 <= self.n0 <= self.n_mol:
             raise ModelError(f"n0 must lie in 0..{self.n_mol}")
-
-    @property
-    def n1(self) -> int:
-        return self.n_mol - (self.n0 or 0)
 
     @classmethod
     def from_model(cls, model: MolecularModel, g: float, n_mol: int,
@@ -324,38 +321,22 @@ def spectrum_from_state(sol: PolaritonSolution, mu_op: np.ndarray, chi: np.ndarr
                         min_rel_intensity: float = 1e-9) -> Spectrum:
     """Stick spectrum of an arbitrary initial vector chi.
 
-    Eigenstates are grouped into degenerate manifolds; within each initial
-    manifold the projection of chi interferes coherently, across manifolds
-    incoherently:  I(E_F - E_I) = sum_{f in F} |<f| mu |P_I chi>|^2.
-    Each manifold sits at the energy of the vector it carries,
-    E_I = <chi|P_I H P_I|chi> / <chi|P_I|chi> and E_F the same for
-    mu P_I chi, so positions do not depend on the basis LAPACK picks inside
-    a manifold.  Reduces to the usual |<i|mu|f>|^2 sticks when chi is an
-    eigenstate.  mu_op, the dipole's molecular factor, acts on each of the
-    sol.size // len(mu_op) photon slabs (a product-space mu is one slab), and
-    all L live manifolds I pass through it at once, as n x L columns P_I chi.
+    I(E_F - E_I) = sum_{f in F} |<f| mu |P_I chi>|^2 over degenerate
+    manifolds: quantum._stick_lines on the one column V^T chi, merged within
+    degeneracy_tol, minus sticks at or below min_rel_intensity of the
+    strongest.  No result depends on the basis LAPACK picks inside a
+    manifold, and c chi gives c^2 times the intensities.  mu_op, the
+    dipole's molecular factor, acts on each of the sol.size // len(mu_op)
+    photon slabs (a product-space mu is one slab).
     """
-    evals = sol.eigenvalues
-    coeffs = sol.to_eigenbasis(chi)
-    starts = np.flatnonzero(np.r_[True, np.diff(evals) > degeneracy_tol])
-    ends = np.r_[starts[1:], evals.size]
-    mean_e = np.add.reduceat(evals, starts) / (ends - starts)
-    weights = np.add.reduceat(coeffs**2, starts)
-    e_init = np.add.reduceat(coeffs**2 * evals, starts)
-    live = np.flatnonzero(weights >= 1e-14)
-    # P_I chi, then mu P_I chi: one name, so at most three n x L arrays live
-    x = np.where(np.repeat(np.arange(starts.size), ends - starts)[:, None] == live,
-                 coeffs[:, None], 0.0)
-    x = sol.from_eigenbasis(x).reshape(sol.size // len(mu_op), len(mu_op), live.size)
-    x = np.moveaxis(_dipole_slabs(mu_op, x)[1], 0, 1).reshape(sol.size, live.size)
-    amps2 = sol.to_eigenbasis(x) ** 2
-    strength = np.add.reduceat(amps2, starts).T        # (initial, final) manifold
-    e_final = np.add.reduceat(amps2 * evals[:, None], starts).T
-    final = (mean_e > mean_e[live, None] + degeneracy_tol) & (strength > 0.0)
-    col, fin = np.nonzero(final)
-    spec = make_stick_spectrum(e_final[col, fin] / strength[col, fin]
-                               - e_init[live[col]] / weights[live[col]],
-                               strength[col, fin], merge_tol=degeneracy_tol,
+    n_mol = len(mu_op)
+    if np.shape(chi) != (sol.size,) or sol.size % n_mol:
+        raise ModelError(f"chi of shape {np.shape(chi)} and an order-{n_mol} mu_op do not "
+                         f"fit a {sol.size}-state solution")
+    slabs = ProductBasis(tuple((k, n) for n in range(sol.size // n_mol) for k in range(n_mol)))
+    omega, inten = _stick_lines(sol, mu_op, slabs, sol.to_eigenbasis(chi)[:, None], [1.0],
+                                degeneracy_tol)[:2]
+    spec = make_stick_spectrum(omega, inten, merge_tol=degeneracy_tol,
                                meta={"framework": "manymol_bruteforce"})
     if spec.intensity.size:
         spec = spec.select(spec.intensity > min_rel_intensity * spec.intensity.max())
@@ -366,23 +347,15 @@ def brute_force_spectrum(model: MolecularModel, cav: CavityParams, n_mol: int,
                          n0: int | None = None, symmetric: bool = False,
                          n_fock_max: int | None = None,
                          degeneracy_tol: float = 1e-7) -> Spectrum:
-    """Stick spectrum from full diagonalization of H in the exact symmetric
-    subspace of the initial vector.
-
-    Brute force: every matrix element is kept, with no degenerate-block
-    approximation.  H and mu commute with molecule permutations, so the
-    initial vector stays in the symmetric subspace of the permutations that
-    fix it, spanned by one occupation basis per group of interchangeable
-    molecules (collective_operator).  Thermal case (n0 given): the
-    incoherent sum over every occupation string with n0 ground-state
-    molecules, weight 1 per string, matching the counting of
-    analytic_nonsymmetric_spectrum; every string gives the same sticks, so
-    it is computed as the representative string |n0, 0, 0> x
-    |0, n_mol - n0, 0> x |0> on groups [n0, n_mol - n0] times C(n_mol, n0).
-    Symmetric case: ((psi_0 + psi_1)/sqrt(2))^(x n_mol) x |0>, which is
-    sum_k sqrt(C(n_mol, k)) 2^(-n_mol/2) |k, n_mol - k, 0> x |0> on the one
-    group [n_mol].  build_many_molecule_hamiltonian's product basis is the
-    test oracle.
+    """spectrum_from_state of the initial vector, every matrix element of H
+    kept, on the occupation bases of its exact symmetric subspace (see the
+    module docstring).  Thermal case (n0 given): the incoherent sum over the
+    C(n_mol, n0) strings with n0 ground-state molecules, weight 1 each, as
+    analytic_nonsymmetric_spectrum counts; all give the same sticks, so the
+    representative |n0, 0, 0> x |0, n_mol - n0, 0> x |0> on groups
+    [n0, n_mol - n0] is taken C(n_mol, n0) times.  Symmetric case:
+    ((psi_0 + psi_1)/sqrt(2))^(x n_mol) x |0>, which is sum_k
+    sqrt(C(n_mol, k)) 2^(-n_mol/2) |k, n_mol - k, 0> x |0> on group [n_mol].
     """
     cfg = ManyMolConfig.from_model(model, cav.g, n_mol, n0=n0, symmetric=symmetric)
     n_fock = cav.n_fock_max if n_fock_max is None else n_fock_max

@@ -2,37 +2,32 @@
 and time-dependent kick propagation with photonic observables.
 
 States live in the |molecular eigenstate k> x |Fock N> product basis.  The
-static route diagonalizes H and reads stick intensities |<i|mu|f>|^2 off the
-eigenvectors; the time-dependent route integrates the interaction-picture
+static route diagonalizes H and forms its sticks |<f|mu|i>|^2 in
+_stick_lines, the one stick engine (manymol.spectrum_from_state wraps it
+too); the time-dependent route integrates the interaction-picture
 coefficients C_{k,N}(t) (phases e^{-i(E_k + N w_c) t}) with the shared RK4
-engine while the kick lasts, propagates exactly in the eigenbasis of H after
-it, and Fourier-transforms <mu(t)>.
+engine while the kick lasts, propagates exactly in the eigenbasis of H
+after it, and Fourier-transforms <mu(t)>.
 
-Product-space operators act through their two tensor factors.  On the full
-photon-major basis a state reshapes to the (N_max + 1, n_mol) grid of its
-photon slabs psi_N (with a trailing axis for a matrix of states), and a
-restricted basis scatters its rows into that grid first, so every basis
-takes one code path.  1 x mu is one product of the molecular dipole with
-the grid; <q> and <q^2> contract the (N_max + 1)-square photon ladders with
-the Gram matrix Re <psi_N|psi_N'> of the slabs.  H is gathered from its
-factors at any entries (product_hamiltonian): the solver forms it block by
-block, and only RK4 steps and assemble_hamiltonian form it dense.
+Product-space operators act through their two tensor factors on the
+(N_max + 1, n_mol) grid of a state's photon slabs psi_N (a restricted basis
+scatters its rows into it): 1 x mu is one product of the molecular dipole
+with the grid, and <q>, <q^2> contract the photon ladders with the slabs'
+Gram matrix Re <psi_N|psi_N'>.  H is gathered from its factors at any
+entries (product_hamiltonian): the solver forms it block by block, and only
+RK4 steps and assemble_hamiltonian form it dense.
 
 H conserves more than energy: the Z-polarized field conserves M, and the
 dipole flips the parity of J (of the 3-level upper state, or of the number
 of molecules in it) together with that of N.  The solver finds these
-sectors without being told: it splits H into the connected components of
-its nonzero pattern, read off the factors.  A matrix element between two
-components is exactly 0.0, so each component spans an exact invariant
-subspace of the matrix as given, with no tolerance and no labels declared
-by the model.  Every eigenvector is then exactly zero outside its
-component, and the consumers inherit the symmetry unchanged:
-dominant_eigenstate sees only its entry's component, amplitudes between
-components that mu does not couple are exactly 0.0 and drop out of the
-stick spectrum, and the exact tail of propagate_quantum stays exact.
-PolaritonSolution keeps only the blocks; every reader of the eigenvectors
-goes through its block-wise to_eigenbasis (V^T x) and from_eigenbasis (V c),
-and no route forms the dense eigenvector matrix.
+sectors itself, as the connected components of H's nonzero pattern read
+off the factors.  H is exactly 0.0 between them, so each spans an exact
+invariant subspace, with no tolerance or labels: every eigenvector is
+exactly zero outside its component, amplitudes between components mu does
+not couple are exactly 0.0, and the exact tail of propagate_quantum stays
+exact.  PolaritonSolution keeps only the blocks, read through its
+block-wise to_eigenbasis (V^T x) and from_eigenbasis (V c); no route forms
+the dense eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -160,16 +155,18 @@ def _check_memory(dim: int, include_dse: bool):
     its copy and LAPACK syevd's workspace of 1 + 6 b + 2 b^2 doubles.  Only
     RK4 stepping, assemble_hamiltonian and build_many_molecule_hamiltonian
     hold a dense H; its gather peaks below four dim^2 arrays.  No route
-    forms the dense eigenvectors or a product-space mu: a static run adds at
-    most four dim x K arrays for its K <= dim initial states,
-    spectrum_from_state three dim x L for its L <= dim live initial
-    manifolds.  So (6 + dse) dim^2 + 6 dim + 1 doubles is an upper bound,
-    not an estimate.  The 4 GiB budget admits thermal N = 12 (2352 states,
-    about 0.3 GB) and symmetric N = 50 (3978 states, about 0.9 GB) on the
-    occupation bases, keeps the product basis as the oracle up to N = 7
-    (6561 states, 2.4 GB), and refuses it at N = 8 (19,683 states, 19 GB).
-    One molecule passes up to about 8,750 product states with the
-    self-energy; HCl at j_max = 50 (15,606 states, 13.6 GB) is refused.
+    forms the dense eigenvectors or a product-space mu.  The stick engine
+    (_stick_lines) holds about three dim x L arrays for its L <= dim pieces
+    (the K unit columns on the static route; those of one column in
+    spectrum_from_state), then 5 doubles per stick, 13 in the merge.  So
+    (6 + dse) dim^2 + 6 dim + 1 doubles is an upper bound, not an estimate,
+    for fewer than dim^2 / 3 sticks (thermal N = 12: 0.3 M on 2352 states).
+    The 4 GiB budget admits thermal N = 12 (about 0.3 GB) and symmetric
+    N = 50 (3978 states, about 0.9 GB) on the occupation bases, keeps the
+    product basis as the oracle up to N = 7 (6561 states, 2.4 GB), and
+    refuses it at N = 8 (19,683 states, 19 GB).  One molecule passes up to
+    about 8,750 product states with the self-energy; HCl at j_max = 50
+    (15,606 states, 13.6 GB) is refused.
     """
     need = 8 * ((6 + include_dse) * dim**2 + 6 * dim + 1)
     if need > MEMORY_BUDGET:
@@ -227,10 +224,10 @@ def solve_polaritons(model: MolecularModel, cav: CavityParams,
     return _solve_factors(*_model_factors(model, cav, basis))
 
 
-def apply_dipole(model: MolecularModel, basis: ProductBasis, psi: np.ndarray) -> np.ndarray:
+def apply_dipole(dipole: np.ndarray, basis: ProductBasis, psi: np.ndarray) -> np.ndarray:
     """(1 x mu) psi for psi real or complex, one row per basis entry: one
     product of the molecular dipole with the photon slabs."""
-    _, mu_x = _dipole_slabs(model.dipole, basis.to_grid(psi))
+    mu_x = _dipole_slabs(dipole, basis.to_grid(psi))[1]
     return basis.from_grid(np.moveaxis(mu_x, 0, 1))
 
 
@@ -430,6 +427,36 @@ def thermal_initial_states(sol: PolaritonSolution, basis: ProductBasis,
     return [(i, w / total) for i, (_, w) in zip(states, kept)]
 
 
+def _stick_lines(sol: PolaritonSolution, dipole: np.ndarray, basis: ProductBasis,
+                 coeffs: np.ndarray, weights, tol: float) -> tuple:
+    """(omega, intensity, column, final) per stick of the weighted initial
+    vectors whose eigenbasis coefficients are coeffs's columns (handed over).
+
+    A column c splits over manifolds I, eigenvalues chained by gaps <= tol.
+    A piece P_I c holding over 1e-14 of |c|^2 sits at E_I = sum_I c^2 lambda
+    / sum_I c^2 (a unit column at its eigenvalue exactly); all pass at once
+    through from_eigenbasis, apply_dipole and to_eigenbasis.
+    Final eigenstate f gives a stick at lambda_f - E_I > tol of intensity
+    w |<f|mu|P_I c>|^2 != 0, in (column, manifold, final) order.
+    """
+    evals = sol.eigenvalues
+    opens = np.r_[True, np.diff(evals) > tol]
+    starts, manifold = np.flatnonzero(opens), np.cumsum(opens) - 1
+    piece = np.add.reduceat(coeffs * coeffs, starts)    # (manifold, column)
+    col, man = np.nonzero((piece > 1e-14 * piece.sum(axis=0)).T)
+    piece = piece[man, col]
+    x = np.where(manifold[:, None] == man, coeffs[:, col], 0.0)   # P_I c, one per piece
+    del coeffs
+    e_init = np.einsum("il,il,i->l", x, x, evals) / piece
+    x = sol.from_eigenbasis(x)
+    x = apply_dipole(dipole, basis, x)
+    inten = sol.to_eigenbasis(x).T ** 2                 # row j: piece j's amplitudes
+    del x
+    inten *= np.asarray(weights, float)[col, None]
+    row, final = np.nonzero((evals - e_init[:, None] > tol) & (inten != 0.0))
+    return evals[final] - e_init[row], inten[row, final], col[row], final
+
+
 def static_stick_spectrum(sol: PolaritonSolution, model: MolecularModel,
                           basis: ProductBasis,
                           initial: list[tuple[int, float]],
@@ -438,27 +465,26 @@ def static_stick_spectrum(sol: PolaritonSolution, model: MolecularModel,
     """Sticks at w = E_f - E_i > 0 with intensity sum_i w_i |<i|mu x 1|f>|^2.
 
     initial lists (eigenstate index, weight) with weights summing to one;
-    degenerate sticks are merged within merge_tol.
+    each enters _stick_lines as its unit column.  Sticks are merged within
+    merge_tol and labelled by the largest entries of |i> and |f>.
     """
     wsum = sum(w for _, w in initial)
     if abs(wsum - 1.0) > 1e-8:
         raise ModelError(f"initial-state weights must sum to 1, got {wsum}")
+    if not all(0 <= i < sol.size for i, _ in initial):
+        raise ModelError(f"initial eigenstates must lie in 0..{sol.size - 1}")
     start = np.array([i for i, _ in initial], dtype=int)
-    weight = np.array([w for _, w in initial], dtype=float)
-    mu_start = apply_dipole(model, basis, sol.from_eigenbasis(_unit_columns(sol.size, start)))
-    amps = sol.to_eigenbasis(mu_start).T       # row a holds initial state start[a]
+    omega, inten, col, final = _stick_lines(
+        sol, model.dipole, basis, _unit_columns(sol.size, start),
+        [w for _, w in initial], merge_tol)
     # each eigenstate is labelled by its largest entry, found in its block
     largest = np.empty(sol.size, dtype=int)
     for rows, cols, v in sol.blocks:
         largest[cols] = rows[np.argmax(np.abs(v), axis=0)]
     labels = [basis.label(int(k), model) for k in largest]
-    omegas = sol.eigenvalues[None, :] - sol.eigenvalues[start, None]
-    inten = weight[:, None] * amps**2
-    rows, final = np.nonzero((omegas > merge_tol) & (inten != 0.0))
     return make_stick_spectrum(
-        omegas[rows, final], inten[rows, final],
-        merge_tol=merge_tol, min_intensity=min_intensity,
-        labels_i=[labels[start[a]] for a in rows], labels_f=[labels[f] for f in final],
+        omega, inten, merge_tol=merge_tol, min_intensity=min_intensity,
+        labels_i=[labels[i] for i in start[col]], labels_f=[labels[f] for f in final],
         meta={"framework": "quantum_static"},
     )
 
@@ -574,7 +600,7 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
         psi = b * c
         w_psi = real_matmul(v_int, psi)
         if f != 0.0:
-            w_psi = w_psi + f * apply_dipole(model, basis, psi)
+            w_psi = w_psi + f * apply_dipole(model.dipole, basis, psi)
         return a * w_psi
 
     def observe(t, c):

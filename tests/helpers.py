@@ -116,7 +116,7 @@ def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
         w_psi = real_matmul(v_int, psi)
         f = pulse(t)
         if f != 0.0:
-            w_psi = w_psi + f * apply_dipole(model, basis, psi)
+            w_psi = w_psi + f * apply_dipole(model.dipole, basis, psi)
         return -1j * phase * w_psi
 
     def observe(t, c):

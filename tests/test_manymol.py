@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import twinpol.manymol
 from twinpol import (BasisSizeError, CavityParams, ManifoldBasis, ManyMolConfig,
-                     ModelError, ProductBasis, analytic_nonsymmetric_spectrum,
-                     analytic_symmetric_spectrum, assemble_hamiltonian,
+                     ModelError, PolaritonSolution, ProductBasis,
+                     analytic_nonsymmetric_spectrum, analytic_symmetric_spectrum,
+                     assemble_hamiltonian,
                      brute_force_spectrum, build_many_molecule_hamiltonian,
                      diagonalize_polaritons, dominant_eigenstate, spectrum_from_state,
                      static_stick_spectrum, thermodynamic_limit_spectrum)
@@ -336,3 +337,55 @@ def test_spectrum_from_eigenstate_matches_static_sticks(model3, cav):
         assert np.abs(spec.omega[keep] - ref.omega[ref_keep]).max() <= 1e-15
         rel = np.abs(spec.intensity[keep] - ref.intensity[ref_keep]) / ref.intensity[ref_keep]
         assert rel.max() <= 1e-12
+
+
+def _solution_3level_dse(model3, cav):
+    cav_d = dataclasses.replace(cav, include_dse=True)
+    basis = ProductBasis.full(model3, cav_d.n_fock_max)
+    return diagonalize_polaritons(assemble_hamiltonian(model3, cav_d, basis)), basis
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e3])
+def test_spectrum_from_state_is_scale_covariant(model3, cav, scale):
+    # the live-manifold cutoff is relative to |chi|^2, so scaling chi by c
+    # keeps every position and scales every intensity by c^2, even where an
+    # absolute cutoff would drop manifolds (all of them below about 1e-7 chi)
+    sol, basis = _solution_3level_dse(model3, cav)
+    chi = np.zeros(sol.size)
+    chi[basis.index(0, 0)] = 1.0
+    ref = spectrum_from_state(sol, model3.dipole, chi)
+    spec = spectrum_from_state(sol, model3.dipole, scale * chi)
+    assert spec.omega.size == ref.omega.size > 0
+    assert np.abs(spec.omega - ref.omega).max() <= 1e-15
+    expected = scale**2 * ref.intensity
+    assert np.all(np.abs(spec.intensity - expected) <= 1e-12 * expected)
+
+
+@pytest.mark.parametrize("mu_order, chi_size", [(4, 9), (3, 8), (3, 10)])
+def test_spectrum_from_state_refuses_mismatched_sizes(model3, cav, mu_order, chi_size):
+    sol, _ = _solution_3level_dse(model3, cav)
+    with pytest.raises(ModelError, match="9-state solution"):
+        spectrum_from_state(sol, np.eye(mu_order), np.ones(chi_size))
+
+
+def test_degenerate_basis_rotation_leaves_both_wrappers_unchanged(model3):
+    # one block whose eigenvalues repeat exactly; V's columns are rotated
+    # inside each repeated eigenvalue, which must move no merged stick
+    rng = np.random.default_rng(7)
+    evals = np.array([0.0, 2e-3, 2e-3, 2e-3, 9e-3, 1e-2, 1e-2, 1.2e-2, 1.9e-2])
+    v = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+    rotated = v.copy()
+    for idx in ([1, 2, 3], [5, 6]):
+        rotated[:, idx] = v[:, idx] @ np.linalg.qr(rng.standard_normal((len(idx),) * 2))[0]
+    every = np.arange(9)
+    sols = [PolaritonSolution(evals, ((every, every, w),)) for w in (v, rotated)]
+    basis = ProductBasis.full(model3, 2)
+    # static: the whole repeated manifold, evenly weighted, and one lone state
+    initial = [(0, 0.4), (1, 0.2), (2, 0.2), (3, 0.2)]
+    chi = rng.standard_normal(9)
+    for spectrum in (lambda sol: static_stick_spectrum(sol, model3, basis, initial),
+                     lambda sol: spectrum_from_state(sol, model3.dipole, chi)):
+        ref, spec = (spectrum(sol) for sol in sols)
+        assert spec.omega.size == ref.omega.size > 0
+        assert np.abs(spec.omega - ref.omega).max() <= 1e-15
+        assert np.abs(spec.intensity - ref.intensity).max() <= 1e-12 * ref.intensity.max()

@@ -135,7 +135,7 @@ def test_factored_operators_match_dense_oracles(model3, hcl_model, name, restric
         assert abs(one - expected[0]) <= tol
     tol = 1e-14 * _spectral_norm(dense[0])
     for z in (psi, psi[:, 0], psi.real.copy()):
-        mu_z = apply_dipole(model, basis, z)
+        mu_z = apply_dipole(model.dipole, basis, z)
         assert mu_z.dtype == z.dtype and mu_z.shape == z.shape
         assert np.max(np.abs(mu_z - dense[0] @ z)) <= tol
 
@@ -411,6 +411,15 @@ def test_batched_stick_amplitudes_match_per_state_loop(model3, cav, hcl_model, c
     assert np.array_equal(omega, oracle[0])
     assert np.max(np.abs(inten - oracle[1])) <= 1e-15 * oracle[1].max()
     assert (kw["labels_i"], kw["labels_f"]) == (oracle[2], oracle[3])
+
+
+@pytest.mark.parametrize("index", [-1, 9, 10])
+def test_static_sticks_refuse_initial_index_outside_solution(model3, cav, index):
+    # refused up front: -1 would select no state, 9 of 9 would index past V
+    basis = ProductBasis.full(model3, cav.n_fock_max)
+    sol = solve_polaritons(model3, cav, basis)
+    with pytest.raises(ModelError, match="0..8"):
+        static_stick_spectrum(sol, model3, basis, [(0, 0.5), (index, 0.5)])
 
 
 def test_nonsymmetric_matrix_rejected():

@@ -23,10 +23,10 @@ class CavityParams:
     n_fock_max: int = 2
 
     def __post_init__(self):
-        if self.omega_c <= 0:
-            raise ModelError("omega_c must be positive")
-        if self.g < 0:
-            raise ModelError("coupling g must be nonnegative")
+        if not 0 < self.omega_c < math.inf:
+            raise ModelError("omega_c must be positive and finite")
+        if not 0 <= self.g < math.inf:
+            raise ModelError("coupling g must be nonnegative and finite")
         if self.n_fock_max < 1:
             raise ModelError("n_fock_max must be at least 1")
 
@@ -41,8 +41,8 @@ class KickPulse:
 
     Weak and temporally sharp, so it is spectrally flat across the transitions
     of interest; max_excitation bounds the post-kick excited population the
-    propagators will accept (linear-response guard).  amplitude = 0 disables
-    the kick entirely.
+    propagators will accept (linear-response guard), and inf turns that guard
+    off.  amplitude = 0 disables the kick entirely.
     """
 
     amplitude: float = 1e-4
@@ -51,8 +51,12 @@ class KickPulse:
     max_excitation: float = 1e-2
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ModelError("pulse width sigma must be positive")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.t0)):
+            raise ModelError("pulse amplitude and t0 must be finite")
+        if not 0 < self.sigma < math.inf:
+            raise ModelError("pulse width sigma must be positive and finite")
+        if not self.max_excitation > 0:
+            raise ModelError("pulse max_excitation must be positive")
 
     def __call__(self, t: float) -> float:
         if self.amplitude == 0.0:

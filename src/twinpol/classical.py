@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, KickPulse, Trajectory
-from .errors import ModelError
-from .integrators import check_step, propagate
+from .integrators import propagate
 from .model import MolecularModel, mu_squared_matrix
 
 
@@ -78,16 +77,10 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
     Raises IntegrationError when the coefficient norm drifts beyond 1e-6
     (reduce dt) or when the kick exceeds the pulse's linear-response bound.
     """
-    n = model.n_states
-    if not 0 <= init_state < n:
-        raise ModelError(f"init_state {init_state} outside 0..{n - 1}")
-    check_step(dt, model.energies, cav.omega_c)
-
-    energies = model.energies
     mu = model.dipole
-    mu2 = mu_squared_matrix(model)
+    mu2 = mu_squared_matrix(model) if cav.include_dse else None
     mu_c = mu.astype(complex)
-    mu2_c = mu2.astype(complex) if cav.include_dse else None
+    mu2_c = None if mu2 is None else mu2.astype(complex)
     g_fac = cav.g * math.sqrt(2.0 * cav.omega_c)
     dse = cav.dse_prefactor
     wc2 = cav.omega_c**2
@@ -102,18 +95,15 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
             w_psi = w_psi + dse * (mu2_c @ psi)
         return a * w_psi, p, -wc2 * q - g_fac * float(np.vdot(psi, mu_psi).real)
 
-    def observe(t, y):
-        c, q, p = y
-        psi = np.exp(-1j * energies * t) * c
+    def observe(psi, y):
+        _, q, p = y
         return (np.vdot(psi, mu @ psi).real, _total_energy(psi, q, p, model, mu2, cav),
                 q, p)
 
-    c0 = np.zeros(n, complex)
-    c0[init_state] = 1.0
     return propagate(
-        rhs, (c0, 0.0, 0.0), observe, ("dipole", "energy", "q_series", "p_series"),
-        kind="classical", phase_freqs=energies,
-        pop_labels=[model.label_str(k) for k in range(n)],
+        rhs, (0.0, 0.0), observe, ("dipole", "energy", "q_series", "p_series"),
+        kind="classical", phase_freqs=model.energies,
+        pop_labels=[model.label_str(k) for k in range(model.n_states)],
         init_col=init_state, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
         record_stride=record_stride, meta={"init_state": init_state},
     )

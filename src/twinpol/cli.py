@@ -41,6 +41,7 @@ from . import __version__
 from .cavity import CavityParams, KickPulse, write_csv
 from .classical import propagate_classical
 from .errors import ConfigError, ModelError, TwinpolError
+from .integrators import record_grid
 from .manymol import (ManyMolConfig, analytic_nonsymmetric_spectrum,
                       analytic_symmetric_spectrum, brute_force_spectrum,
                       thermodynamic_limit_spectrum)
@@ -84,6 +85,13 @@ def _positive(parse):
     return parse_positive
 
 
+def _fraction(raw: str, key: str) -> float:
+    value = parse_float(raw, key)
+    if not 0 <= value <= 1:
+        raise ConfigError(f"{key}: must lie in [0, 1], got {raw!r}")
+    return value
+
+
 def _list_of(parse):
     def parse_list(raw: str, key: str) -> list:
         return [parse(item.strip(), key) for item in raw.split(",") if item.strip()]
@@ -108,7 +116,7 @@ RUN_SECTIONS = {
         "pulse_amplitude": (parse_quantity, "1e-4 au"), "pulse_t0": (parse_quantity, "25.0 au"),
         "pulse_sigma": (parse_quantity, "5.0 au"), "pulse_max_excitation": (parse_float, "1e-2"),
         "damping_tau": (_positive(parse_quantity), None),    # None: t_end / 8
-        "pad_factor": (_positive(parse_int), "4"), "peak_threshold": (parse_float, "0.01"),
+        "pad_factor": (_positive(parse_int), "4"), "peak_threshold": (_fraction, "0.01"),
         "n_mol": (parse_int, "1"), "n0": (parse_int, None), "r0": (parse_float, "0.5"),
     },
     "output": {"directory": (None, "twinpol_out"),
@@ -178,8 +186,7 @@ class RunConfig:
             cavities = [self.cavity(g) for g in self.g_values]
             if framework in ("classical", "quantum_td"):
                 self.pulse()
-                if round(proto["t_end"] / proto["dt"]) < proto["record_stride"]:
-                    raise ConfigError("t_end is shorter than one record_stride of dt steps")
+                record_grid(proto["t_end"], proto["dt"], proto["record_stride"])
             elif framework in ("manymol_bruteforce", "manymol_analytic"):
                 self.manymol(cavities[0].g)
             elif framework == "thermo_limit":

@@ -7,23 +7,23 @@ t = t0 + (s - 1) dt.  The end of one step and the start of the next are
 formed separately, as written: at dt = 0.3 they differ in the last bit on
 27,281 of 99,999 steps.
 
-Without phase_freqs, rhs(entry, y) gets the stage time as its entry.  Given
-the phase frequencies eps and the pulse f, integrate tables, per chunk of
-steps and at every stage time,
+Given the phase frequencies eps and the pulse f, integrate tables, per chunk
+of steps and at every stage time,
 
     a = -i e^{i eps t},    b = e^{-i eps t},    f(t)
 
-and the entry is the triple (a, b, f): no rhs evaluates an exponential or the
-pulse.  A chunk holds as many steps as fit their stage times and all three
-tables in TAIL_CHUNK_BYTES, the budget the exact tail's records use too.  The
-state y is an array, or a tuple of an array and scalars; each RK4 combination
-acts on every component alike.
+and rhs(entry, y) gets the triple (a, b, f) as its entry: no rhs evaluates
+an exponential or the pulse.  A chunk holds as many steps as fit their stage
+times and all three tables in TAIL_CHUNK_BYTES, the budget the exact tail's
+records use too.  The state y is an array, or a tuple of an array and
+scalars; each RK4 combination acts on every component alike.
 
-A propagator whose Hamiltonian stops depending on time once the kick is over
-may hand propagate() an exact tail; RK4 then runs only to the first record at
-or after the pulse support.  Accuracy of the RK4 part is certified by dt/2
-re-run agreement rather than adaptivity; the step size must already resolve
-the fastest interaction-picture phase.
+propagate() builds the unit start amplitudes c, refuses a dt too coarse for
+eps and a grid of fewer than two records, and hands observe and the exact
+tail the Schroedinger-picture state e^{-i eps t} c.  With such a tail, RK4
+runs only to the first record at or after the pulse support.  Accuracy of
+the RK4 part is certified by dt/2 re-run agreement rather than adaptivity;
+the step size must already resolve the fastest interaction-picture phase.
 """
 
 from __future__ import annotations
@@ -66,13 +66,11 @@ def _rk4_update(y, w, two, k1, k2, k3, k4):
 
 
 def _stage_entries(t0: float, dt: float, lo: int, hi: int,
-                   phase_freqs: np.ndarray | None, pulse: KickPulse | None):
+                   phase_freqs: np.ndarray, pulse: KickPulse):
     """Iterator over the rhs entries of steps lo + 1 .. hi: start, middle and
     end of each step in turn, read from tables that cover the whole range."""
     t = t0 + np.arange(lo, hi) * dt
     times = np.stack([t, t + 0.5 * dt, t + dt], axis=1)
-    if phase_freqs is None:
-        return iter(times.ravel().tolist())
     f = pulse.samples(times)
     phase = np.exp(1j * phase_freqs * times.reshape(-1, 1))
     a = -1j * phase
@@ -82,21 +80,18 @@ def _stage_entries(t0: float, dt: float, lo: int, hi: int,
 
 def integrate(rhs: Callable, y0, t0: float, dt: float, n_steps: int,
               observer: Callable | None = None, observe_every: int = 1, *,
-              phase_freqs: np.ndarray | None = None,
-              pulse: KickPulse | None = None):
+              phase_freqs: np.ndarray, pulse: KickPulse):
     """Advance y through n_steps of RK4, reporting state every observe_every steps.
 
-    rhs is called as rhs(entry, y), the entry being the stage time, or the
-    stage's (a, b, f) triple when phase_freqs and pulse are given (module
-    docstring).  The observer is called as observer(t, y) at t0 and after every
-    observe_every-th step, at t = t0 + step dt; dt may be negative for
-    backward propagation.
+    rhs is called as rhs(entry, y), the entry being the stage's (a, b, f)
+    triple for phase_freqs and pulse (module docstring).  The observer is
+    called as observer(t, y) at t0 and after every observe_every-th step, at
+    t = t0 + step dt; dt may be negative for backward propagation.
     """
     y = y0 if type(y0) is tuple else np.array(y0, copy=True)
     if observer is not None:
         observer(t0, y)
-    width = 0 if phase_freqs is None else 32 * len(phase_freqs)
-    chunk = max(1, TAIL_CHUNK_BYTES // (3 * (16 + width)))
+    chunk = max(1, TAIL_CHUNK_BYTES // (3 * (16 + 32 * len(phase_freqs))))
     half, full, sixth, two = (_weight(y, x) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
     for lo in range(0, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
@@ -122,53 +117,72 @@ def check_step(dt: float, phase_freqs: np.ndarray, omega_c: float):
         )
 
 
-def propagate(rhs: Callable, y0, observe: Callable, series: tuple[str, ...],
+def record_grid(t_end: float, dt: float, record_stride: int) -> tuple[int, np.ndarray]:
+    """(n_steps, times) of a run from t = 0 to t_end with one record every
+    record_stride dt steps; ModelError for fewer than two records."""
+    if not (0 < dt < math.inf and 0 < t_end < math.inf and record_stride >= 1):
+        raise ModelError("t_end, dt and record_stride must be positive and finite")
+    n_steps = int(round(t_end / dt))
+    if n_steps < record_stride:
+        raise ModelError("t_end is shorter than one record_stride of dt steps")
+    n_rec = n_steps // record_stride + 1
+    return n_steps, np.arange(n_rec) * record_stride * dt    # step * dt, as integrate has it
+
+
+def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str, ...],
               *, kind: str, phase_freqs: np.ndarray, pop_labels: list[str],
               init_col: int, pulse: KickPulse, cav: CavityParams, t_end: float,
               dt: float, record_stride: int, meta: dict,
               tail: Callable | None = None) -> Trajectory:
     """Integrate from t = 0 and record a Trajectory every record_stride steps.
 
+    The state y is the amplitudes c, whose squared moduli are the recorded
+    populations, or the tuple (c, *field) when field holds the initial
+    scalars of a classical field; c starts as the unit vector at init_col.
     rhs(entry, y) gets integrate's (a, b, f) entries for phase_freqs and
-    pulse.  The interaction-picture amplitudes, whose squared moduli are the
-    recorded populations, are the state y itself, or its first component
-    when y is a tuple.  observe(t, y) returns one value per name in series,
-    each a Trajectory field.  meta adds the propagator's own keys after dt,
-    t_end and record_stride.
+    pulse.  observe(psi, y) returns one value per name in series, each a
+    Trajectory field, for psi = e^{-i phase_freqs t} c at the record time t.
+    meta adds the propagator's own keys after dt, t_end and record_stride.
 
-    tail(t_s, y_s), when given, must return records(times) -> (pops, values)
-    that continues the run exactly from state y_s at t_s, the first record
-    time at or after pulse.support_end: pops has one row and values one
-    column per time.  RK4 then stops at t_s (zero steps without a kick), tail
-    is called once, and records fills the records from t_s on, in chunks of
+    tail(t_s, psi_s), when given, must return records(times) -> (pops, values)
+    that continues the run exactly from psi_s at t_s, the first record time
+    at or after pulse.support_end: pops has one row and values one column
+    per time.  RK4 then stops at t_s (zero steps without a kick), tail is
+    called once, and records fills the records from t_s on, in chunks of
     about TAIL_CHUNK_BYTES per complex state array.
 
-    Raises IntegrationError when the norm drifts beyond NORM_TOL (reduce dt)
-    or when the kick exceeds the pulse's linear-response bound.
+    Raises ModelError for an init_col outside c or where check_step or
+    record_grid refuses; IntegrationError when the norm drifts beyond NORM_TOL
+    (reduce dt) or the kick exceeds the pulse's linear-response bound.
     """
     n_amp = len(pop_labels)
-    n_steps = int(round(t_end / dt))
-    n_rec = n_steps // record_stride + 1
-    times = np.arange(n_rec) * record_stride * dt    # step * dt, as integrate has it
+    if not 0 <= init_col < n_amp:
+        raise ModelError(f"start index {init_col} outside 0..{n_amp - 1}")
+    check_step(dt, phase_freqs, cav.omega_c)
+    n_steps, times = record_grid(t_end, dt, record_stride)
+    n_rec = times.size
     pops = np.empty((n_rec, n_amp))
     values = np.empty((len(series), n_rec))
     n_obs = n_rec if tail is None else int(np.searchsorted(times, pulse.support_end))
     n_rk4 = n_steps if n_obs == n_rec else n_obs * record_stride
     rec = {"i": 0, "norm_drift": 0.0}
+    c0 = (np.arange(n_amp) == init_col).astype(complex)
 
     def observer(t, y):
         i = rec["i"]
         if i == n_obs:        # the tail records the switch time itself
             return
-        pops[i] = np.abs(y[0] if type(y) is tuple else y) ** 2
-        values[:, i] = observe(t, y)
+        c = y[0] if field else y
+        pops[i] = np.abs(c) ** 2
+        values[:, i] = observe(np.exp(-1j * phase_freqs * t) * c, y)
         rec["norm_drift"] = max(rec["norm_drift"], abs(float(np.sum(pops[i])) - 1.0))
         rec["i"] += 1
 
-    y_s = integrate(rhs, y0, 0.0, dt, n_rk4, observer, record_stride,
-                    phase_freqs=phase_freqs, pulse=pulse)
+    y_s = integrate(rhs, (c0, *field) if field else c0, 0.0, dt, n_rk4, observer,
+                    record_stride, phase_freqs=phase_freqs, pulse=pulse)
     if n_obs < n_rec:
-        records = tail(times[n_obs], y_s)
+        t_s = times[n_obs]
+        records = tail(t_s, np.exp(-1j * phase_freqs * t_s) * (y_s[0] if field else y_s))
         chunk = max(1, TAIL_CHUNK_BYTES // (16 * n_amp))
         for lo in range(n_obs, n_rec, chunk):
             hi = min(lo + chunk, n_rec)

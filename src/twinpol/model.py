@@ -615,8 +615,8 @@ def boltzmann_weights(model: MolecularModel, temperature: float,
     Each |v, J, M> state counts individually; M degeneracy enters through the
     enumeration rather than an explicit 2J+1 factor.
     """
-    if temperature <= 0:
-        raise ModelError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise ModelError("temperature must be positive and finite")
     idx = np.arange(model.n_states) if subset is None else np.asarray(list(subset), int)
     if idx.size == 0:
         raise ModelError("state subset is empty")

@@ -40,7 +40,7 @@ import numpy as np
 
 from .cavity import CavityParams, KickPulse, Trajectory
 from .errors import BasisSizeError, ConvergenceError, ModelError
-from .integrators import check_step, propagate
+from .integrators import propagate
 from .model import MolecularModel, ThermalWeights, mu_squared_matrix
 from .spectra import Spectrum, make_stick_spectrum
 
@@ -343,14 +343,18 @@ def _coupled_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarr
 
 
 def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
-    """Eigenpairs of a symmetric H, solved as one photon slab: H_mol = H,
-    no coupling, every N = 0.  Symmetry is checked on H's nonzero entries
-    alone: where h_ij is 0.0, allclose's |h_ji| <= atol + rtol |h_ji|
-    follows from |h_ji| <= atol, checked at (j, i), so the verdict is
-    np.allclose(h, h.T, atol=1e-12)'s, NaN included."""
+    """Eigenpairs of a symmetric, finite H, solved as one photon slab:
+    H_mol = H, no coupling, every N = 0.  Both are checked on H's nonzero
+    entries alone: where h_ij is 0.0, allclose's |h_ji| <= atol + rtol |h_ji|
+    follows from |h_ji| <= atol, checked at (j, i), so the symmetry verdict
+    is np.allclose(h, h.T, atol=1e-12)'s, NaN included; allclose takes
+    inf == inf, so infinite entries are refused after it."""
     rows, cols = np.nonzero(h)
-    if not np.allclose(h[rows, cols], h[cols, rows], atol=1e-12):
+    values = h[rows, cols]
+    if not np.allclose(values, h[cols, rows], atol=1e-12):
         raise ModelError("Hamiltonian must be symmetric")
+    if not np.isfinite(values).all():
+        raise ModelError("Hamiltonian entries must be finite")
     return _solve_factors(h, None, None, 1.0, 0.0, np.arange(len(h)), np.zeros(len(h), int))
 
 
@@ -377,8 +381,11 @@ def _solve_factors(h_mol, mu, mu2, omega_c, g, ks, ns) -> PolaritonSolution:
         try:
             parts.append((idx, *np.linalg.eigh(h)))
         except np.linalg.LinAlgError as err:
+            # cond of a non-finite block would fail in its own SVD
+            cond = (f"condition ~ {np.linalg.cond(h):.3e}" if np.isfinite(h).all()
+                    else "the block has non-finite entries")
             raise ConvergenceError(f"eigensolver failed on a {idx.size}-state block: "
-                                   f"{err}; condition ~ {np.linalg.cond(h):.3e}") from err
+                                   f"{err}; {cond}") from err
     blocks, values, vecs = zip(*parts)
     evals = np.concatenate(values)
     order = np.argsort(evals, kind="stable")
@@ -589,7 +596,6 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     i0 = basis.index(*init)
     ks, ns = basis.arrays()
     eps = model.energies[ks] + ns * cav.omega_c
-    check_step(dt, eps, cav.omega_c)
 
     sol = solve_polaritons(model, cav, basis) if method == "exact" else None
     v_int = (assemble_hamiltonian(model, cav, basis) - np.diag(eps)   # only RK4 steps use it
@@ -603,14 +609,12 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
             w_psi = w_psi + f * apply_dipole(model.dipole, basis, psi)
         return a * w_psi
 
-    def observe(t, c):
-        psi = np.exp(-1j * eps * t) * c
+    def observe(psi, _):
         energy = np.sum(eps * np.abs(psi) ** 2) + _expectations(v_int, psi)
         mu, q, q2 = factored_expectations(model, cav, basis, psi)
         return mu, energy, q, q2
 
-    def tail(t_s, c_s):
-        psi_s = np.exp(-1j * eps * t_s) * c_s
+    def tail(t_s, psi_s):
         evolve, energy = _block_evolution(sol, psi_s)
 
         def records(times):
@@ -624,10 +628,8 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
 
         return records
 
-    c0 = np.zeros(basis.size, complex)
-    c0[i0] = 1.0
     return propagate(
-        rhs, c0, observe, ("dipole", "energy", "q_expect", "q2_expect"),
+        rhs, (), observe, ("dipole", "energy", "q_expect", "q2_expect"),
         kind="quantum", phase_freqs=eps,
         pop_labels=[basis.label(i, model) for i in range(basis.size)],
         init_col=i0, pulse=pulse, cav=cav, t_end=t_end, dt=dt,

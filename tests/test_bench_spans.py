@@ -1,9 +1,12 @@
 """bench/spans.py wraps twinpol functions by name from outside the package:
-every target must still exist, and uninstalling must restore every original."""
+every target must still exist, uninstalling must restore every original, and
+the counts the spans read must be the ones the package reports."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import twinpol.cli  # imports every module the spans trace
 
@@ -58,3 +61,24 @@ def test_tracer_install_then_uninstall_restores_the_package():
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
     assert all(_resolve(m, a) is orig for (m, a), orig in targets.items())
+
+
+@pytest.mark.parametrize("light", ["classical", "quantum"])
+def test_integrate_span_counts_the_rhs_evaluations(model3, cav, pulse, light):
+    """integrators.rhs_evals sums the integrate span's counted rhs calls; a
+    kicked run must report the same nonzero count in its own meta."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        if light == "classical":
+            traj = twinpol.classical.propagate_classical(model3, cav, pulse, 0, t_end=200.0,
+                                                         dt=1.0, record_stride=8)
+        else:
+            traj = twinpol.quantum.propagate_quantum(model3, cav, pulse, (0, 0), t_end=400.0,
+                                                     dt=1.0, record_stride=8)
+    finally:
+        tracer.uninstall()
+    counted = [s["rhs_evals"] for s in tracer.spans if s["name"] == "integrators.integrate"]
+    assert counted == [traj.meta["rhs_evals"]]
+    assert counted[0] > 0

@@ -94,19 +94,18 @@ def test_twin_window_has_single_unsplit_peak(classical_p_traj):
 
 def test_time_reversal(model3, cav, pulse):
     # forward then backward propagation returns the initial coefficients
-    energies = model3.energies
     mu = model3.dipole
     g_fac = cav.g * np.sqrt(2 * cav.omega_c)
 
-    def rhs(t, y):
+    def rhs(entry, y):
+        a, b, f = entry           # -i e^{iEt}, e^{-iEt}, f(t) at the stage time
         c = y[:3]
         q = y[3].real
-        phase = np.exp(1j * energies * t)
-        psi = np.conj(phase) * c
+        psi = b * c
         mu_psi = mu @ psi
-        drive = g_fac * q + pulse(t)
+        drive = g_fac * q + f
         dy = np.empty_like(y)
-        dy[:3] = -1j * phase * (drive * mu_psi)
+        dy[:3] = a * (drive * mu_psi)
         dy[3] = y[4].real
         dy[4] = -cav.omega_c**2 * q - g_fac * float(np.vdot(psi, mu_psi).real)
         return dy
@@ -114,36 +113,48 @@ def test_time_reversal(model3, cav, pulse):
     y0 = np.zeros(5, complex)
     y0[0] = 1.0
     n_steps = 20000
-    y_end = integrate(rhs, y0, 0.0, 1.0, n_steps)
-    y_back = integrate(rhs, y_end, float(n_steps), -1.0, n_steps)
+    tables = dict(phase_freqs=model3.energies, pulse=pulse)
+    y_end = integrate(rhs, y0, 0.0, 1.0, n_steps, **tables)
+    y_back = integrate(rhs, y_end, float(n_steps), -1.0, n_steps, **tables)
     assert np.max(np.abs(y_back - y0)) < 1e-6
 
 
-# both light models from their ground state; the guards are shared
-FROM_GROUND = {
-    "classical": lambda model, cav, pulse, **kw: propagate_classical(
-        model, cav, pulse, 0, **kw),
-    "quantum": lambda model, cav, pulse, **kw: propagate_quantum(
-        model, cav, pulse, (0, 0), **kw),
+# both light models from molecular state k, the ground state unless given;
+# the guards are shared
+FROM_STATE = {
+    "classical": lambda model, cav, pulse, k=0, **kw: propagate_classical(
+        model, cav, pulse, k, **kw),
+    "quantum": lambda model, cav, pulse, k=0, **kw: propagate_quantum(
+        model, cav, pulse, (k, 0), **kw),
+}
+
+# (arguments, what the diagnostic names) of runs both light models refuse.
+# The short grid gave a one-record trajectory that dipole_spectrum failed on
+# with an IndexError; a zero stride or a NaN dt failed inside the grid.
+REFUSED_RUNS = {
+    "coarse_dt": (dict(t_end=100.0, dt=10.0), "too coarse"),
+    "short_grid": (dict(t_end=5.0, dt=1.0, record_stride=8),
+                   "t_end is shorter than one record_stride"),
+    "zero_stride": (dict(t_end=100.0, dt=1.0, record_stride=0), "record_stride"),
+    "nan_dt": (dict(t_end=100.0, dt=float("nan")), "positive and finite"),
+    "start_above": (dict(k=5, t_end=100.0, dt=1.0), r"outside 0\.\.2|not in the basis"),
+    "start_below": (dict(k=-1, t_end=100.0, dt=1.0), r"outside 0\.\.2|not in the basis"),
 }
 
 
-@pytest.mark.parametrize("light", FROM_GROUND)
-def test_dt_precondition(model3, cav, pulse, light):
-    with pytest.raises(ModelError, match="dt"):
-        FROM_GROUND[light](model3, cav, pulse, t_end=100.0, dt=10.0)
+@pytest.mark.parametrize("light", FROM_STATE)
+@pytest.mark.parametrize("case", REFUSED_RUNS)
+def test_refused_runs(model3, cav, pulse, light, case):
+    kwargs, named = REFUSED_RUNS[case]
+    with pytest.raises(ModelError, match=named):
+        FROM_STATE[light](model3, cav, pulse, **kwargs)
 
 
-def test_invalid_initial_state(model3, cav, pulse):
-    with pytest.raises(ModelError):
-        propagate_classical(model3, cav, pulse, 5, t_end=100.0, dt=1.0)
-
-
-@pytest.mark.parametrize("light", FROM_GROUND)
+@pytest.mark.parametrize("light", FROM_STATE)
 def test_linear_response_guard(model3, cav, light):
     strong = KickPulse(amplitude=0.05)
     with pytest.raises(IntegrationError, match="linear-response"):
-        FROM_GROUND[light](model3, cav, strong, t_end=500.0, dt=1.0)
+        FROM_STATE[light](model3, cav, strong, t_end=500.0, dt=1.0)
 
 
 def test_trajectory_csv_roundtrip(classical_p_traj, tmp_path):

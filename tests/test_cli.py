@@ -155,6 +155,25 @@ BAD_CONFIGS = {
     # 8 points hold 8 levels, the top ones above the wall, for 9 requested ones
     "undersized_grid": ("[morse]\nv_max = 8\nn_points = 8\n",
                         "does not bound the requested levels for J=0"),
+    # non-finite values: these validated, then run failed in the solver or the
+    # weights (exit 3), crashed (amplitude, t0) or ran with a guard off
+    "nan_g": (THREE_LEVEL_HEADER.replace("g = 2e-4 au", "g = nan au"),
+              "coupling g must be nonnegative and finite"),
+    "infinite_omega_c": (THREE_LEVEL_HEADER.replace("omega_c = 1e-2 au", "omega_c = inf au"),
+                         "omega_c must be positive and finite"),
+    "nan_temperature": (THREE_LEVEL_HEADER + "\n[thermal]\ntemperature = nan K\n"
+                        "\n[protocol]\ninitial = thermal\n",
+                        "temperature must be positive and finite"),
+    "nan_pulse_amplitude": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_td\n"
+                            "pulse_amplitude = nan au\n", "amplitude and t0 must be finite"),
+    "nan_pulse_t0": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_td\n"
+                     "pulse_t0 = nan au\n", "amplitude and t0 must be finite"),
+    "infinite_sigma": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = classical\n"
+                       "pulse_sigma = inf au\n", "sigma must be positive and finite"),
+    "nan_max_excitation": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_td\n"
+                           "pulse_max_excitation = nan\n", "max_excitation must be positive"),
+    "nan_peak_threshold": (THREE_LEVEL_HEADER + "\n[protocol]\npeak_threshold = nan\n",
+                           "peak_threshold: must lie in [0, 1]"),
 }
 
 

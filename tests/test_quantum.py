@@ -13,8 +13,8 @@ import twinpol.manymol
 import twinpol.quantum
 from helpers import (kron_hamiltonian, kron_sum, mu_operator, q2_operator, q_operator,
                      stick_inputs_per_state)
-from twinpol import (BasisSizeError, CavityParams, KickPulse, ModelError, PolaritonSolution,
-                     ProductBasis, assemble_hamiltonian, boltzmann_weights,
+from twinpol import (BasisSizeError, CavityParams, ConvergenceError, KickPulse, ModelError,
+                     PolaritonSolution, ProductBasis, assemble_hamiltonian, boltzmann_weights,
                      build_many_molecule_hamiltonian, cm1_to_au, diagonalize_polaritons,
                      detect_peaks, dipole_spectrum, dominant_eigenstate,
                      photon_observables, propagate_quantum,
@@ -325,6 +325,18 @@ def test_factored_solve_matches_dense_oracle_on_the_models(model3, hcl_model, ca
     _assert_blocks_match_dense(sol, dense)
 
 
+@pytest.mark.parametrize("g", [math.nan, math.inf], ids=["nan", "inf"])
+def test_failed_block_solve_is_a_convergence_error(model3, g):
+    """At a non-finite coupling the block eigh fails, and the condition
+    number its failure handler took failed in its own SVD, so numpy's
+    LinAlgError hid the ConvergenceError diagnostic."""
+    cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=True, n_fock_max=2)
+    factors = list(twinpol.quantum._model_factors(model3, cav, ProductBasis.full(model3, 2)))
+    factors[4] = g
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
+        _solve_factors(*factors)
+
+
 def test_solve_polaritons_peaks_below_one_dense_h(hcl_model):
     """The solver forms H block by block: on HCl's 726-state basis its
     allocations peak below one dense 726 x 726 matrix (4.02 MiB)."""
@@ -435,8 +447,8 @@ ONE_SIDED_EDGE = 1e-12 * (1.0 + 5e-6)
 def near_symmetric(draw):
     """A sparse symmetric matrix of interleaved blocks, then entries of one
     triangle moved to about the edge of allclose's tolerance against their
-    mirror, or set to values near its atol, and sometimes a NaN on the
-    diagonal."""
+    mirror, or set to values near its atol, and sometimes a NaN or an inf on
+    the diagonal."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     n = sum(sizes)
     entry = st.one_of(st.just(0.0), st.sampled_from([1e-12, ONE_SIDED_EDGE, -1.0]),
@@ -460,7 +472,7 @@ def near_symmetric(draw):
             h[i, j] = draw(st.sampled_from([0.0, 1e-12, ONE_SIDED_EDGE, 2e-12]))
     if draw(st.integers(0, 7)) == 0:
         k = draw(st.integers(0, n - 1))
-        h[k, k] = np.nan
+        h[k, k] = draw(st.sampled_from([np.nan, np.inf]))
     return h
 
 
@@ -470,16 +482,22 @@ def near_symmetric(draw):
 @example(h=np.array([[1.0, 0.0], [ONE_SIDED_EDGE, 2.0]]))
 @example(h=np.array([[1.0, 1e-12], [0.0, 2.0]]))
 @example(h=np.array([[np.nan, 0.0], [0.0, 2.0]]))
+@example(h=np.array([[1.0, np.inf], [np.inf, 2.0]]))
+@example(h=np.array([[-np.inf, 0.0], [0.0, 2.0]]))
 def test_symmetry_check_is_allclose(h):
     """diagonalize_polaritons compares H with H.T on H's nonzero entries
     only; its verdict is allclose's over every entry, whichever triangle a
-    one-sided entry is in."""
-    if np.allclose(h, h.T, atol=1e-12):
-        sol = diagonalize_polaritons(h)
-        assert sol.size == h.shape[0]
-    else:
+    one-sided entry is in.  allclose takes inf == inf; a symmetric H with
+    an infinite entry is refused as non-finite (it gave NaN eigenvalues)."""
+    if not np.allclose(h, h.T, atol=1e-12):
         with pytest.raises(ModelError, match="symmetric"):
             diagonalize_polaritons(h)
+    elif not np.isfinite(h).all():
+        with pytest.raises(ModelError, match="finite"):
+            diagonalize_polaritons(h)
+    else:
+        sol = diagonalize_polaritons(h)
+        assert sol.size == h.shape[0]
 
 
 def _scattered_eigenvectors(h):

@@ -150,8 +150,11 @@ class MorseParams:
     dipole_curve: tuple[float, ...] = (0.43, 0.30)
 
     def __post_init__(self):
-        if min(self.d_e_cm1, self.alpha, self.r_e, self.m1, self.m2) <= 0:
-            raise ModelError("Morse parameters must be positive")
+        for name in ("d_e_cm1", "alpha", "r_e", "m1", "m2"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ModelError(f"Morse parameter {name} must be positive and finite")
+        if not all(map(math.isfinite, self.dipole_curve)):
+            raise ModelError("dipole_curve must be finite")
         if self.v_max < 0 or self.j_max < 0:
             raise ModelError("v_max and j_max must be nonnegative")
 
@@ -203,8 +206,10 @@ class RadialGrid:
     convergence_tol_cm1: float = 1e-3
 
     def __post_init__(self):
-        if self.r_max <= self.r_min:
-            raise ModelError("r_max must exceed r_min")
+        if not -math.inf < self.r_min < self.r_max < math.inf:
+            raise ModelError(f"grid needs finite r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if not 0 < self.convergence_tol_cm1 < math.inf:
+            raise ModelError("convergence_tol_cm1 must be positive and finite")
         if self.n_points < 8:
             raise ModelError("grid needs at least 8 points")
 
@@ -355,34 +360,72 @@ def _check_bound(evals: np.ndarray, v_eff: np.ndarray, grid: RadialGrid, j: int)
         )
 
 
-def _certify(kinetic: np.ndarray, v: np.ndarray, norm: float, theta: np.ndarray,
-             y: np.ndarray, rho: float, anchor: tuple[float, np.ndarray] | None,
-             ) -> tuple[np.ndarray | None, tuple[float, np.ndarray] | None]:
-    """(radii, anchor): radii r such that theta_i +- r_i hold exactly the lowest
-    k = len(theta) eigenvalues of h = kinetic + diag(v), one each in order,
-    below the wall min(v[0], v[-1]); None when that is not proven.
+def _fd_hop(n_points: int, length: float, mass: float) -> float:
+    """1 / (2 mass step^2), the 3-point finite-difference coupling of the DVR grid."""
+    return (n_points + 1) ** 2 / (2.0 * mass * (length * length))
+
+
+def _sturm_count(diag: np.ndarray, off: float, shift: float) -> int:
+    """The eigenvalues below shift of the tridiagonal matrix with diagonal diag
+    and off-diagonal entries off != 0, counted as the negative pivots of its
+    LDL^T less shift (Sylvester).  The rounded count is exact for that matrix
+    with each off-diagonal entry moved by at most 2.5 u (u = eps / 2; Kahan
+    1966).  A zero pivot counts as positive, raised by less than any
+    rounding, so the next is -inf."""
+    off2 = off * off
+    count, d = 0, math.inf
+    for x in (diag - shift).tolist():
+        d = x - off2 / d if d else -math.inf
+        if d < 0.0:
+            count += 1
+    return count
+
+
+def _fd_floor(v: np.ndarray, hop: float, norm: float, rho: float, k: int) -> float:
+    """rho less an allowance when one Sturm count proves it a floor on
+    lambda_k(h) (k 0-based), else -inf; h = kinetic + diag(v) on hop's grid
+    (_fd_hop), norm = || |kinetic| + diag(|v|) ||_F and u = eps / 2.
+
+    T_FD = tridiag(-hop, 2 hop, -hop) shares the eigenvectors of the exact
+    sine-DVR matrix K, and its eigenvalues 4 hop sin^2(pi m / 2(n + 1)) are
+    at most K's, hop (pi m / (n + 1))^2.  So if at most k eigenvalues of
+    T_FD + diag(v) <= K + diag(v) lie below rho, lambda_k(K + diag(v)) >= rho.
+    The allowance covers E = kinetic - K: its entries are tabled 1/sin^2
+    values a few roundings off, save that a Hankel sine's argument near pi
+    scales its rounding by up to n by the last corner, so ||E||_F ~ sqrt(n)
+    u ||K||_F, below n eps norm / 8 against K in extended precision for
+    n = 8 to 800 (tested for n <= 64).  It also covers hop's 3 roundings
+    (12 u hop on T_FD), the shift's u (|rho| + 2 hop), the count's 2.5 u per
+    off-diagonal (5 u hop) and the subtraction's u |rho|: eps (|rho| + 10 hop).
+    """
+    if not math.isfinite(rho) or _sturm_count(v, hop, rho - 2.0 * hop) > k:
+        return -math.inf
+    return rho - np.finfo(float).eps * (v.size * norm + abs(rho) + 10.0 * hop)
+
+
+def _certify(kinetic: np.ndarray, hop: float, v: np.ndarray, norm: float,
+             theta: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray | None:
+    """Radii r such that theta_i +- r_i hold exactly the lowest k = len(theta)
+    eigenvalues of h = kinetic + diag(v), one each in order, below the wall
+    min(v[0], v[-1]); None when that is not proven.
 
     y holds unit columns and norm is || |kinetic| + diag(|v|) ||_F (_abs_norm).
     Applied as kinetic @ y + v y - theta y, the residual of a unit column
     rounds by at most (n + 4) u norm (u = eps / 2, |theta| <= ||h||_2), so
     r = residual + n eps norm bounds the exact one and theta_i +- r_i holds an
     eigenvalue of h.  Disjoint intervals hold k distinct ones; below a proven
-    floor on lambda_k(h) they are lambda_0 .. lambda_{k-1}.  The floor is the
-    anchor (floor, v_0)'s carried to h (_carried_floor), or else one Cholesky
-    at rho (_count_floor), and h becomes the returned anchor.
+    floor on lambda_k(h) they are lambda_0 .. lambda_{k-1}.  The floor is a
+    Sturm count at rho on h's finite-difference minorant, the tridiagonal
+    matrix with the sine-DVR eigenvectors and smaller eigenvalues, less its
+    rounding allowance (_fd_floor).
     """
     radii = (np.linalg.norm(kinetic @ y + v[:, None] * y - y * theta, axis=0)
              + v.size * np.finfo(float).eps * norm)
     top = theta[-1] + radii[-1]
-    if np.any(theta[1:] - radii[1:] <= (theta + radii)[:-1]) or top >= min(v[0], v[-1]):
-        return None, anchor
-    if top >= _carried_floor(anchor, v):
-        if top >= rho:      # a factorization with rho proves a floor below rho
-            return None, anchor
-        anchor = (_count_floor(kinetic, v, norm, theta, y, rho), v)
-        if top >= anchor[0]:
-            return None, anchor
-    return radii, anchor
+    if (np.any(theta[1:] - radii[1:] <= (theta + radii)[:-1]) or top >= min(v[0], v[-1])
+            or top >= _fd_floor(v, hop, norm, rho, theta.size)):
+        return None
+    return radii
 
 
 def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
@@ -402,11 +445,11 @@ def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
     n_pairs = min(max(_ANCHOR_PAIRS, n_keep + 1), r.size)
     d = 1.0 / (2.0 * params.reduced_mass * r**2)
     abs_norm = _abs_norm(kinetic)
-    basis = anchor = None
+    hop = _fd_hop(r.size, grid.r_max - grid.r_min, params.reduced_mass)
+    basis = None
     for j in range(params.j_max + 1):
         v = _effective_potential(params, j, r)
         norm = abs_norm(v)
-        allowance = r.size * np.finfo(float).eps * norm
         radii = None
         if basis is not None:
             c0, lam, u, g = basis
@@ -415,65 +458,20 @@ def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
             theta, z = np.linalg.eigh(small)
             y = u @ z[:, :n_keep + 1]
             y /= np.linalg.norm(y, axis=0)
-            radii, anchor = _certify(kinetic, v, norm, theta[:n_keep + 1], y,
-                                     0.5 * (theta[n_keep] + theta[n_keep + 1]), anchor)
-        if radii is None or np.any(radii > 2.0 * allowance):
+            radii = _certify(kinetic, hop, v, norm, theta[:n_keep + 1], y,
+                             0.5 * (theta[n_keep] + theta[n_keep + 1]))
+        if radii is None or np.any(radii > 2.0 * r.size * np.finfo(float).eps * norm):
             theta, y = np.linalg.eigh(_with_diagonal(kinetic, v))
             # copies, so no J keeps the full eigenvector matrix alive
             theta, y = theta[:n_pairs].copy(), y[:, :n_pairs].copy()
-            if n_keep + 1 < n_pairs:        # theta[n_keep + 1] floors the later pairs
+            if n_keep + 1 < n_pairs:        # a later J's rho reads theta[n_keep + 1]
                 basis = (j * (j + 1), theta, y, y.T @ (d[:, None] * y))
-                anchor = (theta[n_keep + 1] - allowance, v)
         evals, evecs = theta[:n_keep], y[:, :n_keep].copy()
         _check_bound(evals, v, grid, j)
         # deterministic sign: positive lobe at the outermost maximum
-        for k in range(n_keep):
-            peak = np.argmax(np.abs(evecs[:, k]))
-            if evecs[peak, k] < 0:
-                evecs[:, k] = -evecs[:, k]
+        peak = np.argmax(np.abs(evecs), axis=0)
+        evecs *= np.where(evecs[peak, np.arange(n_keep)] < 0, -1.0, 1.0)
         yield evals, evecs, theta[n_keep] if n_keep < theta.size else math.inf
-
-
-def _count_floor(kinetic: np.ndarray, v: np.ndarray, norm: float, theta: np.ndarray,
-                 y: np.ndarray, rho: float) -> float:
-    """Proven lower bound on lambda_k(h), h = kinetic + diag(v) and k =
-    len(theta) (0-based), by one Cholesky factorization; -inf when it proves
-    nothing.
-
-    If h + c Y Y^T - rho I (c > 0) has a Cholesky factor, h + c Y Y^T has no
-    eigenvalue below rho, and Weyl's inequality for that rank-k term leaves
-    at most k eigenvalues of h below rho.  That matrix is the only one of h's
-    size this check forms.
-    """
-    if not math.isfinite(rho):
-        return -math.inf
-    n, eps = v.size, np.finfo(float).eps
-    a = (2.0 * (rho - theta[0]) * y) @ y.T
-    a += kinetic
-    a[np.diag_indices_from(a)] += v - rho
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return -math.inf
-    # the factor is exact for a perturbation of a no larger than
-    # (n + 1) eps trace(a) (Demmel), widened for forming a itself
-    return float(rho - (n + 1) * eps * (np.trace(a) + 2.0 * norm))
-
-
-def _carried_floor(anchor: tuple[float, np.ndarray] | None, diag: np.ndarray) -> float:
-    """anchor = (floor, diagonal) of a matrix h_0 whose lambda_k is proven to
-    be at least floor, carried to h = h_0 + diag(diag - diagonal): by Weyl,
-    lambda_k(h) >= lambda_k(h_0) + min(diag - diagonal).  -inf without an
-    anchor or when an increment is negative."""
-    if anchor is None:
-        return -math.inf
-    floor, diag_anchor = anchor
-    step = float(np.min(diag - diag_anchor))
-    if step < 0.0:
-        return -math.inf
-    # each difference is within one rounding of the exact one, so (1 - eps) step
-    # is below the exact smallest increment; the sum is stepped down one ulp
-    return float(np.nextafter(floor + (1.0 - np.finfo(float).eps) * step, -math.inf))
 
 
 def _check_doubling(kinetic: np.ndarray, v: np.ndarray, evals: np.ndarray,
@@ -513,26 +511,22 @@ def build_morse_rovib(params: MorseParams,
     below the wall potential and within grid.convergence_tol_cm1 of the
     coarse levels, else ConvergenceError.
 
-    Both grids take their levels from one certificate (_certify).  The radial
-    matrices h_J = T + diag(v_J) of one grid share T, so h_J - h_J0 is the
-    centrifugal increment, >= 0 for J > J0, and by Weyl lambda_k(h_J) >=
-    lambda_k(h_J0) + its smallest entry (_carried_floor).  Ritz pairs
-    (theta_i, y_i) of h_J hold exactly its lowest k levels when the intervals
-    theta_i +- r_i, r_i = |h_J y_i - theta_i y_i| + n eps || |h_J| ||_F, are
-    disjoint, lie below the wall, and lie below a proven floor on lambda_k:
-    an anchor's carried up in J or, failing that, one Cholesky
-    (_count_floor), which makes J the anchor.  The coarse grid takes the
+    Both grids take their levels from one certificate (_certify): Ritz pairs
+    (theta_i, y_i) of h_J = T + diag(v_J) hold exactly its lowest k levels
+    when the intervals theta_i +- r_i, r_i = |h_J y_i - theta_i y_i| +
+    n eps || |h_J| ||_F, are disjoint, lie below the wall, and lie below a
+    floor on lambda_k proven by one Sturm count on the finite-difference
+    minorant T_FD + diag(v_J) <= h_J (_fd_floor).  The coarse grid takes the
     lowest v_max + 2 Ritz pairs on the lowest 64 eigenvectors of an anchor
     J's full eigh and keeps them when every r_i is within 2 n eps
-    || |h_J| ||_F, eigh's own accuracy; otherwise a full eigh decides, and
-    its lambda_k less n eps || |h_J| ||_F is the floor.  The doubled grid
-    takes the Ritz pairs of the coarse vectors' sine series (_sine_ritz: the
-    kinetic part projected in the sine basis that diagonalizes it, so the
-    doubled-grid T is applied once per J, for the residual) and passes when
-    max_i |evals_i - theta_i| + r_i is within grid.convergence_tol_cm1;
-    otherwise eigvalsh decides (_check_doubling).  The default model takes
-    one full eigh and one Cholesky of the doubled grid, and J <= 30 still
-    one full eigh; the model comes from the coarse grid alone.
+    || |h_J| ||_F, eigh's own accuracy; otherwise a full eigh decides that
+    J.  The doubled grid takes the Ritz pairs of the coarse vectors' sine
+    series (_sine_ritz: the kinetic part projected in the sine basis that
+    diagonalizes it, so the doubled-grid T is applied once per J, for the
+    residual) and passes when max_i |evals_i - theta_i| + r_i is within
+    grid.convergence_tol_cm1; otherwise eigvalsh decides (_check_doubling).
+    The default model, and J <= 30 too, takes one full eigh and no
+    factorization; the model comes from the coarse grid alone.
     """
     grid = grid or RadialGrid()
     if params.j_max < 1:
@@ -541,20 +535,19 @@ def build_morse_rovib(params: MorseParams,
     # the kinetic matrix does not depend on J: one build per grid size
     length, mass = grid.r_max - grid.r_min, params.reduced_mass
     kinetic = _sine_dvr_kinetic(grid.n_points, length, mass)
-    n_fine = 2 * grid.n_points
     if check_convergence:
-        r_fine = grid.points(n_fine)
-        kinetic_fine = _sine_dvr_kinetic(n_fine, length, mass)
-        levels_fine = _box_levels(n_fine, length, mass)
+        r_fine = grid.points(2 * grid.n_points)
+        kinetic_fine = _sine_dvr_kinetic(r_fine.size, length, mass)
+        levels_fine = _box_levels(r_fine.size, length, mass)
         abs_norm = _abs_norm(kinetic_fine)
+        hop_fine = _fd_hop(r_fine.size, length, mass)
     radial = []
-    anchor = None
     for j, (evals, evecs, next_level) in enumerate(_radial_chain(params, grid, kinetic)):
         if check_convergence:
             v = _effective_potential(params, j, r_fine)
             theta, y = _sine_ritz(evecs, v, levels_fine)
-            radii, anchor = _certify(kinetic_fine, v, abs_norm(v), theta, y,
-                                     0.5 * (evals[-1] + next_level), anchor)
+            radii = _certify(kinetic_fine, hop_fine, v, abs_norm(v), theta, y,
+                             0.5 * (evals[-1] + next_level))
             if (radii is None or np.max(np.abs(evals - theta) + radii) * CM1_PER_HARTREE
                     > grid.convergence_tol_cm1):
                 _check_doubling(kinetic_fine, v, evals, grid, j)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .cavity import CavityParams, KickPulse, Trajectory
 from .errors import BasisSizeError, ConvergenceError, ModelError
-from .integrators import propagate
+from .integrators import check_step, propagate, record_grid
 from .model import MolecularModel, ThermalWeights, mu_squared_matrix
 from .spectra import Spectrum, make_stick_spectrum
 
@@ -146,9 +146,10 @@ def photon_ladder_squared(n_fock_max: int) -> np.ndarray:
 MEMORY_BUDGET = 4 * 2**30
 
 
-def _check_memory(dim: int, include_dse: bool):
+def _check_memory(dim: int, include_dse: bool, records: int = 0):
     """Refuse, before anything is allocated, a run whose dense matrices on a
-    dim-state product basis would not fit in MEMORY_BUDGET bytes.
+    dim-state product basis, and the populations of its records on a
+    time-dependent run, would not fit in MEMORY_BUDGET bytes.
 
     Every quantum route holds the solver's block eigenvectors, at most
     dim x largest block, plus, while one block's eigh runs, the block's H,
@@ -166,13 +167,14 @@ def _check_memory(dim: int, include_dse: bool):
     product basis as the oracle up to N = 7 (6561 states, 2.4 GB), and
     refuses it at N = 8 (19,683 states, 19 GB).  One molecule passes up to
     about 8,750 product states with the self-energy; HCl at j_max = 50
-    (15,606 states, 13.6 GB) is refused.
+    (15,606 states, 13.6 GB) is refused.  A trajectory adds records x dim doubles.
     """
-    need = 8 * ((6 + include_dse) * dim**2 + 6 * dim + 1)
+    need = 8 * ((6 + include_dse) * dim**2 + (6 + records) * dim + 1)
     if need > MEMORY_BUDGET:
+        held = "dense matrices" + (f" and {records} population records" if records else "")
         raise BasisSizeError(
             f"{dim}-state product basis needs about {need / 2**30:.3g} GiB of "
-            f"dense matrices, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
+            f"{held}, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
 
 
 def product_hamiltonian(h_mol: np.ndarray, mu: np.ndarray | None, mu2: np.ndarray | None,
@@ -596,6 +598,10 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     i0 = basis.index(*init)
     ks, ns = basis.arrays()
     eps = model.energies[ks] + ns * cav.omega_c
+    # propagate runs these guards again; here they refuse before the solve
+    check_step(dt, eps, cav.omega_c)
+    _check_memory(math.prod(basis._grid[0]), cav.include_dse,
+                  record_grid(t_end, dt, record_stride)[1].size)
 
     sol = solve_polaritons(model, cav, basis) if method == "exact" else None
     v_int = (assemble_hamiltonian(model, cav, basis) - np.diag(eps)   # only RK4 steps use it

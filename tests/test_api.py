@@ -1,6 +1,11 @@
 """The public API: the names twinpol exports and the PolaritonSolution
 attributes its consumers read."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 import twinpol
@@ -34,3 +39,17 @@ def test_polariton_solution_attributes():
         assert hasattr(sol, name)
     assert sol.size == 2
     assert sol.block_sizes() == {"n_blocks": 2, "max_block_dim": 1}
+
+
+def test_cli_import_loads_no_scipy():
+    """Every CLI process pays its imports: scipy.linalg alone takes about
+    0.3 s to import, more than a whole bench worker's setup."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parent.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, twinpol.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -174,9 +174,14 @@ BAD_CONFIGS = {
                            "pulse_max_excitation = nan\n", "max_excitation must be positive"),
     "nan_peak_threshold": (THREE_LEVEL_HEADER + "\n[protocol]\npeak_threshold = nan\n",
                            "peak_threshold: must lie in [0, 1]"),
+    # these ran the whole Morse build first: r_e = nan failed on the finished
+    # model, r_max = inf warned, then blamed the levels
+    "nan_r_e": (MORSE_J1 + "r_e = nan bohr\n", "Morse parameter r_e must be positive and finite"),
+    "infinite_r_max": (MORSE_J1 + "r_max = inf bohr\n", "finite r_min < r_max, got [1.2, inf]"),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", BAD_CONFIGS)
 def test_config_errors_exit_2_at_validate_and_run(tmp_path, capsys, case):
     body, named = BAD_CONFIGS[case]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,10 +8,9 @@ import twinpol.model
 from helpers import first_selection_rule_offender, morse_model_per_j, sine_dvr_kinetic
 from twinpol import (ConvergenceError, ModelError, MolecularModel, MorseParams, RadialGrid,
                      build_morse_rovib)
-from twinpol.model import (_abs_norm, _box_levels, _carried_floor, _certify,
-                           _effective_potential, _sine_dvr_kinetic, _sine_interpolate,
-                           _sine_ritz, _with_diagonal,
-                           z_direction_cosine)
+from twinpol.model import (_abs_norm, _box_levels, _certify, _effective_potential,
+                           _fd_floor, _fd_hop, _sine_dvr_kinetic, _sine_interpolate,
+                           _sine_ritz, _sturm_count, _with_diagonal, z_direction_cosine)
 from twinpol.units import CM1_PER_HARTREE, au_to_cm1
 
 
@@ -38,7 +38,7 @@ def test_box_levels_are_the_kinetic_eigenvalues(n):
 def test_sine_ritz_projects_the_kinetic_matrix_in_the_sine_basis():
     # the kinetic part from the sine coefficients equals the dense projection
     params, grid = MorseParams(), RadialGrid()
-    _, evecs, kinetic, v = doubling_case(params, grid, 3)
+    _, evecs, kinetic, _, v = doubling_case(params, grid, 3)
     u = evecs[:, :2]
     theta, y = _sine_ritz(u, v, _box_levels(v.size, grid.r_max - grid.r_min,
                                             params.reduced_mass))
@@ -139,7 +139,7 @@ def fallbacks(monkeypatch):
 
 
 def factorizations(monkeypatch):
-    """The size of each Cholesky factorization."""
+    """The size of each Cholesky factorization: none in a Morse build."""
     return record_calls(monkeypatch, np.linalg, "cholesky", lambda a: a.shape[0])
 
 
@@ -151,30 +151,31 @@ def full_eighs(monkeypatch, n=400):
 
 def doubling_case(params, grid, j):
     """(coarse eigenvalues, coarse eigenvectors, doubled-grid kinetic matrix,
-    its effective potential) for one J, from a full eigensolve."""
+    its finite-difference coupling, its effective potential) for one J, from
+    a full eigensolve."""
     length = grid.r_max - grid.r_min
     kinetic = _sine_dvr_kinetic(grid.n_points, length, params.reduced_mass)
     v_eff = _effective_potential(params, j, grid.points())
     evals, evecs = np.linalg.eigh(_with_diagonal(kinetic, v_eff))
     n_fine = 2 * grid.n_points
     kinetic_fine = _sine_dvr_kinetic(n_fine, length, params.reduced_mass)
-    return evals, evecs, kinetic_fine, _effective_potential(params, j, grid.points(n_fine))
+    return (evals, evecs, kinetic_fine, _fd_hop(n_fine, length, params.reduced_mass),
+            _effective_potential(params, j, grid.points(n_fine)))
 
 
-def certify_trial(kinetic, v, coarse_vectors, rho, anchor=None):
-    """(theta, radii, anchor) of _certify on the Ritz pairs of the coarse
-    vectors' sine series, as the doubled grid makes them."""
+def certify_trial(kinetic, hop, v, coarse_vectors, rho):
+    """(theta, radii) of _certify on the Ritz pairs of the coarse vectors'
+    sine series, as the doubled grid makes them."""
     theta, y = _sine_ritz(coarse_vectors, v, np.linalg.eigvalsh(kinetic))
-    radii, anchor = _certify(kinetic, v, _abs_norm(kinetic)(v), theta, y, rho, anchor)
-    return theta, radii, anchor
+    return theta, _certify(kinetic, hop, v, _abs_norm(kinetic)(v), theta, y, rho)
 
 
 def certify(params, grid, j):
     """(certified bound, eigvalsh drift) of the lowest v_max + 1 levels, hartree."""
     k = params.v_max + 1
-    evals, evecs, kinetic, v_fine = doubling_case(params, grid, j)
-    theta, radii, _ = certify_trial(kinetic, v_fine, evecs[:, :k],
-                                    0.5 * (evals[k - 1] + evals[k]))
+    evals, evecs, kinetic, hop, v_fine = doubling_case(params, grid, j)
+    theta, radii = certify_trial(kinetic, hop, v_fine, evecs[:, :k],
+                                 0.5 * (evals[k - 1] + evals[k]))
     bound = math.inf if radii is None else np.max(np.abs(evals[:k] - theta) + radii)
     drift = np.max(np.abs(evals[:k] - np.linalg.eigvalsh(_with_diagonal(kinetic, v_fine))[:k]))
     return bound, drift
@@ -205,6 +206,14 @@ def test_shifted_coarse_levels_fail_the_doubling_check(monkeypatch):
     assert calls == [0]
 
 
+def test_grid_refuses_a_tolerance_that_passes_any_drift():
+    # drift > nan is False: a NaN tolerance let a 24-point grid pass whose
+    # levels drift 0.34 cm^-1 on doubling
+    for tol in (math.nan, math.inf, 0.0):
+        with pytest.raises(ModelError, match="convergence_tol_cm1 must be positive and finite"):
+            RadialGrid(n_points=24, convergence_tol_cm1=tol)
+
+
 def test_undersized_grid_is_not_bound():
     # 8 points hold 8 levels; the top ones lie above the wall, and no level past
     # the grid's last is read
@@ -218,9 +227,8 @@ def test_default_grid_is_certified_for_every_j(monkeypatch):
     solved = full_eighs(monkeypatch)
     params = MorseParams()
     model = build_morse_rovib(params)
-    assert calls == []
-    assert factorized == [800]            # one anchor, at J = 0, serves J = 0..10
-    assert len(solved) == 1               # so does one coarse eigh
+    assert calls == [] and factorized == []
+    assert len(solved) == 1               # one coarse eigh, at J = 0, serves J = 0..10
     monkeypatch.undo()
     unchecked = build_morse_rovib(params, check_convergence=False)
     assert np.array_equal(model.energies, unchecked.energies)
@@ -244,94 +252,146 @@ def test_coarse_grid_falls_back_to_eigvalsh(monkeypatch):
 
 def test_trial_space_without_ground_state_is_not_certified():
     params, grid = MorseParams(v_max=1), RadialGrid()
-    evals, evecs, kinetic, v_fine = doubling_case(params, grid, 0)
-    # rho above v = 2: the Ritz pairs are accurate, but v = 0 is a third level below rho
-    theta, radii, anchor = certify_trial(kinetic, v_fine, evecs[:, 1:3],
-                                         0.5 * (evals[2] + evals[3]))
-    assert radii is None and anchor[0] == -math.inf
-    # rho between v = 0 and v = 1, as for the claimed levels evals[:2]
-    rho = 0.5 * (evals[1] + evals[2])
-    assert certify_trial(kinetic, v_fine, evecs[:, 1:3], rho)[1:] == (None, None)
-    # the same call with the true lowest pair certifies
-    theta, radii, anchor = certify_trial(kinetic, v_fine, evecs[:, :2], rho)
-    assert np.max(np.abs(evals[:2] - theta) + radii) < 1e-9 and anchor[0] > theta[-1]
+    for j in (0, 1):
+        evals, evecs, kinetic, hop, v_fine = doubling_case(params, grid, j)
+        # rho above v = 2: the Ritz pairs are accurate, but v = 0 is a third
+        # level below rho, and the Sturm count sees it
+        rho = 0.5 * (evals[2] + evals[3])
+        assert certify_trial(kinetic, hop, v_fine, evecs[:, 1:3], rho)[1] is None
+        assert _fd_floor(v_fine, hop, _abs_norm(kinetic)(v_fine), rho, 2) == -math.inf
+        # rho between v = 0 and v = 1, as for the claimed levels evals[:2]
+        rho = 0.5 * (evals[1] + evals[2])
+        theta, radii = certify_trial(kinetic, hop, v_fine, evecs[:, 1:3], rho)
+        assert theta[-1] >= rho and radii is None
+        # the same call with the true lowest pair certifies
+        theta, radii = certify_trial(kinetic, hop, v_fine, evecs[:, :2], rho)
+        assert np.max(np.abs(evals[:2] - theta) + radii) < 1e-9
 
 
 def test_certificate_needs_disjoint_intervals_below_the_wall():
-    # h = diag(v): eigenvalues 0, 5, 8, 10, 100, and the wall min(v[0], v[-1]) = 8
+    # h = diag(v): eigenvalues 0, 5, 8, 10, 100, and the wall min(v[0], v[-1]) = 8;
+    # a zero kinetic matrix is its own finite-difference minorant (hop = 0)
     v = np.array([100.0, 0.0, 5.0, 10.0, 8.0])
     kinetic, e = np.zeros((5, 5)), np.eye(5)
     norm = _abs_norm(kinetic)(v)
-    anchor = (7.0, v)                    # a floor on lambda_2 = 8
-    # exact pairs: each radius is the rounding allowance alone
-    radii, kept = _certify(kinetic, v, norm, np.array([0.0, 5.0]), e[:, 1:3], math.inf, anchor)
+    # exact pairs: each radius is the rounding allowance alone; rho = 7 floors lambda_2 = 8
+    radii = _certify(kinetic, 0.0, v, norm, np.array([0.0, 5.0]), e[:, 1:3], 7.0)
     assert np.array_equal(radii, np.full(2, v.size * np.finfo(float).eps * norm))
-    assert kept is anchor
+    # above lambda_2 no floor is proven, and the same pairs are refused
+    assert _certify(kinetic, 0.0, v, norm, np.array([0.0, 5.0]), e[:, 1:3], 9.0) is None
+    assert _certify(kinetic, 0.0, v, norm, np.array([0.0, 5.0]), e[:, 1:3], math.inf) is None
     # two overlapping intervals about lambda_0 do not prove lambda_1 lies in either
     y = np.column_stack([e[:, 1], e[:, 1] + 0.01 * e[:, 2]])
     y /= np.linalg.norm(y, axis=0)
-    radii, kept = _certify(kinetic, v, norm, (y * (v[:, None] * y)).sum(axis=0), y,
-                           math.inf, anchor)
-    assert radii is None and kept is anchor
+    assert _certify(kinetic, 0.0, v, norm, (y * (v[:, None] * y)).sum(axis=0), y, 7.0) is None
     # lambda_2 = 8 is at the wall, so it is not a bound level
-    radii, kept = _certify(kinetic, v, norm, np.array([0.0, 5.0, 8.0]), e[:, [1, 2, 4]],
-                           math.inf, (9.0, v))
-    assert radii is None
+    assert _certify(kinetic, 0.0, v, norm, np.array([0.0, 5.0, 8.0]), e[:, [1, 2, 4]],
+                    9.0) is None
 
 
 def test_chained_floor_certifies_every_j_up_to_30(monkeypatch):
-    """Both grids up to J = 30: each certified interval holds its eigvalsh level,
-    one full eigh serves the coarse grid, and coarse and doubled grid alike
-    re-anchor by a Cholesky where the carried floor falls behind."""
+    """Both grids up to J = 30: each J is certified, each certified interval
+    holds its eigvalsh level, one full eigh serves the coarse grid, and no
+    grid is factorized."""
     checks = []
     certify_ = twinpol.model._certify
 
-    def recorded(kinetic, v, norm, theta, y, rho, anchor):
-        radii, new_anchor = certify_(kinetic, v, norm, theta, y, rho, anchor)
+    def recorded(kinetic, hop, v, norm, theta, y, rho):
+        radii = certify_(kinetic, hop, v, norm, theta, y, rho)
         exact = np.linalg.eigvalsh(_with_diagonal(kinetic, v))[:theta.size]
-        checks.append((v.size, theta, radii, exact, new_anchor is not anchor))
-        return radii, new_anchor
+        checks.append((v.size, theta, radii, exact))
+        return radii
 
     monkeypatch.setattr(twinpol.model, "_certify", recorded)
     calls = fallbacks(monkeypatch)
     solved = full_eighs(monkeypatch)
     factorized = factorizations(monkeypatch)
     build_morse_rovib(MorseParams(j_max=30))
-    assert calls == [] and len(solved) == 1
-    coarse = [check for check in checks if check[0] == 400]
-    fine = [check for check in checks if check[0] == 800]
-    assert len(coarse) == 30 and len(fine) == 31
-    for _, theta, radii, exact, _ in checks:
+    assert calls == [] and len(solved) == 1 and factorized == []
+    assert [size for size, *_ in checks].count(400) == 30
+    assert [size for size, *_ in checks].count(800) == 31
+    for _, theta, radii, exact in checks:
         assert radii is not None and np.all(np.abs(theta - exact) <= radii)
-    anchored = [j for j, check in enumerate(fine) if check[-1]]
-    assert anchored[0] == 0 and len(anchored) > 1
-    assert any(check[-1] for check in coarse) and 400 in factorized
 
 
-def test_carried_floor_refuses_a_negative_increment():
-    diag = np.array([3.0, 2.0, 1.0])
-    assert _carried_floor(None, diag) == -math.inf
-    assert _carried_floor((0.5, diag), diag + [0.0, -1e-12, 0.25]) == -math.inf
-    # the floor grows by the smallest increment, rounded down
-    carried = _carried_floor((0.5, diag), diag + [0.25, 0.125, 0.5])
-    assert 0.5 < carried < 0.625
-    assert _carried_floor((0.5, diag), diag) < 0.5
+def fd_kinetic(n, length, mass):
+    """The 3-point finite-difference kinetic matrix on _sine_dvr_kinetic's grid."""
+    return _fd_hop(n, length, mass) * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
 
 
-def test_trial_space_without_ground_state_is_not_certified_from_an_anchor():
-    params, grid = MorseParams(v_max=1), RadialGrid()
-    evals0, evecs0, kinetic, v0 = doubling_case(params, grid, 0)
-    _, radii, anchor = certify_trial(kinetic, v0, evecs0[:, :2], 0.5 * (evals0[1] + evals0[2]))
-    assert radii is not None and anchor is not None
-    evals, evecs, _, v1 = doubling_case(params, grid, 1)
-    rho = 0.5 * (evals[1] + evals[2])
-    # trial v = 1, 2 at J = 1: its top level is above the carried floor and rho
-    theta, radii, carried = certify_trial(kinetic, v1, evecs[:, 1:3], rho, anchor)
-    assert theta[-1] >= _carried_floor(anchor, v1) and theta[-1] >= rho
-    assert radii is None and carried is anchor
-    # the true lowest pair at J = 1 is certified by the carried floor alone
-    theta, radii, carried = certify_trial(kinetic, v1, evecs[:, :2], rho, anchor)
-    assert np.max(np.abs(evals[:2] - theta) + radii) < 1e-9 and carried is anchor
+@pytest.mark.parametrize("n", [8, 11, 32, 64])
+def test_fd_kinetic_lies_below_the_sine_dvr_matrix(n):
+    length, mass = 4.8, MorseParams().reduced_mass
+    kinetic = _sine_dvr_kinetic(n, length, mass)
+    allowance = n * np.finfo(float).eps * _abs_norm(kinetic)(np.zeros(n))
+    assert np.linalg.eigvalsh(kinetic - fd_kinetic(n, length, mass)).min() >= -allowance
+    # the allowance bounds kinetic's own rounding: against the sine-DVR matrix
+    # S diag(levels) S formed in extended precision, ||E||_F < allowance / 8
+    ext = np.longdouble
+    if np.finfo(ext).eps > 1e-3 * np.finfo(float).eps:
+        pytest.skip("no extended precision on this platform")
+    m = np.arange(1, n + 1, dtype=ext)
+    pi = ext("3.14159265358979323846264338327950288")
+    sines = np.sqrt(ext(2) / (n + 1)) * np.sin(pi * np.outer(m, m) / (n + 1))
+    exact = (sines * ((pi * m / ext(length)) ** 2 / (2 * ext(mass)))) @ sines
+    assert np.linalg.norm((kinetic - exact).astype(float)) < allowance / 8
+
+
+def test_fd_floor_never_exceeds_the_eigenvalue():
+    rng = np.random.default_rng(2101)
+    params = MorseParams()
+    proven = {"between": 0, "tight": 0, "at": 0}
+    for _ in range(30):
+        grid = RadialGrid(n_points=int(rng.integers(8, 97)))
+        n, length, mass = grid.n_points, grid.r_max - grid.r_min, params.reduced_mass
+        kinetic, hop = _sine_dvr_kinetic(n, length, mass), _fd_hop(n, length, mass)
+        v = (_effective_potential(params, int(rng.integers(0, 61)), grid.points())
+             + rng.uniform(0.0, 0.05, n))
+        lam = np.linalg.eigvalsh(_with_diagonal(kinetic, v))
+        lam_fd = np.linalg.eigvalsh(_with_diagonal(fd_kinetic(n, length, mass), v))
+        norm = _abs_norm(kinetic)(v)
+        for k in range(1, 6):
+            # between two levels, at the minorant's own level (the floor's
+            # tightest place), and at lambda_k itself
+            rhos = {"between": 0.5 * (lam[k - 1] + lam[k]), "tight": lam_fd[k], "at": lam[k]}
+            for kind, rho in rhos.items():
+                floor = _fd_floor(v, hop, norm, rho, k)
+                assert floor <= lam[k]
+                proven[kind] += floor > -math.inf
+    assert proven["between"] >= 100 and proven["tight"] >= 50 and proven["at"] == 0, proven
+
+
+def exact_zero_pivot(diag, off, shift):
+    """Whether a pivot before the last of tridiag(off, diag, off) - shift is
+    exactly zero, in rational arithmetic."""
+    d = None
+    for a in diag[:-1]:
+        d = Fraction(a) - Fraction(shift) - (0 if d is None else Fraction(off) ** 2 / d)
+        if d == 0:
+            return True
+    return False
+
+
+def test_sturm_count_matches_eigvalsh():
+    rng = np.random.default_rng(2102)
+    # pivots 0, -inf, 0, ... and 1, 0, -inf, 1
+    cases = [(np.ones(6), 1.0, 1.0), (np.full(4, 3.0), 1.0, 2.0)]
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        if rng.random() < 0.5:      # small integers: exact zero pivots are common
+            cases.append((rng.integers(-3, 4, n).astype(float), float(rng.choice([-1, 1])),
+                          float(rng.integers(-4, 5))))
+        else:
+            cases.append((rng.normal(size=n), rng.normal(), rng.normal()))
+    zero_pivots = 0
+    for diag, off, shift in cases:
+        lam = np.linalg.eigvalsh(np.diag(diag) + off * (np.eye(diag.size, k=1)
+                                                          + np.eye(diag.size, k=-1)))
+        if np.min(np.abs(lam - shift)) < 1e-9:      # the count at an eigenvalue is rounding's
+            continue
+        assert _sturm_count(diag, off, shift) == np.sum(lam < shift)
+        zero_pivots += exact_zero_pivot(diag, off, shift)
+    assert zero_pivots >= 10
 
 
 def test_selection_rule_names_first_offender_in_row_major_order():
@@ -366,7 +426,7 @@ def test_chained_levels_match_one_eigh_per_j(monkeypatch, j_max):
     calls = fallbacks(monkeypatch)
     params = MorseParams(j_max=j_max)
     model = build_morse_rovib(params)
-    # one full eigh, at J = 0, carries every J: the floor re-anchors by a Cholesky
+    # one full eigh, at J = 0, carries every J
     assert len(solved) == 1 and calls == []
     oracle = morse_model_per_j(params)
     assert np.max(np.abs(model.energies - oracle.energies)) <= 1e-13
@@ -382,11 +442,10 @@ def test_refused_ritz_step_falls_back_to_eigh_per_j(monkeypatch, refusal):
         # four pairs cannot carry the three lowest levels to J = 1 within eigh's rounding
         monkeypatch.setattr(twinpol.model, "_ANCHOR_PAIRS", 4)
     else:
-        # the doubled grid (800 points) keeps its floors; the coarse one proves none
-        for name in ("_carried_floor", "_count_floor"):
-            floor = getattr(twinpol.model, name)
-            monkeypatch.setattr(twinpol.model, name, lambda *args, floor=floor: (
-                floor(*args) if args[1].size == 800 else -math.inf))
+        # the doubled grid (800 points) keeps its floor; the coarse one proves none
+        count = twinpol.model._sturm_count
+        monkeypatch.setattr(twinpol.model, "_sturm_count", lambda diag, off, shift: (
+            count(diag, off, shift) if diag.size == 800 else diag.size))
     solved = full_eighs(monkeypatch)
     params = MorseParams()
     model = build_morse_rovib(params)

@@ -547,6 +547,45 @@ def test_solution_keeps_only_blocks(model3, hcl_model, name):
         assert np.abs(sol.from_eigenbasis(sol.to_eigenbasis(x)) - x).max() <= scale
 
 
+def test_memory_guard_counts_the_population_records(model3, cav, pulse, monkeypatch):
+    """A time-dependent run's size guard adds its records x dim populations,
+    and refuses before anything is solved or allocated."""
+    # HCl at j_max = 30 (5,766 product states) over t_end = 9.6e5 au, dt = 1,
+    # stride 16: 1.7 GiB of matrices pass, and 2.6 GiB of populations more do not
+    _check_memory(5766, include_dse=True)
+    with pytest.raises(BasisSizeError, match="60001 population records"):
+        _check_memory(5766, include_dse=True, records=60001)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("solved before the size check")
+
+    grid = dict(t_end=400.0, dt=1.0, record_stride=4)       # 101 records
+    matrices = 8 * (6 * 9**2 + 6 * 9 + 1)                    # 9 states, no self-energy
+    monkeypatch.setattr(twinpol.quantum, "solve_polaritons", no_build)
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", matrices + 8 * 101 * 9 - 1)
+    with pytest.raises(BasisSizeError, match="^9-state.* and 101 population records"):
+        propagate_quantum(model3, cav, pulse, (0, 0), **grid)
+    monkeypatch.undo()
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", matrices + 8 * 101 * 9)
+    assert propagate_quantum(model3, cav, pulse, (0, 0), **grid).times.size == 101
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_refused_run_neither_solves_nor_assembles(hcl_model, monkeypatch, method):
+    """The dt and record-grid guards refuse a run before the solve and the
+    dense H: a refused HCl run took the 726-state solve first."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("solved or assembled before the guards")
+
+    monkeypatch.setattr(twinpol.quantum, "solve_polaritons", no_build)
+    monkeypatch.setattr(twinpol.quantum, "assemble_hamiltonian", no_build)
+    cav = CavityParams(**HCL_CAVITY)
+    with pytest.raises(ModelError, match="too coarse"):
+        propagate_quantum(hcl_model, cav, KickPulse(), (0, 0), 1000.0, 50.0, method=method)
+    with pytest.raises(ModelError, match="shorter than one record_stride"):
+        propagate_quantum(hcl_model, cav, KickPulse(), (0, 0), 5.0, 1.0, 8, method=method)
+
+
 def test_single_molecule_routes_have_a_size_guard(hcl_model, monkeypatch):
     """assemble_hamiltonian refuses, before any product-space array, a basis
     whose dense matrices exceed the budget: HCl at j_max = 50 has 15,606

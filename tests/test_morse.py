@@ -268,6 +268,38 @@ def test_trial_space_without_ground_state_is_not_certified():
         assert np.max(np.abs(evals[:2] - theta) + radii) < 1e-9
 
 
+def test_trial_space_without_ground_state_is_not_certified_from_an_anchor():
+    """The coarse grid's step from an anchor: J = 1 takes its Ritz pairs on
+    the J = 0 eigenvectors, as _radial_chain forms them."""
+    params, grid = MorseParams(v_max=1), RadialGrid()
+    r, k = grid.points(), params.v_max + 2
+    length, mass = grid.r_max - grid.r_min, params.reduced_mass
+    kinetic, hop = _sine_dvr_kinetic(r.size, length, mass), _fd_hop(r.size, length, mass)
+    lam, u = np.linalg.eigh(_with_diagonal(kinetic, _effective_potential(params, 0, r)))
+    v1 = _effective_potential(params, 1, r)
+    exact = np.linalg.eigvalsh(_with_diagonal(kinetic, v1))
+    norm = _abs_norm(kinetic)(v1)
+    g = u.T @ (u / (2.0 * mass * r[:, None] ** 2))
+
+    def from_anchor(keep):
+        small = 2.0 * g[np.ix_(keep, keep)]
+        small[np.diag_indices_from(small)] += lam[keep]
+        theta, z = np.linalg.eigh(small)
+        y = u[:, keep] @ z[:, :k]
+        y /= np.linalg.norm(y, axis=0)
+        rho = 0.5 * (theta[k - 1] + theta[k])
+        return theta[:k], _certify(kinetic, hop, v1, norm, theta[:k], y, rho), rho
+
+    # an anchor basis without v = 0: the Ritz pairs are J = 1's v = 1, 2, 3,
+    # and the Sturm count sees v = 0 as a fourth level below rho
+    theta, radii, rho = from_anchor(np.arange(1, 64))
+    assert np.max(np.abs(theta - exact[1:k + 1])) < 1e-7
+    assert radii is None and _fd_floor(v1, hop, norm, rho, k) == -math.inf
+    # the anchor's lowest 64 eigenvectors certify J = 1's lowest levels
+    theta, radii, _ = from_anchor(np.arange(64))
+    assert np.max(np.abs(exact[:k] - theta) + radii) < 1e-9
+
+
 def test_certificate_needs_disjoint_intervals_below_the_wall():
     # h = diag(v): eigenvalues 0, 5, 8, 10, 100, and the wall min(v[0], v[-1]) = 8;
     # a zero kinetic matrix is its own finite-difference minorant (hop = 0)

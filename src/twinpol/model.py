@@ -30,6 +30,10 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
+# dipole entries per block of content_hash
+_HASH_BLOCK = 1024
+
+
 @dataclass(frozen=True, eq=False)
 class MolecularModel:
     """Cavity-free eigenstates of one emitter.
@@ -60,17 +64,21 @@ class MolecularModel:
             raise ModelError(f"dipole matrix shape {self.dipole.shape} does not match {n} states")
         if len(self.labels) != n:
             raise ModelError("one label per state required")
-        if not np.all(np.isfinite(self.energies)) or not np.all(np.isfinite(self.dipole)):
+        # every check reads the nonzero entries alone, in row-major order; the
+        # symmetry verdict is np.allclose(dipole, dipole.T, atol=1e-12)'s (see
+        # quantum.diagonalize_polaritons)
+        rows, cols = np.nonzero(self.dipole)
+        values = self.dipole[rows, cols]
+        if not np.all(np.isfinite(self.energies)) or not np.all(np.isfinite(values)):
             raise ModelError("energies and dipoles must be finite")
-        if not np.allclose(self.dipole, self.dipole.T, atol=1e-12):
+        if not np.allclose(values, self.dipole[cols, rows], atol=1e-12):
             raise ModelError("dipole matrix must be symmetric")
         if self.is_rovib():
             j = np.array([lab["J"] for lab in self.labels])
             m = np.array([lab["M"] for lab in self.labels])
-            allowed = (np.abs(j[:, None] - j[None, :]) == 1) & (m[:, None] == m[None, :])
-            rows, cols = np.nonzero((self.dipole != 0.0) & ~allowed)
-            if rows.size:
-                li, lj = self.labels[rows[0]], self.labels[cols[0]]
+            bad = np.flatnonzero((np.abs(j[rows] - j[cols]) != 1) | (m[rows] != m[cols]))
+            if bad.size:
+                li, lj = self.labels[rows[bad[0]]], self.labels[cols[bad[0]]]
                 raise ModelError(
                     f"dipole entry between {li} and {lj} violates the "
                     "dJ = +-1, dM = 0 selection rule"
@@ -125,9 +133,19 @@ class MolecularModel:
             return cls.from_json_dict(json.load(fh))
 
     def content_hash(self) -> str:
-        """Deterministic sha1 of the canonical JSON form, for run manifests."""
-        blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        return hashlib.sha1(blob).hexdigest()
+        """Deterministic sha1 of the canonical JSON form, for run manifests:
+        the bytes of json.dumps(self.to_json_dict(), sort_keys=True), fed to
+        sha1 a block of about _HASH_BLOCK dipole entries at a time, so that
+        neither the whole JSON nor the dipole as Python lists is held."""
+        sha = hashlib.sha1(b'{"dipole": [')
+        step = max(1, _HASH_BLOCK // max(1, self.n_states))
+        for start in range(0, self.n_states, step):
+            rows = json.dumps(self.dipole[start:start + step].tolist())[1:-1]
+            sha.update(((", " if start else "") + rows).encode())
+        sha.update(('], "energies": ' + json.dumps(self.energies.tolist())
+                    + ', "labels": ' + json.dumps(list(self.labels), sort_keys=True)
+                    + "}").encode())
+        return sha.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -252,6 +270,14 @@ def build_three_level(e0: float, e1: float, e2: float,
     return MolecularModel(energies=energies, dipole=dipole, labels=labels)
 
 
+def _sine_dvr_diagonal(n_points: int, length: float, mass: float) -> np.ndarray:
+    """The diagonal of _sine_dvr_kinetic, from its closed form."""
+    n_box = n_points + 1
+    i = np.arange(1, n_points + 1)
+    pref = math.pi**2 / (4.0 * mass * length**2)
+    return pref * ((2.0 * n_box**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * i / n_box) ** 2)
+
+
 def _sine_dvr_kinetic(n_points: int, length: float, mass: float) -> np.ndarray:
     """Particle-in-a-box (sine basis) DVR kinetic-energy matrix.
 
@@ -261,7 +287,6 @@ def _sine_dvr_kinetic(n_points: int, length: float, mass: float) -> np.ndarray:
     is a Toeplitz minus a Hankel matrix read from two 1-D tables.
     """
     n_box = n_points + 1
-    i = np.arange(1, n_points + 1)
     pref = math.pi**2 / (4.0 * mass * length**2)
     diff = np.arange(1 - n_points, n_points)
     summ = np.arange(2, 2 * n_points + 1)
@@ -272,10 +297,8 @@ def _sine_dvr_kinetic(n_points: int, length: float, mass: float) -> np.ndarray:
     # and the rows gives entry (i, j) = by_diff[i - j], the sum view by_summ[i + j]
     t = (sliding_window_view(by_diff[::-1], n_points)[::-1]
          - sliding_window_view(by_summ, n_points))
-    np.fill_diagonal(
-        t, (2.0 * n_box**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * i / n_box) ** 2
-    )
     t *= pref
+    np.fill_diagonal(t, _sine_dvr_diagonal(n_points, length, mass))
     return t
 
 
@@ -286,17 +309,19 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(odd, axis=0).imag[1:x.shape[0] + 1]
 
 
-def _sine_interpolate(u: np.ndarray, n_fine: int) -> tuple[np.ndarray, np.ndarray]:
-    """DVR columns u carried to the n_fine-point grid of the same box, and
-    their coefficients c in the box's orthonormal sine basis.
+def _sine_coefficients(u: np.ndarray) -> np.ndarray:
+    """Coefficients of the DVR columns u in the box's orthonormal sine basis
+    S_ik = sqrt(2 / (n + 1)) sin(pi i k / (n + 1)), lowest mode first."""
+    return math.sqrt(2.0 / (u.shape[0] + 1)) * _dst1(u)
 
-    Each column is expanded in that basis and the series is sampled on the
-    finer grid, so a normalized column stays normalized.
-    """
-    n = u.shape[0]
-    coeffs = np.zeros((n_fine,) + u.shape[1:])
-    coeffs[:n] = math.sqrt(2.0 / (n + 1)) * _dst1(u)
-    return math.sqrt(2.0 / (n_fine + 1)) * _dst1(coeffs), coeffs[:n]
+
+def _sine_samples(coeffs: np.ndarray, n_points: int) -> np.ndarray:
+    """The sine series with coefficients coeffs (one column each) sampled on
+    the n_points-point grid of the same box; a unit column stays a unit
+    column, and n_points = coeffs.shape[0] inverts _sine_coefficients."""
+    padded = np.zeros((n_points,) + coeffs.shape[1:])
+    padded[:coeffs.shape[0]] = coeffs
+    return _sine_coefficients(padded)
 
 
 def _box_levels(n_points: int, length: float, mass: float) -> np.ndarray:
@@ -305,16 +330,32 @@ def _box_levels(n_points: int, length: float, mass: float) -> np.ndarray:
     return (math.pi * np.arange(1, n_points + 1) / length) ** 2 / (2.0 * mass)
 
 
-def _sine_ritz(u: np.ndarray, v: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ritz pairs (theta, y), y with unit columns, of T + diag(v) on the
-    v.size-point grid, on the sine series of the coarse DVR columns u.
+def _sine_kinetic(levels: np.ndarray):
+    """y -> K y for the sine-DVR kinetic matrix K = S diag(levels) S of the
+    levels.size-point grid, by two type-I sine transforms; K is never formed.
+    For a unit y the product lies within n eps norm / 8 of the tabled
+    matrix's (_sine_dvr_kinetic), an eighth of _certify's allowance, with
+    norm = || |K| + diag(|v|) ||_F: tested for n = 8 to 800 with v the
+    grid's Morse potential, and with v = 0 for n >= 16, the smallest doubled
+    grid (at n = 8, v = 0 takes 0.15 of the allowance)."""
+    def apply(y: np.ndarray) -> np.ndarray:
+        return _sine_samples(levels[:, None] * _sine_coefficients(y), levels.size)
 
-    T is the sine-DVR kinetic matrix of the fine grid and levels its
-    eigenvalues (_box_levels).  The sine basis diagonalizes T, so the
-    projection of T is c^T diag(levels) c from the coefficients c alone, and
-    T itself is applied only to certify the pairs (_certify).
+    return apply
+
+
+def _sine_ritz(coeffs: np.ndarray, v: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz pairs (theta, y), y with unit columns, of T + diag(v) on the
+    v.size-point grid, on the sine series with coefficients coeffs.
+
+    T is the sine-DVR kinetic matrix of that grid and levels its eigenvalues
+    (_box_levels).  The sine basis diagonalizes T, so the projection of T is
+    c^T diag(levels) c from the coefficients c alone, and T itself is applied
+    only to certify the pairs (_certify).  The coarse grid's first anchor
+    takes the identity's columns, the box's lowest modes; the doubled grid
+    takes the coarse vectors' coefficients.
     """
-    trial, coeffs = _sine_interpolate(u, v.size)
+    trial = _sine_samples(coeffs, v.size)
     theta, z = np.linalg.eigh((coeffs.T * levels[:coeffs.shape[0]]) @ coeffs
                               + trial.T @ (v[:, None] * trial))
     y = trial @ z
@@ -322,7 +363,8 @@ def _sine_ritz(u: np.ndarray, v: np.ndarray, levels: np.ndarray) -> tuple[np.nda
     return theta, y
 
 
-# eigenpairs an anchor J keeps from its full eigh: the Ritz basis of the J above it
+# eigenpairs an anchor J keeps: the Ritz basis of the J above it; J = 0 takes
+# its own Ritz pairs on twice as many of the box's sine modes
 _ANCHOR_PAIRS = 64
 
 
@@ -338,11 +380,15 @@ def _with_diagonal(kinetic: np.ndarray, v: np.ndarray) -> np.ndarray:
     return h
 
 
-def _abs_norm(kinetic: np.ndarray):
-    """The map v -> || |kinetic| + diag(|v|) ||_F, an upper bound on
-    ||kinetic + diag(v)||_2; the part no J changes is summed here, once."""
-    t = np.abs(kinetic.diagonal())
-    off = np.vdot(kinetic, kinetic) - t @ t
+def _abs_norm(n_points: int, length: float, mass: float):
+    """The map v -> || |K| + diag(|v|) ||_F, an upper bound on ||K + diag(v)||_2,
+    for the sine-DVR kinetic matrix K of the n_points-point grid, formed from
+    closed forms alone.  K = S diag(levels) S with S orthogonal, so its
+    off-diagonal squares sum to sum(levels^2) - sum(K_ii^2), the part no J
+    changes; its diagonal is positive."""
+    levels = _box_levels(n_points, length, mass)
+    t = _sine_dvr_diagonal(n_points, length, mass)
+    off = levels @ levels - t @ t
 
     def norm(v: np.ndarray) -> float:
         d = t + np.abs(v)
@@ -384,7 +430,7 @@ def _sturm_count(diag: np.ndarray, off: float, shift: float) -> int:
 def _fd_floor(v: np.ndarray, hop: float, norm: float, rho: float, k: int) -> float:
     """rho less an allowance when one Sturm count proves it a floor on
     lambda_k(h) (k 0-based), else -inf; h = kinetic + diag(v) on hop's grid
-    (_fd_hop), norm = || |kinetic| + diag(|v|) ||_F and u = eps / 2.
+    (_fd_hop), norm = || |kinetic| + diag(|v|) ||_F (_abs_norm) and u = eps / 2.
 
     T_FD = tridiag(-hop, 2 hop, -hop) shares the eigenvectors of the exact
     sine-DVR matrix K, and its eigenvalues 4 hop sin^2(pi m / 2(n + 1)) are
@@ -394,7 +440,9 @@ def _fd_floor(v: np.ndarray, hop: float, norm: float, rho: float, k: int) -> flo
     values a few roundings off, save that a Hankel sine's argument near pi
     scales its rounding by up to n by the last corner, so ||E||_F ~ sqrt(n)
     u ||K||_F, below n eps norm / 8 against K in extended precision for
-    n = 8 to 800 (tested for n <= 64).  It also covers hop's 3 roundings
+    n = 8 to 800 (tested for n <= 64); the doubled grid applies K by sine
+    transforms (_sine_kinetic) but certifies the tabled matrix, which its
+    eigvalsh fallback forms.  It also covers hop's 3 roundings
     (12 u hop on T_FD), the shift's u (|rho| + 2 hop), the count's 2.5 u per
     off-diagonal (5 u hop) and the subtraction's u |rho|: eps (|rho| + 10 hop).
     """
@@ -403,23 +451,27 @@ def _fd_floor(v: np.ndarray, hop: float, norm: float, rho: float, k: int) -> flo
     return rho - np.finfo(float).eps * (v.size * norm + abs(rho) + 10.0 * hop)
 
 
-def _certify(kinetic: np.ndarray, hop: float, v: np.ndarray, norm: float,
+def _certify(kinetic, hop: float, v: np.ndarray, norm: float,
              theta: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray | None:
     """Radii r such that theta_i +- r_i hold exactly the lowest k = len(theta)
-    eigenvalues of h = kinetic + diag(v), one each in order, below the wall
+    eigenvalues of h = T + diag(v), one each in order, below the wall
     min(v[0], v[-1]); None when that is not proven.
 
-    y holds unit columns and norm is || |kinetic| + diag(|v|) ||_F (_abs_norm).
-    Applied as kinetic @ y + v y - theta y, the residual of a unit column
-    rounds by at most (n + 4) u norm (u = eps / 2, |theta| <= ||h||_2), so
-    r = residual + n eps norm bounds the exact one and theta_i +- r_i holds an
-    eigenvalue of h.  Disjoint intervals hold k distinct ones; below a proven
-    floor on lambda_k(h) they are lambda_0 .. lambda_{k-1}.  The floor is a
-    Sturm count at rho on h's finite-difference minorant, the tridiagonal
-    matrix with the sine-DVR eigenvectors and smaller eigenvalues, less its
-    rounding allowance (_fd_floor).
+    T is the tabled sine-DVR kinetic matrix (_sine_dvr_kinetic), kinetic
+    maps y to T y, y holds unit columns and norm is || |T| + diag(|v|) ||_F
+    (_abs_norm).  Applied as kinetic(y) + v y - theta y, the residual of a
+    unit column rounds by at most (n + 4) u norm when kinetic is the dense
+    product T @ y (u = eps / 2, |theta| <= ||h||_2); two sine transforms
+    (_sine_kinetic) land within n eps norm / 8 of T y, so (n / 4 + 4) u norm
+    covers them, as n >= 8.  So r = residual + n eps norm bounds the exact
+    residual and theta_i +- r_i holds an eigenvalue of h.  Disjoint
+    intervals hold k distinct ones; below a proven floor on lambda_k(h) they
+    are lambda_0 .. lambda_{k-1}.  The floor is a Sturm count at rho on h's
+    finite-difference minorant, the tridiagonal matrix with the sine-DVR
+    eigenvectors and smaller eigenvalues, less its rounding allowance
+    (_fd_floor).
     """
-    radii = (np.linalg.norm(kinetic @ y + v[:, None] * y - y * theta, axis=0)
+    radii = (np.linalg.norm(kinetic(y) + v[:, None] * y - y * theta, axis=0)
              + v.size * np.finfo(float).eps * norm)
     top = theta[-1] + radii[-1]
     if (np.any(theta[1:] - radii[1:] <= (theta + radii)[:-1]) or top >= min(v[0], v[-1])
@@ -433,24 +485,29 @@ def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
     lowest v_max + 1 eigenpairs of each J's radial Hamiltonian, bound by the
     walls and signed, and the next eigenvalue (inf when there is none).
 
-    A full eigh at an anchor J keeps its lowest _ANCHOR_PAIRS eigenpairs
-    (lam, U) and G = U^T D U, and a later J takes its lowest v_max + 2 Ritz
-    pairs on U from the eigh of diag(lam) + [J(J+1) - J0(J0+1)] G.  They are
-    kept when _certify proves them to eigh's own accuracy; otherwise eigh
-    decides that J, which becomes the anchor.  Nothing of an anchor outlives
-    the chain.
+    Each J takes its lowest v_max + 2 Ritz pairs and keeps them when _certify
+    proves them, against the dense kinetic matrix, to eigh's own accuracy;
+    otherwise a full eigh decides that J.  J = 0 takes them on the box's
+    lowest 2 _ANCHOR_PAIRS sine modes, which diagonalize the kinetic matrix
+    (_sine_ritz).  An anchor J, J = 0 or one that eigh decides, keeps its
+    lowest _ANCHOR_PAIRS pairs (lam, U) and G = U^T D U, and a later J takes
+    its Ritz pairs on U from the eigh of diag(lam) + [J(J+1) - J0(J0+1)] G.
+    Nothing of an anchor outlives the chain.
     """
     r = grid.points()
+    length, mass = grid.r_max - grid.r_min, params.reduced_mass
     n_keep = params.v_max + 1
     n_pairs = min(max(_ANCHOR_PAIRS, n_keep + 1), r.size)
-    d = 1.0 / (2.0 * params.reduced_mass * r**2)
-    abs_norm = _abs_norm(kinetic)
-    hop = _fd_hop(r.size, grid.r_max - grid.r_min, params.reduced_mass)
+    n_modes = min(2 * n_pairs, r.size)
+    d = 1.0 / (2.0 * mass * r**2)
+    abs_norm = _abs_norm(r.size, length, mass)
+    hop = _fd_hop(r.size, length, mass)
+    levels = _box_levels(r.size, length, mass)
     basis = None
     for j in range(params.j_max + 1):
         v = _effective_potential(params, j, r)
         norm = abs_norm(v)
-        radii = None
+        anchor, theta, radii = basis is None, None, None
         if basis is not None:
             c0, lam, u, g = basis
             small = (j * (j + 1) - c0) * g
@@ -458,10 +515,15 @@ def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
             theta, z = np.linalg.eigh(small)
             y = u @ z[:, :n_keep + 1]
             y /= np.linalg.norm(y, axis=0)
-            radii = _certify(kinetic, hop, v, norm, theta[:n_keep + 1], y,
-                             0.5 * (theta[n_keep] + theta[n_keep + 1]))
+        elif j == 0 and n_modes > n_keep + 1:      # rho reads theta[n_keep + 1]
+            theta, y = _sine_ritz(np.eye(n_modes), v, levels)
+        if theta is not None:
+            radii = _certify(kinetic.__matmul__, hop, v, norm, theta[:n_keep + 1],
+                             y[:, :n_keep + 1], 0.5 * (theta[n_keep] + theta[n_keep + 1]))
         if radii is None or np.any(radii > 2.0 * r.size * np.finfo(float).eps * norm):
             theta, y = np.linalg.eigh(_with_diagonal(kinetic, v))
+            anchor = True
+        if anchor:
             # copies, so no J keeps the full eigenvector matrix alive
             theta, y = theta[:n_pairs].copy(), y[:, :n_pairs].copy()
             if n_keep + 1 < n_pairs:        # a later J's rho reads theta[n_keep + 1]
@@ -474,11 +536,11 @@ def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
         yield evals, evecs, theta[n_keep] if n_keep < theta.size else math.inf
 
 
-def _check_doubling(kinetic: np.ndarray, v: np.ndarray, evals: np.ndarray,
-                    grid: RadialGrid, j: int):
+def _check_doubling(v: np.ndarray, evals: np.ndarray, grid: RadialGrid, mass: float, j: int):
     """Full-spectrum grid-doubling check: the lowest levels of the doubled
-    grid's kinetic + diag(v) must be bound and lie within
-    grid.convergence_tol_cm1 of evals."""
+    grid's T + diag(v), its dense kinetic matrix formed here alone, must be
+    bound and lie within grid.convergence_tol_cm1 of evals."""
+    kinetic = _sine_dvr_kinetic(v.size, grid.r_max - grid.r_min, mass)
     evals_fine = np.linalg.eigvalsh(_with_diagonal(kinetic, v))[:evals.size]
     _check_bound(evals_fine, v, grid, j)
     drift = np.max(np.abs(evals - evals_fine)) * CM1_PER_HARTREE
@@ -516,17 +578,19 @@ def build_morse_rovib(params: MorseParams,
     when the intervals theta_i +- r_i, r_i = |h_J y_i - theta_i y_i| +
     n eps || |h_J| ||_F, are disjoint, lie below the wall, and lie below a
     floor on lambda_k proven by one Sturm count on the finite-difference
-    minorant T_FD + diag(v_J) <= h_J (_fd_floor).  The coarse grid takes the
-    lowest v_max + 2 Ritz pairs on the lowest 64 eigenvectors of an anchor
-    J's full eigh and keeps them when every r_i is within 2 n eps
-    || |h_J| ||_F, eigh's own accuracy; otherwise a full eigh decides that
-    J.  The doubled grid takes the Ritz pairs of the coarse vectors' sine
-    series (_sine_ritz: the kinetic part projected in the sine basis that
-    diagonalizes it, so the doubled-grid T is applied once per J, for the
-    residual) and passes when max_i |evals_i - theta_i| + r_i is within
-    grid.convergence_tol_cm1; otherwise eigvalsh decides (_check_doubling).
-    The default model, and J <= 30 too, takes one full eigh and no
-    factorization; the model comes from the coarse grid alone.
+    minorant T_FD + diag(v_J) <= h_J (_fd_floor).  The coarse grid keeps
+    the lowest v_max + 2 Ritz pairs of each J when every r_i is within
+    2 n eps || |h_J| ||_F, eigh's own accuracy; otherwise a full eigh
+    decides that J (_radial_chain).  J = 0 takes them on the box's lowest
+    128 sine modes, and a later J on the lowest 64 pairs of the last anchor.
+    The doubled grid takes the Ritz pairs of the coarse vectors' sine series
+    (_sine_ritz: the kinetic part projected in the sine basis that
+    diagonalizes it) with T applied by two sine transforms for the residual
+    (_sine_kinetic), and passes when max_i |evals_i - theta_i| + r_i is
+    within grid.convergence_tol_cm1; otherwise eigvalsh decides, and only it
+    forms the doubled grid's T (_check_doubling).  The default model, and
+    J <= 30 too, takes no eigh larger than 128 x 128 and no factorization;
+    the model comes from the coarse grid alone.
     """
     grid = grid or RadialGrid()
     if params.j_max < 1:
@@ -537,20 +601,20 @@ def build_morse_rovib(params: MorseParams,
     kinetic = _sine_dvr_kinetic(grid.n_points, length, mass)
     if check_convergence:
         r_fine = grid.points(2 * grid.n_points)
-        kinetic_fine = _sine_dvr_kinetic(r_fine.size, length, mass)
         levels_fine = _box_levels(r_fine.size, length, mass)
-        abs_norm = _abs_norm(kinetic_fine)
+        kinetic_fine = _sine_kinetic(levels_fine)
+        abs_norm = _abs_norm(r_fine.size, length, mass)
         hop_fine = _fd_hop(r_fine.size, length, mass)
     radial = []
     for j, (evals, evecs, next_level) in enumerate(_radial_chain(params, grid, kinetic)):
         if check_convergence:
             v = _effective_potential(params, j, r_fine)
-            theta, y = _sine_ritz(evecs, v, levels_fine)
+            theta, y = _sine_ritz(_sine_coefficients(evecs), v, levels_fine)
             radii = _certify(kinetic_fine, hop_fine, v, abs_norm(v), theta, y,
                              0.5 * (evals[-1] + next_level))
             if (radii is None or np.max(np.abs(evals - theta) + radii) * CM1_PER_HARTREE
                     > grid.convergence_tol_cm1):
-                _check_doubling(kinetic_fine, v, evals, grid, j)
+                _check_doubling(v, evals, grid, mass, j)
         radial.append((evals, evecs))
     return _rovib_model(params, grid, radial)
 
@@ -561,10 +625,6 @@ def _rovib_model(params: MorseParams, grid: RadialGrid,
     levels = [evals for evals, _ in radial]
     vectors = [evecs for _, evecs in radial]
     mu_r = params.dipole_function(grid.points())
-
-    # radial dipole integrals <v' J'| mu(R) |v J> via DVR quadrature
-    def radial_dipole(vp, jp, v, j):
-        return float(vectors[jp][:, vp] @ (mu_r * vectors[j][:, v]))
 
     states = [
         (v, j, m)
@@ -578,13 +638,20 @@ def _rovib_model(params: MorseParams, grid: RadialGrid,
     energies -= levels[0][0]
 
     dipole = np.zeros((n, n))
-    for (v, j, m), k in index.items():
-        for vp in range(params.v_max + 1):
-            for jp in (j - 1, j + 1):
-                if jp < 0 or jp > params.j_max or abs(m) > jp:
-                    continue
-                kp = index[(vp, jp, m)]
-                dipole[kp, k] = radial_dipole(vp, jp, v, j) * z_direction_cosine(j, jp, m)
+    for j in range(params.j_max + 1):
+        for jp in (j - 1, j + 1):
+            if not 0 <= jp <= params.j_max:
+                continue
+            ms = range(-min(j, jp), min(j, jp) + 1)
+            cosines = np.array([z_direction_cosine(j, jp, m) for m in ms])
+            for v in range(params.v_max + 1):
+                for vp in range(params.v_max + 1):
+                    # the radial integral <v' J'| mu(R) |v J> by DVR quadrature,
+                    # once for all M
+                    radial = float(vectors[jp][:, vp] @ (mu_r * vectors[j][:, v]))
+                    k = [index[(v, j, m)] for m in ms]
+                    kp = [index[(vp, jp, m)] for m in ms]
+                    dipole[kp, k] = radial * cosines
     dipole = 0.5 * (dipole + dipole.T)
 
     labels = tuple({"v": v, "J": j, "M": m} for (v, j, m) in states)

@@ -1,3 +1,8 @@
+import hashlib
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +10,7 @@ from hypothesis import strategies as st
 
 from twinpol import (KB_HARTREE_PER_K, ModelError, MolecularModel, ThermalWeights,
                      boltzmann_weights, build_three_level, mu_squared_matrix)
-from twinpol.model import load_model_config, parse_quantity
+from twinpol.model import _HASH_BLOCK, load_model_config, parse_quantity
 from twinpol.errors import ConfigError
 
 
@@ -124,6 +129,64 @@ def test_json_roundtrip_and_hash(model3, tmp_path):
     assert np.array_equal(back.dipole, model3.dipole)
     assert back.labels == model3.labels
     assert back.content_hash() == model3.content_hash()
+
+
+def signed_zero_model():
+    """A level model with -0.0, subnormal and extreme entries whose row
+    count is not a multiple of content_hash's rows per block."""
+    n = math.isqrt(_HASH_BLOCK) + 13
+    rows = _HASH_BLOCK // n
+    assert rows < n and n % rows != 0
+    rng = np.random.default_rng(2202)
+    dipole = np.where(rng.random((n, n)) < 0.3, rng.normal(size=(n, n)), -0.0)
+    dipole[0, 1], dipole[1, 2], dipole[2, 3] = 5e-324, 1e300, -0.0
+    dipole = np.triu(dipole) + np.triu(dipole, 1).T
+    energies = np.concatenate([[-0.0], np.sort(rng.random(n - 1))])
+    return MolecularModel(energies, dipole, tuple({"index": k} for k in range(n)))
+
+
+@pytest.mark.parametrize("which", ["three_level", "hcl", "signed_zero"])
+def test_content_hash_is_the_sha1_of_the_json(model3, hcl_model, which):
+    model = {"three_level": model3, "hcl": hcl_model, "signed_zero": None}[which]
+    model = model or signed_zero_model()
+    if which == "signed_zero":
+        assert "-0.0" in json.dumps(model.to_json_dict())
+    blob = json.dumps(model.to_json_dict(), sort_keys=True).encode()
+    assert model.content_hash() == hashlib.sha1(blob).hexdigest()
+
+
+def test_validation_reads_the_nonzero_entries_alone(hcl_model):
+    # allclose(dipole, dipole.T) formed several n x n arrays; the nonzero
+    # entries are 2% of HCl's dipole
+    tracemalloc.start()
+    try:
+        hcl_model.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hcl_model.dipole.nbytes / 8
+
+
+def test_symmetry_verdict_is_allcloses():
+    verdicts = []
+    for seed in range(40):
+        rng = np.random.default_rng(2203 + seed)
+        n = int(rng.integers(2, 7))
+        dipole = np.where(rng.random((n, n)) < 0.5, rng.normal(size=(n, n)), 0.0)
+        dipole = np.triu(dipole) + np.triu(dipole, 1).T
+        i, k = rng.choice(n, 2, replace=False)
+        # one entry moved by a relative step about allclose's rtol, or by an
+        # absolute one about its atol, or set to zero
+        dipole[i, k] = rng.choice([dipole[i, k] * (1 + rng.choice([5e-6, 2e-5])),
+                                   dipole[i, k] + rng.choice([5e-13, 2e-12]), 0.0])
+        labels = tuple({"index": q} for q in range(n))
+        verdicts.append(np.allclose(dipole, dipole.T, atol=1e-12))
+        if verdicts[-1]:
+            MolecularModel(np.arange(n, dtype=float), dipole, labels)
+        else:
+            with pytest.raises(ModelError, match="symmetric"):
+                MolecularModel(np.arange(n, dtype=float), dipole, labels)
+    assert 10 <= sum(verdicts) <= 30
 
 
 def test_frozen_fields_leave_the_callers_arrays_writeable():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ from helpers import first_selection_rule_offender, morse_model_per_j, sine_dvr_k
 from twinpol import (ConvergenceError, ModelError, MolecularModel, MorseParams, RadialGrid,
                      build_morse_rovib)
 from twinpol.model import (_abs_norm, _box_levels, _certify, _effective_potential,
-                           _fd_floor, _fd_hop, _sine_dvr_kinetic, _sine_interpolate,
-                           _sine_ritz, _sturm_count, _with_diagonal, z_direction_cosine)
+                           _fd_floor, _fd_hop, _sine_coefficients, _sine_dvr_kinetic,
+                           _sine_kinetic, _sine_ritz, _sine_samples, _sturm_count,
+                           _with_diagonal, z_direction_cosine)
 from twinpol.units import CM1_PER_HARTREE, au_to_cm1
 
 
@@ -39,14 +41,36 @@ def test_sine_ritz_projects_the_kinetic_matrix_in_the_sine_basis():
     # the kinetic part from the sine coefficients equals the dense projection
     params, grid = MorseParams(), RadialGrid()
     _, evecs, kinetic, _, v = doubling_case(params, grid, 3)
-    u = evecs[:, :2]
-    theta, y = _sine_ritz(u, v, _box_levels(v.size, grid.r_max - grid.r_min,
-                                            params.reduced_mass))
-    trial, _ = _sine_interpolate(u, v.size)
+    coeffs = _sine_coefficients(evecs[:, :2])
+    theta, y = _sine_ritz(coeffs, v, _box_levels(v.size, grid.r_max - grid.r_min,
+                                                 params.reduced_mass))
+    trial = _sine_samples(coeffs, v.size)
     dense, z = np.linalg.eigh(trial.T @ (kinetic @ trial + v[:, None] * trial))
     assert np.max(np.abs(theta - dense)) <= 1e-13 * abs(dense).max()
     assert np.allclose(np.abs(np.sum(y * (trial @ z), axis=0)), 1.0, rtol=0, atol=1e-12)
     assert np.allclose(np.linalg.norm(y, axis=0), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 11, 16, 64, 400, 800])
+def test_sine_kinetic_stays_within_an_eighth_of_the_allowance(n):
+    """Two sine transforms apply the tabled kinetic matrix to within n eps
+    norm / 8, the part of _certify's allowance they may take, with norm from
+    the grid's Morse potential; on the bare kinetic matrix (v = 0) too, from
+    the 16 points of the smallest doubled grid."""
+    params = MorseParams()
+    grid = RadialGrid(n_points=n)
+    length, mass = grid.r_max - grid.r_min, params.reduced_mass
+    kinetic = _sine_dvr_kinetic(n, length, mass)
+    apply = _sine_kinetic(_box_levels(n, length, mass))
+    rng = np.random.default_rng(2201 + n)
+    modes = _sine_samples(np.eye(n), n)
+    y = np.column_stack([rng.normal(size=(n, 20)), modes[:, :4], modes[:, -4:],
+                         np.eye(n)[:, [0, n // 2, n - 1]]])
+    y /= np.linalg.norm(y, axis=0)
+    error = np.linalg.norm(apply(y) - kinetic @ y, axis=0).max()
+    potentials = [_effective_potential(params, 0, grid.points())] + [np.zeros(n)] * (n >= 16)
+    for v in potentials:
+        assert error <= n * np.finfo(float).eps * _abs_norm(n, length, mass)(v) / 8
 
 
 def test_rotational_constant_value():
@@ -117,6 +141,21 @@ def test_grid_doubling_convergence():
 # -- the one certificate of both grids against eigvalsh -------------------------
 
 
+def dense_abs_norm(kinetic, v):
+    """|| |kinetic| + diag(|v|) ||_F of the formed matrix."""
+    return float(np.linalg.norm(np.abs(kinetic) + np.diag(np.abs(v))))
+
+
+@pytest.mark.parametrize("n", [8, 11, 400, 800])
+def test_abs_norm_closed_form_matches_the_dense_matrix(n):
+    params, length = MorseParams(), 4.8
+    v = _effective_potential(params, 3, RadialGrid(n_points=n).points())
+    kinetic = _sine_dvr_kinetic(n, length, params.reduced_mass)
+    for pot in (v, np.zeros(n)):
+        dense = dense_abs_norm(kinetic, pot)
+        assert abs(_abs_norm(n, length, params.reduced_mass)(pot) - dense) <= 1e-14 * dense
+
+
 def record_calls(monkeypatch, owner, name, key):
     """Wraps owner.name so that each call appends key(*args) to the returned
     list, or nothing when key returns None."""
@@ -149,6 +188,11 @@ def full_eighs(monkeypatch, n=400):
                         lambda a: a.shape if a.shape == (n, n) else None)
 
 
+def eigh_sizes(monkeypatch):
+    """The size of each eigh, in call order."""
+    return record_calls(monkeypatch, np.linalg, "eigh", lambda a: a.shape[0])
+
+
 def doubling_case(params, grid, j):
     """(coarse eigenvalues, coarse eigenvectors, doubled-grid kinetic matrix,
     its finite-difference coupling, its effective potential) for one J, from
@@ -166,8 +210,8 @@ def doubling_case(params, grid, j):
 def certify_trial(kinetic, hop, v, coarse_vectors, rho):
     """(theta, radii) of _certify on the Ritz pairs of the coarse vectors'
     sine series, as the doubled grid makes them."""
-    theta, y = _sine_ritz(coarse_vectors, v, np.linalg.eigvalsh(kinetic))
-    return theta, _certify(kinetic, hop, v, _abs_norm(kinetic)(v), theta, y, rho)
+    theta, y = _sine_ritz(_sine_coefficients(coarse_vectors), v, np.linalg.eigvalsh(kinetic))
+    return theta, _certify(kinetic.__matmul__, hop, v, dense_abs_norm(kinetic, v), theta, y, rho)
 
 
 def certify(params, grid, j):
@@ -221,6 +265,24 @@ def test_undersized_grid_is_not_bound():
         build_morse_rovib(MorseParams(v_max=7, j_max=1), RadialGrid(n_points=8))
 
 
+@pytest.mark.parametrize("v_max", [5, 6, 7])
+def test_eight_point_grid_reads_no_mode_past_its_last(monkeypatch, v_max):
+    """8 points hold 8 sine modes.  J = 0's Ritz step reads v_max + 2 pairs:
+    at v_max = 5 it takes all 8 modes, and past that a full eigh decides."""
+    params, grid = MorseParams(v_max=v_max, j_max=1), RadialGrid(n_points=8)
+    modes = record_calls(monkeypatch, twinpol.model, "_sine_ritz", lambda c, *_: c.shape[1])
+    if v_max >= 6:
+        with pytest.raises(ConvergenceError, match="does not bound the requested levels for J=0"):
+            build_morse_rovib(params, grid, check_convergence=False)
+        assert modes == []
+        return
+    model = build_morse_rovib(params, grid, check_convergence=False)
+    assert modes == [8]
+    monkeypatch.undo()
+    oracle = morse_model_per_j(params, grid)
+    assert np.max(np.abs(model.energies - oracle.energies)) <= 1e-13
+
+
 def test_default_grid_is_certified_for_every_j(monkeypatch):
     calls = fallbacks(monkeypatch)
     factorized = factorizations(monkeypatch)
@@ -228,7 +290,7 @@ def test_default_grid_is_certified_for_every_j(monkeypatch):
     params = MorseParams()
     model = build_morse_rovib(params)
     assert calls == [] and factorized == []
-    assert len(solved) == 1               # one coarse eigh, at J = 0, serves J = 0..10
+    assert solved == []                   # J = 0 from sine modes, J = 1..10 chained from it
     monkeypatch.undo()
     unchecked = build_morse_rovib(params, check_convergence=False)
     assert np.array_equal(model.energies, unchecked.energies)
@@ -238,6 +300,58 @@ def test_default_grid_is_certified_for_every_j(monkeypatch):
     for j in (0, params.j_max):
         bound, drift = certify(params, RadialGrid(), j)
         assert drift <= bound <= tol
+
+
+@pytest.mark.parametrize("j_max", [10, 30])
+def test_build_forms_no_coarse_eigh_and_no_doubled_kinetic_matrix(monkeypatch, j_max):
+    # J = 0's Ritz step on the box's lowest 128 sine modes is the largest
+    # eigh; the doubled grid applies its kinetic matrix by sine transforms
+    sizes = eigh_sizes(monkeypatch)
+    formed = record_calls(monkeypatch, twinpol.model, "_sine_dvr_kinetic", lambda n, *_: n)
+    build_morse_rovib(MorseParams(j_max=j_max))
+    assert sizes[0] == 2 * twinpol.model._ANCHOR_PAIRS == max(sizes) == 128
+    assert sizes.count(128) == 1 and formed == [400]
+
+
+def test_refused_sine_anchor_falls_back_to_the_full_eigh(monkeypatch):
+    # every coarse-grid certificate refuses, J = 0's sine-mode anchor first
+    certify_ = twinpol.model._certify
+    refused = []
+
+    def refuse_coarse(kinetic, hop, v, norm, theta, y, rho):
+        if v.size == RadialGrid().n_points:
+            refused.append(theta.size)
+            return None
+        return certify_(kinetic, hop, v, norm, theta, y, rho)
+
+    monkeypatch.setattr(twinpol.model, "_certify", refuse_coarse)
+    sizes = eigh_sizes(monkeypatch)
+    params = MorseParams()
+    model = build_morse_rovib(params)
+    # J = 0 tries its 128 sine modes, then eigh decides it; each later J is
+    # chained from the J below, refused, and decided by eigh
+    assert sizes[:2] == [128, 400] and sizes.count(400) == params.j_max + 1
+    assert refused == [params.v_max + 2] * (params.j_max + 1)
+    monkeypatch.undo()
+    assert model.content_hash() == morse_model_per_j(params).content_hash()
+
+
+def traced_peak(call):
+    """(result, peak traced memory in bytes) of call()."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_build_and_hash_stay_within_their_memory():
+    # the 400 x 400 eigh and the 800 x 800 kinetic matrix came to 8.6 MiB
+    # traced, and the hash's whole JSON to 5.3 MiB
+    model, peak = traced_peak(lambda: build_morse_rovib(MorseParams()))
+    assert peak < 5 * 2**20
+    _, peak = traced_peak(model.content_hash)
+    assert peak < 2**20
 
 
 def test_coarse_grid_falls_back_to_eigvalsh(monkeypatch):
@@ -258,7 +372,7 @@ def test_trial_space_without_ground_state_is_not_certified():
         # level below rho, and the Sturm count sees it
         rho = 0.5 * (evals[2] + evals[3])
         assert certify_trial(kinetic, hop, v_fine, evecs[:, 1:3], rho)[1] is None
-        assert _fd_floor(v_fine, hop, _abs_norm(kinetic)(v_fine), rho, 2) == -math.inf
+        assert _fd_floor(v_fine, hop, dense_abs_norm(kinetic, v_fine), rho, 2) == -math.inf
         # rho between v = 0 and v = 1, as for the claimed levels evals[:2]
         rho = 0.5 * (evals[1] + evals[2])
         theta, radii = certify_trial(kinetic, hop, v_fine, evecs[:, 1:3], rho)
@@ -278,7 +392,7 @@ def test_trial_space_without_ground_state_is_not_certified_from_an_anchor():
     lam, u = np.linalg.eigh(_with_diagonal(kinetic, _effective_potential(params, 0, r)))
     v1 = _effective_potential(params, 1, r)
     exact = np.linalg.eigvalsh(_with_diagonal(kinetic, v1))
-    norm = _abs_norm(kinetic)(v1)
+    norm = dense_abs_norm(kinetic, v1)
     g = u.T @ (u / (2.0 * mass * r[:, None] ** 2))
 
     def from_anchor(keep):
@@ -288,7 +402,7 @@ def test_trial_space_without_ground_state_is_not_certified_from_an_anchor():
         y = u[:, keep] @ z[:, :k]
         y /= np.linalg.norm(y, axis=0)
         rho = 0.5 * (theta[k - 1] + theta[k])
-        return theta[:k], _certify(kinetic, hop, v1, norm, theta[:k], y, rho), rho
+        return theta[:k], _certify(kinetic.__matmul__, hop, v1, norm, theta[:k], y, rho), rho
 
     # an anchor basis without v = 0: the Ritz pairs are J = 1's v = 1, 2, 3,
     # and the Sturm count sees v = 0 as a fourth level below rho
@@ -304,8 +418,8 @@ def test_certificate_needs_disjoint_intervals_below_the_wall():
     # h = diag(v): eigenvalues 0, 5, 8, 10, 100, and the wall min(v[0], v[-1]) = 8;
     # a zero kinetic matrix is its own finite-difference minorant (hop = 0)
     v = np.array([100.0, 0.0, 5.0, 10.0, 8.0])
-    kinetic, e = np.zeros((5, 5)), np.eye(5)
-    norm = _abs_norm(kinetic)(v)
+    kinetic, e = np.zeros((5, 5)).__matmul__, np.eye(5)
+    norm = float(np.linalg.norm(v))
     # exact pairs: each radius is the rounding allowance alone; rho = 7 floors lambda_2 = 8
     radii = _certify(kinetic, 0.0, v, norm, np.array([0.0, 5.0]), e[:, 1:3], 7.0)
     assert np.array_equal(radii, np.full(2, v.size * np.finfo(float).eps * norm))
@@ -323,14 +437,18 @@ def test_certificate_needs_disjoint_intervals_below_the_wall():
 
 def test_chained_floor_certifies_every_j_up_to_30(monkeypatch):
     """Both grids up to J = 30: each J is certified, each certified interval
-    holds its eigvalsh level, one full eigh serves the coarse grid, and no
+    holds its eigvalsh level, no full eigh serves the coarse grid, and no
     grid is factorized."""
     checks = []
     certify_ = twinpol.model._certify
+    grid, mass = RadialGrid(), MorseParams().reduced_mass
+    # the build applies the doubled grid's kinetic matrix by sine transforms;
+    # the oracle forms both grids' tabled matrices
+    dense = {n: _sine_dvr_kinetic(n, grid.r_max - grid.r_min, mass) for n in (400, 800)}
 
     def recorded(kinetic, hop, v, norm, theta, y, rho):
         radii = certify_(kinetic, hop, v, norm, theta, y, rho)
-        exact = np.linalg.eigvalsh(_with_diagonal(kinetic, v))[:theta.size]
+        exact = np.linalg.eigvalsh(_with_diagonal(dense[v.size], v))[:theta.size]
         checks.append((v.size, theta, radii, exact))
         return radii
 
@@ -339,8 +457,8 @@ def test_chained_floor_certifies_every_j_up_to_30(monkeypatch):
     solved = full_eighs(monkeypatch)
     factorized = factorizations(monkeypatch)
     build_morse_rovib(MorseParams(j_max=30))
-    assert calls == [] and len(solved) == 1 and factorized == []
-    assert [size for size, *_ in checks].count(400) == 30
+    assert calls == [] and solved == [] and factorized == []
+    assert [size for size, *_ in checks].count(400) == 31
     assert [size for size, *_ in checks].count(800) == 31
     for _, theta, radii, exact in checks:
         assert radii is not None and np.all(np.abs(theta - exact) <= radii)
@@ -355,7 +473,7 @@ def fd_kinetic(n, length, mass):
 def test_fd_kinetic_lies_below_the_sine_dvr_matrix(n):
     length, mass = 4.8, MorseParams().reduced_mass
     kinetic = _sine_dvr_kinetic(n, length, mass)
-    allowance = n * np.finfo(float).eps * _abs_norm(kinetic)(np.zeros(n))
+    allowance = n * np.finfo(float).eps * _abs_norm(n, length, mass)(np.zeros(n))
     assert np.linalg.eigvalsh(kinetic - fd_kinetic(n, length, mass)).min() >= -allowance
     # the allowance bounds kinetic's own rounding: against the sine-DVR matrix
     # S diag(levels) S formed in extended precision, ||E||_F < allowance / 8
@@ -381,7 +499,7 @@ def test_fd_floor_never_exceeds_the_eigenvalue():
              + rng.uniform(0.0, 0.05, n))
         lam = np.linalg.eigvalsh(_with_diagonal(kinetic, v))
         lam_fd = np.linalg.eigvalsh(_with_diagonal(fd_kinetic(n, length, mass), v))
-        norm = _abs_norm(kinetic)(v)
+        norm = _abs_norm(n, length, mass)(v)
         for k in range(1, 6):
             # between two levels, at the minorant's own level (the floor's
             # tightest place), and at lambda_k itself
@@ -458,8 +576,8 @@ def test_chained_levels_match_one_eigh_per_j(monkeypatch, j_max):
     calls = fallbacks(monkeypatch)
     params = MorseParams(j_max=j_max)
     model = build_morse_rovib(params)
-    # one full eigh, at J = 0, carries every J
-    assert len(solved) == 1 and calls == []
+    # J = 0 from the box's sine modes carries every J: no full eigh
+    assert solved == [] and calls == []
     oracle = morse_model_per_j(params)
     assert np.max(np.abs(model.energies - oracle.energies)) <= 1e-13
     nonzero = oracle.dipole != 0.0

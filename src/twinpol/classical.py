@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, KickPulse, Trajectory
-from .integrators import propagate
+from .integrators import check_step, propagate
 from .model import MolecularModel, mu_squared_matrix
 
 
@@ -95,11 +95,12 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
             w_psi = w_psi + dse * (mu2_c @ psi)
         return a * w_psi, p, -wc2 * q - g_fac * float(np.vdot(psi, mu_psi).real)
 
-    def observe(psi, y):
-        _, q, p = y
-        return (np.vdot(psi, mu @ psi).real, _total_energy(psi, q, p, model, mu2, cav),
-                q, p)
+    def observe(_, psi, y):
+        c, q, p = y
+        return np.abs(c) ** 2, (np.vdot(psi, mu @ psi).real,
+                                _total_energy(psi, q, p, model, mu2, cav), q, p)
 
+    check_step(dt, model.energies, cav.omega_c)
     return propagate(
         rhs, (0.0, 0.0), observe, ("dipole", "energy", "q_series", "p_series"),
         kind="classical", phase_freqs=model.energies,

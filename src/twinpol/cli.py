@@ -320,7 +320,8 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
             "rhs_evals", "exact_records")}
         checks.update(bin_width=spec.meta["bin_width"], basis_size=len(traj.pop_labels))
         if traj.meta["method"] == "exact":
-            checks.update({key: traj.meta[key] for key in ("n_blocks", "max_block_dim")})
+            checks.update({key: traj.meta[key] for key in (
+                "n_blocks", "max_block_dim", "min_dominant_overlap")})
 
     elif framework == "quantum_static":
         basis = ProductBasis.full(model, cav.n_fock_max)

@@ -14,16 +14,17 @@ of steps and at every stage time,
 
 and rhs(entry, y) gets the triple (a, b, f) as its entry: no rhs evaluates
 an exponential or the pulse.  A chunk holds as many steps as fit their stage
-times and all three tables in TAIL_CHUNK_BYTES, the budget the exact tail's
-records use too.  The state y is an array, or a tuple of an array and
+times and all three tables in TAIL_CHUNK_BYTES, the budget the records of a
+constant state use too.  The state y is an array, or a tuple of an array and
 scalars; each RK4 combination acts on every component alike.
 
-propagate() builds the unit start amplitudes c, refuses a dt too coarse for
-eps and a grid of fewer than two records, and hands observe and the exact
-tail the Schroedinger-picture state e^{-i eps t} c.  With such a tail, RK4
-runs only to the first record at or after the pulse support.  Accuracy of
-the RK4 part is certified by dt/2 re-run agreement rather than adaptivity;
-the step size must already resolve the fastest interaction-picture phase.
+propagate() records a Trajectory: observe turns each record's
+Schroedinger-picture state e^{-i eps t} c into populations and series, and a
+state that is constant after the pulse (method "exact") takes RK4 steps only
+through the kick.  Accuracy of the RK4 part is certified by dt/2 re-run
+agreement rather than adaptivity; check_step, which each propagator runs
+first, refuses a dt that does not resolve the fastest interaction-picture
+phase.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .cavity import CavityParams, KickPulse, Trajectory
 from .errors import IntegrationError, ModelError
 
 NORM_TOL = 1e-6
-# bytes per chunk: of complex records in the exact tail, of stage-time tables in RK4
+# bytes per chunk: of complex records of a constant state, of stage-time tables in RK4
 TAIL_CHUNK_BYTES = 1 << 19
 
 
@@ -133,60 +134,64 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
               *, kind: str, phase_freqs: np.ndarray, pop_labels: list[str],
               init_col: int, pulse: KickPulse, cav: CavityParams, t_end: float,
               dt: float, record_stride: int, meta: dict,
-              tail: Callable | None = None) -> Trajectory:
+              start: np.ndarray | None = None, method: str = "rk4") -> Trajectory:
     """Integrate from t = 0 and record a Trajectory every record_stride steps.
 
-    The state y is the amplitudes c, whose squared moduli are the recorded
-    populations, or the tuple (c, *field) when field holds the initial
-    scalars of a classical field; c starts as the unit vector at init_col.
-    rhs(entry, y) gets integrate's (a, b, f) entries for phase_freqs and
-    pulse.  observe(psi, y) returns one value per name in series, each a
-    Trajectory field, for psi = e^{-i phase_freqs t} c at the record time t.
-    meta adds the propagator's own keys after dt, t_end and record_stride.
+    The state y is the amplitudes c, or the tuple (c, *field) when field
+    holds the initial scalars of a classical field; c starts as start, by
+    default the unit vector at init_col.  rhs(entry, y) gets integrate's
+    (a, b, f) entries for phase_freqs and pulse.  observe(t, psi, y) returns
+    (populations, values) at the record time t, for psi = e^{-i phase_freqs t} c
+    in an array observe may overwrite: one population per pop_labels entry,
+    one value per series name, each a Trajectory field.  meta adds the
+    propagator's own keys after dt, t_end and record_stride.
 
-    tail(t_s, psi_s), when given, must return records(times) -> (pops, values)
-    that continues the run exactly from psi_s at t_s, the first record time
-    at or after pulse.support_end: pops has one row and values one column
-    per time.  RK4 then stops at t_s (zero steps without a kick), tail is
-    called once, and records fills the records from t_s on, in chunks of
-    about TAIL_CHUNK_BYTES per complex state array.
+    method = "exact" declares c constant once the pulse is over (rhs is zero
+    where f is; no field).  RK4 then stops at the first record at or after
+    pulse.support_end (no step without a kick), and observe gets the
+    remaining records in chunks of about TAIL_CHUNK_BYTES of complex psi: t
+    a row of times, psi one column per time, y that one state; an entry of c
+    that is exactly 0.0 costs nothing.
 
-    Raises ModelError for an init_col outside c or where check_step or
-    record_grid refuses; IntegrationError when the norm drifts beyond NORM_TOL
-    (reduce dt) or the kick exceeds the pulse's linear-response bound.
+    Raises ModelError for an init_col outside c or where record_grid
+    refuses; IntegrationError when the norm drifts beyond NORM_TOL (reduce
+    dt) or the kick exceeds the pulse's linear-response bound.
     """
     n_amp = len(pop_labels)
     if not 0 <= init_col < n_amp:
         raise ModelError(f"start index {init_col} outside 0..{n_amp - 1}")
-    check_step(dt, phase_freqs, cav.omega_c)
     n_steps, times = record_grid(t_end, dt, record_stride)
     n_rec = times.size
     pops = np.empty((n_rec, n_amp))
     values = np.empty((len(series), n_rec))
-    n_obs = n_rec if tail is None else int(np.searchsorted(times, pulse.support_end))
+    n_obs = n_rec if method == "rk4" else int(np.searchsorted(times, pulse.support_end))
     n_rk4 = n_steps if n_obs == n_rec else n_obs * record_stride
     rec = {"i": 0, "norm_drift": 0.0}
-    c0 = (np.arange(n_amp) == init_col).astype(complex)
+    c0 = (np.arange(n_amp) == init_col).astype(complex) if start is None else start
 
     def observer(t, y):
         i = rec["i"]
-        if i == n_obs:        # the tail records the switch time itself
+        if i == n_obs:        # the chunks record the switch time itself
             return
         c = y[0] if field else y
-        pops[i] = np.abs(c) ** 2
-        values[:, i] = observe(np.exp(-1j * phase_freqs * t) * c, y)
+        pops[i], values[:, i] = observe(t, np.exp(-1j * phase_freqs * t) * c, y)
         rec["norm_drift"] = max(rec["norm_drift"], abs(float(np.sum(pops[i])) - 1.0))
         rec["i"] += 1
 
     y_s = integrate(rhs, (c0, *field) if field else c0, 0.0, dt, n_rk4, observer,
                     record_stride, phase_freqs=phase_freqs, pulse=pulse)
     if n_obs < n_rec:
-        t_s = times[n_obs]
-        records = tail(t_s, np.exp(-1j * phase_freqs * t_s) * (y_s[0] if field else y_s))
+        live = np.flatnonzero(y_s)
         chunk = max(1, TAIL_CHUNK_BYTES // (16 * n_amp))
         for lo in range(n_obs, n_rec, chunk):
             hi = min(lo + chunk, n_rec)
-            pops[lo:hi], values[:, lo:hi] = records(times[lo:hi])
+            # in place: one live-by-time array besides psi
+            phases = np.outer(-1j * phase_freqs[live], times[lo:hi])
+            np.exp(phases, out=phases)
+            phases *= y_s[live, None]
+            psi = np.zeros((n_amp, hi - lo), complex)
+            psi[live] = phases
+            pops[lo:hi], values[:, lo:hi] = observe(times[lo:hi], psi, y_s)
         drift = float(np.max(np.abs(pops[n_obs:].sum(axis=1) - 1.0)))
         rec["norm_drift"] = max(rec["norm_drift"], drift)
 
@@ -202,8 +207,7 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
         meta={
             "dt": dt, "t_end": n_steps * dt, "record_stride": record_stride,
             **meta, "pulse_support_end": pulse.support_end,
-            "pulse_t0": pulse.t0, "pulse_sigma": pulse.sigma,
-            "method": "rk4" if tail is None else "exact",
+            "pulse_t0": pulse.t0, "pulse_sigma": pulse.sigma, "method": method,
             "rk4_steps": n_rk4, "rhs_evals": 4 * n_rk4, "exact_records": n_rec - n_obs,
             "norm_drift": rec["norm_drift"],
             "omega_c": cav.omega_c, "g": cav.g, "include_dse": cav.include_dse,

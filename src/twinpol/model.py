@@ -24,9 +24,12 @@ from .units import CM1_PER_HARTREE, KB_HARTREE_PER_K, cm1_to_au
 
 
 def _freeze(a) -> np.ndarray:
-    """A read-only float copy of a; the caller's own array stays writeable."""
-    a = np.array(a, dtype=float, order="C")
-    a.flags.writeable = False
+    """A read-only float copy of a; the caller's own array stays writeable.
+    A read-only float64 C array owning its data is taken as it is."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None
+            and a.flags.c_contiguous and not a.flags.writeable):
+        a = np.array(a, dtype=float, order="C")
+        a.flags.writeable = False
     return a
 
 
@@ -638,21 +641,20 @@ def _rovib_model(params: MorseParams, grid: RadialGrid,
     energies -= levels[0][0]
 
     dipole = np.zeros((n, n))
-    for j in range(params.j_max + 1):
-        for jp in (j - 1, j + 1):
-            if not 0 <= jp <= params.j_max:
-                continue
-            ms = range(-min(j, jp), min(j, jp) + 1)
-            cosines = np.array([z_direction_cosine(j, jp, m) for m in ms])
-            for v in range(params.v_max + 1):
-                for vp in range(params.v_max + 1):
-                    # the radial integral <v' J'| mu(R) |v J> by DVR quadrature,
-                    # once for all M
-                    radial = float(vectors[jp][:, vp] @ (mu_r * vectors[j][:, v]))
-                    k = [index[(v, j, m)] for m in ms]
-                    kp = [index[(vp, jp, m)] for m in ms]
-                    dipole[kp, k] = radial * cosines
-    dipole = 0.5 * (dipole + dipole.T)
+    for j, jp in zip(range(params.j_max), range(1, params.j_max + 1)):
+        ms = range(-j, j + 1)
+        up = np.array([z_direction_cosine(j, jp, m) for m in ms])
+        down = np.array([z_direction_cosine(jp, j, m) for m in ms])
+        for v in range(params.v_max + 1):
+            for vp in range(params.v_max + 1):
+                # <v' J+1| mu(R) |v J> and its transpose by DVR quadrature, once for
+                # all M; an entry and its transpose hold the bits of 0.5 (d + d^T)
+                up_radial = float(vectors[jp][:, vp] @ (mu_r * vectors[j][:, v]))
+                down_radial = float(vectors[j][:, v] @ (mu_r * vectors[jp][:, vp]))
+                k = [index[(v, j, m)] for m in ms]
+                kp = [index[(vp, jp, m)] for m in ms]
+                dipole[kp, k] = dipole[k, kp] = 0.5 * (up_radial * up + down_radial * down)
+    dipole.flags.writeable = False      # handed over to the model, not copied
 
     labels = tuple({"v": v, "J": j, "M": m} for (v, j, m) in states)
     return MolecularModel(energies=energies, dipole=dipole, labels=labels)

@@ -4,10 +4,11 @@ and time-dependent kick propagation with photonic observables.
 States live in the |molecular eigenstate k> x |Fock N> product basis.  The
 static route diagonalizes H and forms its sticks |<f|mu|i>|^2 in
 _stick_lines, the one stick engine (manymol.spectrum_from_state wraps it
-too); the time-dependent route integrates the interaction-picture
-coefficients C_{k,N}(t) (phases e^{-i(E_k + N w_c) t}) with the shared RK4
-engine while the kick lasts, propagates exactly in the eigenbasis of H
-after it, and Fourier-transforms <mu(t)>.
+too); the time-dependent route works in the eigenbasis of H: the shared RK4
+engine steps the eigenbasis coefficients b(t) (phases e^{-i L t}) while the
+kick lasts, b is constant after it, each record maps back to the product
+basis, and <mu(t)> is Fourier-transformed.  The product-basis RK4 under the
+dense H (method = "rk4") is the oracle.
 
 Product-space operators act through their two tensor factors on the
 (N_max + 1, n_mol) grid of a state's photon slabs psi_N (a restricted basis
@@ -15,7 +16,7 @@ scatters its rows into it): 1 x mu is one product of the molecular dipole
 with the grid, and <q>, <q^2> contract the photon ladders with the slabs'
 Gram matrix Re <psi_N|psi_N'>.  H is gathered from its factors at any
 entries (product_hamiltonian): the solver forms it block by block, and only
-RK4 steps and assemble_hamiltonian form it dense.
+the RK4 oracle and assemble_hamiltonian form it dense.
 
 H conserves more than energy: the Z-polarized field conserves M, and the
 dipole flips the parity of J (of the 3-level upper state, or of the number
@@ -24,10 +25,11 @@ sectors itself, as the connected components of H's nonzero pattern read
 off the factors.  H is exactly 0.0 between them, so each spans an exact
 invariant subspace, with no tolerance or labels: every eigenvector is
 exactly zero outside its component, amplitudes between components mu does
-not couple are exactly 0.0, and the exact tail of propagate_quantum stays
-exact.  PolaritonSolution keeps only the blocks, read through its
-block-wise to_eigenbasis (V^T x) and from_eigenbasis (V c); no route forms
-the dense eigenvector matrix.
+not couple are exactly 0.0, and a block a state never reaches keeps its
+amplitudes exactly 0.0.  PolaritonSolution keeps only the blocks, read
+through its block-wise to_eigenbasis (V^T x) and from_eigenbasis (V c),
+which skip a block whose part of the input is 0.0; no route forms the dense
+eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -154,14 +156,15 @@ def _check_memory(dim: int, include_dse: bool, records: int = 0):
     Every quantum route holds the solver's block eigenvectors, at most
     dim x largest block, plus, while one block's eigh runs, the block's H,
     its copy and LAPACK syevd's workspace of 1 + 6 b + 2 b^2 doubles.  Only
-    RK4 stepping, assemble_hamiltonian and build_many_molecule_hamiltonian
-    hold a dense H; its gather peaks below four dim^2 arrays.  No route
-    forms the dense eigenvectors or a product-space mu.  The stick engine
-    (_stick_lines) holds about three dim x L arrays for its L <= dim pieces
-    (the K unit columns on the static route; those of one column in
-    spectrum_from_state), then 5 doubles per stick, 13 in the merge.  So
-    (6 + dse) dim^2 + 6 dim + 1 doubles is an upper bound, not an estimate,
-    for fewer than dim^2 / 3 sticks (thermal N = 12: 0.3 M on 2352 states).
+    propagate_quantum's method = "rk4", assemble_hamiltonian and
+    build_many_molecule_hamiltonian hold a dense H; its gather peaks below
+    four dim^2 arrays.  No route forms the dense eigenvectors or a
+    product-space mu.  The stick engine (_stick_lines) holds about three
+    dim x L arrays for its L <= dim pieces (the K unit columns on the static
+    route; those of one column in spectrum_from_state), then 5 doubles per
+    stick, 13 in the merge.  So (6 + dse) dim^2 + 6 dim + 1 doubles is an
+    upper bound, not an estimate, for fewer than dim^2 / 3 sticks (thermal
+    N = 12: 0.3 M on 2352 states).
     The 4 GiB budget admits thermal N = 12 (about 0.3 GB) and symmetric
     N = 50 (3978 states, about 0.9 GB) on the occupation bases, keeps the
     product basis as the oracle up to N = 7 (6561 states, 2.4 GB), and
@@ -296,17 +299,23 @@ class PolaritonSolution:
         return self.eigenvalues.size
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """V^T x, one product per block, for real or complex x (rows: basis entries)."""
+        """V^T x, one product per block, for real or complex x (rows: basis
+        entries); a block whose part of x is exactly 0.0 costs no product."""
         out = np.zeros(x.shape, np.result_type(x, self.blocks[0][2]))
         for rows, cols, v in self.blocks:
-            out[cols] = real_matmul(v.T, x[rows])
+            part = x[rows]
+            if part.any():
+                out[cols] = real_matmul(v.T, part)
         return out
 
     def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        """V c, one product per block, for real or complex c (rows: eigenstates)."""
+        """V c, one product per block, for real or complex c (rows:
+        eigenstates); a block whose part of c is exactly 0.0 costs no product."""
         out = np.zeros(c.shape, np.result_type(c, self.blocks[0][2]))
         for rows, cols, v in self.blocks:
-            out[rows] = real_matmul(v, c[cols])
+            part = c[cols]
+            if part.any():
+                out[rows] = real_matmul(v, part)
         return out
 
     @cached_property
@@ -550,33 +559,6 @@ def _expectations(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
             + np.einsum("i...,i...->...", psi.imag, op_psi.imag))
 
 
-def _block_evolution(sol: PolaritonSolution, psi: np.ndarray):
-    """(evolve, energy) of the state psi under H = V L V^T: evolve(tau) is
-    V e^{-i L tau} V^T psi, one column per entry of tau, and energy is
-    <psi|H|psi>.
-
-    a = V^T psi is formed here, once, by sol.to_eigenbasis.  evolve builds
-    each block's rows from its own eigenpairs and its part of a; a block psi
-    does not reach (its part of a exactly 0.0) keeps its rows exactly 0.0
-    and costs nothing.
-    """
-    coeffs = sol.to_eigenbasis(psi)
-    live = [(rows, sol.eigenvalues[cols], v, coeffs[cols])
-            for rows, cols, v in sol.blocks if coeffs[cols].any()]
-
-    def evolve(tau: np.ndarray) -> np.ndarray:
-        out = np.zeros((psi.size, tau.size), complex)
-        for rows, lam, v, a in live:
-            # in place: one block-by-time array besides the output
-            phases = np.outer(-1j * lam, tau)
-            np.exp(phases, out=phases)
-            phases *= a[:, None]
-            out[rows] = real_matmul(v, phases)
-        return out
-
-    return evolve, sum(float(np.sum(lam * np.abs(a) ** 2)) for _, lam, _, a in live)
-
-
 def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse,
                       init: tuple[int, int], t_end: float, dt: float,
                       record_stride: int = 1,
@@ -586,11 +568,14 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
 
     Returns the trajectory of <mu(t)>, per-product-state populations, total
     energy <H>, and the photon observables <q>, <q^2>.  method = "exact"
-    runs RK4 only to the first record at or after pulse.support_end (no step
-    without a kick) and from there on uses Psi(t) = V e^{-i L (t - t_s)} V^T
-    Psi(t_s), with H = V L V^T, one block of H at a time; method = "rk4"
-    steps RK4 to t_end, the oracle the exact route is tested against.  An
-    exact run's meta records the block sizes (PolaritonSolution.block_sizes).
+    steps the eigenbasis coefficients b of Psi = V e^{-i L t} b, H = V L V^T
+    solved block by block: RK4 integrates only the kick,
+    db/dt = -i f(t) e^{i L t} V^T (1 x mu) V e^{-i L t} b, to the first record
+    at or after pulse.support_end, and b is constant after it.  Records map
+    back through from_eigenbasis, the t = 0 record being the start itself.
+    Its meta records the block sizes (PolaritonSolution.block_sizes) and
+    min_dominant_overlap, max |b(0)|^2.  method = "rk4" steps the
+    product-basis coefficients under the dense H to t_end: the oracle.
     """
     if method not in ("exact", "rk4"):
         raise ModelError(f"method must be 'exact' or 'rk4', got {method!r}")
@@ -598,48 +583,54 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     i0 = basis.index(*init)
     ks, ns = basis.arrays()
     eps = model.energies[ks] + ns * cav.omega_c
-    # propagate runs these guards again; here they refuse before the solve
+    # before the solve, on the product-basis frequencies for both methods
     check_step(dt, eps, cav.omega_c)
     _check_memory(math.prod(basis._grid[0]), cav.include_dse,
                   record_grid(t_end, dt, record_stride)[1].size)
+    meta = {"init": init, "n_fock_max": cav.n_fock_max}
 
-    sol = solve_polaritons(model, cav, basis) if method == "exact" else None
-    v_int = (assemble_hamiltonian(model, cav, basis) - np.diag(eps)   # only RK4 steps use it
-             if method == "rk4" or pulse.support_end > 0.0 else None)
+    if method == "rk4":
+        v_int = assemble_hamiltonian(model, cav, basis) - np.diag(eps)
+        freqs, start = eps, None
 
-    def rhs(entry, c):
-        a, b, f = entry           # -i e^{i eps t}, e^{-i eps t}, f(t)
-        psi = b * c
-        w_psi = real_matmul(v_int, psi)
-        if f != 0.0:
-            w_psi = w_psi + f * apply_dipole(model.dipole, basis, psi)
-        return a * w_psi
+        def rhs(entry, c):
+            a, b, f = entry       # -i e^{i eps t}, e^{-i eps t}, f(t)
+            psi = b * c
+            w_psi = real_matmul(v_int, psi)
+            if f != 0.0:
+                w_psi = w_psi + f * apply_dipole(model.dipole, basis, psi)
+            return a * w_psi
 
-    def observe(psi, _):
-        energy = np.sum(eps * np.abs(psi) ** 2) + _expectations(v_int, psi)
-        mu, q, q2 = factored_expectations(model, cav, basis, psi)
-        return mu, energy, q, q2
+        def observe(_, psi, c):
+            energy = np.sum(eps * np.abs(psi) ** 2) + _expectations(v_int, psi)
+            mu, q, q2 = factored_expectations(model, cav, basis, psi)
+            return np.abs(c) ** 2, (mu, energy, q, q2)
+    else:
+        sol = solve_polaritons(model, cav, basis)
+        c0 = (np.arange(basis.size) == i0).astype(complex)
+        freqs, start = sol.eigenvalues, sol.to_eigenbasis(c0)
+        meta.update(sol.block_sizes(), min_dominant_overlap=float(np.max(np.abs(start) ** 2)))
 
-    def tail(t_s, psi_s):
-        evolve, energy = _block_evolution(sol, psi_s)
+        def rhs(entry, b):
+            a, e, f = entry       # -i e^{i L t}, e^{-i L t}, f(t)
+            if f == 0.0:
+                return np.zeros_like(b)
+            mu_psi = apply_dipole(model.dipole, basis, sol.from_eigenbasis(e * b))
+            return a * (f * sol.to_eigenbasis(mu_psi))
 
-        def records(times):
-            psi = evolve(times - t_s)
-            if times[0] == t_s:     # psi(t_s) itself, not its round trip V V^T psi(t_s)
-                psi[:, 0] = psi_s
+        def observe(t, psi, b):
+            psi[...] = sol.from_eigenbasis(psi)    # in place: one chunk-sized array fewer
+            psi[..., np.asarray(t) == 0.0] = c0[:, None]   # c0 itself, not V V^T c0
+            mu, q, q2 = factored_expectations(model, cav, basis, psi)
             pops = psi.real ** 2
             pops += psi.imag ** 2
-            mu, q, q2 = factored_expectations(model, cav, basis, psi)
-            return pops.T, (mu, np.full(times.size, energy), q, q2)
-
-        return records
+            energy = float(np.sum(sol.eigenvalues * np.abs(b) ** 2))
+            return pops.T, (mu, np.full(mu.shape, energy), q, q2)
 
     return propagate(
         rhs, (), observe, ("dipole", "energy", "q_expect", "q2_expect"),
-        kind="quantum", phase_freqs=eps,
+        kind="quantum", phase_freqs=freqs,
         pop_labels=[basis.label(i, model) for i in range(basis.size)],
         init_col=i0, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
-        record_stride=record_stride, tail=None if sol is None else tail,
-        meta={"init": init, "n_fock_max": cav.n_fock_max,
-              **({} if sol is None else sol.block_sizes())},
+        record_stride=record_stride, meta=meta, start=start, method=method,
     )

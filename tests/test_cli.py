@@ -8,6 +8,7 @@ import twinpol.cli
 import twinpol.integrators
 import twinpol.manymol
 import twinpol.quantum
+from twinpol import KickPulse, propagate_quantum
 from twinpol.cli import RunConfig, main, run
 from twinpol.errors import ConfigError
 from twinpol.model import model_from_config
@@ -322,6 +323,13 @@ pulse_amplitude = 0 au
 """
 
 
+def hcl_td_config(protocol: str = HCL_TD_PROTOCOL) -> str:
+    """The shipped HCl config's model and cavity under a TD protocol."""
+    static = HCL_CONFIG.read_text()
+    return (static.split("[thermal]")[0] + "[cavity]"
+            + static.split("[cavity]")[1].split("[protocol]")[0] + protocol)
+
+
 def test_hcl_quantum_runs_build_no_dense_product_operator(tmp_path, monkeypatch):
     """The quantum routes apply mu, q and q^2 through their tensor factors
     and place H's slabs directly: no Kronecker product, no restricted copy
@@ -333,10 +341,7 @@ def test_hcl_quantum_runs_build_no_dense_product_operator(tmp_path, monkeypatch)
         assert not hasattr(twinpol.quantum, name)
     monkeypatch.setattr(np, "kron", refuse)
     monkeypatch.setattr(ProductBasis, "restrict", refuse)
-    static = HCL_CONFIG.read_text()
-    td = static.split("[thermal]")[0] + "[cavity]" + static.split("[cavity]")[1].split(
-        "[protocol]")[0] + HCL_TD_PROTOCOL
-    for kind, text in (("static", static), ("td", td)):
+    for kind, text in (("static", HCL_CONFIG.read_text()), ("td", hcl_td_config())):
         cfg = write(tmp_path, text, f"{kind}.cfg")
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / kind)]) == 0
         checks = json.loads((tmp_path / kind / "manifest.json").read_text())["checks"]
@@ -347,7 +352,8 @@ def test_hcl_quantum_runs_build_no_dense_product_operator(tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("case", ["hcl_vacuum", "three_level_kicked"])
 def test_exact_quantum_td_never_forms_dense_eigenvectors(tmp_path, monkeypatch, case):
-    """The exact tail evolves one block at a time, so reading
+    """The exact route steps and records through the block-wise
+    to_eigenbasis and from_eigenbasis, so reading
     PolaritonSolution.eigenvectors, which scatters every block into one
     dense matrix, fails an exact run."""
     def refuse(self):
@@ -355,9 +361,7 @@ def test_exact_quantum_td_never_forms_dense_eigenvectors(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(twinpol.quantum.PolaritonSolution, "eigenvectors", property(refuse))
     if case == "hcl_vacuum":
-        static = HCL_CONFIG.read_text()
-        text = static.split("[thermal]")[0] + "[cavity]" + static.split("[cavity]")[1].split(
-            "[protocol]")[0] + HCL_TD_PROTOCOL
+        text = hcl_td_config()
     else:
         text = THREE_LEVEL_HEADER + TD_PROTOCOL.format(framework="quantum_td",
                                                        initial="initial = psi_1")
@@ -366,6 +370,49 @@ def test_exact_quantum_td_never_forms_dense_eigenvectors(tmp_path, monkeypatch, 
     checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
     assert checks["method"] == "exact"
     assert (checks["rk4_steps"] > 0) == (case == "three_level_kicked")
+
+
+def test_no_run_route_forms_a_dense_product_hamiltonian(tmp_path, monkeypatch, model3, cav):
+    """Kicked exact runs step the pulse in the eigenbasis of H, so no run
+    route calls assemble_hamiltonian; the RK4 oracle still does."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense product-space H formed")
+
+    monkeypatch.setattr(twinpol.quantum, "assemble_hamiltonian", refuse)
+    three_level = THREE_LEVEL_HEADER + TD_PROTOCOL.format(framework="quantum_td",
+                                                          initial="initial = psi_1")
+    hcl_kicked = hcl_td_config(HCL_TD_PROTOCOL.replace("pulse_amplitude = 0 au\n", ""))
+    for name, text in (("three_level", three_level), ("hcl", hcl_kicked),
+                       ("static", HCL_CONFIG.read_text())):
+        cfg = write(tmp_path, text, f"{name}.cfg")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+        if name != "static":      # the kick was stepped
+            checks = json.loads((tmp_path / name / "manifest.json").read_text())["checks"]
+            assert checks["rk4_steps"] > 0
+    with pytest.raises(AssertionError, match="dense product-space H"):
+        propagate_quantum(model3, cav, KickPulse(), (1, 0), 400.0, 1.0, 8, method="rk4")
+
+
+@pytest.mark.parametrize("case", ["three_level", "hcl"])
+def test_td_manifest_records_the_static_dominant_overlap(tmp_path, case):
+    """An exact TD manifest's min_dominant_overlap, max |b(0)|^2 over the
+    eigenbasis coefficients of its start, is the static route's for the
+    same entry; a classical manifest records none."""
+    def checks(framework, name):
+        protocol = (TD_PROTOCOL.format(framework=framework, initial=f"initial = {start}")
+                    if framework != "quantum_static"
+                    else f"[protocol]\nframework = quantum_static\ninitial = {start}\n")
+        text = (hcl_td_config(protocol) if case == "hcl" else THREE_LEVEL_HEADER + protocol)
+        cfg = write(tmp_path, text, f"{name}.cfg")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+        return json.loads((tmp_path / name / "manifest.json").read_text())["checks"]
+
+    start = "v0J2M0" if case == "hcl" else "psi_1"
+    td, static = checks("quantum_td", "td"), checks("quantum_static", "static")
+    assert td["method"] == "exact"
+    assert 0.5 < td["min_dominant_overlap"] == static["min_dominant_overlap"]
+    if case == "three_level":
+        assert "min_dominant_overlap" not in checks("classical", "classical")
 
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -413,9 +460,7 @@ def test_no_run_forms_a_dense_hamiltonian(tmp_path, monkeypatch, command, config
         cfg = write(tmp_path, text.replace("initial = thermal", "initial = symmetric")
                     .replace("n0 = 2\n", ""))
     elif config == "hcl_td":
-        static = HCL_CONFIG.read_text()
-        cfg = write(tmp_path, static.split("[thermal]")[0] + "[cavity]" + static.split(
-            "[cavity]")[1].split("[protocol]")[0] + HCL_TD_PROTOCOL)
+        cfg = write(tmp_path, hcl_td_config())
     else:
         cfg = CONFIG_DIR / config
     assert main([command, str(cfg), "--out-dir", str(tmp_path / "o")]) == 0

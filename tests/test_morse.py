@@ -354,6 +354,50 @@ def test_default_build_and_hash_stay_within_their_memory():
     assert peak < 2**20
 
 
+def test_jmax30_build_holds_one_dipole():
+    # 1,922 states, a 28.2 MiB dipole: symmetrized as 0.5 (d + d^T) and then
+    # copied into the model, the build peaked at 59 MiB traced
+    model, peak = traced_peak(lambda: build_morse_rovib(MorseParams(j_max=30)))
+    assert model.dipole.nbytes < peak < 40 * 2**20
+
+
+def one_sided_symmetrized_dipole(params, radial):
+    """_rovib_model's dipole as it was formed: each <v' J'| mu(R) |v J> A(J, J', M)
+    for J' = J +- 1 filled once, then 0.5 (d + d^T)."""
+    mu_r = params.dipole_function(RadialGrid().points())
+    states = [(v, j, m) for v in range(params.v_max + 1) for j in range(params.j_max + 1)
+              for m in range(-j, j + 1)]
+    index = {s: k for k, s in enumerate(states)}
+    d = np.zeros((len(states), len(states)))
+    for j in range(params.j_max + 1):
+        for jp in (j - 1, j + 1):
+            if not 0 <= jp <= params.j_max:
+                continue
+            ms = range(-min(j, jp), min(j, jp) + 1)
+            cosines = np.array([z_direction_cosine(j, jp, m) for m in ms])
+            for v in range(params.v_max + 1):
+                for vp in range(params.v_max + 1):
+                    integral = float(radial[jp][1][:, vp] @ (mu_r * radial[j][1][:, v]))
+                    d[[index[(vp, jp, m)] for m in ms],
+                      [index[(v, j, m)] for m in ms]] = integral * cosines
+    return 0.5 * (d + d.T)
+
+
+@pytest.mark.parametrize("params", [MorseParams(), MorseParams(j_max=30),
+                                    MorseParams(v_max=3, j_max=20)],
+                         ids=["default", "j_max_30", "v_max_3_j_max_20"])
+def test_dipole_pairs_hold_the_bits_of_the_symmetrized_matrix(params, monkeypatch):
+    """Writing each entry and its transpose as 0.5 (a + b) keeps the bits,
+    and so the content_hash, of symmetrizing the one-sided matrix."""
+    seen = []
+    build = twinpol.model._rovib_model
+    monkeypatch.setattr(twinpol.model, "_rovib_model",
+                        lambda params, grid, radial: seen.append(radial) or build(
+                            params, grid, radial))
+    model = build_morse_rovib(params)
+    assert np.array_equal(model.dipole, one_sided_symmetrized_dipole(params, seen[0]))
+
+
 def test_coarse_grid_falls_back_to_eigvalsh(monkeypatch):
     params, grid = MorseParams(v_max=1, j_max=1), RadialGrid(n_points=40)
     bound, drift = certify(params, grid, 0)

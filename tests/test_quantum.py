@@ -20,7 +20,7 @@ from twinpol import (BasisSizeError, CavityParams, ConvergenceError, KickPulse, 
                      photon_observables, propagate_quantum,
                      static_stick_spectrum, thermal_initial_states)
 from twinpol.model import mu_squared_matrix
-from twinpol.quantum import (QuantumState, _block_evolution, _check_memory, _coupled_blocks,
+from twinpol.quantum import (QuantumState, _check_memory, _coupled_blocks,
                              _solve_factors, apply_dipole, factored_expectations,
                              product_hamiltonian, real_matmul, solve_polaritons)
 
@@ -140,35 +140,38 @@ def test_factored_operators_match_dense_oracles(model3, hcl_model, name, restric
         assert np.max(np.abs(mu_z - dense[0] @ z)) <= tol
 
 
-def _hcl_solution(hcl_model):
-    basis = ProductBasis.full(hcl_model, 2)
-    h = assemble_hamiltonian(hcl_model, CavityParams(**HCL_CAVITY), basis)
-    return basis, h, diagonalize_polaritons(h)
-
-
 @pytest.mark.parametrize("spread", ["every_block", "three_blocks"])
-def test_block_evolution_matches_dense_formula(hcl_model, spread):
-    basis, h, sol = _hcl_solution(hcl_model)
+def test_transforms_skip_blocks_the_state_never_reaches(hcl_model, monkeypatch, spread):
+    """to_eigenbasis and from_eigenbasis match the dense V^T x and V c, and a
+    block whose part of the input is exactly 0.0 keeps its output 0.0 at the
+    cost of no product: the exact route's records of a kick-free HCl start
+    touch one of the 50 blocks."""
+    basis = ProductBasis.full(hcl_model, 2)
+    sol = diagonalize_polaritons(assemble_hamiltonian(hcl_model, CavityParams(**HCL_CAVITY),
+                                                      basis))
     rng = np.random.default_rng(9)
-    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    reached = np.ones(basis.size, bool)
+    x, c = rng.normal(size=(2, basis.size, 3)) + 1j * rng.normal(size=(2, basis.size, 3))
+    n_reached = len(sol.blocks)
     if spread == "three_blocks":
         entries = [basis.index(hcl_model.state_index(v=v, J=j, M=m), n)
                    for v, j, m, n in ((0, 2, 0, 0), (0, 1, 1, 0), (1, 3, -2, 1))]
-        blocks = [rows for rows, _, _ in sol.blocks if np.isin(entries, rows).any()]
-        assert len(blocks) == 3
-        reached[:] = False
-        reached[np.concatenate(blocks)] = True
-        psi[~np.isin(np.arange(basis.size), entries)] = 0.0
-    psi /= np.linalg.norm(psi)
-    evolve, energy = _block_evolution(sol, psi)
-    tau = np.linspace(0.0, 5e3, 37)
-    v, lam = sol.eigenvectors, sol.eigenvalues
-    dense = v @ (np.exp(-1j * np.outer(lam, tau)) * (v.T @ psi)[:, None])
-    got = evolve(tau)
-    assert np.max(np.abs(got - dense)) <= 1e-13
-    assert not got[~reached].any()
-    assert energy == pytest.approx(np.vdot(psi, h @ psi).real, rel=1e-13)
+        reached = [(rows, cols) for rows, cols, _ in sol.blocks if np.isin(entries, rows).any()]
+        n_reached = len(reached)
+        assert n_reached == 3
+        x[~np.isin(np.arange(basis.size), np.concatenate([r for r, _ in reached]))] = 0.0
+        c[~np.isin(np.arange(basis.size), np.concatenate([k for _, k in reached]))] = 0.0
+    products = []
+    matmul = twinpol.quantum.real_matmul
+    monkeypatch.setattr(twinpol.quantum, "real_matmul",
+                        lambda op, z: products.append(1) or matmul(op, z))
+    v = sol.eigenvectors
+    products.clear()
+    to_eig, from_eig = sol.to_eigenbasis(x), sol.from_eigenbasis(c)
+    assert len(products) == 2 * n_reached
+    assert np.max(np.abs(to_eig - v.T @ x)) <= 1e-13
+    assert np.max(np.abs(from_eig - v @ c)) <= 1e-13
+    assert not to_eig[~(v.T @ x).astype(bool)].any()
+    assert not from_eig[~(v @ c).astype(bool)].any()
 
 
 def test_resonant_block_eigenpairs(model3, cav):
@@ -722,20 +725,29 @@ def test_exact_propagator_matches_rk4(model3, cav, pulse):
         "rk4", 60000, 0)
 
 
-def test_exact_propagator_matches_rk4_hcl(hcl_model):
+@pytest.mark.parametrize("start", [(0, 2, 0), (0, 0, 0)], ids=["v0J2M0", "v0J0M0"])
+@pytest.mark.parametrize("pulse", [KickPulse(), KickPulse.off()], ids=["kicked", "unkicked"])
+def test_exact_propagator_matches_rk4_hcl(hcl_model, pulse, start):
     cav = CavityParams(omega_c=cm1_to_au(2906.46), g=cm1_to_au(400.0),
                        include_dse=True, n_fock_max=2)
-    init = (hcl_model.state_index(v=0, J=2, M=0), 0)
+    v, j, m = start
+    init = (hcl_model.state_index(v=v, J=j, M=m), 0)
     grid = dict(t_end=200.0, dt=1.0, record_stride=4)
-    exact = propagate_quantum(hcl_model, cav, KickPulse.off(), init, **grid)
-    rk4 = propagate_quantum(hcl_model, cav, KickPulse.off(), init, **grid, method="rk4")
+    exact = propagate_quantum(hcl_model, cav, pulse, init, **grid)
+    rk4 = propagate_quantum(hcl_model, cav, pulse, init, **grid, method="rk4")
     d_mu, d_pop, d_q2 = _largest_differences(exact, rk4)
     assert d_mu <= 1e-10
     assert d_pop <= 1e-10
     assert d_q2 <= 1e-8
-    assert exact.meta["rk4_steps"] == 0
-    # mu and q x 1 connect blocks the kick-free state never reaches
-    assert not exact.dipole.any() and not exact.q_expect.any()
+    # sum L |b|^2 against <psi|H|psi> of the dense product-basis H
+    assert np.max(np.abs(exact.energy - rk4.energy)) <= 1e-10
+    assert exact.meta["rk4_steps"] == 4 * math.ceil(pulse.support_end / 4.0)
+    if pulse.amplitude == 0.0:
+        # mu and q x 1 connect blocks the kick-free state never reaches
+        assert not exact.dipole.any() and not exact.q_expect.any()
+    else:
+        # the kicked signal, a few 1e-6 au, stands well above the bound
+        assert np.abs(exact.dipole).max() > 1e-6
 
 
 def test_exact_tail_chunks_are_invisible(model3, cav, pulse, monkeypatch):

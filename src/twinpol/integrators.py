@@ -38,7 +38,7 @@ from .cavity import CavityParams, KickPulse, Trajectory
 from .errors import IntegrationError, ModelError
 
 NORM_TOL = 1e-6
-# bytes per chunk: of complex records of a constant state, of stage-time tables in RK4
+# bytes per chunk: of a constant state's records and their image, of RK4 stage-time tables
 TAIL_CHUNK_BYTES = 1 << 19
 
 
@@ -149,9 +149,9 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
     method = "exact" declares c constant once the pulse is over (rhs is zero
     where f is; no field).  RK4 then stops at the first record at or after
     pulse.support_end (no step without a kick), and observe gets the
-    remaining records in chunks of about TAIL_CHUNK_BYTES of complex psi: t
-    a row of times, psi one column per time, y that one state; an entry of c
-    that is exactly 0.0 costs nothing.
+    remaining records in chunks: t a row of times, psi one column per time, y
+    that one state; complex psi and observe's image of it fit TAIL_CHUNK_BYTES,
+    and an entry of c that is exactly 0.0 costs nothing.
 
     Raises ModelError for an init_col outside c or where record_grid
     refuses; IntegrationError when the norm drifts beyond NORM_TOL (reduce
@@ -182,7 +182,7 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
                     record_stride, phase_freqs=phase_freqs, pulse=pulse)
     if n_obs < n_rec:
         live = np.flatnonzero(y_s)
-        chunk = max(1, TAIL_CHUNK_BYTES // (16 * n_amp))
+        chunk = max(1, TAIL_CHUNK_BYTES // (32 * n_amp))
         for lo in range(n_obs, n_rec, chunk):
             hi = min(lo + chunk, n_rec)
             # in place: one live-by-time array besides psi

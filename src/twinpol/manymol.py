@@ -272,28 +272,26 @@ def collective_operator(op: np.ndarray, groups) -> np.ndarray:
 def _collective_factors(model: MolecularModel, cav: CavityParams, groups,
                         n_fock: int) -> tuple:
     """product_hamiltonian's arguments (coupling g/sqrt(N), mu_tot second) on
-    the occupation bases of groups and Fock states 0..n_fock, memory checked."""
+    the occupation bases of groups and Fock states 0..n_fock, memory checked.
+    The energies are the Kronecker sum of each group's sum_k E_k n_k, each
+    summed in _group_operator's order."""
     n = model.n_states
     dim_mol = math.prod(math.comb(m + n - 1, n - 1) for m in groups)
     _check_memory(dim_mol * (n_fock + 1), cav.include_dse)
-    mu_tot = collective_operator(model.dipole, groups)
+    occ = [np.array(occupation_basis(m, n)) for m in groups]
+    energies = functools.reduce(lambda a, b: np.add.outer(a, b).ravel(),
+                                [sum(o[:, k] * model.energies[k] for k in range(n)) for o in occ])
+    mu_tot, g = collective_operator(model.dipole, groups), cav.g / math.sqrt(sum(groups))
     ns, ks = np.divmod(np.arange(dim_mol * (n_fock + 1)), dim_mol)
-    return (collective_operator(np.diag(model.energies), groups), mu_tot,
-            mu_tot @ mu_tot if cav.include_dse else None,
-            cav.omega_c, cav.g / math.sqrt(sum(groups)), ks, ns)
-
-
-def many_molecule_labels(model: MolecularModel, n_mol: int,
-                         n_fock_max: int) -> list[tuple[tuple[int, ...], int]]:
-    """(occupation string, photon number) per basis column, N-major."""
-    strings = list(itertools.product(range(model.n_states), repeat=n_mol))
-    return [(occ, n_ph) for n_ph in range(n_fock_max + 1) for occ in strings]
+    return (energies, mu_tot, (g**2 / cav.omega_c) * (mu_tot @ mu_tot) if cav.include_dse else None,
+            cav.omega_c, g, ks, ns)
 
 
 def build_many_molecule_hamiltonian(model: MolecularModel, cav: CavityParams,
                                     n_mol: int, n_fock_max: int | None = None
                                     ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], int]]]:
-    """Full product-basis Hamiltonian with coupling g/sqrt(n_mol).
+    """Full product-basis Hamiltonian with coupling g/sqrt(n_mol), and the
+    (occupation string, photon number) of each basis column, N-major.
 
     All dipole matrix elements are kept (no degenerate-block approximation);
     the optional self-energy acts on the total dipole.  This is the oracle
@@ -303,7 +301,8 @@ def build_many_molecule_hamiltonian(model: MolecularModel, cav: CavityParams,
     """
     n_fock = cav.n_fock_max if n_fock_max is None else n_fock_max
     h = product_hamiltonian(*_collective_factors(model, cav, [1] * n_mol, n_fock))
-    return h, many_molecule_labels(model, n_mol, n_fock)
+    strings = list(itertools.product(range(model.n_states), repeat=n_mol))
+    return h, [(occ, n_ph) for n_ph in range(n_fock + 1) for occ in strings]
 
 
 def _lower_pair_vector(m: int, amplitudes, n_levels: int) -> np.ndarray:

@@ -14,9 +14,10 @@ Product-space operators act through their two tensor factors on the
 (N_max + 1, n_mol) grid of a state's photon slabs psi_N (a restricted basis
 scatters its rows into it): 1 x mu is one product of the molecular dipole
 with the grid, and <q>, <q^2> contract the photon ladders with the slabs'
-Gram matrix Re <psi_N|psi_N'>.  H is gathered from its factors at any
-entries (product_hamiltonian): the solver forms it block by block, and only
-the RK4 oracle and assemble_hamiltonian form it dense.
+Gram matrix Re <psi_N|psi_N'>.  H is gathered at any entries
+(product_hamiltonian) from its factors: the energies as a vector, mu, and the
+self-energy scaled once where they are made.  The solver forms H block by
+block, and only the RK4 oracle and assemble_hamiltonian form it dense.
 
 H conserves more than energy: the Z-polarized field conserves M, and the
 dipole flips the parity of J (of the 3-level upper state, or of the number
@@ -59,8 +60,9 @@ class ProductBasis:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not self.entries or min(min(entry) for entry in self.entries) < 0:
-            raise ModelError("a basis needs entries, each with k >= 0 and N >= 0")
+        if not self.entries or not all(isinstance(e, tuple) and len(e) == 2 and all(
+                isinstance(i, (int, np.integer)) and i >= 0 for i in e) for e in self.entries):
+            raise ModelError("a basis needs entries, each with k >= 0 and N >= 0, as (k, N) int pairs")
         if len(set(self.entries)) != len(self.entries):
             raise ModelError("basis entries must be unique")
 
@@ -153,18 +155,19 @@ def _check_memory(dim: int, include_dse: bool, records: int = 0):
     dim-state product basis, and the populations of its records on a
     time-dependent run, would not fit in MEMORY_BUDGET bytes.
 
-    Every quantum route holds the solver's block eigenvectors, at most
-    dim x largest block, plus, while one block's eigh runs, the block's H,
-    its copy and LAPACK syevd's workspace of 1 + 6 b + 2 b^2 doubles.  Only
-    propagate_quantum's method = "rk4", assemble_hamiltonian and
-    build_many_molecule_hamiltonian hold a dense H; its gather peaks below
-    four dim^2 arrays.  No route forms the dense eigenvectors or a
-    product-space mu.  The stick engine (_stick_lines) holds about three
-    dim x L arrays for its L <= dim pieces (the K unit columns on the static
-    route; those of one column in spectrum_from_state), then 5 doubles per
-    stick, 13 in the merge.  So (6 + dse) dim^2 + 6 dim + 1 doubles is an
-    upper bound, not an estimate, for fewer than dim^2 / 3 sticks (thermal
-    N = 12: 0.3 M on 2352 states).
+    Every quantum route holds the solver's factors (beside mu, the
+    self-energy's molecular-size mu^2, two while it is formed), its block
+    eigenvectors, at most dim x largest block, and, while one block's eigh
+    runs, the block's H, its copy and LAPACK syevd's workspace of
+    1 + 6 b + 2 b^2 doubles.  Only propagate_quantum's method = "rk4",
+    assemble_hamiltonian and build_many_molecule_hamiltonian hold a dense H;
+    its gather peaks below four dim^2 arrays.  No route forms the dense
+    eigenvectors or a product-space mu.  The stick engine (_stick_lines)
+    holds about three dim x L arrays for its L <= dim pieces (the K unit
+    columns on the static route; those of one column in
+    spectrum_from_state), then 5 doubles per stick, 13 in the merge.  So
+    (6 + dse) dim^2 + 6 dim + 1 doubles is an upper bound, not an estimate,
+    for fewer than dim^2 / 3 sticks (thermal N = 12: 0.3 M on 2352 states).
     The 4 GiB budget admits thermal N = 12 (about 0.3 GB) and symmetric
     N = 50 (3978 states, about 0.9 GB) on the occupation bases, keeps the
     product basis as the oracle up to N = 7 (6561 states, 2.4 GB), and
@@ -180,21 +183,21 @@ def _check_memory(dim: int, include_dse: bool, records: int = 0):
             f"{held}, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
 
 
-def product_hamiltonian(h_mol: np.ndarray, mu: np.ndarray | None, mu2: np.ndarray | None,
+def product_hamiltonian(energies: np.ndarray, mu: np.ndarray | None, within: np.ndarray | None,
                         omega_c: float, g: float, ks: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """H = 1 x H_mol + w_c N x 1 + g (a + a^dag) x mu + (g^2/w_c) 1 x mu^2 at
-    the entries |ks[i], ns[i]>, gathered from the factors.
+    """H = 1 x diag(E) + w_c N x 1 + g (a + a^dag) x mu + 1 x W at the entries
+    |ks[i], ns[i]>, gathered from the factors: the energies E as a vector, and
+    the within-slab W, the self-energy (g^2/w_c) mu^2 as its maker scaled it.
 
-    mu = None leaves out the coupling, mu2 = None the self-energy.  Each
-    element adds its terms in the Kronecker sum's order (H_mol, N w_c, the
-    self-energy; g sqrt(N + 1) mu between N and N + 1), so bit for bit.
+    mu = None leaves out the coupling, within = None the self-energy.  Each
+    element adds its terms in the Kronecker sum's order (E_k + N w_c, then W;
+    g sqrt(N + 1) mu between N and N + 1), so bit for bit.
     """
     ix, same = np.ix_(ks, ks), ns[:, None] == ns
     h = np.zeros(same.shape)
-    np.add(h, h_mol[ix], out=h, where=same)
-    h[np.diag_indices_from(h)] += ns * omega_c
-    if mu2 is not None:
-        np.add(h, (g**2 / omega_c) * mu2[ix], out=h, where=same)
+    h[np.diag_indices_from(h)] = energies[ks] + ns * omega_c
+    if within is not None:
+        np.add(h, within[ix], out=h, where=same)
     if mu is not None:
         ladder = photon_ladder(int(ns.max()))[ns[:, None], ns]   # nonzero at |N - M| = 1
         adjacent = ladder != 0.0
@@ -210,8 +213,10 @@ def _model_factors(model: MolecularModel, cav: CavityParams, basis: ProductBasis
     if dim > model.n_states:
         raise ModelError("basis references molecular states outside the model")
     _check_memory(n_ph * dim, cav.include_dse)
-    mu2 = mu_squared_matrix(model)[:dim, :dim] if cav.include_dse else None
-    return (np.diag(model.energies[:dim]), model.dipole[:dim, :dim], mu2,
+    within = mu_squared_matrix(model)[:dim, :dim] if cav.include_dse else None
+    if within is not None:
+        within *= cav.g**2 / cav.omega_c      # in place, in mu_squared_matrix's own array
+    return (model.energies[:dim], model.dipole[:dim, :dim], within,
             cav.omega_c, cav.g) + basis.arrays()
 
 
@@ -354,32 +359,37 @@ def _coupled_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarr
 
 
 def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
-    """Eigenpairs of a symmetric, finite H, solved as one photon slab:
-    H_mol = H, no coupling, every N = 0.  Both are checked on H's nonzero
-    entries alone: where h_ij is 0.0, allclose's |h_ji| <= atol + rtol |h_ji|
-    follows from |h_ji| <= atol, checked at (j, i), so the symmetry verdict
-    is np.allclose(h, h.T, atol=1e-12)'s, NaN included; allclose takes
-    inf == inf, so infinite entries are refused after it."""
+    """Eigenpairs of a non-empty, square, symmetric, finite H, solved as one
+    photon slab: zero energies, H as the within-slab operator, every N = 0.
+    Both are checked on H's nonzero entries alone: where h_ij is 0.0,
+    allclose's |h_ji| <= atol + rtol |h_ji| follows from |h_ji| <= atol,
+    checked at (j, i), so the symmetry verdict is np.allclose(h, h.T,
+    atol=1e-12)'s, NaN included; allclose takes inf == inf, so infinite
+    entries are refused after it."""
+    if np.ndim(h) != 2 or not 0 < len(h) == np.shape(h)[1]:
+        raise ModelError(f"Hamiltonian must be a non-empty square matrix, got shape {np.shape(h)}")
     rows, cols = np.nonzero(h)
     values = h[rows, cols]
     if not np.allclose(values, h[cols, rows], atol=1e-12):
         raise ModelError("Hamiltonian must be symmetric")
     if not np.isfinite(values).all():
         raise ModelError("Hamiltonian entries must be finite")
-    return _solve_factors(h, None, None, 1.0, 0.0, np.arange(len(h)), np.zeros(len(h), int))
+    ks = np.arange(len(h))
+    return _solve_factors(np.zeros(ks.size), None, h, 1.0, 0.0, ks, np.zeros_like(ks))
 
 
-def _solve_factors(h_mol, mu, mu2, omega_c, g, ks, ns) -> PolaritonSolution:
+def _solve_factors(energies, mu, within, omega_c, g, ks, ns) -> PolaritonSolution:
     """Eigenpairs of product_hamiltonian's H at the entries |ks[i], ns[i]>,
     one eigh per block of the entries it couples: edges within N from the
-    nonzeros of H_mol + (g^2/w_c) mu^2, between N and N + 1 from g mu.
+    nonzeros of the within-slab operator (of the diagonal without one),
+    between N and N + 1 from g mu.
     H is exactly zero between blocks, so no eigenvector leaves its block or
     mixes conserved quantum numbers (M, parity), as one eigh over a
     degenerate pair of blocks would.  Eigenvalues ascend (a stable sort
     over the blocks in order of their smallest index)."""
-    pos = np.full((int(ns.max()) + 1, h_mol.shape[0]), -1)   # entry index at (N, k)
+    pos = np.full((int(ns.max()) + 1, energies.size), -1)   # entry index at (N, k)
     pos[ns, ks] = np.arange(ks.size)
-    k, l = np.nonzero(h_mol if mu2 is None else h_mol + (g**2 / omega_c) * mu2)
+    k, l = np.nonzero(within) if within is not None else np.diag_indices(energies.size)
     pairs = [(pos[:, k], pos[:, l])]
     if mu is not None:
         k, l = np.nonzero(g * mu)
@@ -388,7 +398,7 @@ def _solve_factors(h_mol, mu, mu2, omega_c, g, ks, ns) -> PolaritonSolution:
     live = (rows >= 0) & (cols >= 0)
     parts = []
     for idx in _coupled_blocks(ks.size, rows[live], cols[live]):
-        h = product_hamiltonian(h_mol, mu, mu2, omega_c, g, ks[idx], ns[idx])
+        h = product_hamiltonian(energies, mu, within, omega_c, g, ks[idx], ns[idx])
         try:
             parts.append((idx, *np.linalg.eigh(h)))
         except np.linalg.LinAlgError as err:
@@ -590,7 +600,8 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     meta = {"init": init, "n_fock_max": cav.n_fock_max}
 
     if method == "rk4":
-        v_int = assemble_hamiltonian(model, cav, basis) - np.diag(eps)
+        v_int = assemble_hamiltonian(model, cav, basis)
+        v_int[np.diag_indices_from(v_int)] -= eps
         freqs, start = eps, None
 
         def rhs(entry, c):

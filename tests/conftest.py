@@ -1,7 +1,23 @@
+import os
+
+import numpy as np
 import pytest
 
+from helpers import traced_peak
 from twinpol import (CavityParams, KickPulse, MorseParams, build_morse_rovib,
                      build_three_level, propagate_classical, propagate_quantum)
+
+
+def pytest_report_header(config):
+    """numpy, its BLAS and the thread settings, so a suite's timing carries them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):     # an older numpy only prints its config
+        blas = {"name": "unknown", "version": "unknown"}
+    return (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
+            f"cpu_count {os.cpu_count()}")
+
 
 THREE_LEVEL = dict(e0=0.0, e1=2e-3, e2=10e-3, mu02=1.0, mu12=1.0)
 OMEGA_C = 1e-2
@@ -28,6 +44,12 @@ def pulse():
 @pytest.fixture(scope="session")
 def hcl_model():
     return build_morse_rovib(MorseParams())
+
+
+@pytest.fixture(scope="session")
+def hcl_jmax30_build():
+    """HCl at j_max = 30 (1,922 states) and the traced peak of its build."""
+    return traced_peak(lambda: build_morse_rovib(MorseParams(j_max=30)))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,17 @@
 """Helpers shared by the test modules."""
 
+import tracemalloc
+
 import numpy as np
+
+
+def traced_peak(call):
+    """(result, peak traced memory in bytes) of call()."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cluster(spec, center, window, floor_rel=0.002):

@@ -185,6 +185,15 @@ def test_collective_operator_is_product_site_sum(model3, n_mol):
         assert np.array_equal(collective_operator(op, [1] * n_mol), site_sum(op, n_mol))
 
 
+@pytest.mark.parametrize("groups", [[2, 3], [6], [1] * 4], ids=["2_3", "6", "1_1_1_1"])
+def test_collective_energies_are_the_dense_operators_diagonal(model3, groups):
+    cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=True, n_fock_max=2)
+    energies = twinpol.manymol._collective_factors(model3, cav, groups, 2)[0]
+    dense = collective_operator(np.diag(model3.energies), groups)
+    assert energies.shape == (dense.shape[0],)
+    assert np.array_equal(energies, dense.diagonal())
+
+
 def test_collective_operator_bosonic_elements(model3):
     # two molecules in one group: |2,0,0>, |1,1,0>, |1,0,1>, |0,2,0>, |0,1,1>, |0,0,2>
     mu = collective_operator(model3.dipole, [2])

@@ -1,12 +1,12 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import twinpol.model
-from helpers import first_selection_rule_offender, morse_model_per_j, sine_dvr_kinetic
+from helpers import (first_selection_rule_offender, morse_model_per_j, sine_dvr_kinetic,
+                     traced_peak)
 from twinpol import (ConvergenceError, ModelError, MolecularModel, MorseParams, RadialGrid,
                      build_morse_rovib)
 from twinpol.model import (_abs_norm, _box_levels, _certify, _effective_potential,
@@ -336,15 +336,6 @@ def test_refused_sine_anchor_falls_back_to_the_full_eigh(monkeypatch):
     assert model.content_hash() == morse_model_per_j(params).content_hash()
 
 
-def traced_peak(call):
-    """(result, peak traced memory in bytes) of call()."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_default_build_and_hash_stay_within_their_memory():
     # the 400 x 400 eigh and the 800 x 800 kinetic matrix came to 8.6 MiB
     # traced, and the hash's whole JSON to 5.3 MiB
@@ -354,10 +345,10 @@ def test_default_build_and_hash_stay_within_their_memory():
     assert peak < 2**20
 
 
-def test_jmax30_build_holds_one_dipole():
+def test_jmax30_build_holds_one_dipole(hcl_jmax30_build):
     # 1,922 states, a 28.2 MiB dipole: symmetrized as 0.5 (d + d^T) and then
     # copied into the model, the build peaked at 59 MiB traced
-    model, peak = traced_peak(lambda: build_morse_rovib(MorseParams(j_max=30)))
+    model, peak = hcl_jmax30_build
     assert model.dipole.nbytes < peak < 40 * 2**20
 
 

@@ -12,7 +12,7 @@ import twinpol.integrators
 import twinpol.manymol
 import twinpol.quantum
 from helpers import (kron_hamiltonian, kron_sum, mu_operator, q2_operator, q_operator,
-                     stick_inputs_per_state)
+                     stick_inputs_per_state, traced_peak)
 from twinpol import (BasisSizeError, CavityParams, ConvergenceError, KickPulse, ModelError,
                      PolaritonSolution, ProductBasis, assemble_hamiltonian, boltzmann_weights,
                      build_many_molecule_hamiltonian, cm1_to_au, diagonalize_polaritons,
@@ -36,16 +36,21 @@ def test_basis_ordering(model3):
 
 @pytest.mark.parametrize("case, match", [
     ("negative_k", "each with k >= 0 and N >= 0"), ("negative_N", "each with k >= 0 and N >= 0"),
-    ("empty", "needs entries"), ("absent_index", r"entry \(5, 0\) not in the basis"),
+    ("empty", "needs entries"), ("triple", r"\(k, N\) int pairs"),
+    ("float_k", r"\(k, N\) int pairs"), ("absent_index", r"entry \(5, 0\) not in the basis"),
     ("absent_dominant", r"entry \(5, 0\) not in the basis")])
 def test_basis_rejects_malformed_entries(model3, cav, case, match):
     """A negative k or N wrapped into the grid (k = -1 gave a wrong 2 x 2 H),
-    and an empty basis or an absent entry failed with a bare ValueError."""
+    an empty basis or an absent entry failed with a bare ValueError, and an
+    entry that is not a (k, N) pair of integers was taken until arrays()
+    unpacked it."""
     basis = ProductBasis.full(model3, 1)
     calls = {
         "negative_k": lambda: ProductBasis(((0, 0), (-1, 1))),
         "negative_N": lambda: ProductBasis(((0, 0), (1, -1))),
         "empty": lambda: ProductBasis(()),
+        "triple": lambda: ProductBasis(((0, 0, 1),)),
+        "float_k": lambda: ProductBasis(((0, 0), (1.0, 1))),
         "absent_index": lambda: basis.index(5, 0),
         "absent_dominant": lambda: dominant_eigenstate(
             solve_polaritons(model3, cav, basis), basis, (5, 0)),
@@ -284,19 +289,31 @@ def _assert_blocks_match_dense(sol, h):
 
 @st.composite
 def _factored_problems(draw):
-    """Diagonal H_mol, a sparse symmetric mu with exact zeros, mu^2 as
-    mu_squared_matrix forms it or None, g = 0 or g > 0, and a unique subset
-    of the (k, N) entries in any order."""
+    """Energies, a sparse symmetric mu with exact zeros, the self-energy
+    (g^2/w_c) mu^2 with mu^2 as mu_squared_matrix forms it, or None, g = 0 or
+    g > 0, and a unique subset of the (k, N) entries in any order."""
     n, n_fock = draw(st.integers(1, 5)), draw(st.integers(0, 3))
     value = st.just(0.0) | st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
     mu = np.triu(np.reshape(draw(st.lists(value, min_size=n * n, max_size=n * n)), (n, n)))
     mu += np.triu(mu, 1).T
     mu2 = mu_squared_matrix(SimpleNamespace(dipole=mu)) if draw(st.booleans()) else None
-    h_mol = np.diag(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    energies = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     omega_c, g = draw(st.floats(0.1, 2.0)), draw(st.just(0.0) | st.floats(0.01, 0.5))
+    within = None if mu2 is None else (g**2 / omega_c) * mu2
     entries = draw(st.lists(st.sampled_from([(k, m) for m in range(n_fock + 1)
                                               for k in range(n)]), min_size=1, unique=True))
-    return (h_mol, mu, mu2, omega_c, g) + tuple(np.array(entries).T), n_fock
+    return (energies, mu, within, omega_c, g) + tuple(np.array(entries).T), n_fock
+
+
+def _kron_record(factors, n_fock):
+    """The dense H of a product_hamiltonian record on the full photon-major
+    basis: helpers.kron_sum of diag(E) and the coupling, then 1 x W, added
+    last as kron_sum adds its self-energy, so bit for bit."""
+    energies, mu, within, omega_c, g = factors[:5]
+    h = kron_sum(np.diag(energies), mu, None, omega_c, g, n_fock)
+    if within is not None:
+        h += np.kron(np.eye(n_fock + 1), within)
+    return h
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -308,7 +325,7 @@ def test_factored_solve_matches_dense_oracle(problem):
     factors, n_fock = problem
     ks, ns = factors[5:]
     idx = ns * len(factors[0]) + ks
-    dense = kron_sum(*factors[:5], n_fock)[np.ix_(idx, idx)]
+    dense = _kron_record(factors, n_fock)[np.ix_(idx, idx)]
     assert np.array_equal(product_hamiltonian(*factors), dense)
     _assert_blocks_match_dense(_solve_factors(*factors), dense)
 
@@ -324,7 +341,7 @@ def test_factored_solve_matches_dense_oracle_on_the_models(model3, hcl_model, ca
         cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=True, n_fock_max=2)
         groups = [2, 3] if case == "groups_2_3" else [6]
         factors = twinpol.manymol._collective_factors(model3, cav, groups, 2)
-        sol, dense = _solve_factors(*factors), kron_sum(*factors[:5], 2)
+        sol, dense = _solve_factors(*factors), _kron_record(factors, 2)
     _assert_blocks_match_dense(sol, dense)
 
 
@@ -353,6 +370,18 @@ def test_solve_polaritons_peaks_below_one_dense_h(hcl_model):
         tracemalloc.stop()
     assert sol.block_sizes() == {"n_blocks": 50, "max_block_dim": 34}
     assert peak < 8 * basis.size**2
+
+
+def test_solve_polaritons_holds_about_two_dipoles_at_jmax30(hcl_jmax30_build):
+    """The factors carry the energies as a vector and the self-energy scaled
+    in mu_squared_matrix's own array; the solve formed diag(E), mu^2's scaled
+    copy and H_mol + (g^2/w_c) mu^2 besides, 85.4 MiB traced (3.0 dipoles)
+    at j_max = 30 (1,922 states, 5,766 product states)."""
+    model = hcl_jmax30_build[0]
+    sol, peak = traced_peak(lambda: solve_polaritons(
+        model, CavityParams(**HCL_CAVITY), ProductBasis.full(model, 2)))
+    assert sol.size == 5766
+    assert peak < 2.5 * model.dipole.nbytes
 
 
 def _cluster_initial_states(sol, basis, weights, weight_cutoff):
@@ -440,6 +469,15 @@ def test_static_sticks_refuse_initial_index_outside_solution(model3, cav, index)
 def test_nonsymmetric_matrix_rejected():
     with pytest.raises(ModelError):
         diagonalize_polaritons(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("h", [np.zeros((0, 0)), np.ones(3), np.ones((2, 3)),
+                               np.ones((2, 2, 2))],
+                         ids=["empty", "one_dimensional", "non_square", "three_dimensional"])
+def test_malformed_matrix_rejected(h):
+    # the empty matrix failed with a bare ValueError in the eigenvalue ordering
+    with pytest.raises(ModelError, match="non-empty square matrix"):
+        diagonalize_polaritons(h)
 
 
 # just above allclose's atol: isclose(x, 0) fails, isclose(0, x) passes (rtol |x|)
@@ -750,16 +788,34 @@ def test_exact_propagator_matches_rk4_hcl(hcl_model, pulse, start):
         assert np.abs(exact.dipole).max() > 1e-6
 
 
-def test_exact_tail_chunks_are_invisible(model3, cav, pulse, monkeypatch):
+def test_exact_tail_chunks_are_invisible(model3, hcl_model, cav, pulse, monkeypatch):
     args = (model3, cav, pulse, (1, 0))
     grid = dict(t_end=2e3, dt=1.0, record_stride=8)
     whole = propagate_quantum(*args, **grid)
-    # 7 records per chunk: the 243 tail records span 35 chunks, the last partial
-    monkeypatch.setattr(twinpol.integrators, "TAIL_CHUNK_BYTES", 16 * 9 * 7)
+    # 7 records per chunk (32 bytes per state and record: psi and its image):
+    # the 243 tail records span 35 chunks, the last partial
+    monkeypatch.setattr(twinpol.integrators, "TAIL_CHUNK_BYTES", 32 * 9 * 7)
     chunked = propagate_quantum(*args, **grid)
     assert whole.meta["exact_records"] == 243
-    for name in ("times", "dipole", "populations", "energy", "q_expect", "q2_expect"):
+    fields = ("times", "dipole", "populations", "energy", "q_expect", "q2_expect")
+    for name in fields:
         assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
+    # On HCl's 726 states BLAS tiles from_eigenbasis's columns, so a record's
+    # bits depend on its place in the chunk: a sum over at most n = 726 terms
+    # in another order, bounded by n eps times the series' scale.
+    cav = CavityParams(**HCL_CAVITY)
+    init = (hcl_model.state_index(v=0, J=2, M=0), 0)
+    grid = dict(t_end=800.0, dt=1.0, record_stride=4)
+    for kick in (pulse, KickPulse.off()):
+        monkeypatch.setattr(twinpol.integrators, "TAIL_CHUNK_BYTES", 2**30)
+        whole = propagate_quantum(hcl_model, cav, kick, init, **grid)
+        monkeypatch.setattr(twinpol.integrators, "TAIL_CHUNK_BYTES", 32 * 726 * 7)
+        chunked = propagate_quantum(hcl_model, cav, kick, init, **grid)
+        assert whole.meta["exact_records"] > 7 * 20
+        for name in fields:
+            a, b = getattr(whole, name), getattr(chunked, name)
+            bound = 726 * np.finfo(float).eps * np.max(np.abs(a))
+            assert np.max(np.abs(a - b)) <= bound, name
 
 
 def test_real_matmul_matches_complex_product():

@@ -27,7 +27,6 @@ Commands: run, sweep, validate, export-model.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import configparser
 import filecmp
 import json
 import re
@@ -47,7 +46,7 @@ from .manymol import (ManyMolConfig, analytic_nonsymmetric_spectrum,
                       thermodynamic_limit_spectrum)
 from .model import (MODEL_SECTIONS, MolecularModel, ThermalWeights, boltzmann_weights,
                     model_from_config, parse_float, parse_int, parse_quantity,
-                    read_section)
+                    read_config, read_section)
 from .quantum import (PolaritonSolution, ProductBasis, _unit_columns, dominant_eigenstate,
                       propagate_quantum, solve_polaritons, static_stick_spectrum,
                       thermal_initial_states)
@@ -135,19 +134,17 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         """Read and check a config file.  Every run section is parsed by its
         schema, defaults echoed; the model section keeps its text."""
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not parser.read(path):
-            raise ConfigError(f"cannot read config file {path}")
-        for name in parser.sections():
+        sections = read_config(path)
+        for name in sections:
             if name not in MODEL_SECTIONS and name not in RUN_SECTIONS:
                 raise ConfigError(f"unknown section [{name}]")
-        model = model_from_config(parser)
-        kind = "three_level" if parser.has_section("three_level") else "morse"
-        raw: dict = {"model_kind": kind, kind: dict(parser[kind])}
+        model = model_from_config(sections)
+        kind = "three_level" if "three_level" in sections else "morse"
+        raw: dict = {"model_kind": kind, kind: sections[kind]}
         for name, schema in RUN_SECTIONS.items():
-            if name != "thermal" or parser.has_section(name):
-                raw[name] = read_section(parser, name, schema)
-        if raw["cavity"]["g_sweep"] and "g" not in parser["cavity"]:
+            if name != "thermal" or name in sections:
+                raw[name] = read_section(sections, name, schema)
+        if raw["cavity"]["g_sweep"] and "g" not in sections["cavity"]:
             raw["cavity"]["g"] = raw["cavity"]["g_sweep"][0]
         if raw.get("thermal", {}).get("v", 0) is None:     # v is echoed only when given
             del raw["thermal"]["v"]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cavity import CavityParams
 from .errors import ModelError
-from .model import MolecularModel
+from .model import MolecularModel, _symmetric_square
 from .quantum import (PolaritonSolution, ProductBasis, _check_memory, _solve_factors,
                       _stick_lines, product_hamiltonian)
 from .spectra import Spectrum, make_stick_spectrum
@@ -282,9 +282,11 @@ def _collective_factors(model: MolecularModel, cav: CavityParams, groups,
     energies = functools.reduce(lambda a, b: np.add.outer(a, b).ravel(),
                                 [sum(o[:, k] * model.energies[k] for k in range(n)) for o in occ])
     mu_tot, g = collective_operator(model.dipole, groups), cav.g / math.sqrt(sum(groups))
+    within = _symmetric_square(mu_tot) if cav.include_dse else None
+    if within is not None:
+        within *= g**2 / cav.omega_c      # in place, as _model_factors scales mu^2
     ns, ks = np.divmod(np.arange(dim_mol * (n_fock + 1)), dim_mol)
-    return (energies, mu_tot, (g**2 / cav.omega_c) * (mu_tot @ mu_tot) if cav.include_dse else None,
-            cav.omega_c, g, ks, ns)
+    return energies, mu_tot, within, cav.omega_c, g, ks, ns
 
 
 def build_many_molecule_hamiltonian(model: MolecularModel, cav: CavityParams,

@@ -33,10 +33,6 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
-# dipole entries per block of content_hash
-_HASH_BLOCK = 1024
-
-
 @dataclass(frozen=True, eq=False)
 class MolecularModel:
     """Cavity-free eigenstates of one emitter.
@@ -136,18 +132,13 @@ class MolecularModel:
             return cls.from_json_dict(json.load(fh))
 
     def content_hash(self) -> str:
-        """Deterministic sha1 of the canonical JSON form, for run manifests:
-        the bytes of json.dumps(self.to_json_dict(), sort_keys=True), fed to
-        sha1 a block of about _HASH_BLOCK dipole entries at a time, so that
-        neither the whole JSON nor the dipole as Python lists is held."""
-        sha = hashlib.sha1(b'{"dipole": [')
-        step = max(1, _HASH_BLOCK // max(1, self.n_states))
-        for start in range(0, self.n_states, step):
-            rows = json.dumps(self.dipole[start:start + step].tolist())[1:-1]
-            sha.update(((", " if start else "") + rows).encode())
-        sha.update(('], "energies": ' + json.dumps(self.energies.tolist())
-                    + ', "labels": ' + json.dumps(list(self.labels), sort_keys=True)
-                    + "}").encode())
+        """sha1 of b"%d;" % n_states, the energies' and the dipole's
+        little-endian float64 bytes (hashed in place: no number is formatted)
+        and json.dumps(list(labels), sort_keys=True), for run manifests."""
+        sha = hashlib.sha1(b"%d;" % self.n_states)
+        for a in (self.energies, self.dipole):
+            sha.update(np.asarray(a, "<f8"))
+        sha.update(json.dumps(list(self.labels), sort_keys=True).encode())
         return sha.hexdigest()
 
 
@@ -666,8 +657,18 @@ def mu_squared_matrix(model: MolecularModel) -> np.ndarray:
     Equivalent to the matrix square of the dipole matrix; exact only to the
     extent the retained basis saturates the sum over intermediate states.
     """
-    m2 = model.dipole @ model.dipole
-    return 0.5 * (m2 + m2.T)
+    return _symmetric_square(model.dipole)
+
+
+def _symmetric_square(mu: np.ndarray) -> np.ndarray:
+    """0.5 (m + m^T) of m = mu @ mu in m's own array, 64 rows and the matching
+    columns at a time: the bits of 0.5 * (m + m.T) with no second n x n array."""
+    m = mu @ mu
+    for i in range(0, len(m), 64):
+        strip = 0.5 * (m[i:i + 64, i:] + m[i:, i:i + 64].T)
+        m[i:i + 64, i:] = strip
+        m[i:, i:i + 64] = strip.T
+    return m
 
 
 def boltzmann_weights(model: MolecularModel, temperature: float,
@@ -752,24 +753,39 @@ MODEL_SECTIONS = {
 }
 
 
+def read_config(path) -> dict:
+    """{section: {key: text}} of a UTF-8 config file, every value read (so
+    interpolated) here; any failure to read or parse it raises ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        return {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {' '.join(str(err).split())}") from None
+
+
 def read_section(sections, name: str, schema: dict) -> dict:
     """Parse section name of a config by its schema {key: (parser, default)}.
 
-    sections is a ConfigParser or a {section: {key: text}} mapping such as a
-    run manifest's.  Unknown keys and malformed values raise ConfigError; an
+    sections is a {section: {key: text}} mapping: read_config's, or a run
+    manifest's.  Unknown keys and malformed values raise ConfigError; an
     absent section or key takes the default text, and a None default gives
     None.  A None parser keeps the text.
     """
     given = sections[name] if name in sections else {}
-    _reject_unknown(given, schema, name)
+    for key in given:
+        if key not in schema:
+            raise ConfigError(f"[{name}] has unknown key {key!r} "
+                              f"(known: {', '.join(sorted(schema))})")
     return {key: text if text is None or parse is None else parse(text, key)
             for key, (parse, default) in schema.items()
             for text in [given.get(key, default)]}
 
 
 def model_from_config(sections) -> MolecularModel:
-    """Build a model from the [three_level] or [morse] section of a config, a
-    ConfigParser or a {section: {key: text}} mapping (see read_section)."""
+    """Build a model from the [three_level] or [morse] section of a config's
+    {section: {key: text}} mapping (see read_section)."""
     kinds = [kind for kind in MODEL_SECTIONS if kind in sections]
     if len(kinds) != 1:
         raise ConfigError("config needs exactly one of [three_level] or [morse]")
@@ -785,16 +801,5 @@ def model_from_config(sections) -> MolecularModel:
     return build_morse_rovib(params, grid)
 
 
-def _reject_unknown(section, known, name: str):
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"[{name}] has unknown key {key!r} "
-                              f"(known: {', '.join(sorted(known))})")
-
-
 def load_model_config(path) -> MolecularModel:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    return model_from_config(parser)
+    return model_from_config(read_config(path))

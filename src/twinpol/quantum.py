@@ -90,12 +90,6 @@ class ProductBasis:
     def n_fock_max(self) -> int:
         return max(n for _, n in self.entries)
 
-    def restrict(self, op: np.ndarray, dim_mol: int) -> np.ndarray:
-        """Rows and columns of a photon-major full-space operator, in basis order."""
-        ks, ns = self.arrays()
-        idx = ns * dim_mol + ks
-        return op[np.ix_(idx, idx)]
-
     @cached_property
     def _grid(self) -> tuple[tuple[int, int], np.ndarray | None]:
         """(N_max + 1, max k + 1), the shape of the photon-major grid the
@@ -156,7 +150,7 @@ def _check_memory(dim: int, include_dse: bool, records: int = 0):
     time-dependent run, would not fit in MEMORY_BUDGET bytes.
 
     Every quantum route holds the solver's factors (beside mu, the
-    self-energy's molecular-size mu^2, two while it is formed), its block
+    self-energy's molecular-size mu^2, one while it is formed), its block
     eigenvectors, at most dim x largest block, and, while one block's eigh
     runs, the block's H, its copy and LAPACK syevd's workspace of
     1 + 6 b + 2 b^2 doubles.  Only propagate_quantum's method = "rk4",
@@ -382,7 +376,8 @@ def _solve_factors(energies, mu, within, omega_c, g, ks, ns) -> PolaritonSolutio
     """Eigenpairs of product_hamiltonian's H at the entries |ks[i], ns[i]>,
     one eigh per block of the entries it couples: edges within N from the
     nonzeros of the within-slab operator (of the diagonal without one),
-    between N and N + 1 from g mu.
+    between N and N + 1 from mu's nonzeros where g mu is not 0.0, so no
+    dense g mu is formed.
     H is exactly zero between blocks, so no eigenvector leaves its block or
     mixes conserved quantum numbers (M, parity), as one eigh over a
     degenerate pair of blocks would.  Eigenvalues ascend (a stable sort
@@ -392,8 +387,9 @@ def _solve_factors(energies, mu, within, omega_c, g, ks, ns) -> PolaritonSolutio
     k, l = np.nonzero(within) if within is not None else np.diag_indices(energies.size)
     pairs = [(pos[:, k], pos[:, l])]
     if mu is not None:
-        k, l = np.nonzero(g * mu)
-        pairs.append((pos[1:, k], pos[:-1, l]))
+        k, l = np.nonzero(mu)
+        coupled = g * mu[k, l] != 0.0
+        pairs.append((pos[1:, k[coupled]], pos[:-1, l[coupled]]))
     rows, cols = (np.concatenate([p.ravel() for p in side]) for side in zip(*pairs))
     live = (rows >= 0) & (cols >= 0)
     parts = []

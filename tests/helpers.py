@@ -161,6 +161,13 @@ def kron_sum(h_mol, mu, mu2, omega_c, g, n_fock_max):
     return h
 
 
+def restrict(op, basis, dim_mol):
+    """Rows and columns of a photon-major full-space operator, in basis order."""
+    ks, ns = basis.arrays()
+    idx = ns * dim_mol + ks
+    return op[np.ix_(idx, idx)]
+
+
 def kron_hamiltonian(model, cav, basis):
     """assemble_hamiltonian's H as a Kronecker sum on the full basis, then
     restricted to basis."""
@@ -169,19 +176,19 @@ def kron_hamiltonian(model, cav, basis):
     mu2 = mu_squared_matrix(model) if cav.include_dse else None
     h = kron_sum(np.diag(model.energies), model.dipole, mu2, cav.omega_c, cav.g,
                  basis.n_fock_max)
-    return basis.restrict(h, model.n_states)
+    return restrict(h, basis, model.n_states)
 
 
 def mu_operator(model, basis):
     """mu x identity on the photon space."""
-    return basis.restrict(np.kron(np.eye(basis.n_fock_max + 1), model.dipole),
-                          model.n_states)
+    return restrict(np.kron(np.eye(basis.n_fock_max + 1), model.dipole), basis,
+                    model.n_states)
 
 
 def _photon_operator(photon_op, basis):
     """photon_op(N_max) x identity on the molecular states, restricted to basis."""
     dim_mol = int(basis.arrays()[0].max()) + 1
-    return basis.restrict(np.kron(photon_op(basis.n_fock_max), np.eye(dim_mol)), dim_mol)
+    return restrict(np.kron(photon_op(basis.n_fock_max), np.eye(dim_mol)), basis, dim_mol)
 
 
 def q_operator(cav, basis):

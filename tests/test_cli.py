@@ -179,6 +179,17 @@ BAD_CONFIGS = {
     # model, r_max = inf warned, then blamed the levels
     "nan_r_e": (MORSE_J1 + "r_e = nan bohr\n", "Morse parameter r_e must be positive and finite"),
     "infinite_r_max": (MORSE_J1 + "r_max = inf bohr\n", "finite r_min < r_max, got [1.2, inf]"),
+    # malformed files: these ended in a configparser traceback, exit 1
+    "duplicate_key": (THREE_LEVEL_HEADER.replace("e2 = 10e-3 au\n",
+                                                 "e2 = 10e-3 au\ne1 = 3e-3 au\n"),
+                      "option 'e1' in section 'three_level' already exists"),
+    "duplicate_section": (THREE_LEVEL_HEADER + "\n[cavity]\ng = 1e-4 au\n",
+                          "section 'cavity' already exists"),
+    "no_section_header": ("e1 = 2e-3 au\n" + THREE_LEVEL_HEADER, "no section headers"),
+    "not_key_value": (THREE_LEVEL_HEADER + "\n[protocol]\nframework quantum_static\n",
+                      "'framework quantum_static"),
+    "stray_percent": (THREE_LEVEL_HEADER + "\n[output]\ndirectory = out%1\n",
+                      "'%' must be followed by '%' or '('"),
 }
 
 
@@ -193,6 +204,17 @@ def test_config_errors_exit_2_at_validate_and_run(tmp_path, capsys, case):
     assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
     assert named in err[0]
     assert not (tmp_path / "o" / "error.txt").exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(THREE_LEVEL_HEADER.encode() + "# caf\xe9\n".encode("latin-1"))
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: ") and
+                                 "'utf-8' codec can't decode byte 0xe9" in line for line in err)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("config", sorted(Path(__file__).parent.parent.glob("configs/*.cfg")),
@@ -339,8 +361,8 @@ def test_hcl_quantum_runs_build_no_dense_product_operator(tmp_path, monkeypatch)
 
     for name in ("mu_operator", "q_operator", "q2_operator"):
         assert not hasattr(twinpol.quantum, name)
+    assert not hasattr(ProductBasis, "restrict")
     monkeypatch.setattr(np, "kron", refuse)
-    monkeypatch.setattr(ProductBasis, "restrict", refuse)
     for kind, text in (("static", HCL_CONFIG.read_text()), ("td", hcl_td_config())):
         cfg = write(tmp_path, text, f"{kind}.cfg")
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / kind)]) == 0
@@ -715,6 +737,24 @@ n_mol = 3
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "sc"),
                  "--seedless-check"]) == 0
     assert "determinism check passed" in capsys.readouterr().out
+
+
+def test_failed_seedless_check_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    """Each run also writes its own call count, so the two runs differ."""
+    real_run, calls = twinpol.cli.run, []
+
+    def counting_run(config, out_dir, **kwargs):
+        manifest = real_run(config, out_dir, **kwargs)
+        calls.append(out_dir)
+        (out_dir / "calls.txt").write_text(str(len(calls)))
+        return manifest
+
+    monkeypatch.setattr(twinpol.cli, "run", counting_run)
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_static\n")
+    out = tmp_path / "sc"
+    assert main(["run", str(cfg), "--out-dir", str(out), "--seedless-check"]) == 3
+    assert "determinism check FAILED" in capsys.readouterr().err
+    assert len(calls) == 2 and not out.exists()
 
 
 def test_seedless_check_classical_over_several_chunks(tmp_path, capsys):

@@ -12,8 +12,8 @@ import twinpol.manymol
 from twinpol import (BasisSizeError, CavityParams, ManifoldBasis, ManyMolConfig,
                      ModelError, PolaritonSolution, ProductBasis,
                      analytic_nonsymmetric_spectrum, analytic_symmetric_spectrum,
-                     assemble_hamiltonian,
-                     brute_force_spectrum, build_many_molecule_hamiltonian,
+                     assemble_hamiltonian, brute_force_spectrum,
+                     build_many_molecule_hamiltonian, build_three_level,
                      diagonalize_polaritons, dominant_eigenstate, spectrum_from_state,
                      static_stick_spectrum, thermodynamic_limit_spectrum)
 from twinpol.manymol import _check_memory, collective_operator, helmert_rows
@@ -192,6 +192,18 @@ def test_collective_energies_are_the_dense_operators_diagonal(model3, groups):
     dense = collective_operator(np.diag(model3.energies), groups)
     assert energies.shape == (dense.shape[0],)
     assert np.array_equal(energies, dense.diagonal())
+
+
+@pytest.mark.parametrize("groups, mu02, mu12", [([2, 3], 0.8731, 1.1234),
+                                                ([6], 0.8731, 1.1234), ([3, 9], 1.0, 1.0)],
+                         ids=["2_3", "6", "3_9_unit"])
+def test_collective_self_energy_is_symmetric_bit_for_bit(groups, mu02, mu12):
+    """The self-energy squares mu_tot as mu_squared_matrix squares one
+    molecule's dipole; mu_tot @ mu_tot is not symmetric on these groups."""
+    model = build_three_level(0.0, 2e-3, 10e-3, mu02, mu12)
+    cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=True, n_fock_max=2)
+    within = twinpol.manymol._collective_factors(model, cav, groups, 2)[2]
+    assert np.array_equal(within, within.T)
 
 
 def test_collective_operator_bosonic_elements(model3):

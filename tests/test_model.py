@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,8 @@ from hypothesis import strategies as st
 
 from twinpol import (KB_HARTREE_PER_K, ModelError, MolecularModel, ThermalWeights,
                      boltzmann_weights, build_three_level, mu_squared_matrix)
-from twinpol.model import _HASH_BLOCK, load_model_config, parse_quantity
+import twinpol.model
+from twinpol.model import load_model_config, parse_quantity
 from twinpol.errors import ConfigError
 
 
@@ -132,11 +132,8 @@ def test_json_roundtrip_and_hash(model3, tmp_path):
 
 
 def signed_zero_model():
-    """A level model with -0.0, subnormal and extreme entries whose row
-    count is not a multiple of content_hash's rows per block."""
-    n = math.isqrt(_HASH_BLOCK) + 13
-    rows = _HASH_BLOCK // n
-    assert rows < n and n % rows != 0
+    """A 45-state level model with -0.0, subnormal and extreme entries."""
+    n = 45
     rng = np.random.default_rng(2202)
     dipole = np.where(rng.random((n, n)) < 0.3, rng.normal(size=(n, n)), -0.0)
     dipole[0, 1], dipole[1, 2], dipole[2, 3] = 5e-324, 1e300, -0.0
@@ -147,12 +144,43 @@ def signed_zero_model():
 
 @pytest.mark.parametrize("which", ["three_level", "hcl", "signed_zero"])
 def test_content_hash_is_the_sha1_of_the_json(model3, hcl_model, which):
+    """The hash is sha1 of the state count, the energies' and the dipole's
+    little-endian float64 bytes, and only the labels as sorted-key JSON (it
+    was of the whole model's JSON form)."""
     model = {"three_level": model3, "hcl": hcl_model, "signed_zero": None}[which]
     model = model or signed_zero_model()
     if which == "signed_zero":
-        assert "-0.0" in json.dumps(model.to_json_dict())
-    blob = json.dumps(model.to_json_dict(), sort_keys=True).encode()
+        assert np.signbit(model.energies[0]) and model.dipole[0, 1] == 5e-324
+    blob = (b"%d;" % model.n_states + model.energies.astype("<f8").tobytes()
+            + model.dipole.astype("<f8").tobytes()
+            + json.dumps(list(model.labels), sort_keys=True).encode())
     assert model.content_hash() == hashlib.sha1(blob).hexdigest()
+
+
+def test_content_hash_formats_no_number(hcl_model, monkeypatch):
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(twinpol.model.json, "dumps",
+                        lambda obj, **kw: calls.append(obj) or dumps(obj, **kw))
+    hcl_model.content_hash()
+    assert calls == [list(hcl_model.labels)]
+
+
+def test_content_hash_tells_apart_bits_and_labels(tmp_path):
+    """One ulp in one dipole pair, -0.0 against 0.0 in an energy and a
+    changed label each change the hash; a JSON round trip keeps it."""
+    model = signed_zero_model()
+    dipole, energies = model.dipole.copy(), model.energies.copy()
+    k, l = np.argwhere(np.triu(dipole, 1) != 0.0)[5]
+    dipole[k, l] = dipole[l, k] = np.nextafter(dipole[k, l], np.inf)
+    energies[0] = 0.0
+    labels = model.labels[:-1] + ({"index": 99},)
+    variants = [MolecularModel(model.energies, dipole, model.labels),
+                MolecularModel(energies, model.dipole, model.labels),
+                MolecularModel(model.energies, model.dipole, labels)]
+    assert len({m.content_hash() for m in [model] + variants}) == 4
+    model.save_json(tmp_path / "model.json")
+    assert MolecularModel.load_json(tmp_path / "model.json").content_hash() == model.content_hash()
 
 
 def test_validation_reads_the_nonzero_entries_alone(hcl_model):
@@ -224,6 +252,13 @@ def test_model_config_unknown_key(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("[three_level]\nnonsense = 1\n")
     with pytest.raises(ConfigError, match="nonsense"):
+        load_model_config(cfg)
+
+
+def test_model_config_malformed_file(tmp_path):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("[three_level]\ne1 = 2e-3 au\ne1 = 3e-3 au\n")
+    with pytest.raises(ConfigError, match="option 'e1' in section 'three_level' already exists"):
         load_model_config(cfg)
 
 

@@ -319,6 +319,8 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
         if traj.meta["method"] == "exact":
             checks.update({key: traj.meta[key] for key in (
                 "n_blocks", "max_block_dim", "min_dominant_overlap")})
+        elif framework == "classical":
+            checks["coupled_states"] = traj.meta["coupled_states"]
 
     elif framework == "quantum_static":
         basis = ProductBasis.full(model, cav.n_fock_max)

@@ -7,21 +7,24 @@ t = t0 + (s - 1) dt.  The end of one step and the start of the next are
 formed separately, as written: at dt = 0.3 they differ in the last bit on
 27,281 of 99,999 steps.
 
-Given the phase frequencies eps and the pulse f, integrate tables, per chunk
-of steps and at every stage time,
+Given the phase frequencies eps, the pulse f and real operators op, integrate
+tables, per chunk of steps and at every stage time,
 
-    a = -i e^{i eps t},    b = e^{-i eps t},    f(t)
+    a = -i e^{i eps t},    b = e^{-i eps t},    f(t),    a op b,
 
-and rhs(entry, y) gets the triple (a, b, f) as its entry: no rhs evaluates
-an exponential or the pulse.  A chunk holds as many steps as fit their stage
-times and all three tables in TAIL_CHUNK_BYTES, the budget the records of a
-constant state use too.  The state y is an array, or a tuple of an array and
-scalars; each RK4 combination acts on every component alike.
+the last each op in phased form, -i e^{i eps t} op e^{-i eps t}, and
+rhs(entry, y) gets the tuple (a, b, f, *phased ops) as its entry: no rhs
+evaluates an exponential or the pulse.  A chunk holds as many steps as fit
+their stage times and all the tables in TAIL_CHUNK_BYTES.  The state y is an
+array, or a tuple of an array and scalars; each RK4 combination acts on
+every component alike.
 
-propagate() records a Trajectory: observe turns each record's
-Schroedinger-picture state e^{-i eps t} c into populations and series, and a
-state that is constant after the pulse (method "exact") takes RK4 steps only
-through the kick.  Accuracy of the RK4 part is certified by dt/2 re-run
+propagate() records a Trajectory.  It buffers the states of the records one
+chunk of steps makes and hands them to observe at once, with the
+Schroedinger-picture states e^{-i eps t} c as columns, for populations and
+series.  A state that is constant after the pulse (method "exact") takes RK4
+steps only through the kick, and its remaining records come in chunks of
+TAIL_CHUNK_BYTES.  Accuracy of the RK4 part is certified by dt/2 re-run
 agreement rather than adaptivity; check_step, which each propagator runs
 first, refuses a dt that does not resolve the fastest interaction-picture
 phase.
@@ -67,7 +70,7 @@ def _rk4_update(y, w, two, k1, k2, k3, k4):
 
 
 def _stage_entries(t0: float, dt: float, lo: int, hi: int,
-                   phase_freqs: np.ndarray, pulse: KickPulse):
+                   phase_freqs: np.ndarray, pulse: KickPulse, operators=()):
     """Iterator over the rhs entries of steps lo + 1 .. hi: start, middle and
     end of each step in turn, read from tables that cover the whole range."""
     t = t0 + np.arange(lo, hi) * dt
@@ -76,27 +79,38 @@ def _stage_entries(t0: float, dt: float, lo: int, hi: int,
     phase = np.exp(1j * phase_freqs * times.reshape(-1, 1))
     a = -1j * phase
     b = np.conj(phase, out=phase)
-    return zip(a, b, f.ravel().tolist())
+    # (a_j op_jk) b_k, the product with b in place: one table per op
+    phased = [np.multiply(table, b[:, None, :], out=table)
+              for table in (a[:, :, None] * op for op in operators)]
+    return zip(a, b, f.ravel().tolist(), *phased)
+
+
+def _chunk_steps(n: int, n_ops: int) -> int:
+    """Steps per chunk: 3 stage times each of f (and the time), a and b on n
+    phases and n_ops phased n x n operators, in TAIL_CHUNK_BYTES."""
+    return max(1, TAIL_CHUNK_BYTES // (3 * (16 + 32 * n + 16 * n * n * n_ops)))
 
 
 def integrate(rhs: Callable, y0, t0: float, dt: float, n_steps: int,
               observer: Callable | None = None, observe_every: int = 1, *,
-              phase_freqs: np.ndarray, pulse: KickPulse):
+              phase_freqs: np.ndarray, pulse: KickPulse, operators: tuple = ()):
     """Advance y through n_steps of RK4, reporting state every observe_every steps.
 
-    rhs is called as rhs(entry, y), the entry being the stage's (a, b, f)
-    triple for phase_freqs and pulse (module docstring).  The observer is
-    called as observer(t, y) at t0 and after every observe_every-th step, at
-    t = t0 + step dt; dt may be negative for backward propagation.
+    rhs is called as rhs(entry, y), the entry being the stage's tuple
+    (a, b, f, *phased operators) for phase_freqs, pulse and the real square
+    operators (module docstring).  The observer is called as observer(t, y)
+    at t0 and after every observe_every-th step, at t = t0 + step dt; dt may
+    be negative for backward propagation.
     """
     y = y0 if type(y0) is tuple else np.array(y0, copy=True)
     if observer is not None:
         observer(t0, y)
-    chunk = max(1, TAIL_CHUNK_BYTES // (3 * (16 + 32 * len(phase_freqs))))
+    chunk = _chunk_steps(len(phase_freqs), len(operators))
     half, full, sixth, two = (_weight(y, x) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
     for lo in range(0, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
-        entries = _stage_entries(t0, dt, lo, hi, phase_freqs, pulse)
+        entries = e0 = e_mid = e1 = None    # the last chunk's tables go before the next's
+        entries = _stage_entries(t0, dt, lo, hi, phase_freqs, pulse, operators)
         for step, e0, e_mid, e1 in zip(range(lo + 1, hi + 1), entries, entries, entries):
             k1 = rhs(e0, y)
             k2 = rhs(e_mid, _axpy(y, half, k1))
@@ -134,26 +148,31 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
               *, kind: str, phase_freqs: np.ndarray, pop_labels: list[str],
               init_col: int, pulse: KickPulse, cav: CavityParams, t_end: float,
               dt: float, record_stride: int, meta: dict,
-              start: np.ndarray | None = None, method: str = "rk4") -> Trajectory:
+              start: np.ndarray | None = None, method: str = "rk4",
+              operators: tuple = ()) -> Trajectory:
     """Integrate from t = 0 and record a Trajectory every record_stride steps.
 
     The state y is the amplitudes c, or the tuple (c, *field) when field
     holds the initial scalars of a classical field; c starts as start, by
-    default the unit vector at init_col.  rhs(entry, y) gets integrate's
-    (a, b, f) entries for phase_freqs and pulse.  observe(t, psi, y) returns
-    (populations, values) at the record time t, for psi = e^{-i phase_freqs t} c
-    in an array observe may overwrite: one population per pop_labels entry,
-    one value per series name, each a Trajectory field.  meta adds the
-    propagator's own keys after dt, t_end and record_stride.
+    default the unit vector at init_col, the start's population column.
+    rhs(entry, y) gets integrate's entries for phase_freqs, pulse and
+    operators.  observe(t, psi, y) gets a chunk of records: t a row of
+    times, psi = e^{-i phase_freqs t} c one column per time, in an array
+    observe may overwrite, and y the states at those times, c one column per
+    time and each field scalar a row.  It returns (populations, values): a
+    row of populations per time, one per pop_labels entry, and a row of
+    values per series name, each a Trajectory field.  A chunk holds the
+    records of a chunk of integrate's steps.  meta adds the propagator's own
+    keys after dt, t_end and record_stride.
 
     method = "exact" declares c constant once the pulse is over (rhs is zero
     where f is; no field).  RK4 then stops at the first record at or after
     pulse.support_end (no step without a kick), and observe gets the
-    remaining records in chunks: t a row of times, psi one column per time, y
-    that one state; complex psi and observe's image of it fit TAIL_CHUNK_BYTES,
-    and an entry of c that is exactly 0.0 costs nothing.
+    remaining records in chunks whose psi and image of it fit
+    TAIL_CHUNK_BYTES, y that one state as a single column; an entry of c
+    that is exactly 0.0 costs nothing.
 
-    Raises ModelError for an init_col outside c or where record_grid
+    Raises ModelError for an init_col outside pop_labels or where record_grid
     refuses; IntegrationError when the norm drifts beyond NORM_TOL (reduce
     dt) or the kick exceeds the pulse's linear-response bound.
     """
@@ -166,39 +185,46 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
     values = np.empty((len(series), n_rec))
     n_obs = n_rec if method == "rk4" else int(np.searchsorted(times, pulse.support_end))
     n_rk4 = n_steps if n_obs == n_rec else n_obs * record_stride
-    rec = {"i": 0, "norm_drift": 0.0}
     c0 = (np.arange(n_amp) == init_col).astype(complex) if start is None else start
+    n_c = c0.size
+    # the records of a chunk of steps, a state per row: fewer bytes than its tables
+    chunk = max(1, _chunk_steps(len(phase_freqs), len(operators)) // record_stride)
+    held = np.empty((min(chunk, n_obs), n_c + len(field)), complex)
+    filled = [0]
 
     def observer(t, y):
-        i = rec["i"]
+        i = filled[0]
         if i == n_obs:        # the chunks record the switch time itself
             return
-        c = y[0] if field else y
-        pops[i], values[:, i] = observe(t, np.exp(-1j * phase_freqs * t) * c, y)
-        rec["norm_drift"] = max(rec["norm_drift"], abs(float(np.sum(pops[i])) - 1.0))
-        rec["i"] += 1
+        j = i % chunk
+        held[j, :n_c], held[j, n_c:] = (y[0], y[1:]) if field else (y, ())
+        filled[0] = i + 1
+        if j + 1 == chunk or i + 1 == n_obs:
+            # records as rows, handed over as columns: axis 0 is then the fast one
+            rows, lo = held[:j + 1], i - j
+            psi = np.exp(-1j * phase_freqs * times[lo:i + 1, None]) * rows[:, :n_c]
+            c = rows[:, :n_c].T
+            pops[lo:i + 1], values[:, lo:i + 1] = observe(
+                times[lo:i + 1], psi.T, (c, *rows[:, n_c:].real.T) if field else c)
 
     y_s = integrate(rhs, (c0, *field) if field else c0, 0.0, dt, n_rk4, observer,
-                    record_stride, phase_freqs=phase_freqs, pulse=pulse)
+                    record_stride, phase_freqs=phase_freqs, pulse=pulse, operators=operators)
     if n_obs < n_rec:
         live = np.flatnonzero(y_s)
-        chunk = max(1, TAIL_CHUNK_BYTES // (32 * n_amp))
-        for lo in range(n_obs, n_rec, chunk):
-            hi = min(lo + chunk, n_rec)
+        tail = max(1, TAIL_CHUNK_BYTES // (32 * n_c))   # psi and observe's image of it
+        for lo in range(n_obs, n_rec, tail):
+            hi = min(lo + tail, n_rec)
             # in place: one live-by-time array besides psi
             phases = np.outer(-1j * phase_freqs[live], times[lo:hi])
             np.exp(phases, out=phases)
             phases *= y_s[live, None]
-            psi = np.zeros((n_amp, hi - lo), complex)
+            psi = np.zeros((n_c, hi - lo), complex)
             psi[live] = phases
-            pops[lo:hi], values[:, lo:hi] = observe(times[lo:hi], psi, y_s)
-        drift = float(np.max(np.abs(pops[n_obs:].sum(axis=1) - 1.0)))
-        rec["norm_drift"] = max(rec["norm_drift"], drift)
+            pops[lo:hi], values[:, lo:hi] = observe(times[lo:hi], psi, y_s[:, None])
+    norm_drift = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
 
-    if rec["norm_drift"] > NORM_TOL:
-        raise IntegrationError(
-            f"norm drift {rec['norm_drift']:.2e} exceeds {NORM_TOL}; reduce dt"
-        )
+    if norm_drift > NORM_TOL:
+        raise IntegrationError(f"norm drift {norm_drift:.2e} exceeds {NORM_TOL}; reduce dt")
     _check_linear_response(times, pops, init_col, pulse)
 
     traj = Trajectory(
@@ -209,7 +235,7 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
             **meta, "pulse_support_end": pulse.support_end,
             "pulse_t0": pulse.t0, "pulse_sigma": pulse.sigma, "method": method,
             "rk4_steps": n_rk4, "rhs_evals": 4 * n_rk4, "exact_records": n_rec - n_obs,
-            "norm_drift": rec["norm_drift"],
+            "norm_drift": norm_drift,
             "omega_c": cav.omega_c, "g": cav.g, "include_dse": cav.include_dse,
         },
     )

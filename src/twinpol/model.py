@@ -762,7 +762,9 @@ def read_config(path) -> dict:
             raise ConfigError(f"cannot read config file {path}")
         return {name: dict(parser[name]) for name in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as err:
-        raise ConfigError(f"cannot read {path}: {' '.join(str(err).split())}") from None
+        key = (f"[{err.section}] {err.option}: "
+               if isinstance(err, configparser.InterpolationError) else "")
+        raise ConfigError(f"cannot read {path}: {key}{' '.join(str(err).split())}") from None
 
 
 def read_section(sections, name: str, schema: dict) -> dict:

@@ -268,8 +268,11 @@ def _photon_moments(cav: CavityParams, grid: np.ndarray) -> tuple[np.ndarray, np
     parts = x.view(np.float64).reshape(x.shape[0], x.shape[1], -1)
     gram = np.einsum("nkj,mkj->nmj", parts, parts)
     gram = (gram[..., 0::2] + gram[..., 1::2]).reshape(gram.shape[:2] + x.shape[2:])
-    # einsum, not a BLAS product: a column's sum must not depend on the column count
-    q, q2 = np.einsum("fnm,nm...->f...", _photon_factors(x.shape[0] - 1), gram)
+    # einsum, not a BLAS product: a column's sum must not depend on the column
+    # count; einsum sums a lone column in another order, so it is summed as two
+    lone = gram.shape[2:] == (1,)
+    q, q2 = np.einsum("fnm,nm...->f...", _photon_factors(x.shape[0] - 1),
+                      np.repeat(gram, 2, axis=-1) if lone else gram)[..., :1 if lone else None]
     return q / math.sqrt(2.0 * cav.omega_c), q2 / (2.0 * cav.omega_c)
 
 
@@ -609,9 +612,9 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
             return a * w_psi
 
         def observe(_, psi, c):
-            energy = np.sum(eps * np.abs(psi) ** 2) + _expectations(v_int, psi)
+            energy = np.sum(eps[:, None] * np.abs(psi) ** 2, axis=0) + _expectations(v_int, psi)
             mu, q, q2 = factored_expectations(model, cav, basis, psi)
-            return np.abs(c) ** 2, (mu, energy, q, q2)
+            return (np.abs(c) ** 2).T, (mu, energy, q, q2)
     else:
         sol = solve_polaritons(model, cav, basis)
         c0 = (np.arange(basis.size) == i0).astype(complex)
@@ -631,8 +634,8 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
             mu, q, q2 = factored_expectations(model, cav, basis, psi)
             pops = psi.real ** 2
             pops += psi.imag ** 2
-            energy = float(np.sum(sol.eigenvalues * np.abs(b) ** 2))
-            return pops.T, (mu, np.full(mu.shape, energy), q, q2)
+            energy = np.sum(sol.eigenvalues[:, None] * np.abs(b) ** 2, axis=0)
+            return pops.T, (mu, np.broadcast_to(energy, mu.shape), q, q2)
 
     return propagate(
         rhs, (), observe, ("dipole", "energy", "q_expect", "q2_expect"),

@@ -32,9 +32,9 @@ def cluster(spec, center, window, floor_rel=0.002):
 
 # -- one-vector RK4 stepping: the oracle for the tabled integrator -------------
 #
-# Each rhs evaluates its own phases and pulse at the stage time, and the
-# classical state is one complex vector (C, q, p).  The tabled core must
-# reproduce these trajectories bit for bit.
+# Each rhs evaluates its own phases, phased operators and pulse at the stage
+# time, and the classical state is one complex vector (C, q, p).  The tabled
+# core must reproduce these trajectories bit for bit.
 
 
 def rk4_step(rhs, t, y, dt):
@@ -45,65 +45,157 @@ def rk4_step(rhs, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stepped_series(rhs, y0, n_amp, observe, names, t_end, dt, record_stride):
+def _stepped_series(rhs, y0, columns, n_pops, n_ops, observe, names, t_end, dt,
+                    record_stride):
     """Trajectory series of an RK4 run from t = 0 to t_end, recorded as
-    integrators.propagate records them."""
+    integrators.propagate records them.  The amplitudes y[:len(columns)]
+    fill those columns of n_pops populations, and observe(t, rows) gets the
+    records in propagate's chunks (the records of a chunk of steps tabling
+    n_ops operators): a row of times and the states as rows."""
+    from twinpol.integrators import _chunk_steps
+
     n_steps = int(round(t_end / dt))
-    rows = []
+    n_c = len(columns)
+    pops, held = [], []
     y, t = np.array(y0, copy=True), 0.0
     for step in range(n_steps + 1):
         if step:
             y = rk4_step(rhs, t, y, dt)
             t = step * dt
         if step % record_stride == 0:
-            rows.append((np.abs(y[:n_amp]) ** 2, observe(t, y)))
-    series = dict(zip(names, np.array([v for _, v in rows]).T))
-    series["populations"] = np.array([pop for pop, _ in rows])
-    series["times"] = np.arange(len(rows)) * record_stride * dt
+            row = np.zeros(n_pops)
+            row[columns] = np.abs(y[:n_c]) ** 2
+            pops.append(row)
+            held.append(y)
+    times = np.arange(len(held)) * record_stride * dt
+    chunk = max(1, _chunk_steps(n_c, n_ops) // record_stride)
+    values = np.hstack([observe(times[lo:lo + chunk], np.array(held[lo:lo + chunk]))
+                        for lo in range(0, len(held), chunk)])
+    series = dict(zip(names, values))
+    series["populations"] = np.array(pops)
+    series["times"] = times
     return series
 
 
+def coupled_states(dipole, start):
+    """The states that dipole's nonzeros connect to start, ascending."""
+    reached = np.arange(len(dipole)) == start
+    while True:
+        grown = reached | (dipole[reached] != 0.0).any(axis=0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
 def stepped_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
-    """propagate_classical's series from the one-vector RK4."""
+    """propagate_classical's series from the one-vector RK4 on the start's
+    coupled states, forming the phased operators -i e^{iEt} op e^{-iEt} at
+    every stage time."""
     import math
 
     from twinpol.classical import _total_energy
     from twinpol.model import mu_squared_matrix
+    from twinpol.quantum import _expectations
 
-    n = model.n_states
-    energies, mu = model.energies, model.dipole
-    mu2 = mu_squared_matrix(model)
+    idx = coupled_states(model.dipole, init_state)
+    n = idx.size
+    sub = np.ix_(idx, idx)
+    energies, mu = model.energies[idx], model.dipole[sub]
+    mu2 = mu_squared_matrix(model)[sub]
     g_fac = cav.g * math.sqrt(2.0 * cav.omega_c)
-    dse = cav.dse_prefactor
     wc2 = cav.omega_c**2
+
+    def phased(op, t):
+        phase = np.exp(1j * energies * t)
+        return (-1j * phase)[:, None] * op * np.conj(phase)
 
     def rhs(t, y):
         c = y[:n]
         q = y[n].real
-        phase = np.exp(1j * energies * t)
-        psi = np.conj(phase) * c
-        mu_psi = mu @ psi
-        drive = g_fac * q + pulse(t)
-        w_psi = drive * mu_psi
-        if dse:
-            w_psi = w_psi + dse * (mu2 @ psi)
+        v = phased(mu, t).dot(c)
         dy = np.empty_like(y)
-        dy[:n] = -1j * phase * w_psi
+        dy[:n] = (g_fac * q + pulse(t)) * v
+        if cav.include_dse:
+            dy[:n] += phased(cav.dse_prefactor * mu2, t).dot(c)
         dy[n] = y[n + 1].real
-        dy[n + 1] = -wc2 * q - g_fac * float(np.vdot(psi, mu_psi).real)
+        dy[n + 1] = -wc2 * q + g_fac * float(np.vdot(c, v).imag)
         return dy
 
-    def observe(t, y):
-        q = y[n].real
-        p = y[n + 1].real
-        psi = np.exp(-1j * energies * t) * y[:n]
-        return (np.vdot(psi, mu @ psi).real, _total_energy(psi, q, p, model, mu2, cav),
-                q, p)
+    def observe(t, rows):
+        psi = (np.exp(-1j * energies * t[:, None]) * rows[:, :n]).T
+        q, p = rows[:, n:].real.T
+        dipole = _expectations(mu, psi)
+        return dipole, _total_energy(psi, q, p, energies, dipole, mu2, cav), q, p
 
     y0 = np.zeros(n + 2, complex)
-    y0[init_state] = 1.0
-    return _stepped_series(rhs, y0, n, observe, ("dipole", "energy", "q_series", "p_series"),
+    y0[np.flatnonzero(idx == init_state)] = 1.0
+    return _stepped_series(rhs, y0, idx, model.n_states, 1 + cav.include_dse, observe,
+                           ("dipole", "energy", "q_series", "p_series"),
                            t_end, dt, record_stride)
+
+
+def full_basis_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
+    """propagate_classical's Trajectory with every model state stepped: the
+    rhs the coupled-state run replaced, psi = b c and a (drive mu psi), on
+    integrate's (a, b, f) entries."""
+    import math
+
+    from twinpol.classical import _total_energy
+    from twinpol.integrators import propagate
+    from twinpol.model import mu_squared_matrix
+    from twinpol.quantum import _expectations
+
+    mu = model.dipole
+    mu2 = mu_squared_matrix(model) if cav.include_dse else None
+    mu_c = mu.astype(complex)
+    mu2_c = None if mu2 is None else mu2.astype(complex)
+    g_fac = cav.g * math.sqrt(2.0 * cav.omega_c)
+    dse = cav.dse_prefactor
+    wc2 = cav.omega_c**2
+
+    def rhs(entry, y):
+        a, b, f = entry
+        c, q, p = y
+        psi = b * c
+        mu_psi = mu_c @ psi
+        w_psi = (g_fac * q + f) * mu_psi
+        if dse:
+            w_psi = w_psi + dse * (mu2_c @ psi)
+        return a * w_psi, p, -wc2 * q - g_fac * float(np.vdot(psi, mu_psi).real)
+
+    def observe(_, psi, y):
+        c, q, p = y
+        dipole = _expectations(mu, psi)
+        return ((np.abs(c) ** 2).T,
+                (dipole, _total_energy(psi, q, p, model.energies, dipole, mu2, cav), q, p))
+
+    return propagate(
+        rhs, (0.0, 0.0), observe, ("dipole", "energy", "q_series", "p_series"),
+        kind="classical", phase_freqs=model.energies,
+        pop_labels=[model.label_str(k) for k in range(model.n_states)],
+        init_col=init_state, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
+        record_stride=record_stride, meta={"init_state": init_state})
+
+
+def trajectory_head(traj, t_end):
+    """The records of an RK4 trajectory up to t_end as the Trajectory of a run
+    to t_end: t_end, the step counts, norm_drift and energy_drift_post_pulse
+    recomputed."""
+    import dataclasses
+
+    from twinpol.integrators import post_pulse_energy_drift
+
+    n = int(np.searchsorted(traj.times, t_end, side="right"))
+    head = dataclasses.replace(
+        traj, **{name: getattr(traj, name)[:n] for name in (
+            "times", "dipole", "populations", "energy", "q_series", "p_series",
+            "q_expect", "q2_expect") if getattr(traj, name) is not None},
+        meta=dict(traj.meta))
+    n_steps = int(round(t_end / traj.meta["dt"]))
+    head.meta.update(t_end=n_steps * traj.meta["dt"], rk4_steps=n_steps, rhs_evals=4 * n_steps)
+    head.meta["norm_drift"] = float(np.max(np.abs(head.populations.sum(axis=1) - 1.0)))
+    head.meta["energy_drift_post_pulse"] = post_pulse_energy_drift(head)
+    return head
 
 
 def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
@@ -130,15 +222,15 @@ def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
             w_psi = w_psi + f * apply_dipole(model.dipole, basis, psi)
         return -1j * phase * w_psi
 
-    def observe(t, c):
-        psi = np.exp(-1j * eps * t) * c
-        energy = np.sum(eps * np.abs(psi) ** 2) + _expectations(v_int, psi)
+    def observe(t, rows):
+        psi = (np.exp(-1j * eps * t[:, None]) * rows).T
+        energy = np.sum(eps[:, None] * np.abs(psi) ** 2, axis=0) + _expectations(v_int, psi)
         mu, q, q2 = factored_expectations(model, cav, basis, psi)
         return mu, energy, q, q2
 
     c0 = np.zeros(basis.size, complex)
     c0[basis.index(*init)] = 1.0
-    return _stepped_series(rhs, c0, basis.size, observe,
+    return _stepped_series(rhs, c0, np.arange(basis.size), basis.size, 0, observe,
                            ("dipole", "energy", "q_expect", "q2_expect"),
                            t_end, dt, record_stride)
 

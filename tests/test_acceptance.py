@@ -83,16 +83,23 @@ def _register(traj, elapsed, tag):
     return traj
 
 
-@pytest.fixture(scope="module")
-def classical_r(model, cav):
-    traj, dt = _timed(propagate_classical, model, cav, KickPulse(), 0, **TD)
-    return _register(traj, dt, "classical_R")
+def _session_run(run, cav, tag):
+    """A classical run of tests/conftest.py, shared with the module tests: this
+    module's model, cavity, KickPulse() and TD grid."""
+    traj, elapsed = run
+    assert all(traj.meta[key] == value for key, value in TD.items()), "not the TD grid"
+    assert all(traj.meta[key] == getattr(cav, key) for key in ("omega_c", "g", "include_dse"))
+    return _register(traj, elapsed, tag)
 
 
 @pytest.fixture(scope="module")
-def classical_p(model, cav):
-    traj, dt = _timed(propagate_classical, model, cav, KickPulse(), 1, **TD)
-    return _register(traj, dt, "classical_P")
+def classical_r(classical_r_run, cav):
+    return _session_run(classical_r_run, cav, "classical_R")
+
+
+@pytest.fixture(scope="module")
+def classical_p(classical_p_run, cav):
+    return _session_run(classical_p_run, cav, "classical_P")
 
 
 @pytest.fixture(scope="module")

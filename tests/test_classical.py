@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import twinpol.integrators
+from helpers import full_basis_classical, traced_peak, trajectory_head
 from twinpol import (CavityParams, IntegrationError, KickPulse, ModelError,
-                     classical_total_energy, detect_peaks, dipole_spectrum,
-                     measure_splitting, propagate_classical, propagate_quantum)
+                     build_three_level, classical_total_energy, cm1_to_au, detect_peaks,
+                     dipole_spectrum, measure_splitting, propagate_classical,
+                     propagate_quantum)
 from twinpol.classical import ClassicalState
 from twinpol.integrators import integrate
 
@@ -165,3 +168,58 @@ def test_trajectory_csv_roundtrip(classical_p_traj, tmp_path):
     assert header[4:] == ["p_psi0", "p_psi1", "p_psi2"]
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape[0] == classical_p_traj.times.size
+
+
+def test_trajectory_head_is_the_shorter_run(model3, cav, pulse):
+    # the session's 1.6e5 au fixtures are the head of the 3.2e5 au runs
+    head = trajectory_head(propagate_classical(model3, cav, pulse, 1, t_end=4e4, dt=1.0,
+                                               record_stride=8), 2e4)
+    direct = propagate_classical(model3, cav, pulse, 1, t_end=2e4, dt=1.0, record_stride=8)
+    for name in ("times", "dipole", "populations", "energy", "q_series", "p_series"):
+        assert np.array_equal(getattr(head, name), getattr(direct, name)), name
+    assert head.meta == direct.meta
+
+
+def test_uncoupled_state_stays_exactly_empty(pulse):
+    # mu02 = 0: from psi_1 the kick and the field reach psi_2 only
+    model = build_three_level(0.0, 2e-3, 10e-3, 0.0, 1.0)
+    cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=True)
+    traj = propagate_classical(model, cav, pulse, 1, t_end=2e3, dt=1.0, record_stride=4)
+    assert traj.meta["coupled_states"] == 2
+    assert not traj.populations[:, 0].any() and not np.signbit(traj.populations[:, 0]).any()
+    assert traj.populations[-1, 2] > 1e-8
+
+
+def test_hcl_steps_the_coupled_states_only(hcl_model, pulse):
+    # the Z-polarized field conserves M: from v0J2M0 the kick reaches the 22
+    # M = 0 states of v <= 1, J <= 10
+    cav = CavityParams(omega_c=cm1_to_au(2906.46), g=cm1_to_au(400.0), include_dse=True)
+    init = hcl_model.state_index(v=0, J=2, M=0)
+    grid = dict(t_end=400.0, dt=1.0, record_stride=4)
+    traj = propagate_classical(hcl_model, cav, pulse, init, **grid)
+    full = full_basis_classical(hcl_model, cav, pulse, init, **grid)
+    assert traj.meta["coupled_states"] == 22
+    outside = np.ones(hcl_model.n_states, bool)
+    outside[[k for k, lab in enumerate(hcl_model.labels) if lab["M"] == 0]] = False
+    assert not traj.populations[:, outside].any()
+    # Each step's rhs sums at most n = 242 products per entry, in another
+    # order in each run, so a step moves a series by at most n eps of its
+    # scale; over the 400 steps those moves add up at most linearly.
+    n_steps = traj.meta["rk4_steps"]
+    for name in ("dipole", "energy", "q_series", "p_series", "populations"):
+        a, b = getattr(traj, name), getattr(full, name)
+        bound = n_steps * hcl_model.n_states * np.finfo(float).eps * np.max(np.abs(b))
+        assert np.max(np.abs(a - b)) <= bound, name
+    assert np.abs(traj.dipole).max() > 1e-6
+
+
+def test_record_buffer_is_bounded(model3, cav, pulse):
+    # 2,501 against 10,001 records: the peak grows by the added records'
+    # populations and series (times and four series), and the buffered
+    # states and their images stay within one chunk
+    def run(t_end):
+        return traced_peak(lambda: propagate_classical(model3, cav, pulse, 1, t_end=t_end,
+                                                       dt=4.0, record_stride=2))
+    (short, short_peak), (long, long_peak) = run(2e4), run(8e4)
+    added = (long.times.size - short.times.size) * 8 * (model3.n_states + 5)
+    assert long_peak - short_peak <= added + twinpol.integrators.TAIL_CHUNK_BYTES

@@ -189,7 +189,7 @@ BAD_CONFIGS = {
     "not_key_value": (THREE_LEVEL_HEADER + "\n[protocol]\nframework quantum_static\n",
                       "'framework quantum_static"),
     "stray_percent": (THREE_LEVEL_HEADER + "\n[output]\ndirectory = out%1\n",
-                      "'%' must be followed by '%' or '('"),
+                      "[output] directory: '%' must be followed by '%' or '('"),
 }
 
 
@@ -773,7 +773,8 @@ record_stride = 8
     checks = json.loads((tmp_path / "sc" / "manifest.json").read_text())["checks"]
     assert (checks["method"], checks["rk4_steps"], checks["rhs_evals"]) == (
         "rk4", 4000, 16000)
-    assert 4000 > 2 * (twinpol.integrators.TAIL_CHUNK_BYTES // (3 * (16 + 32 * 3)))
+    assert checks["coupled_states"] == 3
+    assert 4000 > 2 * twinpol.integrators._chunk_steps(3, 1)    # 3 states, the phased mu
 
 
 def test_manymol_bruteforce_records_basis_sizes(tmp_path):

@@ -40,13 +40,16 @@ def assert_same_series(traj, reference, names):
 @pytest.mark.parametrize("pulse", [KickPulse(), KickPulse.off()], ids=["kicked", "unkicked"])
 @pytest.mark.parametrize("init", [0, 1], ids=["psi_0", "psi_1"])
 def test_classical_matches_stepping(model3, dse, pulse, init, chunks):
-    # 600 steps, past the pulse's 40-sigma window and shorter than one chunk
+    # 600 steps, past the pulse's 40-sigma window; a step tables 3 stage times
+    # of (a, b, f) and the phased mu (and mu^2) on the 3 states, so the steps
+    # fit one chunk without the self-energy and two with it
     cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=dse)
     grid = dict(t_end=600.0, dt=1.0, record_stride=7)
     traj = propagate_classical(model3, cav, pulse, init, **grid)
     assert_same_series(traj, stepped_classical(model3, cav, pulse, init, **grid),
                        CLASSICAL_SERIES)
-    assert chunks == [600]
+    per_chunk = twinpol.integrators.TAIL_CHUNK_BYTES // (3 * (16 + 32 * 3 + 16 * 9 * (1 + dse)))
+    assert chunks == ([436, 164] if dse else [600]) and chunks[0] == min(per_chunk, 600)
 
 
 @pytest.mark.parametrize("light", ["classical", "quantum"])
@@ -83,9 +86,11 @@ def test_default_chunks_match_stepping(model3, cav, pulse, chunks):
 
 @pytest.mark.parametrize("light", ["classical", "quantum"])
 def test_small_chunks_match_stepping(model3, cav, pulse, light, chunks, monkeypatch):
-    # 40 steps per chunk: 1003 steps make 25 full chunks and one of 3
-    n = 3 if light == "classical" else 9
-    monkeypatch.setattr(twinpol.integrators, "TAIL_CHUNK_BYTES", 40 * 3 * (16 + 32 * n))
+    # 40 steps per chunk: 1003 steps make 25 full chunks and one of 3.  A step
+    # tables 3 stage times of (a, b, f) and, classically, the phased mu
+    n, n_ops = (3, 1) if light == "classical" else (9, 0)
+    monkeypatch.setattr(twinpol.integrators, "TAIL_CHUNK_BYTES",
+                        40 * 3 * (16 + 32 * n + 16 * n * n * n_ops))
     grid = dict(t_end=1003.0, dt=1.0, record_stride=7)
     if light == "classical":
         traj = propagate_classical(model3, cav, pulse, 1, **grid)

@@ -13,11 +13,13 @@ from C_k(0) = delta_{k,init} and the field vacuum p(0) = q(0) = 0.
 
 Only the start's connected component under mu's nonzeros is stepped: mu^2
 and the kick act within it, so every other C_k stays exactly 0.0 (HCl from
-v0J2M0 steps its 22 M = 0 states of 242).  The RK4 state is the tuple
-(C, q, p), the field variables as Python floats.  The integrator tables
-f(t) and the phased dipole D = -i e^{i E t} mu e^{-i E t} (and the same of
-(g^2/w_c) mu^2) per stage time, so one rhs evaluation is v = D C, the drive
-times v and <mu> = -Im <C|v>: three numpy calls (five with the self-energy).
+v0J2M0 steps its 22 M = 0 states of 242).  The RK4 state is one complex
+array, C followed by q and p with zero imaginary parts: complex arithmetic
+keeps those exactly +0.0, so q and p get the bits of float arithmetic.  The
+integrator tables f(t) and the phased dipole D = -i e^{i E t} mu e^{-i E t}
+(and the same of (g^2/w_c) mu^2) per stage time and hands the rhs only
+those, so one rhs evaluation is v = D C, the drive times v and
+<mu> = -Im <C|v>.
 """
 
 from __future__ import annotations
@@ -89,29 +91,35 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
     g_fac = cav.g * math.sqrt(2.0 * cav.omega_c)
     wc2 = cav.omega_c**2
 
+    n = idx.size
+
     def rhs(entry, y):
-        f, d = entry[2:4]          # f(t), -i e^{iEt} mu e^{-iEt}
-        c, q, p = y
-        v = d.dot(c)
+        f, d = entry[:2]           # f(t), -i e^{iEt} mu e^{-iEt}
+        c, q = y[:n], y.item(n).real
+        dy = np.empty(n + 2, complex)
+        v = d.dot(c, out=dy[:n])
         im_mu = float(np.vdot(c, v).imag)      # <mu> = -Im <c|v>
         v *= g_fac * q + f
         if mu2 is not None:
-            v += entry[4].dot(c)   # -i e^{iEt} (g^2/w_c) mu^2 e^{-iEt}
-        return v, p, -wc2 * q + g_fac * im_mu
+            v += entry[2].dot(c)   # -i e^{iEt} (g^2/w_c) mu^2 e^{-iEt}
+        dy[n] = y.item(n + 1)                  # dq/dt = p
+        dy[n + 1] = -wc2 * q + g_fac * im_mu   # dp/dt
+        return dy
 
     def observe(_, psi, y):
-        c, q, p = y
+        q, p = y[n:].real
         pops = np.zeros((q.size, model.n_states))
-        pops[:, idx] = (np.abs(c) ** 2).T
+        pops[:, idx] = (np.abs(y[:n]) ** 2).T
         dipole = _expectations(mu, psi)
         return pops, (dipole, _total_energy(psi, q, p, energies, dipole, mu2, cav), q, p)
 
     return propagate(
-        rhs, (0.0, 0.0), observe, ("dipole", "energy", "q_series", "p_series"),
+        rhs, observe, ("dipole", "energy", "q_series", "p_series"),
         kind="classical", phase_freqs=energies,
         pop_labels=[model.label_str(k) for k in range(model.n_states)],
         init_col=init_state, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
-        record_stride=record_stride, start=(idx == init_state).astype(complex),
+        record_stride=record_stride,
+        start=np.concatenate([idx == init_state, (0.0, 0.0)]).astype(complex),  # C, q, p
         operators=(mu,) if mu2 is None else (mu, cav.dse_prefactor * mu2),
         meta={"init_state": init_state, "coupled_states": idx.size},
     )

@@ -12,12 +12,14 @@ tables, per chunk of steps and at every stage time,
 
     a = -i e^{i eps t},    b = e^{-i eps t},    f(t),    a op b,
 
-the last each op in phased form, -i e^{i eps t} op e^{-i eps t}, and
-rhs(entry, y) gets the tuple (a, b, f, *phased ops) as its entry: no rhs
-evaluates an exponential or the pulse.  A chunk holds as many steps as fit
-their stage times and all the tables in TAIL_CHUNK_BYTES.  The state y is an
-array, or a tuple of an array and scalars; each RK4 combination acts on
-every component alike.
+the last each op in phased form, -i e^{i eps t} op e^{-i eps t}.  rhs(entry, y)
+gets only what it reads as its entry: (f, *phased ops) when operators are
+given, else (f, a, b); no rhs evaluates an exponential or the pulse.  A chunk
+holds as many steps as fit their stage times and all the tables in
+TAIL_CHUNK_BYTES.  The state y is one complex array, each RK4 combination
+one array expression; a classical field rides along as entries with zero
+imaginary part, which complex arithmetic keeps exactly +0.0, so its real
+parts get the bits of float arithmetic.
 
 propagate() records a Trajectory.  It buffers the states of the records one
 chunk of steps makes and hands them to observe at once, with the
@@ -45,44 +47,22 @@ NORM_TOL = 1e-6
 TAIL_CHUNK_BYTES = 1 << 19
 
 
-def _weight(y, x: float):
-    """x in the form each state component is multiplied by: a 0-d array of an
-    array component's dtype, the conversion numpy makes of a Python float on
-    every product, made once; x itself for a scalar component."""
-    if type(y) is tuple:
-        return [_weight(c, x) for c in y]
-    return np.array(x, dtype=y.dtype) if isinstance(y, np.ndarray) else x
-
-
-def _axpy(y, h, k):
-    """y + h k, componentwise for a tuple state."""
-    if type(y) is tuple:
-        return tuple([a + w * b for a, w, b in zip(y, h, k)])
-    return y + h * k
-
-
-def _rk4_update(y, w, two, k1, k2, k3, k4):
-    """y + w (k1 + two k2 + two k3 + k4), componentwise for a tuple state."""
-    if type(y) is tuple:
-        return tuple([a + wa * (b1 + ta * b2 + ta * b3 + b4)
-                      for a, wa, ta, b1, b2, b3, b4 in zip(y, w, two, k1, k2, k3, k4)])
-    return y + w * (k1 + two * k2 + two * k3 + k4)
-
-
 def _stage_entries(t0: float, dt: float, lo: int, hi: int,
                    phase_freqs: np.ndarray, pulse: KickPulse, operators=()):
     """Iterator over the rhs entries of steps lo + 1 .. hi: start, middle and
-    end of each step in turn, read from tables that cover the whole range."""
+    end of each step in turn, read from tables that cover the whole range.
+    An entry is (f, *phased operators) given operators, else (f, a, b)."""
     t = t0 + np.arange(lo, hi) * dt
     times = np.stack([t, t + 0.5 * dt, t + dt], axis=1)
-    f = pulse.samples(times)
+    f = pulse.samples(times).ravel().tolist()
     phase = np.exp(1j * phase_freqs * times.reshape(-1, 1))
     a = -1j * phase
     b = np.conj(phase, out=phase)
+    if not operators:
+        return zip(f, a, b)
     # (a_j op_jk) b_k, the product with b in place: one table per op
-    phased = [np.multiply(table, b[:, None, :], out=table)
-              for table in (a[:, :, None] * op for op in operators)]
-    return zip(a, b, f.ravel().tolist(), *phased)
+    return zip(f, *[np.multiply(table, b[:, None, :], out=table)
+                    for table in (a[:, :, None] * op for op in operators)])
 
 
 def _chunk_steps(n: int, n_ops: int) -> int:
@@ -96,27 +76,29 @@ def integrate(rhs: Callable, y0, t0: float, dt: float, n_steps: int,
               phase_freqs: np.ndarray, pulse: KickPulse, operators: tuple = ()):
     """Advance y through n_steps of RK4, reporting state every observe_every steps.
 
-    rhs is called as rhs(entry, y), the entry being the stage's tuple
-    (a, b, f, *phased operators) for phase_freqs, pulse and the real square
-    operators (module docstring).  The observer is called as observer(t, y)
+    y0 is one complex array.  rhs is called as rhs(entry, y), the entry being
+    the stage's (f, *phased operators) for pulse and the real square
+    operators, or (f, a, b) without operators (module docstring); it returns
+    dy/dt as an array of y's shape.  The observer is called as observer(t, y)
     at t0 and after every observe_every-th step, at t = t0 + step dt; dt may
     be negative for backward propagation.
     """
-    y = y0 if type(y0) is tuple else np.array(y0, copy=True)
+    y = np.array(y0, copy=True)
     if observer is not None:
         observer(t0, y)
     chunk = _chunk_steps(len(phase_freqs), len(operators))
-    half, full, sixth, two = (_weight(y, x) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
+    # the conversion numpy makes of a Python float on every product, made once
+    half, full, sixth, two = (np.array(x, y.dtype) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
     for lo in range(0, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
         entries = e0 = e_mid = e1 = None    # the last chunk's tables go before the next's
         entries = _stage_entries(t0, dt, lo, hi, phase_freqs, pulse, operators)
         for step, e0, e_mid, e1 in zip(range(lo + 1, hi + 1), entries, entries, entries):
             k1 = rhs(e0, y)
-            k2 = rhs(e_mid, _axpy(y, half, k1))
-            k3 = rhs(e_mid, _axpy(y, half, k2))
-            k4 = rhs(e1, _axpy(y, full, k3))
-            y = _rk4_update(y, sixth, two, k1, k2, k3, k4)
+            k2 = rhs(e_mid, y + half * k1)
+            k3 = rhs(e_mid, y + half * k2)
+            k4 = rhs(e1, y + full * k3)
+            y = y + sixth * (k1 + two * k2 + two * k3 + k4)
             if observer is not None and step % observe_every == 0:
                 observer(t0 + step * dt, y)
     return y
@@ -144,7 +126,7 @@ def record_grid(t_end: float, dt: float, record_stride: int) -> tuple[int, np.nd
     return n_steps, np.arange(n_rec) * record_stride * dt    # step * dt, as integrate has it
 
 
-def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str, ...],
+def propagate(rhs: Callable, observe: Callable, series: tuple[str, ...],
               *, kind: str, phase_freqs: np.ndarray, pop_labels: list[str],
               init_col: int, pulse: KickPulse, cav: CavityParams, t_end: float,
               dt: float, record_stride: int, meta: dict,
@@ -152,18 +134,18 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
               operators: tuple = ()) -> Trajectory:
     """Integrate from t = 0 and record a Trajectory every record_stride steps.
 
-    The state y is the amplitudes c, or the tuple (c, *field) when field
-    holds the initial scalars of a classical field; c starts as start, by
-    default the unit vector at init_col, the start's population column.
+    The state y starts as start, by default the unit vector at init_col, the
+    start's population column.  Its first len(phase_freqs) entries are the
+    amplitudes c; any after them (a classical field's) are stepped alike.
     rhs(entry, y) gets integrate's entries for phase_freqs, pulse and
     operators.  observe(t, psi, y) gets a chunk of records: t a row of
     times, psi = e^{-i phase_freqs t} c one column per time, in an array
-    observe may overwrite, and y the states at those times, c one column per
-    time and each field scalar a row.  It returns (populations, values): a
-    row of populations per time, one per pop_labels entry, and a row of
-    values per series name, each a Trajectory field.  A chunk holds the
-    records of a chunk of integrate's steps.  meta adds the propagator's own
-    keys after dt, t_end and record_stride.
+    observe may overwrite, and y the whole states at those times, one column
+    per time.  It returns (populations, values): a row of populations per
+    time, one per pop_labels entry, and a row of values per series name, each
+    a Trajectory field.  A chunk holds the records of a chunk of integrate's
+    steps.  meta adds the propagator's own keys after dt, t_end and
+    record_stride.
 
     method = "exact" declares c constant once the pulse is over (rhs is zero
     where f is; no field).  RK4 then stops at the first record at or after
@@ -185,11 +167,11 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
     values = np.empty((len(series), n_rec))
     n_obs = n_rec if method == "rk4" else int(np.searchsorted(times, pulse.support_end))
     n_rk4 = n_steps if n_obs == n_rec else n_obs * record_stride
-    c0 = (np.arange(n_amp) == init_col).astype(complex) if start is None else start
-    n_c = c0.size
+    y0 = (np.arange(n_amp) == init_col).astype(complex) if start is None else start
+    n_c = len(phase_freqs)
     # the records of a chunk of steps, a state per row: fewer bytes than its tables
-    chunk = max(1, _chunk_steps(len(phase_freqs), len(operators)) // record_stride)
-    held = np.empty((min(chunk, n_obs), n_c + len(field)), complex)
+    chunk = max(1, _chunk_steps(n_c, len(operators)) // record_stride)
+    held = np.empty((min(chunk, n_obs), y0.size), complex)
     filled = [0]
 
     def observer(t, y):
@@ -197,18 +179,16 @@ def propagate(rhs: Callable, field: tuple, observe: Callable, series: tuple[str,
         if i == n_obs:        # the chunks record the switch time itself
             return
         j = i % chunk
-        held[j, :n_c], held[j, n_c:] = (y[0], y[1:]) if field else (y, ())
+        held[j] = y
         filled[0] = i + 1
         if j + 1 == chunk or i + 1 == n_obs:
             # records as rows, handed over as columns: axis 0 is then the fast one
             rows, lo = held[:j + 1], i - j
             psi = np.exp(-1j * phase_freqs * times[lo:i + 1, None]) * rows[:, :n_c]
-            c = rows[:, :n_c].T
-            pops[lo:i + 1], values[:, lo:i + 1] = observe(
-                times[lo:i + 1], psi.T, (c, *rows[:, n_c:].real.T) if field else c)
+            pops[lo:i + 1], values[:, lo:i + 1] = observe(times[lo:i + 1], psi.T, rows.T)
 
-    y_s = integrate(rhs, (c0, *field) if field else c0, 0.0, dt, n_rk4, observer,
-                    record_stride, phase_freqs=phase_freqs, pulse=pulse, operators=operators)
+    y_s = integrate(rhs, y0, 0.0, dt, n_rk4, observer, record_stride,
+                    phase_freqs=phase_freqs, pulse=pulse, operators=operators)
     if n_obs < n_rec:
         live = np.flatnonzero(y_s)
         tail = max(1, TAIL_CHUNK_BYTES // (32 * n_c))   # psi and observe's image of it

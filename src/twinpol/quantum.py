@@ -245,11 +245,11 @@ def _dipole_slabs(dipole: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.
 
 def _re_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Re sum conj(x) y over the first two axes of contiguous complex x and y
-    of one shape: a 0-d array, or one value per trailing column."""
+    of one shape (a, b, columns): one value per column."""
     n = x.shape[0] * x.shape[1]
     sums = np.einsum("ij,ij->j", x.view(np.float64).reshape(n, -1),
                      y.view(np.float64).reshape(n, -1))
-    return (sums[0::2] + sums[1::2]).reshape(x.shape[2:])
+    return sums[0::2] + sums[1::2]
 
 
 @lru_cache
@@ -262,24 +262,28 @@ def _photon_factors(n_fock_max: int) -> np.ndarray:
 
 
 def _photon_moments(cav: CavityParams, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(<q>, <q^2>) of complex photon slabs: the photon factors of q and q^2
-    contracted with the slabs' Gram matrix Re <psi_N|psi_N'>."""
+    """(<q>, <q^2>) of complex photon slabs (N_max + 1, k, columns), one value
+    per column: the photon factors of q and q^2 contracted with the slabs'
+    Gram matrix Re <psi_N|psi_N'>."""
     x = np.ascontiguousarray(grid)
     parts = x.view(np.float64).reshape(x.shape[0], x.shape[1], -1)
     gram = np.einsum("nkj,mkj->nmj", parts, parts)
-    gram = (gram[..., 0::2] + gram[..., 1::2]).reshape(gram.shape[:2] + x.shape[2:])
+    gram = gram[..., 0::2] + gram[..., 1::2]
     # einsum, not a BLAS product: a column's sum must not depend on the column
     # count; einsum sums a lone column in another order, so it is summed as two
-    lone = gram.shape[2:] == (1,)
-    q, q2 = np.einsum("fnm,nm...->f...", _photon_factors(x.shape[0] - 1),
-                      np.repeat(gram, 2, axis=-1) if lone else gram)[..., :1 if lone else None]
+    lone = gram.shape[2] == 1
+    q, q2 = np.einsum("fnm,nmj->fj", _photon_factors(x.shape[0] - 1),
+                      np.repeat(gram, 2, axis=-1) if lone else gram)[:, :1 if lone else None]
     return q / math.sqrt(2.0 * cav.omega_c), q2 / (2.0 * cav.omega_c)
 
 
 def factored_expectations(model: MolecularModel, cav: CavityParams, basis: ProductBasis,
                           psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(<1 x mu>, <q>, <q^2>) of complex psi, one row per basis entry:
-    numbers for a state vector, one per column for a matrix of states."""
+    """(<1 x mu>, <q>, <q^2>) of complex psi, one row per basis entry: one
+    per column for a matrix of states, numbers for a state vector, which is
+    taken as a one-column matrix so that its sums are a column's."""
+    if psi.ndim == 1:
+        return tuple(v[0] for v in factored_expectations(model, cav, basis, psi[:, None]))
     grid = basis.to_grid(psi)
     return (_re_inner(*_dipole_slabs(model.dipole, grid)),) + _photon_moments(cav, grid)
 
@@ -543,8 +547,9 @@ def photon_observables(state: QuantumState, cav: CavityParams,
         psi = state.schroedinger_coeffs(model, cav)
     else:
         psi = state.coeffs
-    q, q2 = _photon_moments(cav, state.basis.to_grid(np.asarray(psi, dtype=complex)))
-    return float(q), float(q2)
+    psi = np.asarray(psi, dtype=complex)[:, None]     # a column, summed as a chunk's
+    q, q2 = _photon_moments(cav, state.basis.to_grid(psi))
+    return float(q[0]), float(q2[0])
 
 
 def real_matmul(op: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -604,7 +609,7 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
         freqs, start = eps, None
 
         def rhs(entry, c):
-            a, b, f = entry       # -i e^{i eps t}, e^{-i eps t}, f(t)
+            f, a, b = entry       # f(t), -i e^{i eps t}, e^{-i eps t}
             psi = b * c
             w_psi = real_matmul(v_int, psi)
             if f != 0.0:
@@ -622,7 +627,7 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
         meta.update(sol.block_sizes(), min_dominant_overlap=float(np.max(np.abs(start) ** 2)))
 
         def rhs(entry, b):
-            a, e, f = entry       # -i e^{i L t}, e^{-i L t}, f(t)
+            f, a, e = entry       # f(t), -i e^{i L t}, e^{-i L t}
             if f == 0.0:
                 return np.zeros_like(b)
             mu_psi = apply_dipole(model.dipole, basis, sol.from_eigenbasis(e * b))
@@ -638,7 +643,7 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
             return pops.T, (mu, np.broadcast_to(energy, mu.shape), q, q2)
 
     return propagate(
-        rhs, (), observe, ("dipole", "energy", "q_expect", "q2_expect"),
+        rhs, observe, ("dipole", "energy", "q_expect", "q2_expect"),
         kind="quantum", phase_freqs=freqs,
         pop_labels=[basis.label(i, model) for i in range(basis.size)],
         init_col=i0, pulse=pulse, cav=cav, t_end=t_end, dt=dt,

@@ -92,10 +92,10 @@ def make_stick_spectrum(positions, intensities, meta=None, merge_tol: float = 1e
 
     After a stable sort a new group starts wherever the gap to the previous
     stick exceeds merge_tol.  Each group becomes one stick carrying the total
-    intensity at the centre sum(p * w) / sum(w), w = max(I, 1e-300).  Centres
-    stay inside their groups and groups lie more than merge_tol apart, so
-    merging the result again changes nothing (short of a gap within one
-    rounding of merge_tol, which a centre off by an ulp can close).
+    intensity at the centre sum(p * w) / sum(w), w = max(I, 1e-300), clamped
+    into the group's first and last positions, which its rounding can leave
+    by an ulp.  Groups lie more than merge_tol apart, so their centres do,
+    and merging the result again changes nothing.
     per_stick keyword arrays (the keys of STICK_COLUMNS) keep the value of
     each group's first entry, in sorted order, whose intensity is within
     _LABEL_ULPS ulps of the strongest input stick below the group's maximum.
@@ -112,6 +112,7 @@ def make_stick_spectrum(positions, intensities, meta=None, merge_tol: float = 1e
     total = np.add.reduceat(inten, starts)
     weight = np.maximum(inten, 1e-300)
     center = np.add.reduceat(pos * weight, starts) / np.add.reduceat(weight, starts)
+    np.clip(center, pos[starts], np.maximum.reduceat(pos, starts), out=center)
     tie = _LABEL_ULPS * np.spacing(np.max(np.abs(inten), initial=0.0))
     peak = np.flatnonzero(inten >= np.maximum.reduceat(inten, starts)[group] - tie)
     dom = peak[np.diff(group[peak], prepend=-1) > 0]     # first near-maximum per group

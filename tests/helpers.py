@@ -137,7 +137,7 @@ def stepped_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
 def full_basis_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
     """propagate_classical's Trajectory with every model state stepped: the
     rhs the coupled-state run replaced, psi = b c and a (drive mu psi), on
-    integrate's (a, b, f) entries."""
+    integrate's (f, a, b) entries.  The state is one array, C, q and p."""
     import math
 
     from twinpol.classical import _total_energy
@@ -153,28 +153,36 @@ def full_basis_classical(model, cav, pulse, init_state, t_end, dt, record_stride
     dse = cav.dse_prefactor
     wc2 = cav.omega_c**2
 
+    n = model.n_states
+
     def rhs(entry, y):
-        a, b, f = entry
-        c, q, p = y
-        psi = b * c
+        f, a, b = entry
+        q = y[n].real
+        psi = b * y[:n]
         mu_psi = mu_c @ psi
         w_psi = (g_fac * q + f) * mu_psi
         if dse:
             w_psi = w_psi + dse * (mu2_c @ psi)
-        return a * w_psi, p, -wc2 * q - g_fac * float(np.vdot(psi, mu_psi).real)
+        dy = np.empty_like(y)
+        dy[:n] = a * w_psi
+        dy[n] = y[n + 1]
+        dy[n + 1] = -wc2 * q - g_fac * float(np.vdot(psi, mu_psi).real)
+        return dy
 
     def observe(_, psi, y):
-        c, q, p = y
+        q, p = y[n:].real
         dipole = _expectations(mu, psi)
-        return ((np.abs(c) ** 2).T,
+        return ((np.abs(y[:n]) ** 2).T,
                 (dipole, _total_energy(psi, q, p, model.energies, dipole, mu2, cav), q, p))
 
+    y0 = np.zeros(n + 2, complex)
+    y0[init_state] = 1.0
     return propagate(
-        rhs, (0.0, 0.0), observe, ("dipole", "energy", "q_series", "p_series"),
+        rhs, observe, ("dipole", "energy", "q_series", "p_series"),
         kind="classical", phase_freqs=model.energies,
-        pop_labels=[model.label_str(k) for k in range(model.n_states)],
+        pop_labels=[model.label_str(k) for k in range(n)],
         init_col=init_state, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
-        record_stride=record_stride, meta={"init_state": init_state})
+        record_stride=record_stride, start=y0, meta={"init_state": init_state})
 
 
 def trajectory_head(traj, t_end):

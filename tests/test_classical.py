@@ -101,7 +101,7 @@ def test_time_reversal(model3, cav, pulse):
     g_fac = cav.g * np.sqrt(2 * cav.omega_c)
 
     def rhs(entry, y):
-        a, b, f = entry           # -i e^{iEt}, e^{-iEt}, f(t) at the stage time
+        f, a, b = entry           # f(t), -i e^{iEt}, e^{-iEt} at the stage time
         c = y[:3]
         q = y[3].real
         psi = b * c

@@ -145,6 +145,23 @@ def test_factored_operators_match_dense_oracles(model3, hcl_model, name, restric
         assert np.max(np.abs(mu_z - dense[0] @ z)) <= tol
 
 
+def test_state_vector_is_a_one_column_chunk(model3):
+    # a vector's <mu>, <q> and <q^2> are summed as column j of a 50-column
+    # chunk sums them, in factored_expectations and in photon_observables
+    cav = CavityParams(omega_c=1e-2, g=2e-4, n_fock_max=2)
+    basis = ProductBasis.full(model3, cav.n_fock_max)
+    rng = np.random.default_rng(50)
+    psi = rng.normal(size=(basis.size, 50)) + 1j * rng.normal(size=(basis.size, 50))
+    psi /= np.linalg.norm(psi, axis=0)
+    chunk = factored_expectations(model3, cav, basis, psi)
+    for j in range(50):
+        column = [float(values[j]) for values in chunk]
+        vector = psi[:, j].copy()
+        assert [float(v) for v in factored_expectations(model3, cav, basis, vector)] == column
+        assert photon_observables(QuantumState(vector, t=0.0, basis=basis), cav) == (
+            column[1], column[2])
+
+
 @pytest.mark.parametrize("spread", ["every_block", "three_blocks"])
 def test_transforms_skip_blocks_the_state_never_reaches(hcl_model, monkeypatch, spread):
     """to_eigenbasis and from_eigenbasis match the dense V^T x and V c, and a

@@ -216,14 +216,21 @@ def test_stick_merge_matches_gap_reference(sticks, merge_tol, min_intensity):
 
 
 # Positions on a 2^-8 grid and tolerances at odd multiples of 2^-9 keep every
-# gap at least 2^-9 from merge_tol.  A gap within one rounding of merge_tol is
-# outside the guarantee: a centre may round one ulp past its group and close it.
+# gap at least 2^-9 from merge_tol.  A chain of sticks in [2, 4) adds gaps
+# within two ulps of merge_tol, at positions and intensities with full
+# mantissas: there a centre rounded one ulp past its group would close the
+# gap to the next group on a second merge.
 @settings(max_examples=200, deadline=None)
-@given(STICK_LISTS, st.sampled_from([1, 3, 13]), st.sampled_from([0.0, 1.0]))
-def test_stick_merge_is_idempotent(sticks, tol_halfsteps, min_intensity):
+@given(STICK_LISTS, st.sampled_from([1, 3, 13]), st.sampled_from([0.0, 1.0]),
+       st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_stick_merge_is_idempotent(sticks, tol_halfsteps, min_intensity, n_chain, seed):
     positions, intensities = sticks
-    positions = np.round(np.asarray(positions) * 256.0) / 256.0
     merge_tol = tol_halfsteps / 512.0
+    rng = np.random.default_rng(seed)
+    ulps = rng.integers(-1, 3, n_chain) * 2.0**-51      # an ulp in [2, 4): the sums are exact
+    chain = 2.0 + 0.5 * rng.random() + np.cumsum(merge_tol + ulps)
+    positions = np.concatenate([np.round(np.asarray(positions) * 256.0) / 256.0, chain])
+    intensities = np.concatenate([intensities, 10.0 * rng.random(n_chain)])
     labels = [str(i) for i in range(positions.size)]
     once = make_stick_spectrum(positions, intensities, merge_tol=merge_tol,
                                min_intensity=min_intensity, labels_i=labels)

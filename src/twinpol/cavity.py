@@ -137,32 +137,32 @@ class Trajectory:
             cols += ["q_expect", "q2_expect"]
             data += [self.q_expect, self.q2_expect]
         cols += [f"p_{lab}" for lab in self.pop_labels]
-        data += list(self.populations.T)
+        data.append(self.populations)
         write_csv(path, cols, data)
 
 
 CSV_BLOCK_ROWS = 64
 
 
-def _all_plus_zero(column: np.ndarray) -> bool:
-    """True for a float column that is +0.0 in every row (-0.0 prints as -0)."""
-    return (column.dtype.kind == "f" and not column.any()
-            and not np.signbit(column).any())
-
-
 def write_csv(path, header, numbers, labels=()):
     """Header line, then one row per record: the numeric columns as %.17g
     (the text of f"{x:.17g}", -0.0 included) followed by the label columns
-    as %s.  Each block of CSV_BLOCK_ROWS rows is one % operation over the
-    values' .tolist(): 64-row blocks write a 7501 x 13 trajectory as fast as
-    one block per file does, without the 9 MB of text and Python floats
-    that one block holds at once.  A float column that is +0.0 in every row
-    is the literal 0 of the row template, the text %.17g gives it, and is
-    never formatted."""
-    numbers = [np.asarray(c) for c in numbers]
-    zero = [_all_plus_zero(c) for c in numbers]
-    row = ",".join(["0" if z else "%.17g" for z in zero] + ["%s"] * len(labels)) + "\n"
-    formatted = [c for c, z in zip(numbers, zero) if not z]
+    as %s.  numbers holds columns and (rows, k) blocks of k columns.  Each
+    block of CSV_BLOCK_ROWS rows is one % operation over the values'
+    .tolist(): 64-row blocks write a 7501 x 13 trajectory as fast as one
+    block per file does, without the 9 MB of text and Python floats that
+    one block holds at once.  A float column that is +0.0 in every row is
+    the literal 0 of the row template, the text %.17g gives it, and is never
+    formatted; one reduction per block finds them."""
+    row, formatted = [], []
+    for cols in map(np.asarray, numbers):
+        cols = cols if cols.ndim == 2 else cols[:, None]
+        zero = np.zeros(cols.shape[1], bool)
+        if cols.dtype.kind == "f":
+            zero = ~cols.any(axis=0) & ~np.signbit(cols).any(axis=0)
+        row += ["0" if z else "%.17g" for z in zero]
+        formatted += [cols[:, k] for k in np.flatnonzero(~zero)]
+    row = ",".join(row + ["%s"] * len(labels)) + "\n"
     n_rows = len(numbers[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, KickPulse, Trajectory
-from .integrators import check_step, propagate
+from .integrators import check_step, propagate, record_grid
 from .model import MolecularModel, mu_squared_matrix
-from .quantum import _coupled_blocks, _expectations
+from .quantum import _check_memory, _coupled_blocks, _expectations
 
 
 @dataclass
@@ -79,9 +79,13 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
     """Kick the molecule out of equilibrium and record the joint dynamics.
 
     Raises IntegrationError when the coefficient norm drifts beyond 1e-6
-    (reduce dt) or when the kick exceeds the pulse's linear-response bound.
+    (reduce dt) or when the kick exceeds the pulse's linear-response bound;
+    BasisSizeError, before anything is allocated, when its population
+    records would not fit in the memory budget.
     """
     check_step(dt, model.energies, cav.omega_c)
+    _check_memory(model.n_states, cav.include_dse,
+                  record_grid(t_end, dt, record_stride)[1].size)
     # the start's component; none for a start outside the model, which propagate refuses
     idx = next((b for b in _coupled_blocks(model.n_states, *np.nonzero(model.dipole))
                 if init_state in b), np.arange(0))

@@ -43,6 +43,8 @@ from .cavity import CavityParams, KickPulse, Trajectory
 from .errors import IntegrationError, ModelError
 
 NORM_TOL = 1e-6
+# bytes a run may hold: record_grid's times, and quantum._check_memory's whole run
+MEMORY_BUDGET = 4 * 2**30
 # bytes per chunk: of a constant state's records and their image, of RK4 stage-time tables
 TAIL_CHUNK_BYTES = 1 << 19
 
@@ -116,13 +118,18 @@ def check_step(dt: float, phase_freqs: np.ndarray, omega_c: float):
 
 def record_grid(t_end: float, dt: float, record_stride: int) -> tuple[int, np.ndarray]:
     """(n_steps, times) of a run from t = 0 to t_end with one record every
-    record_stride dt steps; ModelError for fewer than two records."""
+    record_stride dt steps; ModelError for fewer than two records, or for
+    more than MEMORY_BUDGET holds of their times alone."""
     if not (0 < dt < math.inf and 0 < t_end < math.inf and record_stride >= 1):
         raise ModelError("t_end, dt and record_stride must be positive and finite")
     n_steps = int(round(t_end / dt))
     if n_steps < record_stride:
         raise ModelError("t_end is shorter than one record_stride of dt steps")
     n_rec = n_steps // record_stride + 1
+    if 8 * n_rec > MEMORY_BUDGET:
+        raise ModelError(f"{n_rec} records need {8 * n_rec / 2**30:.3g} GiB for their "
+                         f"times alone, over the {MEMORY_BUDGET / 2**30:g} GiB budget; "
+                         "raise record_stride or shorten t_end")
     return n_steps, np.arange(n_rec) * record_stride * dt    # step * dt, as integrate has it
 
 

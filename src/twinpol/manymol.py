@@ -111,40 +111,38 @@ class ManifoldBasis:
         return math.comb(self.n_mol, self.n0)
 
 
+def _doublet(center: float, offset: float, intensity: float, branch: str,
+             mechanism: str) -> list[tuple]:
+    """The (position, intensity, branch, mechanism) rows of a line split by
+    +-offset about center, the lower one first."""
+    return [(center + sign * offset, intensity, branch, mechanism) for sign in (-1.0, 1.0)]
+
+
+def _line_spectrum(rows: list[tuple], meta: dict) -> Spectrum:
+    """make_stick_spectrum of (position, intensity, branch, mechanism) rows,
+    in their order: the stable sort and the label tie rule read it."""
+    pos, inten, branch, mech = zip(*rows) if rows else ((),) * 4
+    return make_stick_spectrum(pos, inten, branch=branch, mechanism=mech, meta=meta)
+
+
 def analytic_nonsymmetric_spectrum(cfg: ManyMolConfig) -> Spectrum:
     """Stick spectrum for nonsymmetric (thermal-type) initial product states.
 
     Counts every distinguishable occupation once (weight 1 per initial
     string): resonant polaritons split by 2 g sqrt(n0/N) mu; twin peaks split
     by 2 g sqrt((n0+1)/N) mu; dark peak at omega12 carrying 2 n0 times the
-    intensity of each twin stick.
+    intensity of each twin stick.  Lines of zero intensity are left out.
     """
     if cfg.n0 is None:
         raise ModelError("nonsymmetric spectrum needs an occupation n0")
     n, n0, g, mu = cfg.n_mol, cfg.n0, cfg.g, cfg.mu
-    pos, inten, branch, mech = [], [], [], []
-    r_off = g * math.sqrt(n0 / n) * mu
-    for sign in (-1.0, 1.0):
-        pos.append(cfg.omega02 + sign * r_off)
-        inten.append(n0 * mu**2 / 2.0 * math.comb(n, n0))
-        branch.append("R")
-        mech.append("polariton")
-    tp_off = g * math.sqrt((n0 + 1) / n) * mu
-    for sign in (-1.0, 1.0):
-        pos.append(cfg.omega12 + sign * tp_off)
-        inten.append(mu**2 / 2.0 * math.comb(n, n0 + 1))
-        branch.append("P")
-        mech.append("twin")
-    pos.append(cfg.omega12)
-    inten.append(n0 * mu**2 * math.comb(n, n0 + 1))
-    branch.append("P")
-    mech.append("dark")
-    keep = [i for i, x in enumerate(inten) if x > 0]
-    return make_stick_spectrum(
-        [pos[i] for i in keep], [inten[i] for i in keep],
-        branch=[branch[i] for i in keep], mechanism=[mech[i] for i in keep],
-        meta={"framework": "manymol_analytic", "n_mol": n, "n0": n0},
-    )
+    rows = (_doublet(cfg.omega02, g * math.sqrt(n0 / n) * mu,
+                     n0 * mu**2 / 2.0 * math.comb(n, n0), "R", "polariton")
+            + _doublet(cfg.omega12, g * math.sqrt((n0 + 1) / n) * mu,
+                       mu**2 / 2.0 * math.comb(n, n0 + 1), "P", "twin")
+            + [(cfg.omega12, n0 * mu**2 * math.comb(n, n0 + 1), "P", "dark")])
+    return _line_spectrum([r for r in rows if r[1] > 0],
+                          {"framework": "manymol_analytic", "n_mol": n, "n0": n0})
 
 
 def analytic_symmetric_spectrum(cfg: ManyMolConfig) -> Spectrum:
@@ -158,25 +156,19 @@ def analytic_symmetric_spectrum(cfg: ManyMolConfig) -> Spectrum:
     if not cfg.symmetric:
         raise ModelError("symmetric spectrum needs the symmetric flag")
     n, g, mu = cfg.n_mol, cfg.g, cfg.mu
-    pos, inten, branch, mech = [], [], [], []
     norm = mu**2 / 2.0**n
+    rows = []
     for n0 in range(n + 1):
-        c = math.comb(n, n0)
-        for sign in (-1.0, 1.0):
-            if n0 > 0:
-                pos.append(cfg.omega02 + sign * g * mu * math.sqrt(n0 / n))
-                inten.append(norm * c * n0)
-                branch.append("R")
-                mech.append("polariton")
-            if n - n0 > 0:
-                pos.append(cfg.omega12 + sign * g * mu * math.sqrt((n0 + 1) / n))
-                inten.append(norm * c * (n - n0))
-                branch.append("P")
-                mech.append("twin")
-    return make_stick_spectrum(
-        pos, inten, branch=branch, mechanism=mech,
-        meta={"framework": "manymol_analytic", "n_mol": n, "symmetric": True},
-    )
+        c, lines = math.comb(n, n0), []
+        if n0 > 0:
+            lines.append(_doublet(cfg.omega02, g * mu * math.sqrt(n0 / n), norm * c * n0,
+                                  "R", "polariton"))
+        if n0 < n:
+            lines.append(_doublet(cfg.omega12, g * mu * math.sqrt((n0 + 1) / n),
+                                  norm * c * (n - n0), "P", "twin"))
+        rows += itertools.chain.from_iterable(zip(*lines))    # R-, P-, R+, P+
+    return _line_spectrum(rows, {"framework": "manymol_analytic", "n_mol": n,
+                                 "symmetric": True})
 
 
 def thermodynamic_limit_spectrum(r0: float, branch: str, g: float, mu: float,
@@ -194,33 +186,17 @@ def thermodynamic_limit_spectrum(r0: float, branch: str, g: float, mu: float,
     """
     if not 0.0 <= r0 <= 1.0:
         raise ModelError("r0 must lie in [0, 1]")
-    pos, inten, br, mech = [], [], [], []
     if branch == "thermal":
-        off = g * math.sqrt(r0) * mu
-        for sign in (-1.0, 1.0):
-            pos.append(omega02 + sign * off)
-            inten.append(mu**2 / 2.0)
-            br.append("R")
-            mech.append("polariton")
-        pos.append(omega12)
-        inten.append(mu**2)
-        br.append("P")
-        mech.append("dark")
+        rows = (_doublet(omega02, g * math.sqrt(r0) * mu, mu**2 / 2.0, "R", "polariton")
+                + [(omega12, mu**2, "P", "dark")])
     elif branch == "symmetric":
         r0 = 0.5
         off = g * math.sqrt(r0) * mu
-        for center, b in ((omega02, "R"), (omega12, "P")):
-            for sign in (-1.0, 1.0):
-                pos.append(center + sign * off)
-                inten.append(mu**2 / 2.0)
-                br.append(b)
-                mech.append("polariton" if b == "R" else "twin")
+        rows = (_doublet(omega02, off, mu**2 / 2.0, "R", "polariton")
+                + _doublet(omega12, off, mu**2 / 2.0, "P", "twin"))
     else:
         raise ModelError(f"branch must be 'thermal' or 'symmetric', got {branch!r}")
-    return make_stick_spectrum(
-        pos, inten, branch=br, mechanism=mech,
-        meta={"framework": "thermo_limit", "r0": r0, "case": branch},
-    )
+    return _line_spectrum(rows, {"framework": "thermo_limit", "r0": r0, "case": branch})
 
 
 # -- brute force on permutation-symmetric occupation bases -----------------
@@ -388,15 +364,10 @@ def brute_force_spectrum(model: MolecularModel, cav: CavityParams, n_mol: int,
 def classify_sticks(spec: Spectrum, cfg: ManyMolConfig) -> Spectrum:
     """Attach branch (R/P) and mechanism (polariton/twin/dark) labels by
     position relative to the cavity-free transition frequencies."""
-    branch, mech = [], []
     dark_window = 0.25 * cfg.g * cfg.mu / math.sqrt(cfg.n_mol)
-    for w in spec.omega:
-        if abs(w - cfg.omega02) <= abs(w - cfg.omega12):
-            branch.append("R")
-            mech.append("polariton")
-        else:
-            branch.append("P")
-            mech.append("dark" if abs(w - cfg.omega12) < dark_window else "twin")
-    spec.meta["branch"] = branch
-    spec.meta["mechanism"] = mech
+    to12 = np.abs(spec.omega - cfg.omega12)
+    resonant = np.abs(spec.omega - cfg.omega02) <= to12
+    spec.meta["branch"] = np.where(resonant, "R", "P").tolist()
+    spec.meta["mechanism"] = np.where(resonant, "polariton",
+                                      np.where(to12 < dark_window, "dark", "twin")).tolist()
     return spec

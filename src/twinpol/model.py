@@ -149,7 +149,10 @@ class MorseParams:
     d_e_cm1 is the dissociation energy in cm^-1; alpha in bohr^-1; r_e and the
     atomic masses in atomic units.  dipole_curve holds polynomial coefficients
     of mu(R) about R_e, lowest order first; the defaults are placeholders with
-    realistic magnitudes (they rescale intensities, not positions).
+    realistic magnitudes.  The curve sets the intensities and, through
+    g mu_01 once a cavity couples, the splittings: at g = 400 cm^-1 with the
+    self-energy, the R(0) doublet splits by 7.73 cm^-1 at (0.43, 0.10) au and
+    by 20.33 cm^-1 at (0.43, 0.30) au.
     """
 
     d_e_cm1: float = 37209.369

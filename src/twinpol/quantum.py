@@ -43,7 +43,7 @@ import numpy as np
 
 from .cavity import CavityParams, KickPulse, Trajectory
 from .errors import BasisSizeError, ConvergenceError, ModelError
-from .integrators import check_step, propagate, record_grid
+from .integrators import MEMORY_BUDGET, check_step, propagate, record_grid
 from .model import MolecularModel, ThermalWeights, mu_squared_matrix
 from .spectra import Spectrum, make_stick_spectrum
 
@@ -141,9 +141,6 @@ def photon_ladder_squared(n_fock_max: int) -> np.ndarray:
     return op
 
 
-MEMORY_BUDGET = 4 * 2**30
-
-
 def _check_memory(dim: int, include_dse: bool, records: int = 0):
     """Refuse, before anything is allocated, a run whose dense matrices on a
     dim-state product basis, and the populations of its records on a
@@ -167,13 +164,15 @@ def _check_memory(dim: int, include_dse: bool, records: int = 0):
     product basis as the oracle up to N = 7 (6561 states, 2.4 GB), and
     refuses it at N = 8 (19,683 states, 19 GB).  One molecule passes up to
     about 8,750 product states with the self-energy; HCl at j_max = 50
-    (15,606 states, 13.6 GB) is refused.  A trajectory adds records x dim doubles.
+    (15,606 states, 13.6 GB) is refused.  A trajectory adds records x dim
+    doubles; propagate_classical counts its records on the molecule's own
+    dim states, whose dense matrices the bound covers too.
     """
     need = 8 * ((6 + include_dse) * dim**2 + (6 + records) * dim + 1)
     if need > MEMORY_BUDGET:
         held = "dense matrices" + (f" and {records} population records" if records else "")
         raise BasisSizeError(
-            f"{dim}-state product basis needs about {need / 2**30:.3g} GiB of "
+            f"{dim}-state basis needs about {need / 2**30:.3g} GiB of "
             f"{held}, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
 
 

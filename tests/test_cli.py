@@ -133,6 +133,10 @@ BAD_CONFIGS = {
                     "record_stride: must be positive"),
     "short_run": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = classical\nt_end = 4 au\n",
                   "t_end is shorter than one record_stride"),
+    # 1e13 record times alone need 72.8 TiB: np.arange raised a MemoryError
+    "unallocatable_records": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = classical\n"
+                              "t_end = 1e13 au\ndt = 1 au\nrecord_stride = 1\n",
+                              "10000000000001 records need"),
     "no_photons": (THREE_LEVEL_HEADER.replace("n_fock_max = 2", "n_fock_max = 0"),
                    "n_fock_max must be at least 1"),
     "negative_sigma": (THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_td\n"
@@ -510,6 +514,26 @@ def test_single_molecule_run_refuses_oversized_basis(tmp_path, monkeypatch):
     error = (tmp_path / "big" / "error.txt").read_text()
     assert error.startswith("BasisSizeError: 726-state")
     assert not (tmp_path / "big" / "sticks.csv").exists()
+
+
+def test_classical_run_refuses_records_over_budget(tmp_path, monkeypatch):
+    """A classical run whose population records exceed the budget exits 3
+    with error.txt before it allocates them; validate still passes."""
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", 2**20)
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + """
+[protocol]
+framework = classical
+initial = psi_1
+t_end = 1e5 au
+dt = 1.0 au
+record_stride = 1
+""")
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "big")]) == 3
+    error = (tmp_path / "big" / "error.txt").read_text()
+    assert error.startswith("BasisSizeError: 3-state basis needs")
+    assert "100001 population records" in error
+    assert not (tmp_path / "big" / "trajectory.csv").exists()
 
 
 def test_quantum_td_run_outputs(tmp_path):

@@ -14,10 +14,10 @@ import twinpol.quantum
 from helpers import (kron_hamiltonian, kron_sum, mu_operator, q2_operator, q_operator,
                      stick_inputs_per_state, traced_peak)
 from twinpol import (BasisSizeError, CavityParams, ConvergenceError, KickPulse, ModelError,
-                     PolaritonSolution, ProductBasis, assemble_hamiltonian, boltzmann_weights,
-                     build_many_molecule_hamiltonian, cm1_to_au, diagonalize_polaritons,
-                     detect_peaks, dipole_spectrum, dominant_eigenstate,
-                     photon_observables, propagate_quantum,
+                     MorseParams, PolaritonSolution, ProductBasis, assemble_hamiltonian,
+                     boltzmann_weights, build_many_molecule_hamiltonian, build_morse_rovib,
+                     cm1_to_au, diagonalize_polaritons, detect_peaks, dipole_spectrum,
+                     dominant_eigenstate, photon_observables, propagate_quantum,
                      static_stick_spectrum, thermal_initial_states)
 from twinpol.model import mu_squared_matrix
 from twinpol.quantum import (QuantumState, _check_memory, _coupled_blocks,
@@ -721,6 +721,36 @@ def test_fock_convergence(model3):
         strong = spec.omega[spec.intensity > 0.1 * spec.intensity.max()]
         positions[n_fock] = strong[:2]
     assert np.max(np.abs(positions[2] - positions[3])) < 1e-8
+
+
+def _hcl_doublets(v_max, n_fock_max, j_max):
+    """The R(0) and P(2) -> (1,1,0) doublets of the SI's HCl model in its
+    cavity (mu1 = 0.10 au, g = 400 cm^-1, self-energy on): the two strongest
+    sticks within 25 cm^-1 of each bare line, in au."""
+    model = build_morse_rovib(MorseParams(v_max=v_max, j_max=j_max, dipole_curve=(0.43, 0.10)))
+    cav = CavityParams(omega_c=cm1_to_au(2906.46), g=cm1_to_au(400.0), include_dse=True,
+                       n_fock_max=n_fock_max)
+    basis = ProductBasis.full(model, n_fock_max)
+    sol = solve_polaritons(model, cav, basis)
+    final = model.state_index(v=1, J=1, M=0)
+    doublets = []
+    for j in (0, 2):
+        k = model.state_index(v=0, J=j, M=0)
+        spec = static_stick_spectrum(sol, model, basis,
+                                     [(dominant_eigenstate(sol, basis, (k, 0)), 1.0)])
+        w0, half = model.transition_frequency(k, final), cm1_to_au(25.0)
+        near = spec.in_window(w0 - half, w0 + half)
+        doublets.append(np.sort(near.omega[np.argsort(near.intensity)[-2:]]))
+    return doublets
+
+
+def test_hcl_doublets_converge_in_the_truncations():
+    # each line of both doublets moves by less than 1% of its doublet's split
+    # when every truncation grows: 726 to 3,375 product states
+    for shipped, larger in zip(_hcl_doublets(1, 2, 10), _hcl_doublets(2, 4, 14)):
+        split = shipped[1] - shipped[0]
+        assert split > cm1_to_au(7.0)
+        assert np.max(np.abs(larger - shipped)) < 0.01 * split
 
 
 def test_stationary_state_without_drive(model3):

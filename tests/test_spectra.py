@@ -295,10 +295,13 @@ def test_csv_schema_continuous(tmp_path):
     assert path.read_text().splitlines()[0] == "omega_au,omega_cm1,intensity"
 
 
-@pytest.mark.parametrize("labels", [False, True], ids=["numbers", "with_labels"])
-def test_zero_columns_match_fstring_text(tmp_path, monkeypatch, labels):
+@pytest.mark.parametrize("labels, as_block", [(False, False), (True, False), (False, True),
+                                             (True, True)],
+                         ids=["numbers", "with_labels", "block", "block_with_labels"])
+def test_zero_columns_match_fstring_text(tmp_path, monkeypatch, labels, as_block):
     # +0.0 columns are literal 0s of the row template; a column with any
-    # -0.0, or an integer one, is formatted as before
+    # -0.0, or an integer one, is formatted as before; the same columns
+    # handed over as one (rows, k) block give the same text
     monkeypatch.setattr(twinpol.cavity, "CSV_BLOCK_ROWS", 3)
     n = 7
     one_negative = np.zeros(n)
@@ -307,7 +310,8 @@ def test_zero_columns_match_fstring_text(tmp_path, monkeypatch, labels):
                np.zeros(n, dtype=int), np.zeros(n)]
     names = [f"c{k}" for k in range(len(columns))]
     label_columns = [[f"s{k}%" for k in range(n)]] if labels else []
-    write_csv(tmp_path / "zeros.csv", names + ["label"] * labels, columns, label_columns)
+    numbers = [np.column_stack(columns)] if as_block else columns
+    write_csv(tmp_path / "zeros.csv", names + ["label"] * labels, numbers, label_columns)
     lines = (tmp_path / "zeros.csv").read_text().splitlines()
     n_numbers = len(columns)
     assert lines[1:] == [",".join([f"{x:.17g}" for x in row[:n_numbers]] + list(row[n_numbers:]))

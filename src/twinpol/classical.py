@@ -32,7 +32,7 @@ import numpy as np
 from .cavity import CavityParams, KickPulse, Trajectory
 from .integrators import check_step, propagate, record_grid
 from .model import MolecularModel, mu_squared_matrix
-from .quantum import _check_memory, _coupled_blocks, _expectations
+from .quantum import _check_memory, _coupled_blocks, _re_inner, real_matmul
 
 
 @dataclass
@@ -58,17 +58,18 @@ def classical_total_energy(state: ClassicalState, model: MolecularModel,
     mu2 = mu_squared_matrix(model) if cav.include_dse else None
     psi = state.schroedinger_coeffs(model.energies)[:, None]
     return float(_total_energy(psi, state.q, state.p, model.energies,
-                               _expectations(model.dipole, psi), mu2, cav)[0])
+                               _re_inner(psi, real_matmul(model.dipole, psi)), mu2, cav)[0])
 
 
 def _total_energy(psi: np.ndarray, q, p, energies: np.ndarray, dipole,
                   mu2: np.ndarray | None, cav: CavityParams) -> np.ndarray:
     """The total energy of each column of psi, given the columns' <mu>
     (dipole), q and p."""
-    e = np.sum(energies[:, None] * np.abs(psi) ** 2, axis=0)
+    # each column summed as one contiguous row: its bits do not depend on psi's layout
+    e = np.sum(energies * np.abs(np.ascontiguousarray(psi.T)) ** 2, axis=1)
     e += cav.g * math.sqrt(2.0 * cav.omega_c) * q * dipole
     if cav.include_dse:
-        e += cav.dse_prefactor * _expectations(mu2, psi)
+        e += cav.dse_prefactor * _re_inner(psi, real_matmul(mu2, psi))
     e += 0.5 * (p**2 + cav.omega_c**2 * q**2)
     return e
 
@@ -114,7 +115,7 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
         q, p = y[n:].real
         pops = np.zeros((q.size, model.n_states))
         pops[:, idx] = (np.abs(y[:n]) ** 2).T
-        dipole = _expectations(mu, psi)
+        dipole = _re_inner(psi, real_matmul(mu, psi))
         return pops, (dipole, _total_energy(psi, q, p, energies, dipole, mu2, cav), q, p)
 
     return propagate(

@@ -30,6 +30,7 @@ import argparse
 import filecmp
 import json
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -488,13 +489,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.seedless_check:
             with tempfile.TemporaryDirectory() as tmp_a, \
                  tempfile.TemporaryDirectory() as tmp_b:
-                run(config, Path(tmp_a), plot_data=args.plot_data)
+                manifest = run(config, Path(tmp_a), plot_data=args.plot_data)
                 run(config, Path(tmp_b), plot_data=args.plot_data)
                 if not _dirs_identical(Path(tmp_a), Path(tmp_b)):
                     print("determinism check FAILED", file=sys.stderr)
                     return 3
                 print("determinism check passed")
-        manifest = run(config, out_dir, plot_data=args.plot_data)
+                # no artifact holds its directory's path: the first run's bytes are out_dir's
+                shutil.copytree(tmp_a, out_dir, dirs_exist_ok=True)
+        else:
+            manifest = run(config, out_dir, plot_data=args.plot_data)
         if args.format:
             _restrict_formats(out_dir, manifest, args.format)
         print(f"run complete; outputs in {out_dir}")

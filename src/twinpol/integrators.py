@@ -21,15 +21,14 @@ one array expression; a classical field rides along as entries with zero
 imaginary part, which complex arithmetic keeps exactly +0.0, so its real
 parts get the bits of float arithmetic.
 
-propagate() records a Trajectory.  It buffers the states of the records one
-chunk of steps makes and hands them to observe at once, with the
-Schroedinger-picture states e^{-i eps t} c as columns, for populations and
-series.  A state that is constant after the pulse (method "exact") takes RK4
-steps only through the kick, and its remaining records come in chunks of
-TAIL_CHUNK_BYTES.  Accuracy of the RK4 part is certified by dt/2 re-run
-agreement rather than adaptivity; check_step, which each propagator runs
-first, refuses a dt that does not resolve the fastest interaction-picture
-phase.
+propagate() records a Trajectory through one flush, which hands observe a
+chunk of records, the Schroedinger-picture states e^{-i eps t} c as columns.
+RK4 records come a chunk of steps at a time; a state constant after the
+pulse (method "exact") is stepped only through the kick, and its remaining
+records come in chunks of TAIL_CHUNK_BYTES.  Accuracy of the RK4 part is
+certified by dt/2 re-run agreement rather than adaptivity; check_step,
+which each propagator runs first, refuses a dt that does not resolve the
+fastest interaction-picture phase.
 """
 
 from __future__ import annotations
@@ -146,20 +145,19 @@ def propagate(rhs: Callable, observe: Callable, series: tuple[str, ...],
     amplitudes c; any after them (a classical field's) are stepped alike.
     rhs(entry, y) gets integrate's entries for phase_freqs, pulse and
     operators.  observe(t, psi, y) gets a chunk of records: t a row of
-    times, psi = e^{-i phase_freqs t} c one column per time, in an array
-    observe may overwrite, and y the whole states at those times, one column
-    per time.  It returns (populations, values): a row of populations per
-    time, one per pop_labels entry, and a row of values per series name, each
-    a Trajectory field.  A chunk holds the records of a chunk of integrate's
-    steps.  meta adds the propagator's own keys after dt, t_end and
-    record_stride.
+    times, psi = e^{-i phase_freqs t} c one C-ordered column per time, which
+    observe may overwrite, and y the whole states, a column per time or one
+    for a constant state.  It returns (populations, values): a row of
+    populations per time, one per pop_labels entry, and a row of values per
+    series name, each a Trajectory field.  An RK4 chunk holds the records of
+    a chunk of integrate's steps.  meta adds the propagator's own keys after
+    dt, t_end and record_stride.
 
     method = "exact" declares c constant once the pulse is over (rhs is zero
     where f is; no field).  RK4 then stops at the first record at or after
     pulse.support_end (no step without a kick), and observe gets the
-    remaining records in chunks whose psi and image of it fit
-    TAIL_CHUNK_BYTES, y that one state as a single column; an entry of c
-    that is exactly 0.0 costs nothing.
+    remaining records of that one state in chunks whose psi and image of it
+    fit TAIL_CHUNK_BYTES.
 
     Raises ModelError for an init_col outside pop_labels or where record_grid
     refuses; IntegrationError when the norm drifts beyond NORM_TOL (reduce
@@ -176,6 +174,19 @@ def propagate(rhs: Callable, observe: Callable, series: tuple[str, ...],
     n_rk4 = n_steps if n_obs == n_rec else n_obs * record_stride
     y0 = (np.arange(n_amp) == init_col).astype(complex) if start is None else start
     n_c = len(phase_freqs)
+
+    def flush(lo, hi, rows):
+        """Observe records lo .. hi - 1 from states as rows, one per record or
+        one constant state; an amplitude zero in every row costs nothing."""
+        live = np.flatnonzero(rows[:, :n_c].any(axis=0))
+        # in place: one live-by-record array besides psi
+        phases = np.multiply.outer(-1j * phase_freqs[live], times[lo:hi])
+        np.exp(phases, out=phases)
+        phases *= rows[:, live].T
+        psi = np.zeros((n_c, hi - lo), complex)
+        psi[live] = phases
+        pops[lo:hi], values[:, lo:hi] = observe(times[lo:hi], psi, rows.T)
+
     # the records of a chunk of steps, a state per row: fewer bytes than its tables
     chunk = max(1, _chunk_steps(n_c, len(operators)) // record_stride)
     held = np.empty((min(chunk, n_obs), y0.size), complex)
@@ -189,25 +200,13 @@ def propagate(rhs: Callable, observe: Callable, series: tuple[str, ...],
         held[j] = y
         filled[0] = i + 1
         if j + 1 == chunk or i + 1 == n_obs:
-            # records as rows, handed over as columns: axis 0 is then the fast one
-            rows, lo = held[:j + 1], i - j
-            psi = np.exp(-1j * phase_freqs * times[lo:i + 1, None]) * rows[:, :n_c]
-            pops[lo:i + 1], values[:, lo:i + 1] = observe(times[lo:i + 1], psi.T, rows.T)
+            flush(i - j, i + 1, held[:j + 1])
 
     y_s = integrate(rhs, y0, 0.0, dt, n_rk4, observer, record_stride,
                     phase_freqs=phase_freqs, pulse=pulse, operators=operators)
-    if n_obs < n_rec:
-        live = np.flatnonzero(y_s)
-        tail = max(1, TAIL_CHUNK_BYTES // (32 * n_c))   # psi and observe's image of it
-        for lo in range(n_obs, n_rec, tail):
-            hi = min(lo + tail, n_rec)
-            # in place: one live-by-time array besides psi
-            phases = np.outer(-1j * phase_freqs[live], times[lo:hi])
-            np.exp(phases, out=phases)
-            phases *= y_s[live, None]
-            psi = np.zeros((n_c, hi - lo), complex)
-            psi[live] = phases
-            pops[lo:hi], values[:, lo:hi] = observe(times[lo:hi], psi, y_s[:, None])
+    tail = max(1, TAIL_CHUNK_BYTES // (32 * n_c))   # psi and observe's image of it
+    for lo in range(n_obs, n_rec, tail):
+        flush(lo, min(lo + tail, n_rec), y_s[None])
     norm_drift = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
 
     if norm_drift > NORM_TOL:

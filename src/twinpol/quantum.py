@@ -243,9 +243,10 @@ def _dipole_slabs(dipole: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _re_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re sum conj(x) y over the first two axes of contiguous complex x and y
-    of one shape (a, b, columns): one value per column."""
-    n = x.shape[0] * x.shape[1]
+    """Re sum conj(x) y over all but the last axis of complex x and y of one
+    shape (..., columns): one value per column."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    n = x.size // x.shape[-1]
     sums = np.einsum("ij,ij->j", x.view(np.float64).reshape(n, -1),
                      y.view(np.float64).reshape(n, -1))
     return sums[0::2] + sums[1::2]
@@ -564,14 +565,6 @@ def real_matmul(op: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (op @ parts).view(z.dtype).reshape(z.shape)
 
 
-def _expectations(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi|op|psi> for a real symmetric op: a number for a state vector,
-    one per column for a matrix of states."""
-    op_psi = real_matmul(op, psi)
-    return (np.einsum("i...,i...->...", psi.real, op_psi.real)
-            + np.einsum("i...,i...->...", psi.imag, op_psi.imag))
-
-
 def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse,
                       init: tuple[int, int], t_end: float, dt: float,
                       record_stride: int = 1,
@@ -616,7 +609,9 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
             return a * w_psi
 
         def observe(_, psi, c):
-            energy = np.sum(eps[:, None] * np.abs(psi) ** 2, axis=0) + _expectations(v_int, psi)
+            # a column summed as one contiguous row, as in classical._total_energy
+            energy = np.sum(eps * np.abs(np.ascontiguousarray(psi.T)) ** 2, axis=1)
+            energy += _re_inner(psi, real_matmul(v_int, psi))
             mu, q, q2 = factored_expectations(model, cav, basis, psi)
             return (np.abs(c) ** 2).T, (mu, energy, q, q2)
     else:

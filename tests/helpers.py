@@ -95,7 +95,7 @@ def stepped_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
 
     from twinpol.classical import _total_energy
     from twinpol.model import mu_squared_matrix
-    from twinpol.quantum import _expectations
+    from twinpol.quantum import _re_inner, real_matmul
 
     idx = coupled_states(model.dipole, init_state)
     n = idx.size
@@ -122,9 +122,9 @@ def stepped_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
         return dy
 
     def observe(t, rows):
-        psi = (np.exp(-1j * energies * t[:, None]) * rows[:, :n]).T
+        psi = np.ascontiguousarray((np.exp(-1j * energies * t[:, None]) * rows[:, :n]).T)
         q, p = rows[:, n:].real.T
-        dipole = _expectations(mu, psi)
+        dipole = _re_inner(psi, real_matmul(mu, psi))
         return dipole, _total_energy(psi, q, p, energies, dipole, mu2, cav), q, p
 
     y0 = np.zeros(n + 2, complex)
@@ -143,7 +143,7 @@ def full_basis_classical(model, cav, pulse, init_state, t_end, dt, record_stride
     from twinpol.classical import _total_energy
     from twinpol.integrators import propagate
     from twinpol.model import mu_squared_matrix
-    from twinpol.quantum import _expectations
+    from twinpol.quantum import _re_inner, real_matmul
 
     mu = model.dipole
     mu2 = mu_squared_matrix(model) if cav.include_dse else None
@@ -171,7 +171,7 @@ def full_basis_classical(model, cav, pulse, init_state, t_end, dt, record_stride
 
     def observe(_, psi, y):
         q, p = y[n:].real
-        dipole = _expectations(mu, psi)
+        dipole = _re_inner(psi, real_matmul(mu, psi))
         return ((np.abs(y[:n]) ** 2).T,
                 (dipole, _total_energy(psi, q, p, model.energies, dipole, mu2, cav), q, p))
 
@@ -213,8 +213,8 @@ def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
     factored operators (apply_dipole, factored_expectations) as the
     propagator, so the two must agree bit for bit; the dense operators below
     are their oracles in tests/test_quantum.py."""
-    from twinpol.quantum import (ProductBasis, _expectations, apply_dipole,
-                                 assemble_hamiltonian, factored_expectations, real_matmul)
+    from twinpol.quantum import (ProductBasis, _re_inner, apply_dipole, assemble_hamiltonian,
+                                 factored_expectations, real_matmul)
 
     basis = ProductBasis.full(model, cav.n_fock_max)
     ks, ns = basis.arrays()
@@ -231,8 +231,9 @@ def stepped_quantum(model, cav, pulse, init, t_end, dt, record_stride):
         return -1j * phase * w_psi
 
     def observe(t, rows):
-        psi = (np.exp(-1j * eps * t[:, None]) * rows).T
-        energy = np.sum(eps[:, None] * np.abs(psi) ** 2, axis=0) + _expectations(v_int, psi)
+        psi = np.ascontiguousarray((np.exp(-1j * eps * t[:, None]) * rows).T)
+        energy = np.sum(eps * np.abs(np.ascontiguousarray(psi.T)) ** 2, axis=1)
+        energy += _re_inner(psi, real_matmul(v_int, psi))
         mu, q, q2 = factored_expectations(model, cav, basis, psi)
         return mu, energy, q, q2
 

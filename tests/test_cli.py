@@ -763,6 +763,25 @@ n_mol = 3
     assert "determinism check passed" in capsys.readouterr().out
 
 
+def test_passed_seedless_check_runs_twice_and_writes_a_plain_runs_bytes(tmp_path, monkeypatch):
+    real_run, calls = twinpol.cli.run, []
+
+    def counting_run(config, out_dir, **kwargs):
+        calls.append(out_dir)
+        return real_run(config, out_dir, **kwargs)
+
+    monkeypatch.setattr(twinpol.cli, "run", counting_run)
+    cfg = write(tmp_path, THREE_LEVEL_HEADER + "\n[protocol]\nframework = quantum_static\n")
+    checked, plain = tmp_path / "checked", tmp_path / "plain"
+    assert main(["run", str(cfg), "--out-dir", str(checked), "--seedless-check",
+                 "--plot-data"]) == 0
+    assert len(calls) == 2
+    assert main(["run", str(cfg), "--out-dir", str(plain), "--plot-data"]) == 0
+    names = sorted(p.name for p in checked.iterdir())
+    assert names == sorted(p.name for p in plain.iterdir()) and "manifest.json" in names
+    assert all((checked / n).read_bytes() == (plain / n).read_bytes() for n in names)
+
+
 def test_failed_seedless_check_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
     """Each run also writes its own call count, so the two runs differ."""
     real_run, calls = twinpol.cli.run, []

@@ -165,6 +165,45 @@ def test_unkicked_exact_run_takes_no_step(model3, cav, chunks):
     assert traj.populations[0].tolist() == [0.0, 1.0] + [0.0] * 7
 
 
+@pytest.mark.parametrize("route", ["exact_kicked", "exact_unkicked", "rk4", "classical"])
+def test_observe_gets_c_ordered_records(model3, cav, pulse, route, monkeypatch):
+    # one flush for stepped and constant states: psi amplitude by record in C
+    # order, y a column per record, or one column for a state constant after
+    # the kick; a small budget makes several chunks of each
+    module = twinpol.classical if route == "classical" else twinpol.quantum
+    propagate, seen = module.propagate, []
+
+    def spied(rhs, observe, series, **kwargs):
+        def spy(t, psi, y):
+            seen.append((t.size, psi.shape, psi.flags.c_contiguous, psi.dtype, y.shape))
+            return observe(t, psi, y)
+        return propagate(rhs, spy, series, **kwargs)
+
+    monkeypatch.setattr(module, "propagate", spied)
+    monkeypatch.setattr(twinpol.integrators, "TAIL_CHUNK_BYTES", 1 << 12)
+    grid = dict(t_end=300.0, dt=1.0, record_stride=1)
+    if route == "classical":
+        traj = propagate_classical(model3, cav, pulse, 1, **grid)
+        n_c, n_y = 3, 5
+    else:
+        kick = KickPulse.off() if route == "exact_unkicked" else pulse
+        traj = propagate_quantum(model3, cav, kick, (1, 0), **grid,
+                                 method="rk4" if route == "rk4" else "exact")
+        n_c = n_y = 9
+    n_rec, n_exact = traj.times.size, traj.meta["exact_records"]
+    # the kicked exact run steps its records up to the first at or after the kick
+    assert n_exact == {"exact_kicked": n_rec - traj.meta["rk4_steps"],
+                       "exact_unkicked": n_rec}.get(route, 0)
+    assert route != "exact_kicked" or 0 < n_exact < n_rec
+    assert sum(records for records, *_ in seen) == n_rec
+    done = 0
+    for records, shape, c_order, dtype, y_shape in seen:
+        assert shape == (n_c, records) and c_order and dtype == complex
+        assert y_shape == (n_y, 1 if done >= n_rec - n_exact else records)
+        done += records
+    assert max(records for records, *_ in seen) > 1 and len(seen) > 2
+
+
 def test_pulse_samples_equal_calls():
     pulse = KickPulse(amplitude=-3e-4, t0=40.0, sigma=2.5)
     times = np.linspace(-500.0, 700.0, 12000).reshape(-1, 3)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -723,15 +724,19 @@ def test_fock_convergence(model3):
     assert np.max(np.abs(positions[2] - positions[3])) < 1e-8
 
 
-def _hcl_doublets(v_max, n_fock_max, j_max):
-    """The R(0) and P(2) -> (1,1,0) doublets of the SI's HCl model in its
-    cavity (mu1 = 0.10 au, g = 400 cm^-1, self-energy on): the two strongest
-    sticks within 25 cm^-1 of each bare line, in au."""
+def _hcl_solved(v_max, n_fock_max, j_max):
+    """(model, basis, solution) of the SI's HCl model in its cavity
+    (mu1 = 0.10 au, g = 400 cm^-1, self-energy on) at the given truncations."""
     model = build_morse_rovib(MorseParams(v_max=v_max, j_max=j_max, dipole_curve=(0.43, 0.10)))
     cav = CavityParams(omega_c=cm1_to_au(2906.46), g=cm1_to_au(400.0), include_dse=True,
                        n_fock_max=n_fock_max)
     basis = ProductBasis.full(model, n_fock_max)
-    sol = solve_polaritons(model, cav, basis)
+    return model, basis, solve_polaritons(model, cav, basis)
+
+
+def _hcl_doublets(model, basis, sol):
+    """The R(0) and P(2) -> (1,1,0) doublets of a _hcl_solved system: the two
+    strongest sticks within 25 cm^-1 of each bare line, in au."""
     final = model.state_index(v=1, J=1, M=0)
     doublets = []
     for j in (0, 2):
@@ -747,10 +752,37 @@ def _hcl_doublets(v_max, n_fock_max, j_max):
 def test_hcl_doublets_converge_in_the_truncations():
     # each line of both doublets moves by less than 1% of its doublet's split
     # when every truncation grows: 726 to 3,375 product states
-    for shipped, larger in zip(_hcl_doublets(1, 2, 10), _hcl_doublets(2, 4, 14)):
+    for shipped, larger in zip(_hcl_doublets(*_hcl_solved(1, 2, 10)),
+                               _hcl_doublets(*_hcl_solved(2, 4, 14))):
         split = shipped[1] - shipped[0]
         assert split > cm1_to_au(7.0)
         assert np.max(np.abs(larger - shipped)) < 0.01 * split
+
+
+def test_hcl_thermal_sticks_of_low_j_converge_in_j_max():
+    # 300 K, v = 0: the 1e-4 weight cutoff keeps J <= 10 at both j_max, so both
+    # ensembles share one normalization, and a line from J <= 8 ends at J <= 9,
+    # inside both truncations.  Its sticks move by the doublet test's measure
+    # of convergence: under 1% of the R(0) split in position, and under 1% of
+    # the strongest stick in intensity.  The sticks above 1e-6 of the strongest
+    # pair one to one; above 1e-9 they no longer do (paired lines up to
+    # 0.59 cm^-1 apart)
+    solved = [_hcl_solved(1, 2, j_max) for j_max in (10, 14)]
+    lines = []
+    for model, basis, sol in solved:
+        weights = boltzmann_weights(model, 300.0, [k for k, label in enumerate(model.labels)
+                                                   if label["v"] == 0])
+        initial = thermal_initial_states(sol, basis, weights, weight_cutoff=1e-4)
+        assert len(initial) == 11**2      # J = 0 .. 10, every M
+        spec = static_stick_spectrum(sol, model, basis, initial)
+        low_j = [int(re.match(r"v0J(\d+)M", label)[1]) <= 8 for label in spec.meta["labels_i"]]
+        lines.append(spec.select(np.array(low_j)))
+    r0 = _hcl_doublets(*solved[0])[0]
+    top = max(spec.intensity.max() for spec in lines)
+    shipped, larger = (spec.select(spec.intensity > 1e-6 * top) for spec in lines)
+    assert shipped.omega.size == larger.omega.size > 100     # paired in position order
+    assert np.max(np.abs(larger.omega - shipped.omega)) < 0.01 * (r0[1] - r0[0])
+    assert np.max(np.abs(larger.intensity - shipped.intensity)) < 0.01 * top
 
 
 def test_stationary_state_without_drive(model3):

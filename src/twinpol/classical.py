@@ -32,7 +32,7 @@ import numpy as np
 from .cavity import CavityParams, KickPulse, Trajectory
 from .integrators import check_step, propagate, record_grid
 from .model import MolecularModel, mu_squared_matrix
-from .quantum import _check_memory, _coupled_blocks, _re_inner, real_matmul
+from .quantum import _check_memory, _re_inner, _start_component, real_matmul
 
 
 @dataclass
@@ -87,9 +87,8 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
     check_step(dt, model.energies, cav.omega_c)
     _check_memory(model.n_states, cav.include_dse,
                   record_grid(t_end, dt, record_stride)[1].size)
-    # the start's component; none for a start outside the model, which propagate refuses
-    idx = next((b for b in _coupled_blocks(model.n_states, *np.nonzero(model.dipole))
-                if init_state in b), np.arange(0))
+    # none for a start outside the model, which propagate refuses
+    idx = _start_component(model, init_state)
     sub = np.ix_(idx, idx)
     energies, mu = model.energies[idx], model.dipole[sub]
     mu2 = mu_squared_matrix(model)[sub] if cav.include_dse else None
@@ -113,17 +112,16 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
 
     def observe(_, psi, y):
         q, p = y[n:].real
-        pops = np.zeros((q.size, model.n_states))
-        pops[:, idx] = (np.abs(y[:n]) ** 2).T
         dipole = _re_inner(psi, real_matmul(mu, psi))
-        return pops, (dipole, _total_energy(psi, q, p, energies, dipole, mu2, cav), q, p)
+        return ((np.abs(y[:n]) ** 2).T,
+                (dipole, _total_energy(psi, q, p, energies, dipole, mu2, cav), q, p))
 
     return propagate(
         rhs, observe, ("dipole", "energy", "q_series", "p_series"),
         kind="classical", phase_freqs=energies,
         pop_labels=[model.label_str(k) for k in range(model.n_states)],
         init_col=init_state, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
-        record_stride=record_stride,
+        record_stride=record_stride, pop_columns=idx,
         start=np.concatenate([idx == init_state, (0.0, 0.0)]).astype(complex),  # C, q, p
         operators=(mu,) if mu2 is None else (mu, cav.dse_prefactor * mu2),
         meta={"init_state": init_state, "coupled_states": idx.size},

@@ -317,11 +317,9 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
             "norm_drift", "energy_drift_post_pulse", "method", "rk4_steps",
             "rhs_evals", "exact_records")}
         checks.update(bin_width=spec.meta["bin_width"], basis_size=len(traj.pop_labels))
-        if traj.meta["method"] == "exact":
-            checks.update({key: traj.meta[key] for key in (
-                "n_blocks", "max_block_dim", "min_dominant_overlap")})
-        elif framework == "classical":
-            checks["coupled_states"] = traj.meta["coupled_states"]
+        checks.update({key: traj.meta[key] for key in (
+            "n_blocks", "max_block_dim", "min_dominant_overlap", "coupled_states")
+            if key in traj.meta})
 
     elif framework == "quantum_static":
         basis = ProductBasis.full(model, cav.n_fock_max)

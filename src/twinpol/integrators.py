@@ -137,7 +137,7 @@ def propagate(rhs: Callable, observe: Callable, series: tuple[str, ...],
               init_col: int, pulse: KickPulse, cav: CavityParams, t_end: float,
               dt: float, record_stride: int, meta: dict,
               start: np.ndarray | None = None, method: str = "rk4",
-              operators: tuple = ()) -> Trajectory:
+              operators: tuple = (), pop_columns: np.ndarray | None = None) -> Trajectory:
     """Integrate from t = 0 and record a Trajectory every record_stride steps.
 
     The state y starts as start, by default the unit vector at init_col, the
@@ -148,8 +148,9 @@ def propagate(rhs: Callable, observe: Callable, series: tuple[str, ...],
     times, psi = e^{-i phase_freqs t} c one C-ordered column per time, which
     observe may overwrite, and y the whole states, a column per time or one
     for a constant state.  It returns (populations, values): a row of
-    populations per time, one per pop_labels entry, and a row of values per
-    series name, each a Trajectory field.  An RK4 chunk holds the records of
+    populations per time, one per pop_labels entry or, given pop_columns, one
+    per column it names, every other column being 0.0, and a row of values
+    per series name, each a Trajectory field.  An RK4 chunk holds the records of
     a chunk of integrate's steps.  meta adds the propagator's own keys after
     dt, t_end and record_stride.
 
@@ -168,7 +169,8 @@ def propagate(rhs: Callable, observe: Callable, series: tuple[str, ...],
         raise ModelError(f"start index {init_col} outside 0..{n_amp - 1}")
     n_steps, times = record_grid(t_end, dt, record_stride)
     n_rec = times.size
-    pops = np.empty((n_rec, n_amp))
+    pops = np.zeros((n_rec, n_amp))
+    columns = slice(None) if pop_columns is None else pop_columns
     values = np.empty((len(series), n_rec))
     n_obs = n_rec if method == "rk4" else int(np.searchsorted(times, pulse.support_end))
     n_rk4 = n_steps if n_obs == n_rec else n_obs * record_stride
@@ -185,7 +187,7 @@ def propagate(rhs: Callable, observe: Callable, series: tuple[str, ...],
         phases *= rows[:, live].T
         psi = np.zeros((n_c, hi - lo), complex)
         psi[live] = phases
-        pops[lo:hi], values[:, lo:hi] = observe(times[lo:hi], psi, rows.T)
+        pops[lo:hi, columns], values[:, lo:hi] = observe(times[lo:hi], psi, rows.T)
 
     # the records of a chunk of steps, a state per row: fewer bytes than its tables
     chunk = max(1, _chunk_steps(n_c, len(operators)) // record_stride)

@@ -321,6 +321,17 @@ def _sine_samples(coeffs: np.ndarray, n_points: int) -> np.ndarray:
     return _sine_coefficients(padded)
 
 
+def _sine_modes(n_points: int, n_modes: int) -> np.ndarray:
+    """The box's lowest n_modes sine modes on the n_points-point grid,
+    S_ik = sqrt(2 / (n + 1)) sin(pi i k / (n + 1)): _sine_samples of the
+    identity's first n_modes columns, from closed form.  sin(pi m / (n + 1))
+    has period 2 (n + 1) in m, so entry (i, k) is read from one table of the
+    angles m = 0 .. 2n + 1 at m = i k mod 2 (n + 1), with no transform."""
+    period = 2 * (n_points + 1)
+    table = math.sqrt(2.0 / (n_points + 1)) * np.sin(math.pi * np.arange(period) / (n_points + 1))
+    return table[np.outer(np.arange(1, n_points + 1), np.arange(1, n_modes + 1)) % period]
+
+
 def _box_levels(n_points: int, length: float, mass: float) -> np.ndarray:
     """(k pi / length)^2 / (2 mass), k = 1 .. n_points: the eigenvalues of
     _sine_dvr_kinetic, whose eigenvectors are the box's sine basis."""
@@ -341,18 +352,21 @@ def _sine_kinetic(levels: np.ndarray):
     return apply
 
 
-def _sine_ritz(coeffs: np.ndarray, v: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sine_ritz(coeffs: np.ndarray, v: np.ndarray, levels: np.ndarray,
+               trial: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Ritz pairs (theta, y), y with unit columns, of T + diag(v) on the
-    v.size-point grid, on the sine series with coefficients coeffs.
+    v.size-point grid, on the sine series with coefficients coeffs, whose
+    samples on that grid are trial (by default _sine_samples of coeffs).
 
     T is the sine-DVR kinetic matrix of that grid and levels its eigenvalues
     (_box_levels).  The sine basis diagonalizes T, so the projection of T is
     c^T diag(levels) c from the coefficients c alone, and T itself is applied
     only to certify the pairs (_certify).  The coarse grid's first anchor
-    takes the identity's columns, the box's lowest modes; the doubled grid
-    takes the coarse vectors' coefficients.
+    takes the identity's columns, the box's lowest modes (_sine_modes); the
+    doubled grid takes the coarse vectors' coefficients.
     """
-    trial = _sine_samples(coeffs, v.size)
+    if trial is None:
+        trial = _sine_samples(coeffs, v.size)
     theta, z = np.linalg.eigh((coeffs.T * levels[:coeffs.shape[0]]) @ coeffs
                               + trial.T @ (v[:, None] * trial))
     y = trial @ z
@@ -486,8 +500,9 @@ def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
     proves them, against the dense kinetic matrix, to eigh's own accuracy;
     otherwise a full eigh decides that J.  J = 0 takes them on the box's
     lowest 2 _ANCHOR_PAIRS sine modes, which diagonalize the kinetic matrix
-    (_sine_ritz).  An anchor J, J = 0 or one that eigh decides, keeps its
-    lowest _ANCHOR_PAIRS pairs (lam, U) and G = U^T D U, and a later J takes
+    (_sine_ritz), sampled on the grid from closed form (_sine_modes).  An
+    anchor J, J = 0 or one that eigh decides, keeps its lowest
+    _ANCHOR_PAIRS pairs (lam, U) and G = U^T D U, and a later J takes
     its Ritz pairs on U from the eigh of diag(lam) + [J(J+1) - J0(J0+1)] G.
     Nothing of an anchor outlives the chain.
     """
@@ -513,7 +528,7 @@ def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
             y = u @ z[:, :n_keep + 1]
             y /= np.linalg.norm(y, axis=0)
         elif j == 0 and n_modes > n_keep + 1:      # rho reads theta[n_keep + 1]
-            theta, y = _sine_ritz(np.eye(n_modes), v, levels)
+            theta, y = _sine_ritz(np.eye(n_modes), v, levels, _sine_modes(r.size, n_modes))
         if theta is not None:
             radii = _certify(kinetic.__matmul__, hop, v, norm, theta[:n_keep + 1],
                              y[:, :n_keep + 1], 0.5 * (theta[n_keep] + theta[n_keep + 1]))
@@ -579,41 +594,48 @@ def build_morse_rovib(params: MorseParams,
     the lowest v_max + 2 Ritz pairs of each J when every r_i is within
     2 n eps || |h_J| ||_F, eigh's own accuracy; otherwise a full eigh
     decides that J (_radial_chain).  J = 0 takes them on the box's lowest
-    128 sine modes, and a later J on the lowest 64 pairs of the last anchor.
-    The doubled grid takes the Ritz pairs of the coarse vectors' sine series
-    (_sine_ritz: the kinetic part projected in the sine basis that
-    diagonalizes it) with T applied by two sine transforms for the residual
-    (_sine_kinetic), and passes when max_i |evals_i - theta_i| + r_i is
-    within grid.convergence_tol_cm1; otherwise eigvalsh decides, and only it
-    forms the doubled grid's T (_check_doubling).  The default model, and
-    J <= 30 too, takes no eigh larger than 128 x 128 and no factorization;
-    the model comes from the coarse grid alone.
+    128 sine modes, sampled from closed form, and a later J on the lowest 64
+    pairs of the last anchor.  The doubled grid takes the Ritz pairs of the
+    coarse vectors' sine series (_sine_ritz: the kinetic part projected in
+    the sine basis that diagonalizes it) with T applied by two sine
+    transforms for the residual (_sine_kinetic).  It checks every J in one
+    batch: one sine series of all the coarse vectors, sampled once on the
+    doubled grid, a small Ritz step per J, and one kinetic product over
+    every Ritz vector; then one certificate per J, each with its own Sturm
+    count.  A J passes when max_i |evals_i - theta_i| + r_i is within
+    grid.convergence_tol_cm1; otherwise eigvalsh decides that J alone, and
+    only it forms the doubled grid's T (_check_doubling).  The default
+    model, and J <= 30 too, takes no eigh larger than 128 x 128 and no
+    factorization; the model comes from the coarse grid alone.
     """
     grid = grid or RadialGrid()
     if params.j_max < 1:
         raise ModelError("j_max must be at least 1 for a dipole-active model")
 
-    # the kinetic matrix does not depend on J: one build per grid size
+    # the kinetic matrix does not depend on J: one build for the coarse grid
     length, mass = grid.r_max - grid.r_min, params.reduced_mass
-    kinetic = _sine_dvr_kinetic(grid.n_points, length, mass)
+    radial = list(_radial_chain(params, grid, _sine_dvr_kinetic(grid.n_points, length, mass)))
     if check_convergence:
+        # every J's coarse vectors at once: one sine series, sampled once on
+        # the doubled grid, and one kinetic product over every Ritz vector
         r_fine = grid.points(2 * grid.n_points)
-        levels_fine = _box_levels(r_fine.size, length, mass)
-        kinetic_fine = _sine_kinetic(levels_fine)
+        levels = _box_levels(r_fine.size, length, mass)
         abs_norm = _abs_norm(r_fine.size, length, mass)
-        hop_fine = _fd_hop(r_fine.size, length, mass)
-    radial = []
-    for j, (evals, evecs, next_level) in enumerate(_radial_chain(params, grid, kinetic)):
-        if check_convergence:
-            v = _effective_potential(params, j, r_fine)
-            theta, y = _sine_ritz(_sine_coefficients(evecs), v, levels_fine)
-            radii = _certify(kinetic_fine, hop_fine, v, abs_norm(v), theta, y,
+        hop = _fd_hop(r_fine.size, length, mass)
+        coeffs = _sine_coefficients(np.hstack([evecs for _, evecs, _ in radial]))
+        trial = _sine_samples(coeffs, r_fine.size)
+        k = params.v_max + 1
+        cols = [slice(j * k, (j + 1) * k) for j in range(len(radial))]
+        pots = [_effective_potential(params, j, r_fine) for j in range(len(radial))]
+        ritz = [_sine_ritz(coeffs[:, c], v, levels, trial[:, c]) for c, v in zip(cols, pots)]
+        ky = _sine_kinetic(levels)(np.hstack([y for _, y in ritz]))
+        for j, ((evals, _, next_level), v, (theta, y), c) in enumerate(zip(radial, pots, ritz, cols)):
+            radii = _certify(lambda _, c=c: ky[:, c], hop, v, abs_norm(v), theta, y,
                              0.5 * (evals[-1] + next_level))
             if (radii is None or np.max(np.abs(evals - theta) + radii) * CM1_PER_HARTREE
                     > grid.convergence_tol_cm1):
                 _check_doubling(v, evals, grid, mass, j)
-        radial.append((evals, evecs))
-    return _rovib_model(params, grid, radial)
+    return _rovib_model(params, grid, [(evals, evecs) for evals, evecs, _ in radial])
 
 
 def _rovib_model(params: MorseParams, grid: RadialGrid,

@@ -30,7 +30,9 @@ not couple are exactly 0.0, and a block a state never reaches keeps its
 amplitudes exactly 0.0.  PolaritonSolution keeps only the blocks, read
 through its block-wise to_eigenbasis (V^T x) and from_eigenbasis (V c),
 which skip a block whose part of the input is 0.0; no route forms the dense
-eigenvector matrix.
+eigenvector matrix.  The exact time-dependent route solves only the
+sectors its start can reach, its component of mu's nonzeros times the Fock
+states; the static route solves every block.
 """
 
 from __future__ import annotations
@@ -141,10 +143,11 @@ def photon_ladder_squared(n_fock_max: int) -> np.ndarray:
     return op
 
 
-def _check_memory(dim: int, include_dse: bool, records: int = 0):
+def _check_memory(dim: int, include_dse: bool, records: int = 0, columns: int | None = None):
     """Refuse, before anything is allocated, a run whose dense matrices on a
     dim-state product basis, and the populations of its records on a
-    time-dependent run, would not fit in MEMORY_BUDGET bytes.
+    time-dependent run, one per population column (by default dim of them),
+    would not fit in MEMORY_BUDGET bytes.
 
     Every quantum route holds the solver's factors (beside mu, the
     self-energy's molecular-size mu^2, one while it is formed), its block
@@ -164,11 +167,18 @@ def _check_memory(dim: int, include_dse: bool, records: int = 0):
     product basis as the oracle up to N = 7 (6561 states, 2.4 GB), and
     refuses it at N = 8 (19,683 states, 19 GB).  One molecule passes up to
     about 8,750 product states with the self-energy; HCl at j_max = 50
-    (15,606 states, 13.6 GB) is refused.  A trajectory adds records x dim
-    doubles; propagate_classical counts its records on the molecule's own
-    dim states, whose dense matrices the bound covers too.
+    (15,606 states, 13.6 GB) is refused on its whole basis, so by the static
+    route, method = "rk4" and assemble_hamiltonian.  A trajectory adds
+    records x columns doubles.  The exact route of propagate_quantum solves
+    its start's component alone: its dim is that component's product states
+    (306 from v0J0M0 at j_max = 50), and its records take every population
+    column of the whole basis.  propagate_classical counts its records on
+    the molecule's own dim states, whose dense matrices the bound covers
+    too.  The model's own dense n x n dipole stays dense, held before any
+    route runs and charged by none: 216 MB at j_max = 50 (5,202 states).
     """
-    need = 8 * ((6 + include_dse) * dim**2 + (6 + records) * dim + 1)
+    need = 8 * ((6 + include_dse) * dim**2 + 6 * dim + 1
+                + records * (dim if columns is None else columns))
     if need > MEMORY_BUDGET:
         held = "dense matrices" + (f" and {records} population records" if records else "")
         raise BasisSizeError(
@@ -357,6 +367,15 @@ def _coupled_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarr
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
     return np.split(order, starts[1:])
+
+
+def _start_component(model: MolecularModel, k: int) -> np.ndarray:
+    """The molecular states that mu's nonzeros connect to state k, ascending;
+    none for a k outside the model.  H, mu^2 and a kick act within this
+    component (times the Fock states), so a run from k leaves every amplitude
+    outside it exactly 0.0."""
+    return next((b for b in _coupled_blocks(model.n_states, *np.nonzero(model.dipole))
+                 if k in b), np.arange(0))
 
 
 def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
@@ -579,26 +598,36 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     db/dt = -i f(t) e^{i L t} V^T (1 x mu) V e^{-i L t} b, to the first record
     at or after pulse.support_end, and b is constant after it.  Records map
     back through from_eigenbasis, the t = 0 record being the start itself.
-    Its meta records the block sizes (PolaritonSolution.block_sizes) and
-    min_dominant_overlap, max |b(0)|^2.  method = "rk4" steps the
-    product-basis coefficients under the dense H to t_end: the oracle.
+    Without a basis it runs on the start's component alone: the molecular
+    states mu's nonzeros connect to psi_init (_start_component), times the
+    Fock states, as its own model.  H, mu^2 and the Z-polarized kick never
+    leave it, so it is solved, kicked and recorded alone, and its
+    populations fill their columns of the whole product basis, every other
+    column exactly 0.0 (HCl from v0J2M0: 66 of 726 product states).  Its
+    meta records the stepped blocks (PolaritonSolution.block_sizes),
+    coupled_states, the component's molecular states (the model's on an
+    explicit basis), and min_dominant_overlap, max |b(0)|^2.  method = "rk4", and an explicit
+    basis, keep the whole product basis; method = "rk4" steps its
+    coefficients under the dense H to t_end: the oracle.  check_step reads
+    the whole basis's frequencies on both methods.
     """
     if method not in ("exact", "rk4"):
         raise ModelError(f"method must be 'exact' or 'rk4', got {method!r}")
+    component = basis is None and method == "exact"
     basis = basis or ProductBasis.full(model, cav.n_fock_max)
     i0 = basis.index(*init)
     ks, ns = basis.arrays()
     eps = model.energies[ks] + ns * cav.omega_c
     # before the solve, on the product-basis frequencies for both methods
     check_step(dt, eps, cav.omega_c)
-    _check_memory(math.prod(basis._grid[0]), cav.include_dse,
-                  record_grid(t_end, dt, record_stride)[1].size)
+    n_rec = record_grid(t_end, dt, record_stride)[1].size
     meta = {"init": init, "n_fock_max": cav.n_fock_max}
 
     if method == "rk4":
+        _check_memory(math.prod(basis._grid[0]), cav.include_dse, n_rec)
         v_int = assemble_hamiltonian(model, cav, basis)
         v_int[np.diag_indices_from(v_int)] -= eps
-        freqs, start = eps, None
+        freqs, start, columns = eps, None, None
 
         def rhs(entry, c):
             f, a, b = entry       # f(t), -i e^{i eps t}, e^{-i eps t}
@@ -615,22 +644,34 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
             mu, q, q2 = factored_expectations(model, cav, basis, psi)
             return (np.abs(c) ** 2).T, (mu, energy, q, q2)
     else:
-        sol = solve_polaritons(model, cav, basis)
-        c0 = (np.arange(basis.size) == i0).astype(complex)
+        # the start's component times the Fock states, or the whole given basis;
+        # columns: each stepped product state's population column
+        part, part_basis, columns = model, basis, np.arange(basis.size)
+        if component:
+            idx = _start_component(model, init[0])
+            part = MolecularModel(model.energies[idx], model.dipole[np.ix_(idx, idx)],
+                                  [model.labels[k] for k in idx])
+            part_basis = ProductBasis.full(part, cav.n_fock_max)
+            k_part, n_part = part_basis.arrays()
+            columns = n_part * model.n_states + idx[k_part]
+        _check_memory(math.prod(part_basis._grid[0]), cav.include_dse, n_rec, basis.size)
+        sol = solve_polaritons(part, cav, part_basis)
+        c0 = (columns == i0).astype(complex)
         freqs, start = sol.eigenvalues, sol.to_eigenbasis(c0)
-        meta.update(sol.block_sizes(), min_dominant_overlap=float(np.max(np.abs(start) ** 2)))
+        meta.update(sol.block_sizes(), coupled_states=part.n_states,
+                    min_dominant_overlap=float(np.max(np.abs(start) ** 2)))
 
         def rhs(entry, b):
             f, a, e = entry       # f(t), -i e^{i L t}, e^{-i L t}
             if f == 0.0:
                 return np.zeros_like(b)
-            mu_psi = apply_dipole(model.dipole, basis, sol.from_eigenbasis(e * b))
+            mu_psi = apply_dipole(part.dipole, part_basis, sol.from_eigenbasis(e * b))
             return a * (f * sol.to_eigenbasis(mu_psi))
 
         def observe(t, psi, b):
             psi[...] = sol.from_eigenbasis(psi)    # in place: one chunk-sized array fewer
             psi[..., np.asarray(t) == 0.0] = c0[:, None]   # c0 itself, not V V^T c0
-            mu, q, q2 = factored_expectations(model, cav, basis, psi)
+            mu, q, q2 = factored_expectations(part, cav, part_basis, psi)
             pops = psi.real ** 2
             pops += psi.imag ** 2
             energy = np.sum(sol.eigenvalues[:, None] * np.abs(b) ** 2, axis=0)
@@ -642,4 +683,5 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
         pop_labels=[basis.label(i, model) for i in range(basis.size)],
         init_col=i0, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
         record_stride=record_stride, meta=meta, start=start, method=method,
+        pop_columns=columns,
     )

@@ -367,11 +367,16 @@ def test_hcl_quantum_runs_build_no_dense_product_operator(tmp_path, monkeypatch)
         assert not hasattr(twinpol.quantum, name)
     assert not hasattr(ProductBasis, "restrict")
     monkeypatch.setattr(np, "kron", refuse)
-    for kind, text in (("static", HCL_CONFIG.read_text()), ("td", hcl_td_config())):
+    # static solves every block; td, from v0J2M0, its start's 22 M = 0 states,
+    # whose 66 product states make 2 of those blocks
+    for kind, text, blocks in (("static", HCL_CONFIG.read_text(), (50, 34)),
+                               ("td", hcl_td_config(), (2, 34))):
         cfg = write(tmp_path, text, f"{kind}.cfg")
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / kind)]) == 0
         checks = json.loads((tmp_path / kind / "manifest.json").read_text())["checks"]
-        assert (checks["n_blocks"], checks["max_block_dim"]) == (50, 34)
+        assert (checks["n_blocks"], checks["max_block_dim"]) == blocks
+    assert json.loads((tmp_path / "td" / "manifest.json").read_text())["checks"][
+        "coupled_states"] == 22
     assert json.loads((tmp_path / "td" / "manifest.json").read_text())["checks"][
         "method"] == "exact"
 

@@ -11,7 +11,7 @@ from twinpol import (ConvergenceError, ModelError, MolecularModel, MorseParams, 
                      build_morse_rovib)
 from twinpol.model import (_abs_norm, _box_levels, _certify, _effective_potential,
                            _fd_floor, _fd_hop, _sine_coefficients, _sine_dvr_kinetic,
-                           _sine_kinetic, _sine_ritz, _sine_samples, _sturm_count,
+                           _sine_kinetic, _sine_modes, _sine_ritz, _sine_samples, _sturm_count,
                            _with_diagonal, z_direction_cosine)
 from twinpol.units import CM1_PER_HARTREE, au_to_cm1
 
@@ -49,6 +49,30 @@ def test_sine_ritz_projects_the_kinetic_matrix_in_the_sine_basis():
     assert np.max(np.abs(theta - dense)) <= 1e-13 * abs(dense).max()
     assert np.allclose(np.abs(np.sum(y * (trial @ z), axis=0)), 1.0, rtol=0, atol=1e-12)
     assert np.allclose(np.linalg.norm(y, axis=0), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 9, 11, 16, 64, 127, 400, 401, 800])
+def test_closed_form_sine_modes_match_the_transform(n):
+    """_sine_modes against _sine_samples of the identity, u = eps / 2.
+
+    Closed form: the angle pi m / (n + 1) < 2 pi carries the roundings of
+    pi, of the product and of the quotient (3 u relative, 6 pi u absolute),
+    sin its own u, and the prefactor p = sqrt(2 / (n + 1)) three more
+    (quotient, sqrt, product): within p (6 pi + 4) u per entry.
+    Transform: an FFT of length N is within log2(N) eta of its exact output
+    in 2-norm, eta = u + gamma_4 sqrt(2) ~ (1 + 4 sqrt(2)) u for the
+    twiddles and one butterfly (Higham 2002, Thm 24.2); N = 2 (n + 1) is no
+    power of two, and Bluestein's three FFTs of length below 4N take
+    3 log2(4N) for log2(N).  A unit column's odd extension has norm
+    sqrt(2), its transform sqrt(2N), scaled by p / 2 to norm 1, so each
+    entry lies within 3 log2(4N) eta, plus u for the scaling."""
+    u = np.finfo(float).eps / 2
+    p = math.sqrt(2.0 / (n + 1))
+    bound = (p * (6 * math.pi + 4) + 3 * math.log2(8 * (n + 1)) * (1 + 4 * math.sqrt(2)) + 1) * u
+    for m in sorted({min(n, 128), n}):
+        modes = _sine_modes(n, m)
+        assert modes.shape == (n, m)
+        assert np.max(np.abs(modes - _sine_samples(np.eye(m), n))) <= bound
 
 
 @pytest.mark.parametrize("n", [8, 11, 16, 64, 400, 800])
@@ -497,6 +521,30 @@ def test_chained_floor_certifies_every_j_up_to_30(monkeypatch):
     assert [size for size, *_ in checks].count(800) == 31
     for _, theta, radii, exact in checks:
         assert radii is not None and np.all(np.abs(theta - exact) <= radii)
+
+
+def test_a_refused_doubled_grid_certificate_sends_that_j_alone_to_eigvalsh(monkeypatch):
+    """The doubled grid certifies every J in one batch, each J on its own
+    certificate: refusing J = 2's sends J = 2, and no other J, to the full
+    eigvalsh check, and the model does not move."""
+    params, grid = MorseParams(), RadialGrid()
+    v_two = _effective_potential(params, 2, grid.points(2 * grid.n_points))
+    certify_ = twinpol.model._certify
+    doubled = []
+
+    def refuse_j2(kinetic, hop, v, norm, theta, y, rho):
+        if v.size == v_two.size:
+            doubled.append(v)
+            if np.array_equal(v, v_two):
+                return None
+        return certify_(kinetic, hop, v, norm, theta, y, rho)
+
+    monkeypatch.setattr(twinpol.model, "_certify", refuse_j2)
+    calls = fallbacks(monkeypatch)
+    model = build_morse_rovib(params, grid)
+    assert calls == [2] and len(doubled) == params.j_max + 1
+    monkeypatch.undo()
+    assert model.content_hash() == build_morse_rovib(params, grid).content_hash()
 
 
 def fd_kinetic(n, length, mass):

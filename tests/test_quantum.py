@@ -23,7 +23,8 @@ from twinpol import (BasisSizeError, CavityParams, ConvergenceError, KickPulse, 
 from twinpol.model import mu_squared_matrix
 from twinpol.quantum import (QuantumState, _check_memory, _coupled_blocks,
                              _solve_factors, apply_dipole, factored_expectations,
-                             product_hamiltonian, real_matmul, solve_polaritons)
+                             photon_ladder, photon_ladder_squared, product_hamiltonian,
+                             real_matmul, solve_polaritons)
 
 RESONANT_BLOCK = ((0, 0), (2, 0), (0, 1))
 
@@ -647,9 +648,11 @@ def test_refused_run_neither_solves_nor_assembles(hcl_model, monkeypatch, method
 
 
 def test_single_molecule_routes_have_a_size_guard(hcl_model, monkeypatch):
-    """assemble_hamiltonian refuses, before any product-space array, a basis
-    whose dense matrices exceed the budget: HCl at j_max = 50 has 15,606
-    product states."""
+    """assemble_hamiltonian and the RK4 oracle refuse, before any
+    product-space array, a basis whose dense matrices exceed the budget: HCl
+    at j_max = 50 has 15,606 product states.  The exact route is charged on
+    its start's component, 66 product states from v0J0M0, and its records on
+    all 726 population columns, so under the same budget it runs."""
     with pytest.raises(BasisSizeError, match="^15606-state"):
         _check_memory(15606, include_dse=True)
 
@@ -663,14 +666,103 @@ def test_single_molecule_routes_have_a_size_guard(hcl_model, monkeypatch):
     with pytest.raises(BasisSizeError, match="^726-state"):
         assemble_hamiltonian(hcl_model, cav, ProductBasis.full(hcl_model, 2))
     with pytest.raises(BasisSizeError, match="^726-state"):
+        propagate_quantum(hcl_model, cav, KickPulse(amplitude=0.0), (0, 0), 10.0, 1.0,
+                          method="rk4")
+    monkeypatch.undo()
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", 2**20)
+    traj = propagate_quantum(hcl_model, cav, KickPulse(amplitude=0.0), (0, 0), 10.0, 1.0)
+    assert traj.populations.shape == (11, 726) and traj.meta["coupled_states"] == 22
+    # the component's charge passes only with the records on every column
+    charge = 8 * (7 * 66**2 + 6 * 66 + 1 + 11 * 726)
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", charge - 1)
+    with pytest.raises(BasisSizeError, match="^66-state.* and 11 population records"):
         propagate_quantum(hcl_model, cav, KickPulse(amplitude=0.0), (0, 0), 10.0, 1.0)
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", charge)
+    propagate_quantum(hcl_model, cav, KickPulse(amplitude=0.0), (0, 0), 10.0, 1.0)
     # a restricted basis is sized, and H built, on its own (N_max + 1) x
     # (max k + 1) grid: here 3 x 6 states, under the budget the full basis is over
-    monkeypatch.undo()
     monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", 2**20)
     basis = ProductBasis(((0, 0), (5, 1), (3, 2)))
     assert np.array_equal(assemble_hamiltonian(hcl_model, cav, basis),
                           kron_hamiltonian(hcl_model, cav, basis))
+
+
+@pytest.mark.parametrize("case", ["kicked_v0J0M0", "vacuum_v0J2M0"])
+def test_exact_route_on_the_start_component_matches_the_whole_basis(hcl_model, case):
+    """The default exact route solves and records only the start's
+    component of mu's nonzeros (22 M = 0 states, 66 product states); an
+    explicit full basis= runs on all 726.  Populations outside the component
+    are exactly 0.0, and the series agree within the rounding bound below.
+
+    Both runs solve the same block matrices: mu is exactly 0.0 off the
+    component, so its mu^2 block sums the same nonzero terms.  They form the
+    records' sums in other orders: from_eigenbasis tiles another number of
+    columns per chunk, and the expectation values sum over a 726-state or a
+    66-state grid.  A record passes through three sums, psi = V b, op psi
+    and <psi|op psi>, each over at most n = 726 terms; regrouping such a sum
+    moves it by at most 2 gamma_{n-1} < n eps times the sum of its terms'
+    magnitudes, which for a unit state is at most || |op| ||_2, the norm of
+    op's entries' magnitudes (1 for a population).  So each record lies
+    within 3 n eps || |op| ||_2."""
+    cav = CavityParams(**HCL_CAVITY)
+    start, pulse, grid = {
+        "kicked_v0J0M0": ((0, 0, 0), KickPulse(), dict(t_end=600.0, dt=0.5, record_stride=1)),
+        "vacuum_v0J2M0": ((0, 2, 0), KickPulse.off(), dict(t_end=400.0, dt=1.0, record_stride=4)),
+    }[case]
+    v, j, m = start
+    init = (hcl_model.state_index(v=v, J=j, M=m), 0)
+    part = propagate_quantum(hcl_model, cav, pulse, init, **grid)
+    whole = propagate_quantum(hcl_model, cav, pulse, init, **grid,
+                              basis=ProductBasis.full(hcl_model, cav.n_fock_max))
+    assert (part.meta["coupled_states"], part.meta["n_blocks"], part.meta["max_block_dim"]) == (
+        22, 2, 34)
+    assert (whole.meta["coupled_states"], whole.meta["n_blocks"]) == (242, 50)
+    assert part.pop_labels == whole.pop_labels and np.array_equal(part.times, whole.times)
+    # product state i holds molecular state i mod n; the component is M = 0
+    outside = np.array([hcl_model.labels[i % hcl_model.n_states]["M"] != 0 for i in range(726)])
+    assert outside.sum() == 726 - 66 and not part.populations[:, outside].any()
+    fock = cav.n_fock_max
+    norms = {"dipole": np.linalg.norm(np.abs(hcl_model.dipole), 2),
+             "q_expect": np.linalg.norm(photon_ladder(fock), 2) / math.sqrt(2.0 * cav.omega_c),
+             "q2_expect": np.linalg.norm(photon_ladder_squared(fock), 2) / (2.0 * cav.omega_c),
+             "populations": 1.0}
+    for name, norm in norms.items():
+        bound = 3 * 726 * np.finfo(float).eps * norm
+        assert np.max(np.abs(getattr(part, name) - getattr(whole, name))) <= bound, name
+    if pulse.amplitude:
+        assert np.abs(part.dipole).max() > 1e-6       # the kicked signal, far above the bound
+
+
+@pytest.mark.parametrize("init", [0, 1])
+def test_exact_route_is_the_whole_basis_when_the_component_is_the_model(model3, cav, pulse,
+                                                                        init):
+    """On the 3-level model mu couples every state, so the start's component
+    is the whole model, and the default run is the full basis= run bit for
+    bit."""
+    grid = dict(t_end=2e3, dt=1.0, record_stride=8)
+    part = propagate_quantum(model3, cav, pulse, (init, 0), **grid)
+    whole = propagate_quantum(model3, cav, pulse, (init, 0), **grid,
+                              basis=ProductBasis.full(model3, cav.n_fock_max))
+    assert part.meta == whole.meta and part.meta["coupled_states"] == 3
+    for name in ("times", "dipole", "populations", "energy", "q_expect", "q2_expect"):
+        assert np.array_equal(getattr(part, name), getattr(whole, name)), name
+
+
+def test_component_run_keeps_the_whole_basis_dt_verdict(hcl_model):
+    """v0J10M10 has no dipole partner at j_max = 10, so its component is the
+    one state, whose phases span 2 w_c.  check_step still reads the whole
+    basis's frequencies: a dt that the full basis refuses is refused, though
+    the component alone would take it."""
+    cav = CavityParams(**HCL_CAVITY)
+    init = (hcl_model.state_index(v=0, J=10, M=10), 0)
+    whole = hcl_model.energies.max() + 3.0 * cav.omega_c
+    dt = 0.1 / (0.5 * (whole + 3.0 * cav.omega_c))   # between the two limits
+    assert dt * whole >= 0.1 > dt * 3.0 * cav.omega_c
+    with pytest.raises(ModelError, match="too coarse"):
+        propagate_quantum(hcl_model, cav, KickPulse(), init, 200.0, dt)
+    traj = propagate_quantum(hcl_model, cav, KickPulse(), init, 200.0, 0.5)
+    assert traj.meta["coupled_states"] == 1
+    assert traj.populations[:, init[0]] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_restricted_sticks_exact(model3, cav):

@@ -48,9 +48,9 @@ from .manymol import (ManyMolConfig, analytic_nonsymmetric_spectrum,
 from .model import (MODEL_SECTIONS, MolecularModel, ThermalWeights, boltzmann_weights,
                     model_from_config, parse_float, parse_int, parse_quantity,
                     read_config, read_section)
-from .quantum import (PolaritonSolution, ProductBasis, _unit_columns, dominant_eigenstate,
-                      propagate_quantum, solve_polaritons, static_stick_spectrum,
-                      thermal_initial_states)
+from .quantum import (PolaritonSolution, ProductBasis, _dominant_eigenstates,
+                      _representatives, _thermal_starts, dominant_eigenstate,
+                      propagate_quantum, solve_polaritons, static_stick_spectrum)
 from .spectra import (Spectrum, detect_peaks, dipole_spectrum, fit_through_origin,
                       measure_splitting, peaks_from_sticks)
 
@@ -322,18 +322,20 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
             if key in traj.meta})
 
     elif framework == "quantum_static":
-        basis = ProductBasis.full(model, cav.n_fock_max)
-        sol = solve_polaritons(model, cav, basis)
-        initial = _static_initial(config, model, basis, sol)
-        spec = static_stick_spectrum(sol, model, basis, initial)
+        # one representative of each class of mirrored mu-components
+        part, starts = _representatives(model, _static_starts(config, model))
+        basis = ProductBasis.full(part, cav.n_fock_max)
+        sol = solve_polaritons(part, cav, basis)
+        states, overlaps = _dominant_eigenstates(sol, basis, [(j, 0) for j, _ in starts])
+        spec = static_stick_spectrum(sol, part, basis,
+                                     [(i, w) for i, (_, w) in zip(states, starts)])
         spec.to_csv(out_dir / "sticks.csv")
         outputs.append("sticks.csv")
         plots.append(("sticks", spec))
-        # an initial eigenstate's largest squared amplitude is its overlap
-        # with the basis entry it was picked for (that one exceeds 1/2)
-        columns = sol.from_eigenbasis(_unit_columns(sol.size, [i for i, _ in initial]))
-        checks = {"basis_size": basis.size, "min_dominant_overlap": float(
-            np.min(np.max(columns**2, axis=0))), **sol.block_sizes()}
+        checks = {"basis_size": (cav.n_fock_max + 1) * model.n_states,
+                  "coupled_states": part.n_states, **sol.block_sizes(),
+                  "min_dominant_overlap": float(np.min(overlaps))}
+        sol = sol if part is model else None
 
     else:
         if framework == "manymol_bruteforce":
@@ -369,13 +371,12 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
     return manifest, sol
 
 
-def _static_initial(config: RunConfig, model, basis, sol):
+def _static_starts(config: RunConfig, model) -> list[tuple[int, float]]:
+    """(molecular state, weight) of each start of a static run."""
     proto = config.raw["protocol"]
     if proto["initial"] == "thermal":
-        weights = _thermal_weights(config.raw["thermal"], model)
-        return thermal_initial_states(sol, basis, weights, weight_cutoff=1e-4)
-    k = _initial_state_index(proto["initial"], model)
-    return [(dominant_eigenstate(sol, basis, (k, 0)), 1.0)]
+        return _thermal_starts(_thermal_weights(config.raw["thermal"], model), 1e-4)
+    return [(_initial_state_index(proto["initial"], model), 1.0)]
 
 
 def _write_plot_data(spec, path):

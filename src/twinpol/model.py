@@ -353,23 +353,28 @@ def _sine_kinetic(levels: np.ndarray):
 
 
 def _sine_ritz(coeffs: np.ndarray, v: np.ndarray, levels: np.ndarray,
-               trial: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+               trial: np.ndarray | None = None, *, projection: np.ndarray | None = None,
+               n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Ritz pairs (theta, y), y with unit columns, of T + diag(v) on the
     v.size-point grid, on the sine series with coefficients coeffs, whose
     samples on that grid are trial (by default _sine_samples of coeffs).
+    Every theta comes back; y only for the lowest n_vectors (all by default).
 
     T is the sine-DVR kinetic matrix of that grid and levels its eigenvalues
     (_box_levels).  The sine basis diagonalizes T, so the projection of T is
-    c^T diag(levels) c from the coefficients c alone, and T itself is applied
-    only to certify the pairs (_certify).  The coarse grid's first anchor
-    takes the identity's columns, the box's lowest modes (_sine_modes); the
-    doubled grid takes the coarse vectors' coefficients.
+    c^T diag(levels) c from the coefficients c alone (or projection, when
+    the caller has it), and T itself is applied only to certify the pairs
+    (_certify).  The coarse grid's first anchor takes the identity's
+    columns, the box's lowest modes (_sine_modes), whose projection is
+    diag(levels) itself; the doubled grid takes the coarse vectors'
+    coefficients.
     """
     if trial is None:
         trial = _sine_samples(coeffs, v.size)
-    theta, z = np.linalg.eigh((coeffs.T * levels[:coeffs.shape[0]]) @ coeffs
-                              + trial.T @ (v[:, None] * trial))
-    y = trial @ z
+    if projection is None:
+        projection = (coeffs.T * levels[:coeffs.shape[0]]) @ coeffs
+    theta, z = np.linalg.eigh(projection + trial.T @ (v[:, None] * trial))
+    y = trial @ z[:, :n_vectors]
     y /= np.linalg.norm(y, axis=0)
     return theta, y
 
@@ -528,7 +533,8 @@ def _radial_chain(params: MorseParams, grid: RadialGrid, kinetic: np.ndarray):
             y = u @ z[:, :n_keep + 1]
             y /= np.linalg.norm(y, axis=0)
         elif j == 0 and n_modes > n_keep + 1:      # rho reads theta[n_keep + 1]
-            theta, y = _sine_ritz(np.eye(n_modes), v, levels, _sine_modes(r.size, n_modes))
+            theta, y = _sine_ritz(np.eye(n_modes), v, levels, _sine_modes(r.size, n_modes),
+                                  projection=np.diag(levels[:n_modes]), n_vectors=n_pairs)
         if theta is not None:
             radii = _certify(kinetic.__matmul__, hop, v, norm, theta[:n_keep + 1],
                              y[:, :n_keep + 1], 0.5 * (theta[n_keep] + theta[n_keep + 1]))

@@ -32,7 +32,10 @@ through its block-wise to_eigenbasis (V^T x) and from_eigenbasis (V c),
 which skip a block whose part of the input is 0.0; no route forms the dense
 eigenvector matrix.  The exact time-dependent route solves only the
 sectors its start can reach, its component of mu's nonzeros times the Fock
-states; the static route solves every block.
+states.  The static route solves one representative of each class of
+byte-identical components that holds a start (_representatives), each
+representative start carrying its class's summed weight: HCl's M and -M
+components are one class, so a thermal run solves the -M side alone.
 """
 
 from __future__ import annotations
@@ -77,10 +80,14 @@ class ProductBasis:
     def size(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def _positions(self) -> dict[tuple[int, int], int]:
+        return {entry: i for i, entry in enumerate(self.entries)}
+
     def index(self, k: int, n: int) -> int:
         try:
-            return self.entries.index((k, n))
-        except ValueError:
+            return self._positions[k, n]
+        except KeyError:
             raise ModelError(f"entry {(k, n)} not in the basis") from None
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -126,6 +133,13 @@ class ProductBasis:
         return f"{model.label_str(k)};N{n}"
 
 
+def _nonzero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.nonzero(a) of a 2-D array: the same (rows, cols), row-major, from
+    the flat indices of a != 0, a bool copy of a.  numpy's own 2-D nonzero
+    took 150-270 us on a 240 x 240 array, this 22 us (numpy 2.4)."""
+    return np.divmod(np.flatnonzero(a != 0), a.shape[1])
+
+
 def photon_ladder(n_fock_max: int) -> np.ndarray:
     """a + a^dag on the Fock states 0..n_fock_max."""
     op = np.zeros((n_fock_max + 1, n_fock_max + 1))
@@ -167,12 +181,16 @@ def _check_memory(dim: int, include_dse: bool, records: int = 0, columns: int | 
     product basis as the oracle up to N = 7 (6561 states, 2.4 GB), and
     refuses it at N = 8 (19,683 states, 19 GB).  One molecule passes up to
     about 8,750 product states with the self-energy; HCl at j_max = 50
-    (15,606 states, 13.6 GB) is refused on its whole basis, so by the static
-    route, method = "rk4" and assemble_hamiltonian.  A trajectory adds
+    (15,606 states, 13.6 GB) is refused on its whole basis, so by
+    method = "rk4" and assemble_hamiltonian.  A trajectory adds
     records x columns doubles.  The exact route of propagate_quantum solves
     its start's component alone: its dim is that component's product states
     (306 from v0J0M0 at j_max = 50), and its records take every population
-    column of the whole basis.  propagate_classical counts its records on
+    column of the whole basis.  The static run solves its representatives
+    (_representatives) and is charged on their product states: the 300 K
+    HCl run, whose starts hold J <= 10, on 3,036 of them at j_max = 50
+    (1,012 molecular states, 0.48 GiB), where its whole basis was refused;
+    it passes.  propagate_classical counts its records on
     the molecule's own dim states, whose dense matrices the bound covers
     too.  The model's own dense n x n dipole stays dense, held before any
     route runs and charged by none: 216 MB at j_max = 50 (5,202 states).
@@ -369,13 +387,62 @@ def _coupled_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarr
     return np.split(order, starts[1:])
 
 
+def _reach(dipole: np.ndarray, reached: np.ndarray) -> np.ndarray:
+    """The states that dipole's nonzeros connect to the reached ones (a
+    mask, grown in place), ascending.  A walk: each step reads the rows and
+    columns of the dipole at the states it reached last, so only theirs."""
+    new = np.flatnonzero(reached)
+    while new.size:
+        grown = (dipole[new] != 0.0).any(axis=0) | (dipole[:, new] != 0.0).any(axis=1)
+        new = np.flatnonzero(grown & ~reached)
+        reached[new] = True
+    return np.flatnonzero(reached)
+
+
 def _start_component(model: MolecularModel, k: int) -> np.ndarray:
     """The molecular states that mu's nonzeros connect to state k, ascending;
     none for a k outside the model.  H, mu^2 and a kick act within this
     component (times the Fock states), so a run from k leaves every amplitude
     outside it exactly 0.0."""
-    return next((b for b in _coupled_blocks(model.n_states, *np.nonzero(model.dipole))
-                 if k in b), np.arange(0))
+    return _reach(model.dipole, np.arange(model.n_states) == k)
+
+
+def _submodel(model: MolecularModel, idx: np.ndarray) -> MolecularModel:
+    """The model on its states idx (ascending): their energies, dipole block
+    and labels."""
+    return MolecularModel(model.energies[idx], model.dipole[np.ix_(idx, idx)],
+                          [model.labels[k] for k in idx])
+
+
+def _representatives(model: MolecularModel, starts: list[tuple[int, float]]
+                     ) -> tuple[MolecularModel, list[tuple[int, float]]]:
+    """The model on one representative of each class of the components of
+    mu's nonzeros that hold a start, and the weighted starts (k, w) on it:
+    each start moves to the state at its place in its class's
+    representative, which carries the summed weight of the starts it
+    stands for.  The model itself when the representatives are all of it.
+
+    Two components are one class when their energies and dipole blocks, in
+    ascending state order, are equal byte for byte: no labels, no
+    tolerance.  Such components have the same H blocks, byte for byte, so
+    the same sticks, and the Z-polarized cavity and probe give each
+    component its own sticks.  A class is represented by its component with
+    the smallest index: for HCl's mirror pair M and -M, the -M one (the
+    Z-polarized angular factor is even in M).  A single start keeps its
+    own component.
+    """
+    ks = [k for k, _ in starts]
+    held = _reach(model.dipole, np.isin(np.arange(model.n_states), ks))
+    mu = model.dipole[held][:, held]      # two gathers: a quarter of np.ix_'s time here
+    image, classes = np.arange(model.n_states), {}
+    for block in _coupled_blocks(held.size, *_nonzero(mu)):    # by smallest index
+        key = (model.energies[held[block]].tobytes(), mu[np.ix_(block, block)].tobytes())
+        image[held[block]] = classes.setdefault(key, held[block])
+    idx = np.sort(np.concatenate(list(classes.values())))
+    weight = {}
+    for j, (_, w) in zip(np.searchsorted(idx, image[ks]).tolist(), starts):
+        weight[j] = weight.get(j, 0.0) + w
+    return (model if idx.size == model.n_states else _submodel(model, idx)), list(weight.items())
 
 
 def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
@@ -388,7 +455,7 @@ def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
     entries are refused after it."""
     if np.ndim(h) != 2 or not 0 < len(h) == np.shape(h)[1]:
         raise ModelError(f"Hamiltonian must be a non-empty square matrix, got shape {np.shape(h)}")
-    rows, cols = np.nonzero(h)
+    rows, cols = _nonzero(h)
     values = h[rows, cols]
     if not np.allclose(values, h[cols, rows], atol=1e-12):
         raise ModelError("Hamiltonian must be symmetric")
@@ -410,10 +477,10 @@ def _solve_factors(energies, mu, within, omega_c, g, ks, ns) -> PolaritonSolutio
     over the blocks in order of their smallest index)."""
     pos = np.full((int(ns.max()) + 1, energies.size), -1)   # entry index at (N, k)
     pos[ns, ks] = np.arange(ks.size)
-    k, l = np.nonzero(within) if within is not None else np.diag_indices(energies.size)
+    k, l = _nonzero(within) if within is not None else np.diag_indices(energies.size)
     pairs = [(pos[:, k], pos[:, l])]
     if mu is not None:
-        k, l = np.nonzero(mu)
+        k, l = _nonzero(mu)
         coupled = g * mu[k, l] != 0.0
         pairs.append((pos[1:, k[coupled]], pos[:-1, l[coupled]]))
     rows, cols = (np.concatenate([p.ravel() for p in side]) for side in zip(*pairs))
@@ -444,22 +511,35 @@ def _unit_columns(size: int, rows) -> np.ndarray:
 
 
 def _dominant_eigenstates(sol: PolaritonSolution, basis: ProductBasis,
-                          entries: list[tuple[int, int]], min_overlap: float = 0.5) -> list[int]:
-    """dominant_eigenstate of each entry, in one pass over the blocks."""
+                          entries: list[tuple[int, int]],
+                          min_overlap: float = 0.5) -> tuple[list[int], np.ndarray]:
+    """dominant_eigenstate of each entry, in one pass over the blocks, and
+    its squared overlap with the entry: the eigenstate's largest squared
+    amplitude, as it exceeds 1/2."""
     unit = _unit_columns(sol.size, [basis.index(*entry) for entry in entries])
     overlaps = np.abs(sol.to_eigenbasis(unit)) ** 2     # row entry of V, per column
     best = np.argmax(overlaps, axis=0)
-    for entry, i, column in zip(entries, best, overlaps.T):
-        if column[i] <= min_overlap:
+    top = overlaps[best, np.arange(best.size)]
+    for entry, overlap in zip(entries, top):
+        if overlap <= min_overlap:
             raise ModelError(f"no eigenstate has > {min_overlap} overlap with basis entry "
-                             f"{entry} (best {column[i]:.3f}); states too strongly mixed")
-    return [int(i) for i in best]
+                             f"{entry} (best {overlap:.3f}); states too strongly mixed")
+    return [int(i) for i in best], top
 
 
 def dominant_eigenstate(sol: PolaritonSolution, basis: ProductBasis,
                         entry: tuple[int, int], min_overlap: float = 0.5) -> int:
     """Eigenstate with dominant squared overlap on one basis entry."""
-    return _dominant_eigenstates(sol, basis, [entry], min_overlap)[0]
+    return _dominant_eigenstates(sol, basis, [entry], min_overlap)[0][0]
+
+
+def _thermal_starts(weights: ThermalWeights, weight_cutoff: float) -> list[tuple[int, float]]:
+    """(molecular state, weight) of each state above the cutoff, the weights
+    renormalized after it."""
+    kept = [(k, float(weights.weights[k])) for k in weights.subset
+            if float(weights.weights[k]) > weight_cutoff]
+    total = sum(w for _, w in kept)
+    return [(k, w / total) for k, w in kept]
 
 
 def thermal_initial_states(sol: PolaritonSolution, basis: ProductBasis,
@@ -470,11 +550,9 @@ def thermal_initial_states(sol: PolaritonSolution, basis: ProductBasis,
     Each thermally populated molecular state |k> maps to the eigenstate with
     dominant overlap on |k, N=0>; weights are renormalized after the cutoff.
     """
-    kept = [(k, float(weights.weights[k])) for k in weights.subset
-            if float(weights.weights[k]) > weight_cutoff]
-    states = _dominant_eigenstates(sol, basis, [(k, 0) for k, _ in kept])
-    total = sum(w for _, w in kept)
-    return [(i, w / total) for i, (_, w) in zip(states, kept)]
+    kept = _thermal_starts(weights, weight_cutoff)
+    states = _dominant_eigenstates(sol, basis, [(k, 0) for k, _ in kept])[0]
+    return [(i, w) for i, (_, w) in zip(states, kept)]
 
 
 def _stick_lines(sol: PolaritonSolution, dipole: np.ndarray, basis: ProductBasis,
@@ -493,7 +571,7 @@ def _stick_lines(sol: PolaritonSolution, dipole: np.ndarray, basis: ProductBasis
     opens = np.r_[True, np.diff(evals) > tol]
     starts, manifold = np.flatnonzero(opens), np.cumsum(opens) - 1
     piece = np.add.reduceat(coeffs * coeffs, starts)    # (manifold, column)
-    col, man = np.nonzero((piece > 1e-14 * piece.sum(axis=0)).T)
+    col, man = _nonzero((piece > 1e-14 * piece.sum(axis=0)).T)
     piece = piece[man, col]
     x = np.where(manifold[:, None] == man, coeffs[:, col], 0.0)   # P_I c, one per piece
     del coeffs
@@ -503,7 +581,7 @@ def _stick_lines(sol: PolaritonSolution, dipole: np.ndarray, basis: ProductBasis
     inten = sol.to_eigenbasis(x).T ** 2                 # row j: piece j's amplitudes
     del x
     inten *= np.asarray(weights, float)[col, None]
-    row, final = np.nonzero((evals - e_init[:, None] > tol) & (inten != 0.0))
+    row, final = _nonzero((evals - e_init[:, None] > tol) & (inten != 0.0))
     return evals[final] - e_init[row], inten[row, final], col[row], final
 
 
@@ -649,8 +727,7 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
         part, part_basis, columns = model, basis, np.arange(basis.size)
         if component:
             idx = _start_component(model, init[0])
-            part = MolecularModel(model.energies[idx], model.dipole[np.ix_(idx, idx)],
-                                  [model.labels[k] for k in idx])
+            part = _submodel(model, idx)
             part_basis = ProductBasis.full(part, cav.n_fock_max)
             k_part, n_part = part_basis.arrays()
             columns = n_part * model.n_states + idx[k_part]

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +10,12 @@ import twinpol.cli
 import twinpol.integrators
 import twinpol.manymol
 import twinpol.quantum
-from twinpol import KickPulse, propagate_quantum
+from twinpol import KickPulse, boltzmann_weights, propagate_quantum, thermal_initial_states
 from twinpol.cli import RunConfig, main, run
 from twinpol.errors import ConfigError
 from twinpol.model import model_from_config
 from twinpol.quantum import (ProductBasis, assemble_hamiltonian, diagonalize_polaritons,
-                             dominant_eigenstate, static_stick_spectrum)
+                             dominant_eigenstate, solve_polaritons, static_stick_spectrum)
 from twinpol.spectra import Spectrum, peaks_from_sticks
 
 THREE_LEVEL_HEADER = """\
@@ -338,6 +340,129 @@ def test_hcl_thermal_run_keeps_degenerate_pairs_unmixed(tmp_path, g_cm1, tempera
                for k, lab in enumerate(model.labels) if lab["v"] == 0) >= 0.99
 
 
+def _fold_mirror(label: str) -> str:
+    """A v J M label with M replaced by -|M|: the state's image in its
+    class's representative, the -M side of the mirror pair."""
+    return re.sub(r"M(\d+)", r"M-\1", label).replace("M-0", "M0")
+
+
+def _whole_basis_sticks(model, cav, initial_entry, monkeypatch):
+    """static_stick_spectrum on the whole product basis, the oracle; the
+    sticks it merged (omega, intensity, labels_i, labels_f); and the
+    solution's largest block, smallest gap within a block and ||H||_2."""
+    basis = ProductBasis.full(model, cav.n_fock_max)
+    sol = solve_polaritons(model, cav, basis)
+    if initial_entry is None:
+        weights = boltzmann_weights(model, 300.0, [k for k, lab in enumerate(model.labels)
+                                                   if lab["v"] == 0])
+        initial = thermal_initial_states(sol, basis, weights, 1e-4)
+    else:
+        initial = [(dominant_eigenstate(sol, basis, initial_entry), 1.0)]
+    merged, merge = [], twinpol.quantum.make_stick_spectrum
+
+    def capture(omega, inten, **kw):
+        merged.append((omega, inten, kw["labels_i"], kw["labels_f"]))
+        return merge(omega, inten, **kw)
+
+    monkeypatch.setattr(twinpol.quantum, "make_stick_spectrum", capture)
+    oracle = static_stick_spectrum(sol, model, basis, initial)
+    monkeypatch.undo()
+    gap = min(np.diff(sol.eigenvalues[cols]).min() for _, cols, _ in sol.blocks if cols.size > 1)
+    return (oracle, merged[0], sol.block_sizes()["max_block_dim"], gap,
+            np.abs(sol.eigenvalues).max())
+
+
+@pytest.mark.parametrize("initial", ["thermal", "v0J2M0"])
+def test_hcl_static_run_on_representatives_matches_the_whole_basis(tmp_path, monkeypatch,
+                                                                   initial):
+    """The static run solves one representative of each class of mirrored
+    mu-components that holds a start (131 of HCl's 242 states when
+    thermal, the start's 22 M = 0 states from v0J2M0) and never forms the
+    whole product basis.  Its sticks are static_stick_spectrum's on the
+    whole basis: the same rows, and omega and intensities within the
+    rounding bound below.
+
+    The two routes solve the same H blocks up to the self-energy: each
+    entry of the representatives' mu^2 sums the same nonzero products as
+    the whole model's, in another grouping, so the blocks differ by E with
+    ||E||_2 <= (g^2 / w_c) 2 n eps || |mu| ||_2^2, n = 242.  eigh is
+    backward stable: each route's eigenpairs are exact for its block
+    perturbed by at most b eps ||H||_2 (b = 34, the largest block, taken as
+    LAPACK's modest p(b)).  So eigenvalues differ by at most
+    rho = ||E|| + 2 b eps ||H|| (Weyl) and unit eigenvectors by at most
+    dv = sqrt(2) rho / (gap - 2 rho) + 2 b eps (Davis-Kahan, with the
+    smallest gap between eigenvalues of one block; plus each route's loss
+    of orthogonality).  A stick's omega = lambda_f - lambda_i moves by at
+    most 2 rho, and a row, merged within merge_tol, has its centre clamped
+    into its group's first and last positions: it moves by at most
+    2 rho plus the span of the oracle's group.  A start's amplitudes over
+    its finals, A = V^T mu v_i, move by at most
+    dA = || |mu| ||_2 (sqrt(b) + 1) dv plus the regrouped sums mu x and
+    V^T y, at most 2 gamma_n < 2 n eps times || |mu| ||_2 each and per
+    route, sqrt(b) of them: dA += 4 sqrt(b) n eps || |mu| ||_2.  Its
+    intensities w a^2 then move by at most w dA (2 ||A|| + dA) in sum,
+    and ||A|| <= || |mu| ||_2; the weights sum to one, so the rows'
+    intensities move by at most dA (2 || |mu| ||_2 + dA) in sum.
+
+    Labels: a row takes the labels of its group's strongest stick.  The
+    representative carries each class's summed weight, so a row's labels
+    are those of the class (labels folded to -|M|) with the largest summed
+    intensity in the oracle's group; from v0J2M0 they are the oracle's."""
+    text = HCL_CONFIG.read_text()
+    if initial != "thermal":
+        text = text.replace("initial = thermal", f"initial = {initial}")
+    cfg = write(tmp_path, text)
+    config = RunConfig.from_file(cfg)
+    model, cav = config.build_model(), config.cavity()
+    formed, spectra = [], []
+    full, sticks = ProductBasis.full.__func__, twinpol.cli.static_stick_spectrum
+    monkeypatch.setattr(ProductBasis, "full", classmethod(
+        lambda cls, m, n: formed.append(m.n_states) or full(cls, m, n)))
+    monkeypatch.setattr(twinpol.cli, "static_stick_spectrum",
+                        lambda *a, **kw: spectra.append(sticks(*a, **kw)) or spectra[-1])
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    monkeypatch.undo()
+    checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
+    solved = 131 if initial == "thermal" else 22
+    assert formed == [solved] and checks["coupled_states"] == solved
+    assert checks["basis_size"] == 726
+    spec = spectra[0]
+
+    start = None if initial == "thermal" else (model.state_index(v=0, J=2, M=0), 0)
+    oracle, (omega, inten, labels_i, labels_f), b, gap, h_norm = _whole_basis_sticks(
+        model, cav, start, monkeypatch)
+    eps, n = np.finfo(float).eps, model.n_states
+    mu = np.linalg.norm(np.abs(model.dipole), 2)
+    rho = (cav.g**2 / cav.omega_c) * 2 * n * eps * mu**2 + 2 * b * eps * h_norm
+    assert gap > 4 * rho
+    dv = math.sqrt(2) * rho / (gap - 2 * rho) + 2 * b * eps
+    d_amp = mu * (math.sqrt(b) + 1) * dv + 4 * math.sqrt(b) * n * eps * mu
+    assert spec.omega.size == oracle.omega.size > (1000 if initial == "thermal" else 20)
+
+    order = np.argsort(omega, kind="stable")
+    pos = np.asarray(omega)[order]
+    opens = np.diff(pos, prepend=-np.inf) > 1e-10
+    first = np.flatnonzero(opens)
+    group = np.cumsum(opens) - 1
+    span = np.maximum.reduceat(pos, first) - pos[first]
+    assert span.size == oracle.omega.size         # no group falls below min_intensity
+    assert np.all(np.abs(spec.omega - oracle.omega) <= span + 2 * rho)
+    assert np.sum(np.abs(spec.intensity - oracle.intensity)) <= d_amp * (2 * mu + d_amp)
+
+    if initial != "thermal":
+        assert spec.meta["labels_i"] == oracle.meta["labels_i"]
+        assert spec.meta["labels_f"] == oracle.meta["labels_f"]
+        return
+    strongest = []
+    for g in range(span.size):
+        classes = {}
+        for i in order[group == g]:
+            key = (_fold_mirror(labels_i[i]), _fold_mirror(labels_f[i]))
+            classes[key] = classes.get(key, 0.0) + inten[i]
+        strongest.append(max(classes, key=classes.get))
+    assert list(zip(spec.meta["labels_i"], spec.meta["labels_f"])) == strongest
+
+
 HCL_TD_PROTOCOL = """
 [protocol]
 framework = quantum_td
@@ -367,16 +492,16 @@ def test_hcl_quantum_runs_build_no_dense_product_operator(tmp_path, monkeypatch)
         assert not hasattr(twinpol.quantum, name)
     assert not hasattr(ProductBasis, "restrict")
     monkeypatch.setattr(np, "kron", refuse)
-    # static solves every block; td, from v0J2M0, its start's 22 M = 0 states,
-    # whose 66 product states make 2 of those blocks
-    for kind, text, blocks in (("static", HCL_CONFIG.read_text(), (50, 34)),
-                               ("td", hcl_td_config(), (2, 34))):
+    # static solves one representative of each mirrored M component that
+    # holds a start: M = 0, -1 .. -9 (2 blocks each) and the singleton
+    # v0J10M-10 (3), 131 molecular states; td, from v0J2M0, its start's 22
+    # M = 0 states, whose 66 product states make 2 blocks
+    for kind, text, solved in (("static", HCL_CONFIG.read_text(), (23, 34, 131)),
+                               ("td", hcl_td_config(), (2, 34, 22))):
         cfg = write(tmp_path, text, f"{kind}.cfg")
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / kind)]) == 0
         checks = json.loads((tmp_path / kind / "manifest.json").read_text())["checks"]
-        assert (checks["n_blocks"], checks["max_block_dim"]) == blocks
-    assert json.loads((tmp_path / "td" / "manifest.json").read_text())["checks"][
-        "coupled_states"] == 22
+        assert (checks["n_blocks"], checks["max_block_dim"], checks["coupled_states"]) == solved
     assert json.loads((tmp_path / "td" / "manifest.json").read_text())["checks"][
         "method"] == "exact"
 
@@ -506,9 +631,10 @@ def test_no_run_forms_a_dense_hamiltonian(tmp_path, monkeypatch, command, config
 
 
 def test_single_molecule_run_refuses_oversized_basis(tmp_path, monkeypatch):
-    """With the budget lowered below the 726-state HCl run's dense matrices,
-    the run exits 3 before the product-space operators are built, and
-    validate, which builds nothing, still passes."""
+    """With the budget lowered below the dense matrices of the HCl run's
+    393 product states (its 131 representative molecular states), the run
+    exits 3 before the product-space operators are built, and validate,
+    which builds nothing, still passes."""
     def no_build(*args, **kwargs):
         raise AssertionError("operators built before the size check")
 
@@ -517,7 +643,7 @@ def test_single_molecule_run_refuses_oversized_basis(tmp_path, monkeypatch):
     assert main(["validate", str(HCL_CONFIG)]) == 0
     assert main(["run", str(HCL_CONFIG), "--out-dir", str(tmp_path / "big")]) == 3
     error = (tmp_path / "big" / "error.txt").read_text()
-    assert error.startswith("BasisSizeError: 726-state")
+    assert error.startswith("BasisSizeError: 393-state")
     assert not (tmp_path / "big" / "sticks.csv").exists()
 
 
@@ -641,6 +767,25 @@ def test_sweep_diagonalizes_each_coupling_once(tmp_path, monkeypatch):
     assert main(["sweep", str(write(tmp_path, SWEEP)),
                  "--out-dir", str(tmp_path / "sw")]) == 0
     assert len(calls) == 4
+
+
+def test_three_level_sweep_solves_once_per_coupling(tmp_path, monkeypatch):
+    """Every solve goes through _solve_factors.  On the 3-level model the
+    static run's representatives are the whole model, so the sweep reuses
+    the run's solution for its splittings: one solve per g."""
+    solved = []
+    solve = twinpol.quantum._solve_factors
+
+    def counted(*args):
+        solved.append(args[5].size)
+        return solve(*args)
+
+    monkeypatch.setattr(twinpol.quantum, "_solve_factors", counted)
+    assert main(["sweep", str(write(tmp_path, SWEEP)),
+                 "--out-dir", str(tmp_path / "sw")]) == 0
+    assert solved == [9] * 4
+    checks = json.loads((tmp_path / "sw" / "g_000" / "manifest.json").read_text())["checks"]
+    assert (checks["coupled_states"], checks["basis_size"]) == (3, 9)
 
 
 def test_sweep_sticks_keep_their_labels(model3, cav, monkeypatch):

@@ -20,11 +20,11 @@ from twinpol import (BasisSizeError, CavityParams, ConvergenceError, KickPulse, 
                      cm1_to_au, diagonalize_polaritons, detect_peaks, dipole_spectrum,
                      dominant_eigenstate, photon_observables, propagate_quantum,
                      static_stick_spectrum, thermal_initial_states)
-from twinpol.model import mu_squared_matrix
-from twinpol.quantum import (QuantumState, _check_memory, _coupled_blocks,
-                             _solve_factors, apply_dipole, factored_expectations,
-                             photon_ladder, photon_ladder_squared, product_hamiltonian,
-                             real_matmul, solve_polaritons)
+from twinpol.model import MolecularModel, mu_squared_matrix
+from twinpol.quantum import (QuantumState, _check_memory, _coupled_blocks, _representatives,
+                             _solve_factors, _start_component, apply_dipole,
+                             factored_expectations, photon_ladder, photon_ladder_squared,
+                             product_hamiltonian, real_matmul, solve_polaritons)
 
 RESONANT_BLOCK = ((0, 0), (2, 0), (0, 1))
 
@@ -763,6 +763,59 @@ def test_component_run_keeps_the_whole_basis_dt_verdict(hcl_model):
     traj = propagate_quantum(hcl_model, cav, KickPulse(), init, 200.0, 0.5)
     assert traj.meta["coupled_states"] == 1
     assert traj.populations[:, init[0]] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_start_component_walks_both_triangles_of_the_dipole(hcl_model):
+    """_start_component is the block of _coupled_blocks that holds the
+    start, for every HCl state, and none for a start outside the model.  A
+    one-sided entry, within the symmetry check's 1e-12, couples as the
+    solver's blocks read it: from either end."""
+    blocks = _coupled_blocks(hcl_model.n_states, *np.nonzero(hcl_model.dipole))
+    for block in blocks:
+        for k in block:
+            assert np.array_equal(_start_component(hcl_model, k), block)
+    assert _start_component(hcl_model, hcl_model.n_states).size == 0
+    dipole = np.zeros((3, 3))
+    dipole[0, 2] = 1e-13
+    one_sided = MolecularModel(np.array([0.0, 1e-3, 2e-3]), dipole,
+                               [{"index": k} for k in range(3)])
+    for k in (0, 2):
+        assert _start_component(one_sided, k).tolist() == [0, 2]
+    assert _start_component(one_sided, 1).tolist() == [1]
+
+
+def test_mirrored_hcl_components_give_bit_identical_sticks(hcl_model):
+    """HCl at j_max = 10 has 23 components of mu's nonzeros: one per M, and
+    the two singletons vJ10M+-10 each.  Their energies and dipole blocks
+    fall into 12 classes, byte for byte: M and -M, and the M = 0 component
+    alone.  Solved alone from its v0J|M|M+-|M| state, each of a pair gives
+    the same sticks, bit for bit (none from the singletons); only the sign
+    of M in the labels differs."""
+    model, cav = hcl_model, CavityParams(**HCL_CAVITY)
+    blocks = _coupled_blocks(model.n_states, *np.nonzero(model.dipole))
+    classes = {}
+    for block in blocks:
+        key = (model.energies[block].tobytes(), model.dipole[np.ix_(block, block)].tobytes())
+        classes.setdefault(key, set()).add(abs(model.labels[block[0]]["M"]))
+    assert len(blocks) == 23 and len(classes) == 12
+    assert all(len(ms) == 1 for ms in classes.values())
+
+    def sticks(k):
+        part, starts = _representatives(model, [(k, 1.0)])
+        assert part.n_states < model.n_states and starts == [(part.labels.index(
+            model.labels[k]), 1.0)]
+        basis = ProductBasis.full(part, cav.n_fock_max)
+        sol = solve_polaritons(part, cav, basis)
+        return static_stick_spectrum(sol, part, basis,
+                                     [(dominant_eigenstate(sol, basis, (starts[0][0], 0)), 1.0)])
+
+    for m in range(1, 11):
+        low, high = (sticks(model.state_index(v=0, J=m, M=s)) for s in (-m, m))
+        assert (low.omega.size > 0) == (m < 10)      # vJ10M+-10 has no dipole partner
+        assert np.array_equal(low.omega, high.omega)
+        assert np.array_equal(low.intensity, high.intensity)
+        for key in ("labels_i", "labels_f"):
+            assert [lab.replace(f"M-{m};", f"M{m};") for lab in low.meta[key]] == high.meta[key]
 
 
 def test_restricted_sticks_exact(model3, cav):

@@ -14,9 +14,8 @@ intensities and, through g mu_01, the splittings: the R(0) doublet splits by
 
 import numpy as np
 
-from twinpol import (CavityParams, MorseParams, ProductBasis,
-                     assemble_hamiltonian, boltzmann_weights, broaden_sticks,
-                     build_morse_rovib, cm1_to_au, diagonalize_polaritons,
+from twinpol import (CavityParams, MorseParams, ProductBasis, boltzmann_weights,
+                     broaden_sticks, build_morse_rovib, cm1_to_au, solve_polaritons,
                      static_stick_spectrum, thermal_average_spectra,
                      thermal_initial_states)
 from twinpol.units import au_to_cm1
@@ -38,7 +37,7 @@ def thermal_sticks(g_cm1):
     cav = CavityParams(omega_c=cm1_to_au(2906.46), g=cm1_to_au(g_cm1),
                        include_dse=True, n_fock_max=2)
     basis = ProductBasis.full(model, 2)
-    sol = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis))
+    sol = solve_polaritons(model, cav, basis)
     initial = thermal_initial_states(sol, basis, weights, weight_cutoff=1e-3)
     per_state = [(static_stick_spectrum(sol, model, basis, [(i, 1.0)]), w)
                  for i, w in initial]

@@ -8,10 +8,9 @@ tuned by the same knob as the classical primary splitting.
 
 import numpy as np
 
-from twinpol import (CavityParams, ProductBasis, assemble_hamiltonian,
-                     build_three_level, diagonalize_polaritons,
+from twinpol import (CavityParams, ProductBasis, build_three_level,
                      dominant_eigenstate, fit_through_origin, measure_splitting,
-                     peaks_from_sticks, static_stick_spectrum)
+                     peaks_from_sticks, solve_polaritons, static_stick_spectrum)
 
 model = build_three_level(0.0, 2e-3, 10e-3, 1.0, 1.0)
 windows = {"R": (9.5e-3, 10.5e-3), "P": (7.5e-3, 8.5e-3)}
@@ -22,7 +21,7 @@ table = {"R": [], "P": []}
 for g in g_values:
     cav = CavityParams(omega_c=1e-2, g=float(g), include_dse=False, n_fock_max=2)
     basis = ProductBasis.full(model, 2)
-    sol = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis))
+    sol = solve_polaritons(model, cav, basis)
     for branch in ("R", "P"):
         spec = static_stick_spectrum(
             sol, model, basis,

@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
 """Static polariton sticks of the 3-level Lambda system.
 
-Walks through the quantized-light static framework: assemble the product-basis
-Hamiltonian, diagonalize, and read stick spectra off the eigenvectors for both
-initial states.  The resonant transition splits into the primary polariton
+Walks through the quantized-light static framework: solve the product-basis
+Hamiltonian block by block from its tensor factors, and read stick spectra off
+the eigenvectors for both initial states.  The resonant transition splits into the primary polariton
 doublet; the off-resonant transition, sharing the same final state, splits by
 the same gap: the twin polariton.
 """
 
-from twinpol import (CavityParams, ProductBasis, assemble_hamiltonian,
-                     build_three_level, diagonalize_polaritons,
-                     dominant_eigenstate, static_stick_spectrum)
+from twinpol import (CavityParams, ProductBasis, build_three_level,
+                     dominant_eigenstate, solve_polaritons, static_stick_spectrum)
 
 model = build_three_level(0.0, 2e-3, 10e-3, 1.0, 1.0)
 cav = CavityParams(omega_c=1e-2, g=2e-4, include_dse=False, n_fock_max=2)
 
 basis = ProductBasis.full(model, cav.n_fock_max)
 print(f"product basis: {basis.size} states (3 molecular x {cav.n_fock_max + 1} Fock)")
-sol = diagonalize_polaritons(assemble_hamiltonian(model, cav, basis))
+sol = solve_polaritons(model, cav, basis)
 
 print("\nlowest polariton levels (hartree):")
 for e in sol.eigenvalues[:5]:

@@ -22,7 +22,7 @@ from .model import (MolecularModel, MorseParams, RadialGrid, ThermalWeights,
 from .quantum import (PolaritonSolution, ProductBasis, QuantumState,
                       assemble_hamiltonian, diagonalize_polaritons,
                       dominant_eigenstate, photon_observables, propagate_quantum,
-                      static_stick_spectrum, thermal_initial_states)
+                      solve_polaritons, static_stick_spectrum, thermal_initial_states)
 from .spectra import (PeakSet, Spectrum, broaden_sticks, detect_peaks,
                       dipole_spectrum, fit_through_origin, measure_splitting,
                       peaks_from_sticks, thermal_average_spectra)

@@ -11,15 +11,15 @@ propagated jointly with the scalar field variables (q, p):
 
 from C_k(0) = delta_{k,init} and the field vacuum p(0) = q(0) = 0.
 
-Only the start's connected component under mu's nonzeros is stepped: mu^2
-and the kick act within it, so every other C_k stays exactly 0.0 (HCl from
-v0J2M0 steps its 22 M = 0 states of 242).  The RK4 state is one complex
-array, C followed by q and p with zero imaginary parts: complex arithmetic
-keeps those exactly +0.0, so q and p get the bits of float arithmetic.  The
-integrator tables f(t) and the phased dipole D = -i e^{i E t} mu e^{-i E t}
-(and the same of (g^2/w_c) mu^2) per stage time and hands the rhs only
-those, so one rhs evaluation is v = D C, the drive times v and
-<mu> = -Im <C|v>.
+Only the start's mu-component (quantum._restrict) is stepped, with its own
+mu^2 and size charge: mu^2 and the kick act within it, so every other C_k
+stays exactly 0.0 (HCl from v0J2M0 steps its 22 M = 0 states of 242).  The
+RK4 state is one complex array, C followed by q and p with zero imaginary
+parts: complex arithmetic keeps those exactly +0.0, so q and p get the bits
+of float arithmetic.  The integrator tables f(t) and the phased dipole
+D = -i e^{i E t} mu e^{-i E t} (and the same of (g^2/w_c) mu^2) per stage
+time and hands the rhs only those, so one rhs evaluation is v = D C, the
+drive times v and <mu> = -Im <C|v>.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .cavity import CavityParams, KickPulse, Trajectory
 from .integrators import check_step, propagate, record_grid
 from .model import MolecularModel, mu_squared_matrix
-from .quantum import _check_memory, _re_inner, _start_component, real_matmul
+from .quantum import _check_memory, _re_inner, _restrict, real_matmul
 
 
 @dataclass
@@ -81,21 +81,18 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
 
     Raises IntegrationError when the coefficient norm drifts beyond 1e-6
     (reduce dt) or when the kick exceeds the pulse's linear-response bound;
-    BasisSizeError, before anything is allocated, when its population
-    records would not fit in the memory budget.
+    BasisSizeError, before anything is allocated, when its component's
+    dense matrices and its population records would not fit in the memory
+    budget; ModelError for a start outside the model.
     """
     check_step(dt, model.energies, cav.omega_c)
-    _check_memory(model.n_states, cav.include_dse,
-                  record_grid(t_end, dt, record_stride)[1].size)
-    # none for a start outside the model, which propagate refuses
-    idx = _start_component(model, init_state)
-    sub = np.ix_(idx, idx)
-    energies, mu = model.energies[idx], model.dipole[sub]
-    mu2 = mu_squared_matrix(model)[sub] if cav.include_dse else None
+    n_rec = record_grid(t_end, dt, record_stride)[1].size
+    part, idx, ((j, _),) = _restrict(model, [(init_state, 1.0)])
+    _check_memory(part.n_states, cav.include_dse, n_rec, model.n_states)
+    energies, mu, n = part.energies, part.dipole, part.n_states
+    mu2 = mu_squared_matrix(part) if cav.include_dse else None
     g_fac = cav.g * math.sqrt(2.0 * cav.omega_c)
     wc2 = cav.omega_c**2
-
-    n = idx.size
 
     def rhs(entry, y):
         f, d = entry[:2]           # f(t), -i e^{iEt} mu e^{-iEt}
@@ -122,7 +119,7 @@ def propagate_classical(model: MolecularModel, cav: CavityParams, pulse: KickPul
         pop_labels=[model.label_str(k) for k in range(model.n_states)],
         init_col=init_state, pulse=pulse, cav=cav, t_end=t_end, dt=dt,
         record_stride=record_stride, pop_columns=idx,
-        start=np.concatenate([idx == init_state, (0.0, 0.0)]).astype(complex),  # C, q, p
+        start=np.concatenate([np.arange(n) == j, (0.0, 0.0)]).astype(complex),  # C, q, p
         operators=(mu,) if mu2 is None else (mu, cav.dse_prefactor * mu2),
-        meta={"init_state": init_state, "coupled_states": idx.size},
+        meta={"init_state": init_state, "coupled_states": n},
     )

@@ -49,7 +49,7 @@ from .model import (MODEL_SECTIONS, MolecularModel, ThermalWeights, boltzmann_we
                     model_from_config, parse_float, parse_int, parse_quantity,
                     read_config, read_section)
 from .quantum import (PolaritonSolution, ProductBasis, _dominant_eigenstates,
-                      _representatives, _thermal_starts, dominant_eigenstate,
+                      _restrict, _thermal_starts, dominant_eigenstate,
                       propagate_quantum, solve_polaritons, static_stick_spectrum)
 from .spectra import (Spectrum, detect_peaks, dipole_spectrum, fit_through_origin,
                       measure_splitting, peaks_from_sticks)
@@ -323,7 +323,7 @@ def _run_single(config: RunConfig, out_dir: Path, g: float,
 
     elif framework == "quantum_static":
         # one representative of each class of mirrored mu-components
-        part, starts = _representatives(model, _static_starts(config, model))
+        part, _, starts = _restrict(model, _static_starts(config, model))
         basis = ProductBasis.full(part, cav.n_fock_max)
         sol = solve_polaritons(part, cav, basis)
         states, overlaps = _dominant_eigenstates(sol, basis, [(j, 0) for j, _ in starts])

@@ -30,12 +30,13 @@ not couple are exactly 0.0, and a block a state never reaches keeps its
 amplitudes exactly 0.0.  PolaritonSolution keeps only the blocks, read
 through its block-wise to_eigenbasis (V^T x) and from_eigenbasis (V c),
 which skip a block whose part of the input is 0.0; no route forms the dense
-eigenvector matrix.  The exact time-dependent route solves only the
-sectors its start can reach, its component of mu's nonzeros times the Fock
-states.  The static route solves one representative of each class of
-byte-identical components that holds a start (_representatives), each
-representative start carrying its class's summed weight: HCl's M and -M
-components are one class, so a thermal run solves the -M side alone.
+eigenvector matrix.  Every single-molecule route gets its sub-model from
+_restrict, over the model's mu-component map: the exact time-dependent
+route solves only its start's component of mu's nonzeros times the Fock
+states (the classical route steps it alone), the static route one
+representative of each class of byte-identical components that holds a
+start, each representative start carrying its class's summed weight:
+HCl's M and -M components are one class, so a thermal run solves -M alone.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ import numpy as np
 from .cavity import CavityParams, KickPulse, Trajectory
 from .errors import BasisSizeError, ConvergenceError, ModelError
 from .integrators import MEMORY_BUDGET, check_step, propagate, record_grid
-from .model import MolecularModel, ThermalWeights, mu_squared_matrix
+from .model import (MolecularModel, ThermalWeights, _coupled_blocks, _nonzero,
+                    mu_squared_matrix)
 from .spectra import Spectrum, make_stick_spectrum
 
 
@@ -133,13 +135,6 @@ class ProductBasis:
         return f"{model.label_str(k)};N{n}"
 
 
-def _nonzero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.nonzero(a) of a 2-D array: the same (rows, cols), row-major, from
-    the flat indices of a != 0, a bool copy of a.  numpy's own 2-D nonzero
-    took 150-270 us on a 240 x 240 array, this 22 us (numpy 2.4)."""
-    return np.divmod(np.flatnonzero(a != 0), a.shape[1])
-
-
 def photon_ladder(n_fock_max: int) -> np.ndarray:
     """a + a^dag on the Fock states 0..n_fock_max."""
     op = np.zeros((n_fock_max + 1, n_fock_max + 1))
@@ -183,17 +178,20 @@ def _check_memory(dim: int, include_dse: bool, records: int = 0, columns: int | 
     about 8,750 product states with the self-energy; HCl at j_max = 50
     (15,606 states, 13.6 GB) is refused on its whole basis, so by
     method = "rk4" and assemble_hamiltonian.  A trajectory adds
-    records x columns doubles.  The exact route of propagate_quantum solves
-    its start's component alone: its dim is that component's product states
-    (306 from v0J0M0 at j_max = 50), and its records take every population
-    column of the whole basis.  The static run solves its representatives
-    (_representatives) and is charged on their product states: the 300 K
+    records x columns doubles.  Each route is charged on its sub-model
+    from _restrict.  The exact route of propagate_quantum solves its start's
+    component alone: its dim is that component's product states (306 from
+    v0J0M0 at j_max = 50), and its records take every population column of
+    the whole basis.  propagate_classical is charged alike on the
+    component's n molecular states (102 from v0J2M0 at j_max = 50) and its
+    records on every model state; not counted are its RK4 stage tables, at
+    least one step's (12 n^2 doubles with the self-energy), and on every
+    time-dependent route a string label per population column.  The
+    static run is charged on its representatives' product states: the 300 K
     HCl run, whose starts hold J <= 10, on 3,036 of them at j_max = 50
     (1,012 molecular states, 0.48 GiB), where its whole basis was refused;
-    it passes.  propagate_classical counts its records on
-    the molecule's own dim states, whose dense matrices the bound covers
-    too.  The model's own dense n x n dipole stays dense, held before any
-    route runs and charged by none: 216 MB at j_max = 50 (5,202 states).
+    it passes.  The model's own dense n x n dipole stays dense, held before
+    any route runs and charged by none: 216 MB at j_max = 50 (5,202 states).
     """
     need = 8 * ((6 + include_dse) * dim**2 + 6 * dim + 1
                 + records * (dim if columns is None else columns))
@@ -365,62 +363,15 @@ class PolaritonSolution:
         return {"n_blocks": len(sizes), "max_block_dim": max(sizes)}
 
 
-def _coupled_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the n states that the
-    nonzero entries at (rows, cols) couple, in order of their smallest index.
-
-    Label propagation: every state takes the smallest label among itself and
-    the states it couples to, then the label of its label, until nothing
-    moves; each component ends up labelled by its smallest index.
-    """
-    rows, cols = np.r_[rows, cols], np.r_[cols, rows]   # either triangle couples
-    label = np.arange(n)
-    while True:
-        low = label.copy()
-        np.minimum.at(low, rows, label[cols])
-        low = low[low]
-        if np.array_equal(low, label):
-            break
-        label = low
-    order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
-    return np.split(order, starts[1:])
-
-
-def _reach(dipole: np.ndarray, reached: np.ndarray) -> np.ndarray:
-    """The states that dipole's nonzeros connect to the reached ones (a
-    mask, grown in place), ascending.  A walk: each step reads the rows and
-    columns of the dipole at the states it reached last, so only theirs."""
-    new = np.flatnonzero(reached)
-    while new.size:
-        grown = (dipole[new] != 0.0).any(axis=0) | (dipole[:, new] != 0.0).any(axis=1)
-        new = np.flatnonzero(grown & ~reached)
-        reached[new] = True
-    return np.flatnonzero(reached)
-
-
-def _start_component(model: MolecularModel, k: int) -> np.ndarray:
-    """The molecular states that mu's nonzeros connect to state k, ascending;
-    none for a k outside the model.  H, mu^2 and a kick act within this
-    component (times the Fock states), so a run from k leaves every amplitude
-    outside it exactly 0.0."""
-    return _reach(model.dipole, np.arange(model.n_states) == k)
-
-
-def _submodel(model: MolecularModel, idx: np.ndarray) -> MolecularModel:
-    """The model on its states idx (ascending): their energies, dipole block
-    and labels."""
-    return MolecularModel(model.energies[idx], model.dipole[np.ix_(idx, idx)],
-                          [model.labels[k] for k in idx])
-
-
-def _representatives(model: MolecularModel, starts: list[tuple[int, float]]
-                     ) -> tuple[MolecularModel, list[tuple[int, float]]]:
-    """The model on one representative of each class of the components of
-    mu's nonzeros that hold a start, and the weighted starts (k, w) on it:
-    each start moves to the state at its place in its class's
-    representative, which carries the summed weight of the starts it
-    stands for.  The model itself when the representatives are all of it.
+def _restrict(model: MolecularModel, starts: list[tuple[int, float]]
+              ) -> tuple[MolecularModel, np.ndarray, list[tuple[int, float]]]:
+    """(part, idx, starts on part): the model on one representative of each
+    class of the mu-components that hold a start (MolecularModel._components),
+    its states idx in the model (ascending), and the weighted starts (k, w)
+    on it.  Each start moves to the state at its place in its class's
+    representative, which carries the summed weight of the starts it stands
+    for.  part is the model itself when the representatives are all of it;
+    ModelError for a start outside the model.
 
     Two components are one class when their energies and dipole blocks, in
     ascending state order, are equal byte for byte: no labels, no
@@ -432,17 +383,23 @@ def _representatives(model: MolecularModel, starts: list[tuple[int, float]]
     own component.
     """
     ks = [k for k, _ in starts]
-    held = _reach(model.dipole, np.isin(np.arange(model.n_states), ks))
-    mu = model.dipole[held][:, held]      # two gathers: a quarter of np.ix_'s time here
+    for k in ks:
+        if not 0 <= k < model.n_states:
+            raise ModelError(f"start index {k} outside 0..{model.n_states - 1}")
+    of, blocks = model._components
     image, classes = np.arange(model.n_states), {}
-    for block in _coupled_blocks(held.size, *_nonzero(mu)):    # by smallest index
-        key = (model.energies[held[block]].tobytes(), mu[np.ix_(block, block)].tobytes())
-        image[held[block]] = classes.setdefault(key, held[block])
-    idx = np.sort(np.concatenate(list(classes.values())))
+    for block in (blocks[c] for c in sorted(set(of[ks].tolist()))):    # by smallest index
+        key = (model.energies[block].tobytes(), model.dipole[np.ix_(block, block)].tobytes())
+        image[block] = classes.setdefault(key, block)
+    held = np.zeros(model.n_states, bool)
+    held[np.concatenate(list(classes.values()))] = True
+    idx, place = np.flatnonzero(held), np.cumsum(held) - 1    # place: a state's index in idx
     weight = {}
-    for j, (_, w) in zip(np.searchsorted(idx, image[ks]).tolist(), starts):
+    for j, (_, w) in zip(place[image[ks]].tolist(), starts):
         weight[j] = weight.get(j, 0.0) + w
-    return (model if idx.size == model.n_states else _submodel(model, idx)), list(weight.items())
+    part = model if idx.size == model.n_states else MolecularModel(
+        model.energies[idx], model.dipole[np.ix_(idx, idx)], [model.labels[k] for k in idx])
+    return part, idx, list(weight.items())
 
 
 def diagonalize_polaritons(h: np.ndarray) -> PolaritonSolution:
@@ -677,8 +634,8 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
     at or after pulse.support_end, and b is constant after it.  Records map
     back through from_eigenbasis, the t = 0 record being the start itself.
     Without a basis it runs on the start's component alone: the molecular
-    states mu's nonzeros connect to psi_init (_start_component), times the
-    Fock states, as its own model.  H, mu^2 and the Z-polarized kick never
+    states mu's nonzeros connect to psi_init (_restrict), times the Fock
+    states, as its own model.  H, mu^2 and the Z-polarized kick never
     leave it, so it is solved, kicked and recorded alone, and its
     populations fill their columns of the whole product basis, every other
     column exactly 0.0 (HCl from v0J2M0: 66 of 726 product states).  Its
@@ -726,8 +683,7 @@ def propagate_quantum(model: MolecularModel, cav: CavityParams, pulse: KickPulse
         # columns: each stepped product state's population column
         part, part_basis, columns = model, basis, np.arange(basis.size)
         if component:
-            idx = _start_component(model, init[0])
-            part = _submodel(model, idx)
+            part, idx, _ = _restrict(model, [(init[0], 1.0)])
             part_basis = ProductBasis.full(part, cav.n_fock_max)
             k_part, n_part = part_basis.arrays()
             columns = n_part * model.n_states + idx[k_part]

@@ -90,8 +90,10 @@ def coupled_states(dipole, start):
 def stepped_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
     """propagate_classical's series from the one-vector RK4 on the start's
     coupled states, forming the phased operators -i e^{iEt} op e^{-iEt} at
-    every stage time."""
+    every stage time.  mu^2 is the coupled states' own, the square of their
+    dipole block, as the route forms it."""
     import math
+    from types import SimpleNamespace
 
     from twinpol.classical import _total_energy
     from twinpol.model import mu_squared_matrix
@@ -99,9 +101,8 @@ def stepped_classical(model, cav, pulse, init_state, t_end, dt, record_stride):
 
     idx = coupled_states(model.dipole, init_state)
     n = idx.size
-    sub = np.ix_(idx, idx)
-    energies, mu = model.energies[idx], model.dipole[sub]
-    mu2 = mu_squared_matrix(model)[sub]
+    energies, mu = model.energies[idx], model.dipole[np.ix_(idx, idx)]
+    mu2 = mu_squared_matrix(SimpleNamespace(dipole=mu))
     g_fac = cav.g * math.sqrt(2.0 * cav.omega_c)
     wc2 = cav.omega_c**2
 

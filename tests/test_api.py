@@ -24,7 +24,8 @@ PUBLIC_NAMES = [
     "errors", "fit_through_origin", "integrators", "load_model_config", "manymol",
     "measure_splitting", "model", "mu_squared_matrix", "peaks_from_sticks",
     "photon_observables", "propagate_classical", "propagate_quantum", "quantum",
-    "spectra", "spectrum_from_state", "static_stick_spectrum", "thermal_average_spectra",
+    "solve_polaritons", "spectra", "spectrum_from_state", "static_stick_spectrum",
+    "thermal_average_spectra",
     "thermal_initial_states", "thermodynamic_limit_spectrum", "units",
 ]
 

@@ -1,13 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import twinpol.classical
 import twinpol.integrators
+import twinpol.quantum
 from helpers import full_basis_classical, traced_peak, trajectory_head
-from twinpol import (CavityParams, IntegrationError, KickPulse, ModelError,
+from twinpol import (BasisSizeError, CavityParams, IntegrationError, KickPulse, ModelError,
                      build_three_level, classical_total_energy, cm1_to_au, detect_peaks,
                      dipole_spectrum, measure_splitting, propagate_classical,
                      propagate_quantum)
 from twinpol.classical import ClassicalState
+from twinpol.cli import main
 from twinpol.integrators import integrate
 
 
@@ -211,6 +216,48 @@ def test_hcl_steps_the_coupled_states_only(hcl_model, pulse):
         bound = n_steps * hcl_model.n_states * np.finfo(float).eps * np.max(np.abs(b))
         assert np.max(np.abs(a - b)) <= bound, name
     assert np.abs(traj.dipole).max() > 1e-6
+
+
+HCL_CAVITY = dict(omega_c=cm1_to_au(2906.46), g=cm1_to_au(400.0), include_dse=True)
+
+
+def test_hcl_squares_the_component_dipole_only(hcl_model, pulse, monkeypatch):
+    """The self-energy's mu^2 is the component's own, the square of its
+    22 x 22 dipole block: the whole 242-state model is never squared."""
+    squared, square = [], twinpol.classical.mu_squared_matrix
+    monkeypatch.setattr(twinpol.classical, "mu_squared_matrix",
+                        lambda m: squared.append(m.n_states) or square(m))
+    init = hcl_model.state_index(v=0, J=2, M=0)
+    propagate_classical(hcl_model, CavityParams(**HCL_CAVITY), pulse, init,
+                        t_end=20.0, dt=1.0, record_stride=4)
+    assert squared == [22]
+
+
+def test_classical_route_is_charged_on_its_component(hcl_model, tmp_path, monkeypatch):
+    """The size guard charges the classical run what it holds: the dense
+    matrices of its start's component (22 states from v0J2M0), and its
+    records on all 242 population columns.  Under a budget that refuses the
+    whole model's charge the run passes at the component's charge, and one
+    byte below it is refused, exit 3 from the CLI."""
+    cav, init = CavityParams(**HCL_CAVITY), hcl_model.state_index(v=0, J=2, M=0)
+    charge = 8 * (7 * 22**2 + 6 * 22 + 1 + 11 * 242)
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", charge)
+    with pytest.raises(BasisSizeError, match="^242-state"):
+        twinpol.quantum._check_memory(242, True, 11)
+    traj = propagate_classical(hcl_model, cav, KickPulse.off(), init, 10.0, 1.0)
+    assert traj.populations.shape == (11, 242) and traj.meta["coupled_states"] == 22
+    monkeypatch.setattr(twinpol.quantum, "MEMORY_BUDGET", charge - 1)
+    with pytest.raises(BasisSizeError, match="^22-state.* and 11 population records"):
+        propagate_classical(hcl_model, cav, KickPulse.off(), init, 10.0, 1.0)
+    config = Path(__file__).parent.parent / "configs" / "hcl_thermal_cavity.cfg"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config.read_text().replace(
+        "framework = quantum_static\ninitial = thermal",
+        "framework = classical\ninitial = v0J2M0\nt_end = 10 au\ndt = 1.0 au\n"
+        "record_stride = 1"))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+    error = (tmp_path / "o" / "error.txt").read_text()
+    assert error.startswith("BasisSizeError: 22-state") and "11 population records" in error
 
 
 def test_record_buffer_is_bounded(model3, cav, pulse):

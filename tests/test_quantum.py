@@ -12,19 +12,19 @@ from hypothesis import strategies as st
 import twinpol.integrators
 import twinpol.manymol
 import twinpol.quantum
-from helpers import (kron_hamiltonian, kron_sum, mu_operator, q2_operator, q_operator,
-                     stick_inputs_per_state, traced_peak)
+from helpers import (coupled_states, kron_hamiltonian, kron_sum, mu_operator, q2_operator,
+                     q_operator, stick_inputs_per_state, traced_peak)
 from twinpol import (BasisSizeError, CavityParams, ConvergenceError, KickPulse, ModelError,
                      MorseParams, PolaritonSolution, ProductBasis, assemble_hamiltonian,
                      boltzmann_weights, build_many_molecule_hamiltonian, build_morse_rovib,
                      cm1_to_au, diagonalize_polaritons, detect_peaks, dipole_spectrum,
                      dominant_eigenstate, photon_observables, propagate_quantum,
                      static_stick_spectrum, thermal_initial_states)
-from twinpol.model import MolecularModel, mu_squared_matrix
-from twinpol.quantum import (QuantumState, _check_memory, _coupled_blocks, _representatives,
-                             _solve_factors, _start_component, apply_dipole,
-                             factored_expectations, photon_ladder, photon_ladder_squared,
-                             product_hamiltonian, real_matmul, solve_polaritons)
+from twinpol.model import MolecularModel, _coupled_blocks, mu_squared_matrix
+from twinpol.quantum import (QuantumState, _check_memory, _restrict, _solve_factors,
+                             apply_dipole, factored_expectations, photon_ladder,
+                             photon_ladder_squared, product_hamiltonian, real_matmul,
+                             solve_polaritons)
 
 RESONANT_BLOCK = ((0, 0), (2, 0), (0, 1))
 
@@ -765,23 +765,53 @@ def test_component_run_keeps_the_whole_basis_dt_verdict(hcl_model):
     assert traj.populations[:, init[0]] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_start_component_walks_both_triangles_of_the_dipole(hcl_model):
-    """_start_component is the block of _coupled_blocks that holds the
-    start, for every HCl state, and none for a start outside the model.  A
-    one-sided entry, within the symmetry check's 1e-12, couples as the
-    solver's blocks read it: from either end."""
-    blocks = _coupled_blocks(hcl_model.n_states, *np.nonzero(hcl_model.dipole))
-    for block in blocks:
-        for k in block:
-            assert np.array_equal(_start_component(hcl_model, k), block)
-    assert _start_component(hcl_model, hcl_model.n_states).size == 0
+def _assert_map_is_the_walks(model):
+    """model's mu-component map: every state's component is the walk of
+    helpers.coupled_states from it, and the components partition the
+    states in order of their smallest index."""
+    of, blocks = model._components
+    for k in range(model.n_states):
+        assert np.array_equal(blocks[of[k]], coupled_states(model.dipole, k))
+    assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(model.n_states))
+
+
+def test_mu_component_map_walks_both_triangles_of_the_dipole(hcl_model):
+    """The mu-component map (MolecularModel._components) gives every HCl
+    state the component the independent walk reaches from it: 23 of them,
+    one per M and the two singletons vJ10M+-10.  It is formed on first use,
+    not by validate, and once.  A one-sided entry, within the symmetry
+    check's 1e-12, couples as the solver's blocks read it: from either end.
+    A start outside the model is refused."""
+    fresh = MolecularModel(hcl_model.energies, hcl_model.dipole, hcl_model.labels)
+    assert "_components" not in vars(fresh)
+    _assert_map_is_the_walks(fresh)
+    assert fresh._components is fresh._components and len(fresh._components[1]) == 23
     dipole = np.zeros((3, 3))
     dipole[0, 2] = 1e-13
     one_sided = MolecularModel(np.array([0.0, 1e-3, 2e-3]), dipole,
                                [{"index": k} for k in range(3)])
-    for k in (0, 2):
-        assert _start_component(one_sided, k).tolist() == [0, 2]
-    assert _start_component(one_sided, 1).tolist() == [1]
+    of, blocks = one_sided._components
+    assert [b.tolist() for b in blocks] == [[0, 2], [1]] and of.tolist() == [0, 1, 0]
+    for k in (-1, hcl_model.n_states):
+        with pytest.raises(ModelError, match=f"start index {k} outside 0..241"):
+            _restrict(hcl_model, [(0, 0.5), (k, 0.5)])
+
+
+@st.composite
+def _sparse_dipoles(draw):
+    """A model of 1 to 12 states whose symmetric dipole has each entry
+    above the diagonal nonzero with probability p."""
+    n, p = draw(st.integers(1, 12)), draw(st.floats(0.0, 0.4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = np.triu(np.where(rng.random((n, n)) < p, rng.normal(size=(n, n)), 0.0), 1)
+    return MolecularModel(np.arange(n, dtype=float), mu + mu.T, [{"index": k} for k in range(n)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_sparse_dipoles())
+def test_mu_component_map_on_random_sparse_dipoles(model):
+    _assert_map_is_the_walks(model)
 
 
 def test_mirrored_hcl_components_give_bit_identical_sticks(hcl_model):
@@ -801,7 +831,8 @@ def test_mirrored_hcl_components_give_bit_identical_sticks(hcl_model):
     assert all(len(ms) == 1 for ms in classes.values())
 
     def sticks(k):
-        part, starts = _representatives(model, [(k, 1.0)])
+        part, idx, starts = _restrict(model, [(k, 1.0)])
+        assert np.array_equal(idx, blocks[model._components[0][k]])
         assert part.n_states < model.n_states and starts == [(part.labels.index(
             model.labels[k]), 1.0)]
         basis = ProductBasis.full(part, cav.n_fock_max)
